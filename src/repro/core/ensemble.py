@@ -27,6 +27,7 @@ Weighting schemes
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,6 +47,7 @@ from repro.types import (
     NO_PARENT,
     VERTEX_DTYPE,
     FloatArray,
+    IntArray,
     WeightVector,
 )
 
@@ -68,9 +70,10 @@ def resolve_weighting(
     if priorities is None:
         raise AlgorithmError("priority weighting requires priorities")
     prio = np.asarray(priorities, dtype=DIST_DTYPE)
-    if prio.shape != (k,) or np.any(prio <= 0):
+    if prio.shape != (k,) or not np.all(np.isfinite(prio) & (prio > 0)):
         raise AlgorithmError(
-            f"priorities must be {k} positive values, got {priorities!r}"
+            f"priorities must be {k} finite positive values, got "
+            f"{priorities!r}"
         )
     return prio
 
@@ -113,7 +116,7 @@ def vertex_ensemble_edges(
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class EnsembleGraph:
     """The combined graph plus its bookkeeping.
 
@@ -123,16 +126,29 @@ class EnsembleGraph:
         Single-objective :class:`~repro.graph.csr.CSRGraph` over the
         original vertex set, containing every SOSP-tree edge once with
         its scheme weight.
-    occurrences:
-        ``{(u, v): x}`` — how many trees contain each edge (the ``x``
-        of the ``k − x + 1`` formula), kept for tests and ablations.
     num_trees:
         ``k``, the number of trees merged.
+    edge_src, edge_dst, edge_count:
+        The ensemble edges in emission order (destination-ascending)
+        and how many trees contain each one (the ``x`` of the
+        ``k − x + 1`` formula).
     """
 
     csr: CSRGraph
-    occurrences: Dict[Tuple[int, int], int]
     num_trees: int
+    edge_src: IntArray
+    edge_dst: IntArray
+    edge_count: IntArray
+
+    @cached_property
+    def occurrences(self) -> Dict[Tuple[int, int], int]:
+        """``{(u, v): x}`` — the per-edge counts as a dict, built on
+        first access (tests and ablations read it; the pipeline does
+        not)."""
+        return dict(zip(
+            zip(self.edge_src.tolist(), self.edge_dst.tolist()),
+            self.edge_count.tolist(),
+        ))
 
 
 def _ensemble_slab(
@@ -285,17 +301,7 @@ def build_ensemble(
             trees, weighting, prio, eng
         )
         eng.charge(len(e_src))
-        occurrences = {
-            (int(p), int(v)): int(c)
-            for p, v, c in zip(e_src, e_dst, e_cnt)
-        }
-        csr = CSRGraph(
-            n,
-            e_src.astype(VERTEX_DTYPE),
-            e_dst.astype(VERTEX_DTYPE),
-            e_w.astype(DIST_DTYPE).reshape(-1, 1),
-        )
-        return EnsembleGraph(csr=csr, occurrences=occurrences, num_trees=k)
+        return _make_ensemble(n, k, e_src, e_dst, e_w, e_cnt)
 
     per_vertex = eng.parallel_for(
         list(range(n)),
@@ -306,25 +312,39 @@ def build_ensemble(
     src: List[int] = []
     dst: List[int] = []
     w: List[float] = []
-    occurrences: Dict[Tuple[int, int], int] = {}
+    cnt: List[int] = []
     for rows in per_vertex:
         for p, v, weight in rows:
             # recover the occurrence count from the balanced formula
             # independently of the active scheme
-            cnt = sum(
+            cnt.append(sum(
                 1 for t in trees
                 if int(t.parent[v]) == p and np.isfinite(t.dist[v])
-            )
-            occurrences[(p, v)] = cnt
+            ))
             src.append(p)
             dst.append(v)
             w.append(weight)
     eng.charge(len(src))
-
-    csr = CSRGraph(
-        n,
+    return _make_ensemble(
+        n, k,
         np.asarray(src, dtype=VERTEX_DTYPE),
         np.asarray(dst, dtype=VERTEX_DTYPE),
-        np.asarray(w, dtype=DIST_DTYPE).reshape(-1, 1),
+        np.asarray(w, dtype=DIST_DTYPE),
+        np.asarray(cnt, dtype=np.int64),
     )
-    return EnsembleGraph(csr=csr, occurrences=occurrences, num_trees=k)
+
+
+def _make_ensemble(
+    n: int,
+    k: int,
+    src: IntArray,
+    dst: IntArray,
+    w: FloatArray,
+    cnt: IntArray,
+) -> EnsembleGraph:
+    """Freeze the gathered ensemble edges into an :class:`EnsembleGraph`."""
+    src = src.astype(VERTEX_DTYPE, copy=False)
+    dst = dst.astype(VERTEX_DTYPE, copy=False)
+    csr = CSRGraph(n, src, dst, w.astype(DIST_DTYPE).reshape(-1, 1))
+    return EnsembleGraph(csr=csr, num_trees=k, edge_src=src,
+                         edge_dst=dst, edge_count=cnt)

@@ -246,7 +246,7 @@ class IncrementalMOSP:
             ),
         )
         timed("reassign", lambda: _reassign_real_weights(
-            self.graph, self.source, self._ensemble_tree.dist,
+            self.graph.edge_arrays(), self.source, self._ensemble_tree.dist,
             self._ensemble_tree.parent, result.dist_vectors, self.trees,
         ))
         result.parent = self._ensemble_tree.parent.copy()

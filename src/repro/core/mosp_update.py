@@ -35,6 +35,7 @@ from repro.dynamic.changes import ChangeBatch
 from repro.errors import AlgorithmError, NotReachableError
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
+from repro.graph.shards import live_edge_arrays
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.parallel.api import Engine, resolve_engine
@@ -244,7 +245,8 @@ def mosp_update(
     result.parent = parent_c
 
     timed("reassign", lambda: _reassign_real_weights(
-        graph, source, dist_c, parent_c, result.dist_vectors, trees
+        _live_edges(graph, csr), source, dist_c, parent_c,
+        result.dist_vectors, trees,
     ))
     eng.charge(int(np.isfinite(dist_c).sum()))
     return result
@@ -332,39 +334,53 @@ def _record_tree_stats(
 
 
 # ----------------------------------------------------------------------
-def _representative_weight(
-    g: DiGraph,
+def _live_edges(
+    graph: DiGraph, csr: Optional[CSRGraph] = None
+) -> Tuple[IntArray, IntArray, FloatArray]:
+    """Every live edge of ``graph`` as ``(src, dst, weights)``.
+
+    Read from ``csr`` (base + tail, tombstones dropped) when the
+    snapshot is in sync with ``graph`` — same vertex, objective and
+    live edge counts, the check the Step-1 kernels apply — which skips
+    the digraph's list-to-array conversion; otherwise from
+    :meth:`~repro.graph.digraph.DiGraph.edge_arrays`.  Row order does
+    not matter to the reassignment.
+    """
+    if (
+        csr is not None
+        and csr.n == graph.num_vertices
+        and csr.k == graph.num_objectives
+        and csr.num_edges == graph.num_edges
+    ):
+        return live_edge_arrays(csr)
+    return graph.edge_arrays()
+
+
+def _certified_weight(
+    parallels: FloatArray,
     u: int,
     v: int,
     trees: Optional[Sequence[SOSPTree]] = None,
 ) -> FloatArray:
-    """The weight vector used when re-assigning hop ``(u, v)``.
+    """The weight vector used when re-assigning a hop ``(u, v)`` that
+    has several live parallel edges (rows of ``parallels``).
 
-    Simple graphs (the usual case) have exactly one choice.  Among
-    parallel edges the hop must be priced with an edge some per-
-    objective tree actually certifies: the ensemble contains ``(u, v)``
-    because ``trees[i].parent[v] == u`` for at least one objective
-    ``i``, and that tree's certified edge is the parallel edge with the
-    minimal ``i``-th weight component (the one its relaxations used).
-    Pricing the hop with a *different* parallel edge can fabricate a
-    dominated path vector even when every tree is unique, which is
-    exactly the precondition of the paper's Pareto-optimality theorem.
-    Among the certified candidates (or all parallels, when no tree
-    owns the hop) we take the lexicographically smallest vector — a
-    deterministic pick of a real edge.
+    The hop must be priced with an edge some per-objective tree
+    actually certifies: the ensemble contains ``(u, v)`` because
+    ``trees[i].parent[v] == u`` for at least one objective ``i``, and
+    that tree's certified edge is the parallel edge with the minimal
+    ``i``-th weight component (the one its relaxations used).  Pricing
+    the hop with a *different* parallel edge can fabricate a dominated
+    path vector even when every tree is unique, which is exactly the
+    precondition of the paper's Pareto-optimality theorem.  Among the
+    certified candidates (or all parallels, when no tree owns the hop)
+    we take the lexicographically smallest vector — a deterministic
+    pick of a real edge, independent of the row order.
     """
-    parallels: List[FloatArray] = []
-    for vv, eid in g.out_edges(u):
-        if vv == v:
-            parallels.append(g.weight(eid))
-    if not parallels:
-        raise AlgorithmError(
-            f"combined-tree edge ({u}, {v}) does not exist in the graph"
-        )
-    candidates = parallels
-    if trees is not None and len(parallels) > 1:
+    candidates = rows = list(parallels)
+    if trees is not None:
         certified = [
-            min(parallels, key=lambda w: (w[t.objective], *tuple(w)))
+            min(rows, key=lambda w: (w[t.objective], *tuple(w)))
             for t in trees
             if t.parent[v] == u
         ]
@@ -374,26 +390,78 @@ def _representative_weight(
 
 
 def _reassign_real_weights(
-    g: DiGraph,
+    edges: Tuple[IntArray, IntArray, FloatArray],
     source: int,
     dist_c: FloatArray,
     parent_c: IntArray,
     out: FloatArray,
     trees: Optional[Sequence[SOSPTree]] = None,
 ) -> None:
-    """Algorithm 2's final move: walk the combined-graph SOSP tree in
-    BFS-from-root order, summing the original multi-weights.
+    """Algorithm 2's final move: sum the original multi-weights down
+    the combined-graph SOSP tree ``parent_c`` into ``out``.
 
-    ``trees`` (the per-objective SOSP trees the ensemble was built
-    from) disambiguates parallel edges — see
-    :func:`_representative_weight`."""
-    order = np.argsort(dist_c, kind="stable")  # parents precede children
+    ``edges`` are the live ``(src, dst, weights)`` arrays of ``G``
+    (:func:`_live_edges`).  Every reached vertex ``v`` (finite
+    ``dist_c``, a parent, not the source) has a hop edge
+    ``(parent_c[v], v)``: the hops are sorted by that key and every
+    live edge is searched among them in one pass.  A hop with several
+    live parallel edges is priced by :func:`_certified_weight`
+    (``trees`` are the per-objective SOSP trees the ensemble was built
+    from); a hop with none raises :class:`~repro.errors.AlgorithmError`.
+    The vectors then accumulate one tree level at a time from the
+    source, ``out[v] = out[p] + hop``, the same single addition per
+    vertex as a walk in distance order, so the sums are bitwise those
+    of that walk.  Vertices whose parent chain does not reach the
+    source keep their ``inf`` rows.
+    """
+    n = parent_c.shape[0]
     out[source] = 0.0
-    for v in order:
-        v = int(v)
-        if v == source or not np.isfinite(dist_c[v]):
-            continue
-        p = int(parent_c[v])
-        if p == NO_PARENT:
-            continue
-        out[v] = out[p] + _representative_weight(g, p, v, trees)
+    kids = np.flatnonzero(np.isfinite(dist_c) & (parent_c != NO_PARENT))
+    kids = kids[kids != source]
+    if kids.size == 0:
+        return
+    # children grouped by parent (ascending within a group): a child CSR
+    # for the level walk whose (parent, child) keys come out sorted
+    par = parent_c[kids].astype(np.int64)
+    by_parent = np.argsort(par, kind="stable")
+    kids, par = kids[by_parent], par[by_parent]
+    cptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(par, minlength=n), out=cptr[1:])
+
+    # hop lookup: search every live edge among the sorted hop keys
+    src, dst, w = edges
+    hkey = par * n + kids
+    ekey = src * n + dst
+    pos = np.minimum(np.searchsorted(hkey, ekey), hkey.size - 1)
+    hit = np.flatnonzero(hkey[pos] == ekey)  # live edges that are hops
+    pos = pos[hit]
+    count = np.bincount(pos, minlength=hkey.size)
+    missing = np.flatnonzero(count == 0)
+    if missing.size:
+        j = int(missing[0])
+        raise AlgorithmError(
+            f"combined-tree edge ({int(par[j])}, {int(kids[j])}) does not "
+            "exist in the graph"
+        )
+    hop = np.empty((hkey.size, w.shape[1]), dtype=w.dtype)
+    hop[pos] = w[hit]
+    multi = np.flatnonzero(count > 1)
+    if multi.size:
+        rows = np.flatnonzero(count[pos] > 1)
+        rows = hit[rows[np.argsort(pos[rows], kind="stable")]]
+        groups = np.split(rows, np.cumsum(count[multi])[:-1])
+        for j, parallels in zip(multi.tolist(), groups):
+            hop[j] = _certified_weight(
+                w[parallels], int(par[j]), int(kids[j]), trees
+            )
+
+    # level by level from the source
+    frontier = np.array([source], dtype=np.int64)
+    while frontier.size:
+        start = cptr[frontier]
+        fanout = cptr[frontier + 1] - start
+        # positions start[f] .. start[f] + fanout[f] - 1 for each f
+        idx = np.repeat(start - (np.cumsum(fanout) - fanout), fanout)
+        idx += np.arange(idx.size)
+        frontier = kids[idx]
+        out[frontier] = out[par[idx]] + hop[idx]

@@ -22,9 +22,9 @@ __all__ = ["normalize_priorities", "budget_driven_priorities"]
 def normalize_priorities(priorities: Sequence[float]) -> FloatArray:
     """Scale positive priorities so that they sum to 1."""
     p = np.asarray(priorities, dtype=DIST_DTYPE)
-    if p.ndim != 1 or p.size == 0 or np.any(p <= 0):
+    if p.ndim != 1 or p.size == 0 or not np.all(np.isfinite(p) & (p > 0)):
         raise AlgorithmError(
-            f"priorities must be a non-empty vector of positives, got "
+            f"priorities must be a non-empty vector of finite positives, got "
             f"{priorities!r}"
         )
     return p / p.sum()

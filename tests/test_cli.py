@@ -124,6 +124,14 @@ class TestMOSP:
         assert code == 0
         assert "0 -> 1 -> 2" in text
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_priority_is_error(self, graph_file, bad):
+        code, _ = run(
+            ["mosp", graph_file, "--target", "2",
+             "--weighting", "priority", "--priorities", bad, "1"]
+        )
+        assert code == 2
+
     def test_simulated_engine(self, graph_file):
         code, _ = run(
             ["mosp", graph_file, "--target", "3",

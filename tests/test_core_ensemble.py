@@ -143,6 +143,9 @@ class TestPriorityHelpers:
             normalize_priorities([1.0, 0.0])
         with pytest.raises(AlgorithmError):
             normalize_priorities([])
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(AlgorithmError):
+                normalize_priorities([1.0, bad])
 
     def test_budget_pressure(self):
         # energy (obj 1) at 95% of budget -> its priority dominates

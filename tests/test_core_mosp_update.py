@@ -19,7 +19,7 @@ def build_trees(g, source=0):
 
 def path_cost(g, path):
     """True multi-objective cost of a vertex path (min parallel edge
-    by lexicographic weight, matching _representative_weight)."""
+    by lexicographic weight, matching _certified_weight)."""
     k = g.num_objectives
     cost = np.zeros(k)
     for u, v in zip(path, path[1:]):
@@ -252,6 +252,21 @@ class TestValidation:
         g = erdos_renyi(10, 30, k=2, seed=0)
         with pytest.raises(AlgorithmError):
             mosp_update(g, [])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_priority_rejected(self, bad):
+        """A NaN priority used to drop reachable vertices to ``inf``
+        rows and an infinite one to give zero-weight combined edges;
+        both must be refused up front."""
+        g = DiGraph(3, k=2)
+        g.add_edge(0, 1, (1.0, 4.0))
+        g.add_edge(1, 2, (1.0, 4.0))
+        g.add_edge(0, 2, (4.0, 1.0))
+        for vectorized in (False, True):
+            with pytest.raises(AlgorithmError, match="finite positive"):
+                mosp_update(g, build_trees(g), weighting="priority",
+                            priorities=(bad, 1.0),
+                            use_csr_kernels=vectorized)
 
 
 class TestCSRKernelPath:

@@ -178,7 +178,7 @@ class TestMOSPInvariants:
         Well-posed additionally requires a *simple* graph: among
         parallel edges, different trees can certify different parallel
         edges for the same ensemble hop, and no single representative
-        weight vector (``_representative_weight``) makes every pricing
+        weight vector (``_certified_weight``) makes every pricing
         nondominated — e.g. parallel ``u→v`` weights ``(a, B)`` and
         ``(b, A)`` with ``a < b``, ``A < B``: whichever is chosen, the
         other may complete the front row that dominates the result.
