@@ -44,7 +44,6 @@ because all mutation happens inside the existing slab kernels.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
@@ -185,14 +184,14 @@ def apply_mixed_batch(
         weight_changes=int(batch.num_weight_changes),
     ) as sp_inv:
         dirty = _invalidate(graph, tree, batch, stats)
-        if dirty:
-            for v in dirty:
-                dist[v] = INF
-                parent[v] = NO_PARENT
-            eng.charge(len(dirty))
-        sp_inv.set(invalidated=len(dirty))
+        if dirty.size:
+            dist[dirty] = INF
+            parent[dirty] = NO_PARENT
+            eng.charge(int(dirty.size))
+        sp_inv.set(invalidated=stats.invalidated,
+                   dirty_roots=stats.dirty_roots)
     stats.step_seconds["invalidate"] = sp_inv.elapsed
-    stats.touched_vertices |= dirty
+    stats.touched_vertices.update(dirty.tolist())
 
     # ------------------------------------------------------ Step I
     with tracer.span("sosp_update_mixed.seed") as sp_seed:
@@ -246,15 +245,18 @@ def _invalidate(
     tree: SOSPTree,
     batch: ChangeBatch,
     stats: MixedUpdateStats,
-) -> Set[int]:
-    """Step D: collect the dirty set without mutating the tree yet.
+) -> IntArray:
+    """Step D: collect the sorted dirty set without mutating the tree yet.
 
     A deletion or weight-change record ``(u, v)`` cuts ``v`` loose iff
     ``v``'s parent pointer crosses that edge and no surviving parallel
     ``(u, v)`` edge certifies a distance ``≤ dist[v]``.  The test is
     strictly one-sided (``nd > dist[v]``): a weight drop on the parent
     edge leaves ``dist[v]`` a valid upper bound, and the matching Step-I
-    stimulus lowers it without the invalidation churn.
+    stimulus lowers it without the invalidation churn.  The roots'
+    subtrees are swept over the tree's child CSR
+    (:meth:`~repro.core.tree.SOSPTree.subtree`), built only when some
+    root exists.
     """
     dist = tree.dist
     parent = tree.parent
@@ -262,40 +264,34 @@ def _invalidate(
 
     del_src, del_dst = batch.delete_records()
     wc_src, wc_dst, _wc_w = batch.weight_change_records()
-    pairs = zip(
-        np.concatenate((del_src, wc_src)).tolist(),
-        np.concatenate((del_dst, wc_dst)).tolist(),
+    src = np.concatenate((del_src, wc_src))
+    dst = np.concatenate((del_dst, wc_dst))
+    # every surviving record of one v names the same u = parent[v], so
+    # one test per distinct v decides for all of them
+    cand = (parent[dst] == src) & np.isfinite(dist[dst])
+    v_cand = np.unique(dst[cand])
+    u_cand = parent[v_cand]
+    nd = dist[u_cand] + np.array(
+        [
+            graph.min_weight_between(u, v, objective)
+            for u, v in zip(u_cand.tolist(), v_cand.tolist())
+        ],
+        dtype=DIST_DTYPE,
     )
-    roots: List[int] = []
-    seen_roots: Set[int] = set()
-    for u, v in pairs:
-        if v in seen_roots or parent[v] != u or not np.isfinite(dist[v]):
-            continue
-        nd = dist[u] + graph.min_weight_between(u, v, objective)
-        if nd > dist[v] and not np.isclose(nd, dist[v]):
-            roots.append(v)
-            seen_roots.add(v)
-    stats.dirty_roots = len(roots)
-    if not roots:
-        return set()
-
-    children = tree.children_lists()
-    dirty: Set[int] = set()
-    queue = deque(roots)
-    while queue:
-        v = queue.popleft()
-        if v in dirty:
-            continue
-        dirty.add(v)
-        queue.extend(children[v])
-    stats.invalidated = len(dirty)
+    old = dist[v_cand]
+    roots = v_cand[(nd > old) & ~np.isclose(nd, old)]
+    stats.dirty_roots = int(roots.size)
+    if not roots.size:
+        return roots
+    dirty = tree.subtree(roots)
+    stats.invalidated = int(dirty.size)
     return dirty
 
 
 def _gather_stimuli(
     graph: DiGraph,
     batch: ChangeBatch,
-    dirty: Set[int],
+    dirty: IntArray,
     objective: int,
     snapshot: Optional[CSRGraph],
 ) -> Tuple[IntArray, IntArray, FloatArray]:
@@ -331,18 +327,17 @@ def _gather_stimuli(
     src = np.asarray(stim_src, dtype=np.int64)
     dst = np.asarray(stim_dst, dtype=np.int64)
     w = np.asarray(stim_w, dtype=DIST_DTYPE)
-    if dirty:
-        dirty_arr = np.asarray(sorted(dirty), dtype=np.int64)
+    if dirty.size:
         if snapshot is not None:
             b_src, b_dst, b_w = kernels.gather_in_edges_csr(
-                snapshot, dirty_arr, objective
+                snapshot, dirty, objective
             )
         else:
             weights_col = graph.weight_column(objective)
             bs: List[int] = []
             bd: List[int] = []
             bw: List[float] = []
-            for v in dirty_arr.tolist():
+            for v in dirty.tolist():
                 for u, eid in graph.in_edges(v):
                     bs.append(u)
                     bd.append(v)

@@ -11,10 +11,11 @@ objective it was computed for.  It is the mutable state that
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
+from repro.core.kernels import gather_ranges
 from repro.errors import NotReachableError, VertexError
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
@@ -126,15 +127,43 @@ class SOSPTree:
                 out.append((p, v))
         return out
 
-    def children_lists(self) -> List[List[int]]:
-        """Adjacency of the tree itself: ``children[p]`` lists the
-        vertices whose parent is ``p`` (used by the deletion phase)."""
-        children: List[List[int]] = [[] for _ in range(self.num_vertices)]
-        for v in range(self.num_vertices):
-            p = int(self.parent[v])
-            if p != NO_PARENT and v != self.source:
-                children[p].append(v)
-        return children
+    def child_index(self) -> Tuple[IntArray, IntArray]:
+        """Adjacency of the tree itself as a child CSR ``(indptr, kids)``.
+
+        The children of ``p`` are ``kids[indptr[p]:indptr[p + 1]]``, in
+        ascending vertex order.  The source and vertices without a
+        parent are nobody's child.
+        """
+        n = self.num_vertices
+        has_parent = self.parent != NO_PARENT
+        has_parent[self.source] = False
+        kids = np.flatnonzero(has_parent)
+        par = self.parent[kids]
+        by_parent = np.argsort(par, kind="stable")
+        kids = kids[by_parent]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(par, minlength=n), out=indptr[1:])
+        return indptr, kids
+
+    def subtree(self, roots: IntArray) -> IntArray:
+        """Sorted vertices of the subtrees hanging from ``roots``
+        (roots included; repeats allowed), swept level by level over
+        :meth:`child_index`.  The index is built only when ``roots`` is
+        non-empty."""
+        roots = np.asarray(roots, dtype=np.int64)
+        if roots.size == 0:
+            return np.empty(0, dtype=np.int64)
+        indptr, kids = self.child_index()
+        seen = np.zeros(self.num_vertices, dtype=bool)
+        seen[roots] = True
+        frontier = np.flatnonzero(seen)
+        while frontier.size:
+            idx, _ = gather_ranges(indptr[frontier], indptr[frontier + 1])
+            frontier = kids[idx]
+            # nested roots (or a corrupted parent cycle) revisit vertices
+            frontier = frontier[~seen[frontier]]
+            seen[frontier] = True
+        return np.flatnonzero(seen)
 
     def certify(self, graph: Union[DiGraph, CSRGraph]) -> None:
         """Raise unless this tree is a correct SSSP solution for

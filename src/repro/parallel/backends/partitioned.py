@@ -521,12 +521,12 @@ class PartitionedEngine(BaseEngine):
             weight_changes=int(batch.num_weight_changes),
         ) as sp_inv:
             dirty = _invalidate(graph, tree, batch, stats)
-            for v in dirty:
-                dist[v] = INF
-                parent[v] = NO_PARENT
-            sp_inv.set(invalidated=len(dirty))
+            dist[dirty] = INF
+            parent[dirty] = NO_PARENT
+            sp_inv.set(invalidated=stats.invalidated,
+                       dirty_roots=stats.dirty_roots)
         stats.step_seconds["invalidate"] = sp_inv.elapsed
-        stats.touched_vertices |= dirty
+        stats.touched_vertices.update(dirty.tolist())
 
         # ------------------------------------------------ Step I
         trackers: List[Optional[OwnershipTracker]] = [

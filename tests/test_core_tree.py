@@ -62,13 +62,51 @@ class TestSOSPTree:
         g, t = tree
         assert set(t.tree_edges()) == {(0, 1), (1, 2), (2, 3)}
 
-    def test_children_lists(self, tree):
+    def test_child_index(self, tree):
         g, t = tree
-        children = t.children_lists()
-        assert children[0] == [1]
-        assert children[1] == [2]
-        assert children[2] == [3]
-        assert children[3] == []
+        indptr, kids = t.child_index()
+        children = [kids[indptr[p]:indptr[p + 1]].tolist() for p in range(5)]
+        assert children == [[1], [2], [3], [], []]
+
+    @pytest.fixture
+    def branchy(self):
+        # 0 -> {1, 4}, 1 -> {2, 3}, 4 -> {5}; 6 unreachable; the source's
+        # own parent slot is corrupted to point at 3
+        parent = np.array([3, 0, 1, 1, 0, 4, NO_PARENT])
+        dist = np.array([0.0, 1.0, 2.0, 2.0, 1.0, 2.0, INF])
+        return SOSPTree(0, dist, parent)
+
+    def test_child_index_skips_source_and_unreachable(self, branchy):
+        indptr, kids = branchy.child_index()
+        assert indptr.tolist() == [0, 2, 4, 4, 4, 5, 5, 5]
+        assert kids.tolist() == [1, 4, 2, 3, 5]
+
+    def test_subtree_excludes_source(self, branchy):
+        # 3's subtree would loop back to the source through the
+        # corrupted pointer if the source were anybody's child
+        assert branchy.subtree(np.array([3])).tolist() == [3]
+        assert branchy.subtree(np.array([1])).tolist() == [1, 2, 3]
+
+    def test_subtree_excludes_unreachable(self, branchy):
+        assert 6 not in branchy.subtree(np.array([1, 4])).tolist()
+        assert branchy.subtree(np.array([6])).tolist() == [6]
+
+    def test_subtree_multiple_roots(self, branchy):
+        got = branchy.subtree(np.array([4, 2]))
+        assert got.dtype == np.int64
+        assert got.tolist() == [2, 4, 5]
+
+    def test_subtree_root_given_twice(self, branchy):
+        assert branchy.subtree(np.array([4, 1, 4])).tolist() == [
+            1, 2, 3, 4, 5,
+        ]
+
+    def test_subtree_of_nothing_skips_the_index(self, branchy, monkeypatch):
+        def boom(self):
+            raise AssertionError("child index built for no roots")
+
+        monkeypatch.setattr(SOSPTree, "child_index", boom)
+        assert branchy.subtree(np.empty(0, dtype=np.int64)).size == 0
 
     def test_reachable_mask(self):
         g = DiGraph(3)
