@@ -210,7 +210,7 @@ def apply_mixed_batch(
     stats.relaxations += scanned
     stats.affected_initial = int(affected_arr.size)
     stats.affected_total = int(affected_arr.size)
-    stats.affected_vertices.update(int(v) for v in affected_arr)
+    stats.affected_vertices.update(affected_arr.tolist())
 
     # ------------------------------------------------------ Step 2/3
     with tracer.span(
@@ -365,6 +365,10 @@ def _publish_mixed_stats(stats: MixedUpdateStats, batch: ChangeBatch) -> None:
         "mixed_relaxations_total",
         "edges examined across seed + propagation",
     ).inc(stats.relaxations)
+    m.counter(
+        "mixed_wasted_improvements_total",
+        "improvements overwritten later in the same update",
+    ).inc(stats.affected_total - len(stats.affected_vertices))
     m.histogram("mixed_batch_size", "records per mixed batch").observe(
         batch.num_changes
     )

@@ -54,6 +54,7 @@ __all__ = [
     "gather_ranges",
     "segmented_argmin",
     "gather_in_edges_csr",
+    "group_tail_by_position",
     "relax_batch_groups",
     "propagate_csr",
     "frontier_bellman_ford_csr",
@@ -341,12 +342,45 @@ def gather_in_edges_csr(
     dst = np.repeat(vertices, np.diff(seg_starts))
     w = csr.weights[csr.edge_perm[idx], objective]
     if csr.num_tail_edges:
-        hit = np.isin(csr.tail_dst, vertices)
+        vmask = np.zeros(csr.n, dtype=bool)
+        vmask[vertices] = True
+        hit = vmask[csr.tail_dst]
         if hit.any():
             src = np.concatenate((src, csr.tail_src[hit].astype(np.int64)))
             dst = np.concatenate((dst, csr.tail_dst[hit].astype(np.int64)))
             w = np.concatenate((w, csr.tail_weights[hit, objective]))
     return src, dst, w
+
+
+def group_tail_by_position(
+    csr: CSRGraph,
+    frontier: IntArray,
+    posmap: IntArray,
+    objective: int = 0,
+) -> Tuple[IntArray, IntArray, FloatArray]:
+    """The snapshot's COO-tail edges that land on ``frontier``, grouped
+    by frontier position: ``(t_seg, t_src, t_w)`` sorted by ``t_seg``,
+    tail append order within a position.
+
+    ``frontier`` must be sorted and unique.  ``posmap`` is length-``n``
+    int64 scratch holding ``-1`` everywhere; it maps the frontier to
+    its positions for one gather over ``tail_dst`` and is reset to
+    ``-1`` before returning.  The tail is not O(|batch|): it grows up
+    to ``TAIL_REBUILD_FRACTION · m`` rows between re-freezes (about 45k
+    rows on a 182k-edge road graph), so each superstep pays one gather
+    over it rather than a search.
+    """
+    posmap[frontier] = np.arange(frontier.size, dtype=np.int64)
+    pos = posmap[csr.tail_dst]
+    posmap[frontier] = -1
+    sel = pos >= 0
+    t_seg = pos[sel]
+    t_order = np.argsort(t_seg, kind="stable")
+    return (
+        t_seg[t_order],
+        csr.tail_src[sel][t_order],
+        csr.tail_weights[sel, objective][t_order],
+    )
 
 
 def relax_batch_groups(
@@ -487,6 +521,11 @@ def propagate_csr(
         else None
     )
 
+    # dense per-call scratch: ``posmap`` for the tail grouping, and
+    # ``improved`` collects the distinct affected vertices, so no
+    # superstep sorts, hashes or feeds a Python set
+    posmap = np.full(csr.n, -1, dtype=np.int64) if csr.num_tail_edges else None
+    improved = np.zeros(csr.n, dtype=bool)
     try:
         while affected.size:
             if tracker is not None:
@@ -498,17 +537,10 @@ def propagate_csr(
             if frontier.size == 0:
                 break
 
-            # tail edges landing on this frontier, grouped by frontier
-            # position (tail is O(|batch|), so this stays cheap)
-            if csr.num_tail_edges:
-                pos = np.searchsorted(frontier, csr.tail_dst)
-                pos_c = np.minimum(pos, frontier.size - 1)
-                sel = frontier[pos_c] == csr.tail_dst
-                t_seg = pos_c[sel]
-                t_order = np.argsort(t_seg, kind="stable")
-                t_seg = t_seg[t_order]
-                t_src = csr.tail_src[sel][t_order]
-                t_w = csr.tail_weights[sel, objective][t_order]
+            if posmap is not None:
+                t_seg, t_src, t_w = group_tail_by_position(
+                    csr, frontier, posmap, objective
+                )
             else:
                 t_seg = np.empty(0, dtype=np.int64)
                 t_src = np.empty(0, dtype=np.int64)
@@ -537,8 +569,10 @@ def propagate_csr(
             )
             if stats is not None:
                 stats.affected_total += int(affected.size)
-                stats.affected_vertices.update(affected.tolist())
+                improved[affected] = True
     finally:
+        if stats is not None:
+            stats.affected_vertices.update(np.flatnonzero(improved).tolist())
         # planted mode mutates the shared views; the caller's arrays are
         # the contract, so mirror the fixpoint back even on error
         if planted:

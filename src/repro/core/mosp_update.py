@@ -305,12 +305,12 @@ def _update_tree_step1(
             graph, tree, batch, engine=eng,
             use_csr_kernels=use_csr_kernels, csr=csr,
         )
-        return mx, set(mx.touched_vertices)
+        return mx, mx.touched_vertices
     stats = sosp_update(
         graph, tree, batch, engine=eng,
         use_csr_kernels=use_csr_kernels, csr=csr,
     )
-    return stats, set(stats.affected_vertices)
+    return stats, stats.affected_vertices
 
 
 def _record_tree_stats(

@@ -337,6 +337,10 @@ def _publish_stats(stats: UpdateStats, batch_size: int) -> None:
               "Step-1 passes over inserted edges").inc(stats.step1_passes)
     m.counter("sosp_improvements_total",
               "distance improvements applied").inc(stats.affected_total)
+    m.counter("sosp_wasted_improvements_total",
+              "improvements overwritten later in the same update").inc(
+        stats.affected_total - len(stats.affected_vertices)
+    )
     m.histogram("sosp_batch_size", "insertions per batch").observe(
         batch_size
     )

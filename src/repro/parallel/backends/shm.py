@@ -81,7 +81,7 @@ import numpy as np
 from repro.errors import EngineError
 from repro.obs.collect import WorkerCapture, merge_reports, obs_header
 from repro.obs.tracer import current_span
-from repro.parallel.api import BaseEngine, SlabTask, slab_spans
+from repro.parallel.api import BaseEngine, SlabTask, serial_spans, slab_spans
 from repro.parallel.backends.processes import (
     _chunk_bounds,
     _chunk_runner,
@@ -578,6 +578,8 @@ class SharedMemoryEngine(BaseEngine):
             or len(spans) == 1
             or n_items < self.min_dispatch_items
         ):
+            spans = serial_spans(n_items)
+            self.last_slab_spans = spans
             self.inline_supersteps += 1
             results = [fn(arrays, task.params, lo, hi) for lo, hi in spans]
             self._account_work(spans, results, work_fn)

@@ -7,6 +7,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.graph import DiGraph
 from repro.graph.io import read_edge_list, write_edge_list
+from tests._checked_env import engine_label
 
 
 def run(argv):
@@ -166,7 +167,7 @@ class TestUpdateDemo:
              "--engine", "threads", "--threads", "2"]
         )
         assert code == 0
-        assert "engine: threads" in text
+        assert f"engine: {engine_label('threads')}" in text
 
     def test_partitioned_engine_selection(self):
         # --threads 1 keeps the shard pools inline (no spawn) so the
@@ -178,7 +179,7 @@ class TestUpdateDemo:
              "--threads", "1"]
         )
         assert code == 0
-        assert "engine: partitioned" in text
+        assert f"engine: {engine_label('partitioned')}" in text
         assert "csr kernels" in text
 
 

@@ -23,6 +23,7 @@ from repro.obs import (
     use_tracer,
 )
 from repro.parallel import resolve_engine
+from tests._checked_env import engine_label
 
 REPO_ROOT = Path(__file__).parents[1]
 
@@ -126,7 +127,7 @@ class TestTracedEngineNesting:
         assert len(ss) == 1
         assert ss[0].parent_id == phase.span_id
         assert ss[0].attrs["phase"] == "phase"
-        assert ss[0].attrs["backend"] == "serial"
+        assert ss[0].attrs["backend"] == engine_label("serial")
         assert ss[0].attrs["items"] == 8
         assert ss[0].attrs["work_total"] == sum(1 + i for i in range(8))
         assert ss[0].attrs["work_max"] == 8.0

@@ -29,6 +29,7 @@ from repro.graph.analysis import (
 from repro.graph.csr import CSRGraph
 from repro.graph.shards import build_shards
 from repro.parallel import PartitionedEngine, resolve_engine
+from tests._checked_env import unwrap_checked
 
 
 def _chain_graph(n):
@@ -388,7 +389,7 @@ class TestCrashAndLifecycle:
 class TestConstructionAndRegistry:
     def test_resolve_by_name(self):
         e = resolve_engine("partitioned", threads=3)
-        assert isinstance(e, PartitionedEngine)
+        assert isinstance(unwrap_checked(e), PartitionedEngine)
         assert e.threads == 3
         assert e.partitions == 2
         assert e.supports_partitioned_update
