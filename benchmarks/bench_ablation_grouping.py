@@ -7,7 +7,10 @@ technique to avoid multiple iterations." (§3.1)
 This ablation runs Algorithm 1 with grouping on and off (the off mode
 emulates the prior-work iterate-to-fixpoint batch apply) and reports
 the Step-1 profile: passes over the batch, batch-scan work
-(|Ins| × passes), and end-to-end virtual time.
+(|Ins| × passes), and end-to-end virtual time.  Both arms run the
+one-task-per-group Python twin kept in ``tests/_sosp_reference.py``
+(the library's CSR kernel always groups), so the table isolates the
+grouping itself.
 
 Expected shape: identical final trees; grouped Step 1 takes exactly
 one pass while the ungrouped emulation takes several, multiplying the
@@ -23,9 +26,10 @@ import pytest
 from conftest import write_result
 from repro.bench import render_table
 from repro.bench.datasets import load_dataset
-from repro.core import SOSPTree, sosp_update
+from repro.core import SOSPTree
 from repro.dynamic import ChangeBatch, random_insert_batch
 from repro.parallel import SimulatedEngine, replay_trace
+from tests._sosp_reference import sosp_update_reference
 
 DATASET = "roadNet-PA"
 
@@ -56,8 +60,8 @@ def run_ablation():
         batch = chained_batch(g, 800, seed=5)
         batch.apply_to(g)
         eng1 = SimulatedEngine(threads=1, record_trace=True)
-        stats = sosp_update(g, tree, batch, engine=eng1,
-                            use_grouping=use_grouping)
+        stats = sosp_update_reference(g, tree, batch, engine=eng1,
+                                      use_grouping=use_grouping)
         rows.append(
             {
                 "mode": mode,

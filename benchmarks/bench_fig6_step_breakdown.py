@@ -49,52 +49,3 @@ def test_figure6_report(benchmark, trace_cache, results_dir):
         assert b["SOSP1"] + b["SOSP2"] > b["Merge+BF"], (
             f"{ds}: SOSP updates do not dominate ({b})"
         )
-
-
-def test_step_breakdown_old_vs_new_kernels(bench_seed, results_dir):
-    """Same Figure-6 pipeline, reference vs vectorised CSR kernels.
-
-    Wall-clock per-step comparison of one ``mosp_update`` call with
-    ``use_csr_kernels`` off and on (identical graph, trees, and batch).
-    The kernel path must reproduce the exact per-objective SOSP
-    distances and reach the same vertex set (combined-graph parent
-    tie-breaks may legitimately differ); the per-step table lands in
-    ``results/fig6_kernels_old_vs_new.txt``.
-    """
-    import copy
-
-    import numpy as np
-
-    from repro.bench.datasets import load_dataset
-    from repro.core import SOSPTree, mosp_update
-    from repro.dynamic import random_insert_batch
-
-    g = load_dataset("roadNet-PA", k=2, fresh=True)
-    trees_ref = [SOSPTree.build(g, 0, objective=i) for i in range(2)]
-    trees_csr = copy.deepcopy(trees_ref)
-    batch = random_insert_batch(g, 1000, seed=bench_seed)
-    batch.apply_to(g)
-
-    ref = mosp_update(g, trees_ref, batch)
-    fast = mosp_update(g, trees_csr, batch, use_csr_kernels=True)
-    for t_r, t_c in zip(trees_ref, trees_csr):
-        np.testing.assert_array_equal(t_c.dist, t_r.dist)
-    np.testing.assert_array_equal(
-        np.isfinite(fast.dist_vectors).all(axis=1),
-        np.isfinite(ref.dist_vectors).all(axis=1),
-    )
-
-    rows = []
-    for step in sorted(ref.step_seconds):
-        old_s = ref.step_seconds[step]
-        new_s = fast.step_seconds[step]
-        rows.append({
-            "step": step,
-            "reference (s)": f"{old_s:.4f}",
-            "csr kernels (s)": f"{new_s:.4f}",
-            "speedup": f"{old_s / new_s:.2f}x" if new_s > 0 else "-",
-        })
-    text = render_table(
-        rows, ["step", "reference (s)", "csr kernels (s)", "speedup"]
-    )
-    write_result(results_dir, "fig6_kernels_old_vs_new.txt", text)

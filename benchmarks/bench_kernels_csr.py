@@ -4,9 +4,10 @@ The acceptance gate of the CSR kernel work: on a 2^16-vertex random
 geometric graph (the paper's rgg-n family) with a dynamic insertion
 batch, the vectorised Step-2 propagation
 (:func:`repro.core.kernels.propagate_csr`) must be at least **2×**
-faster than the reference pointer-chasing path, while producing the
-exact same tree.  The measured margin (and the Step-1 comparison, plus
-the one-off snapshot freeze cost the fast path amortises via
+faster than the pointer-chasing reference twin kept in
+``tests/_sosp_reference.py``, while producing the exact same tree.
+The measured margin (and the Step-1 comparison, plus the one-off
+snapshot freeze cost the kernels amortise via
 ``append_batch``) is written to ``results/kernels_csr.txt``.
 """
 
@@ -23,6 +24,7 @@ from repro.core import SOSPTree, sosp_update
 from repro.dynamic import random_insert_batch
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import random_geometric
+from tests._sosp_reference import sosp_update_reference
 
 pytestmark = pytest.mark.slow
 
@@ -44,15 +46,13 @@ def test_csr_kernels_vs_reference_step2(rgg_state, results_dir, bench_seed):
     g, tree, batch = rgg_state
 
     tree_ref = copy.deepcopy(tree)
-    stats_ref = sosp_update(g, tree_ref, batch)
+    stats_ref = sosp_update_reference(g, tree_ref, batch)
 
     tree_csr = copy.deepcopy(tree)
     t0 = time.perf_counter()
     snapshot = CSRGraph.from_digraph(g)
     freeze_s = time.perf_counter() - t0
-    stats_csr = sosp_update(
-        g, tree_csr, batch, use_csr_kernels=True, csr=snapshot
-    )
+    stats_csr = sosp_update(g, tree_csr, batch, csr=snapshot)
 
     # differential gate first: speed means nothing if the answer drifts
     np.testing.assert_array_equal(tree_csr.dist, tree_ref.dist)

@@ -83,7 +83,7 @@ class TestFullSSSP:
     def test_frontier_bellman_ford_csr_kernels(self, benchmark, road):
         # new vs old kernel: the reverse-CSR gather + segmented-argmin
         # variant of the frontier loop (repro.core.kernels), the same
-        # code mosp_update's Step 3 runs under use_csr_kernels=True
+        # code mosp_update's Step 3 runs
         from repro.core.kernels import frontier_bellman_ford_csr
         from repro.graph.csr import CSRGraph
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,12 @@ import pytest
 
 from repro.bench.runner import set_bench_seed
 
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+RESULTS_DIR = REPO_ROOT / "results"
+# the reference implementations the ablations compare against live in
+# the test suite (``tests._sosp_reference``); make them importable
+if str(REPO_ROOT) not in sys.path:
+    sys.path.append(str(REPO_ROOT))
 
 
 def pytest_addoption(parser):

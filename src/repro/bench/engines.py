@@ -169,8 +169,7 @@ def _timed_update_run(
         batch.apply_to(g)
         snapshot.append_batch(batch)
         t0 = time.perf_counter()
-        sosp_update(g, tree, batch, engine=engine,
-                    use_csr_kernels=True, csr=snapshot)
+        sosp_update(g, tree, batch, engine=engine, csr=snapshot)
         if step > 0:
             total += time.perf_counter() - t0
     return tree.dist.copy(), total

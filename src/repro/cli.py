@@ -321,20 +321,12 @@ def _cmd_update_demo(args, out) -> int:
         engine = resolve_engine(args.engine, threads=args.threads)
     with tracer.span("setup.build_tree"):
         tree = SOSPTree.build(g, args.source)
-    # slab-dispatch engines (shm) only parallelise the vectorised CSR
-    # kernels — route through them with an incrementally maintained
-    # snapshot so --engine shm exercises the shared-memory path instead
-    # of silently falling back to per-edge Python; partitioned engines
-    # shard the same snapshot into per-pool sub-CSRs
-    use_csr = bool(
-        getattr(engine, "supports_slab_dispatch", False)
-        or getattr(engine, "supports_partitioned_update", False)
-    )
-    with tracer.span("setup.snapshot", csr=use_csr):
-        snapshot = CSRGraph.from_digraph(g) if use_csr else None
+    # the update kernels run over an incrementally maintained CSR
+    # snapshot; partitioned engines shard it into per-pool sub-CSRs
+    with tracer.span("setup.snapshot"):
+        snapshot = CSRGraph.from_digraph(g)
     print(f"graph: {g.num_vertices} vertices, {g.num_edges} edges "
-          f"(engine: {engine.name}"
-          f"{', csr kernels' if use_csr else ''})", file=out)
+          f"(engine: {engine.name}, csr kernels)", file=out)
     mixed = (
         args.insert_fraction < 1.0 or args.weight_change_fraction > 0.0
     )
@@ -350,21 +342,18 @@ def _cmd_update_demo(args, out) -> int:
                 batch = random_insert_batch(g, args.batch_size,
                                             seed=args.seed + step)
             batch.apply_to(g)
-            if snapshot is not None:
-                if mixed:
-                    snapshot.apply_batch(batch)
-                else:
-                    snapshot.append_batch(batch)
+            if mixed:
+                snapshot.apply_batch(batch)
+            else:
+                snapshot.append_batch(batch)
         if mixed:
             stats = apply_mixed_batch(g, tree, batch, engine=engine,
-                                      use_csr_kernels=use_csr,
                                       csr=snapshot)
             extra = (f", {stats.invalidated} invalidated"
                      f" (-{batch.num_deletions}"
                      f" ~{batch.num_weight_changes} edges)")
         else:
-            stats = sosp_update(g, tree, batch, engine=engine,
-                                use_csr_kernels=use_csr, csr=snapshot)
+            stats = sosp_update(g, tree, batch, engine=engine, csr=snapshot)
             extra = ""
         print(
             f"step {step}: +{batch.num_insertions} edges{extra}, "

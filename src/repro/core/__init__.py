@@ -10,21 +10,19 @@
 - :func:`~repro.core.fully_dynamic.apply_mixed_batch` (alias
   ``sosp_update_mixed``) — the unified fully dynamic pipeline for
   mixed insertion / deletion / weight-change batches: one invalidate /
-  seed / propagate pass over the same slab kernels.
-  :func:`~repro.core.deletion.sosp_update_fulldynamic` — the edge
-  deletion extension sketched in the paper's conclusion — is now a
-  compatibility wrapper over it.
+  seed / propagate pass over the same slab kernels — the edge
+  deletion extension sketched in the paper's conclusion.
 - :func:`~repro.core.ensemble.build_ensemble` — **Algorithm 2 Step 2**:
   the combined graph with ``k − x + 1`` (or priority) edge weights.
 - :func:`~repro.core.mosp_update.mosp_update` — **Algorithm 2**: the
   single-MOSP update heuristic (update trees → ensemble → parallel
   Bellman-Ford → real-weight reassignment).
-- :mod:`repro.core.kernels` — NumPy-vectorised CSR kernels behind the
-  ``use_csr_kernels=True`` fast path of both update entry points:
-  batched Step-1 group relaxation, reverse-CSR Step-2 frontier
-  propagation, and the combined-graph frontier Bellman-Ford, all
-  certified against the reference path by the differential test
-  harness.
+- :mod:`repro.core.kernels` — the NumPy-vectorised CSR kernels every
+  update entry point runs: batched Step-1 group relaxation,
+  reverse-CSR Step-2 frontier propagation, and the combined-graph
+  frontier Bellman-Ford, all certified against the pointer-chasing
+  reference kept in the test suite and against Dijkstra by the
+  differential test harness.
 """
 
 from repro.core.ensemble import EnsembleGraph, build_ensemble
@@ -35,14 +33,12 @@ from repro.core.fully_dynamic import (
 )
 from repro.core.incremental_ensemble import IncrementalMOSP
 from repro.core.mosp_update import MOSPResult, mosp_update
-from repro.core.deletion import sosp_update_fulldynamic
 from repro.core.sosp_update import UpdateStats, sosp_update
 from repro.core.tree import SOSPTree
 
 __all__ = [
     "SOSPTree",
     "sosp_update",
-    "sosp_update_fulldynamic",
     "apply_mixed_batch",
     "sosp_update_mixed",
     "MixedUpdateStats",

@@ -10,48 +10,23 @@ what restores vertex ownership in the propagation phase: each v ∈ N is
 owned by one task, which scans v's in-edges — so again no two tasks
 write the same distance.
 
-Two implementations of the gather: the original pointer-chasing walk
-over a :class:`~repro.graph.digraph.DiGraph`, and a vectorised variant
-over a :class:`~repro.graph.csr.CSRGraph` snapshot that slices the
-forward CSR for all affected vertices at once (used by the batched
-kernels in :mod:`repro.core.kernels`).  The CSR variant deduplicates
-with a dense length-``n`` hit mask instead of a sort, so its cost per
+The gather runs over a :class:`~repro.graph.csr.CSRGraph` snapshot: it
+slices the forward CSR for all affected vertices at once (used by the
+batched kernels in :mod:`repro.core.kernels`) and deduplicates with a
+dense length-``n`` hit mask instead of a sort, so its cost per
 superstep follows the affected set's out-degree (plus one boolean
-gather over the COO tail).  They return the same *set*; the CSR variant
-returns it sorted rather than in first-seen order, which the fixpoint
-iteration is insensitive to.
+gather over the COO tail).  The frontier comes back sorted, which the
+fixpoint iteration is insensitive to.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
-
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.digraph import DiGraph
 from repro.types import IntArray
 
-__all__ = ["gather_unique_neighbors", "gather_unique_neighbors_csr"]
-
-
-def gather_unique_neighbors(
-    g: DiGraph, affected: Iterable[int]
-) -> List[int]:
-    """Unique out-neighbours of all ``affected`` vertices (Alg. 1 l.15-17).
-
-    Order is deterministic (first-seen order over the affected list),
-    which keeps the whole update deterministic under the serial and
-    simulated engines.
-    """
-    seen = set()
-    out: List[int] = []
-    for u in affected:
-        for v, _eid in g.out_edges(u):
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
-    return out
+__all__ = ["gather_unique_neighbors_csr"]
 
 
 def gather_unique_neighbors_csr(

@@ -7,11 +7,13 @@ number of SOSP trees, then the balanced approach assigns edge weight
 that appear in more SOSP trees while assigning more weight to uncommon
 edges." (§3.2)
 
-Implementation mirrors §4: "we directly use the parent-child
+Implementation follows §4: "we directly use the parent-child
 relationship in the tree structure to find the edges.  We assign a
 single thread to each vertex to compare its parents among all the SOSP
-trees" — one task per vertex counts how many trees share each parent
-edge, and a reduction gathers the weighted edge list.
+trees" — here at array granularity: each engine slab covers a vertex
+range of the stacked ``(k, n)`` parent matrix, counts how many trees
+share each parent edge with one sort + segment count, and the slabs'
+outputs concatenate into the weighted edge list.
 
 Weighting schemes
 -----------------
@@ -191,22 +193,21 @@ def _ensemble_slab(
     return uniq % n, uniq // n, w, cnt
 
 
-def _ensemble_edges_vectorized(
+def _ensemble_edges(
     trees: Sequence[SOSPTree],
     weighting: str,
     prio,
     eng: Engine,
 ):
-    """Array path of the per-vertex parent comparison.
+    """The vectorised per-vertex parent comparison.
 
     Stacks the ``(k, n)`` parent/dist matrices, covers the vertex range
     with engine slabs (:func:`~repro.parallel.api.parallel_for_slabs`),
     and inside each slab deduplicates the valid ``(v, parent)`` pairs
     with one sort + segment count.  Pairs are emitted sorted by ``v``
     within each slab, and slabs are concatenated in order, so the
-    emission order is ``v``-ascending overall — the same order the
-    per-vertex loop produces, which makes the frozen CSR arrays
-    byte-identical between the two paths.
+    emission order is ``v``-ascending overall — the order of a
+    per-vertex loop over :func:`vertex_ensemble_edges`.
     """
     k = len(trees)
     n = trees[0].num_vertices
@@ -252,7 +253,6 @@ def build_ensemble(
     engine: Optional[Engine] = None,
     weighting: str = "balanced",
     priorities: Optional[Sequence[float]] = None,
-    vectorized: bool = False,
 ) -> EnsembleGraph:
     """Merge the per-objective SOSP trees into the combined graph.
 
@@ -262,20 +262,14 @@ def build_ensemble(
         The ``k`` updated SOSP trees (same source, same vertex count).
     engine:
         Execution engine; the per-vertex parent comparison is one
-        parallel superstep (one task per vertex), as in the paper's
-        OpenMP custom-reduction implementation.
+        parallel superstep over vertex slabs, as in the paper's OpenMP
+        custom-reduction implementation.
     weighting:
         ``"balanced"`` | ``"priority"`` | ``"unit"`` (see module
         docstring).
     priorities:
         Required for ``"priority"``: positive per-objective priorities;
         higher priority ⇒ lower ensemble weight ⇒ more likely chosen.
-    vectorized:
-        Use the batched array path
-        (:func:`_ensemble_edges_vectorized`) instead of one Python task
-        per vertex.  Both paths produce identical
-        :class:`EnsembleGraph` contents (same CSR arrays, same
-        occurrence counts).
 
     Returns
     -------
@@ -296,42 +290,9 @@ def build_ensemble(
     prio = resolve_weighting(weighting, priorities, k)
     eng = resolve_engine(engine)
 
-    if vectorized:
-        e_src, e_dst, e_w, e_cnt = _ensemble_edges_vectorized(
-            trees, weighting, prio, eng
-        )
-        eng.charge(len(e_src))
-        return _make_ensemble(n, k, e_src, e_dst, e_w, e_cnt)
-
-    per_vertex = eng.parallel_for(
-        list(range(n)),
-        lambda v: vertex_ensemble_edges(trees, v, weighting, prio),
-        work_fn=lambda v, r: k,
-    )
-
-    src: List[int] = []
-    dst: List[int] = []
-    w: List[float] = []
-    cnt: List[int] = []
-    for rows in per_vertex:
-        for p, v, weight in rows:
-            # recover the occurrence count from the balanced formula
-            # independently of the active scheme
-            cnt.append(sum(
-                1 for t in trees
-                if int(t.parent[v]) == p and np.isfinite(t.dist[v])
-            ))
-            src.append(p)
-            dst.append(v)
-            w.append(weight)
-    eng.charge(len(src))
-    return _make_ensemble(
-        n, k,
-        np.asarray(src, dtype=VERTEX_DTYPE),
-        np.asarray(dst, dtype=VERTEX_DTYPE),
-        np.asarray(w, dtype=DIST_DTYPE),
-        np.asarray(cnt, dtype=np.int64),
-    )
+    e_src, e_dst, e_w, e_cnt = _ensemble_edges(trees, weighting, prio, eng)
+    eng.charge(len(e_src))
+    return _make_ensemble(n, k, e_src, e_dst, e_w, e_cnt)
 
 
 def _make_ensemble(

@@ -4,8 +4,7 @@
 interleaving insertions, deletions, and weight changes and repairs the
 SOSP tree in a single invalidate / seed / propagate pass — the
 SSSP-Del-style generalisation of the paper's insertion-only Algorithm 1
-and of the deletion extension in :mod:`repro.core.deletion` (which is
-now a thin wrapper over this module):
+to the edge deletions its conclusion sketches:
 
 - **Step D — invalidate.**  A deletion or weight *raise* on a tree edge
   ``(u, v)`` strands ``v``'s entire subtree: every member's distance
@@ -24,13 +23,12 @@ now a thin wrapper over this module):
   self-cancelling edits of one edge collapse to the truth, and (b) the
   whole connection boundary of the dirty set — every in-edge of every
   invalidated vertex, gathered vectorised through the reverse CSR
-  (:func:`~repro.core.kernels.gather_in_edges_csr`) on the kernel path.
-  Dirty predecessors contribute ``inf`` candidates, which the segmented
+  (:func:`~repro.core.kernels.gather_in_edges_csr`).  Dirty
+  predecessors contribute ``inf`` candidates, which the segmented
   argmin ignores.
 - **Step 2/3 — propagate.**  The ordinary Algorithm-1 Step-2 frontier
-  repairs insertion-affected and deletion-orphaned vertices together:
-  :func:`~repro.core.kernels.propagate_csr` on the kernel path, the
-  pointer-chasing reference loop otherwise.  Completeness: every edge
+  repairs insertion-affected and deletion-orphaned vertices together
+  (:func:`~repro.core.kernels.propagate_csr`).  Completeness: every edge
   violated after the batch either was seeded directly (inserted /
   re-weighted edges, dirty boundaries) or flows out of a vertex the
   pipeline improved — and improved vertices are marked and their
@@ -39,7 +37,8 @@ now a thin wrapper over this module):
 
 The pipeline runs unchanged on every engine backend — serial, threads,
 processes, shared-memory slabs, simulated, and their checked wrappers —
-because all mutation happens inside the existing slab kernels.
+because all mutation happens inside the existing slab kernels, over a
+:class:`~repro.graph.csr.CSRGraph` snapshot of the updated graph.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from typing import List, Optional, Set, Tuple
 import numpy as np
 
 import repro.core.kernels as kernels
-from repro.core.sosp_update import UpdateStats, propagate_reference
+from repro.core.sosp_update import UpdateStats, check_snapshot
 from repro.core.tree import SOSPTree
 from repro.dynamic.changes import ChangeBatch
 from repro.errors import AlgorithmError
@@ -102,7 +101,7 @@ def apply_mixed_batch(
     batch: ChangeBatch,
     engine: Optional[Engine] = None,
     check_ownership: bool = False,
-    use_csr_kernels: bool = False,
+    use_csr_kernels: bool = True,
     csr: Optional[CSRGraph] = None,
 ) -> MixedUpdateStats:
     """Repair ``tree`` in place after an arbitrary mixed ``batch``.
@@ -126,13 +125,13 @@ def apply_mixed_batch(
         Enable the single-writer-per-vertex assertion
         (:class:`~repro.parallel.atomics.OwnershipTracker`).
     use_csr_kernels:
-        Route the seed and propagation through the vectorised CSR
-        kernels.  Requires ``csr`` (or a fresh freeze of ``graph``) to
-        reflect the batch — pair ``batch.apply_to(graph)`` with
-        ``csr.apply_batch(batch)``.
+        Accepted and ignored: the CSR kernels are the only path.  Kept
+        only because ``perfbench/workloads.py`` still passes it; removed
+        by the next benchmark change.
     csr:
-        Optional incrementally maintained snapshot for the kernel path
-        (``None`` freezes ``graph`` on entry).
+        Optional incrementally maintained snapshot of the updated graph
+        (``None`` freezes ``graph`` on entry).  Pair
+        ``batch.apply_to(graph)`` with ``csr.apply_batch(batch)``.
 
     Returns
     -------
@@ -163,19 +162,8 @@ def apply_mixed_batch(
     )
     tracer = get_tracer()
 
-    snapshot: Optional[CSRGraph] = None
-    if use_csr_kernels:
-        snapshot = csr if csr is not None else CSRGraph.from_digraph(graph)
-        if snapshot.n != n:
-            raise AlgorithmError(
-                f"CSR snapshot spans {snapshot.n} vertices, graph has {n}"
-            )
-        if snapshot.num_edges != graph.num_edges:
-            raise AlgorithmError(
-                f"CSR snapshot has {snapshot.num_edges} edges, graph has "
-                f"{graph.num_edges}: pair batch.apply_to(graph) with "
-                f"snapshot.apply_batch(batch) to keep them in sync"
-            )
+    snapshot = csr if csr is not None else CSRGraph.from_digraph(graph)
+    check_snapshot(snapshot, graph, "apply_batch")
 
     # ------------------------------------------------------ Step D
     with tracer.span(
@@ -213,22 +201,12 @@ def apply_mixed_batch(
     stats.affected_vertices.update(affected_arr.tolist())
 
     # ------------------------------------------------------ Step 2/3
-    with tracer.span(
-        "sosp_update_mixed.propagate",
-        kernel="csr" if use_csr_kernels else "python",
-    ) as sp_prop:
-        if use_csr_kernels:
-            assert snapshot is not None
-            kernels.propagate_csr(
-                snapshot, dist, parent, marked, affected_arr,
-                objective=objective, engine=eng, stats=stats,
-                tracker=tracker,
-            )
-        else:
-            propagate_reference(
-                graph, objective, dist, parent, marked,
-                [int(v) for v in affected_arr], eng, stats, tracker,
-            )
+    with tracer.span("sosp_update_mixed.propagate", kernel="csr") as sp_prop:
+        kernels.propagate_csr(
+            snapshot, dist, parent, marked, affected_arr,
+            objective=objective, engine=eng, stats=stats,
+            tracker=tracker,
+        )
     stats.step_seconds["propagate"] = sp_prop.elapsed
     stats.touched_vertices |= stats.affected_vertices
     _publish_mixed_stats(stats, batch)
@@ -293,7 +271,7 @@ def _gather_stimuli(
     batch: ChangeBatch,
     dirty: IntArray,
     objective: int,
-    snapshot: Optional[CSRGraph],
+    snapshot: CSRGraph,
 ) -> Tuple[IntArray, IntArray, FloatArray]:
     """Assemble the Step-I candidate edges ``(src, dst, weight)``.
 
@@ -328,23 +306,9 @@ def _gather_stimuli(
     dst = np.asarray(stim_dst, dtype=np.int64)
     w = np.asarray(stim_w, dtype=DIST_DTYPE)
     if dirty.size:
-        if snapshot is not None:
-            b_src, b_dst, b_w = kernels.gather_in_edges_csr(
-                snapshot, dirty, objective
-            )
-        else:
-            weights_col = graph.weight_column(objective)
-            bs: List[int] = []
-            bd: List[int] = []
-            bw: List[float] = []
-            for v in dirty.tolist():
-                for u, eid in graph.in_edges(v):
-                    bs.append(u)
-                    bd.append(v)
-                    bw.append(float(weights_col[eid]))
-            b_src = np.asarray(bs, dtype=np.int64)
-            b_dst = np.asarray(bd, dtype=np.int64)
-            b_w = np.asarray(bw, dtype=DIST_DTYPE)
+        b_src, b_dst, b_w = kernels.gather_in_edges_csr(
+            snapshot, dirty, objective
+        )
         src = np.concatenate((src, b_src))
         dst = np.concatenate((dst, b_dst))
         w = np.concatenate((w, b_w))

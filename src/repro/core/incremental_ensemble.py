@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.deletion import sosp_update_fulldynamic
+from repro.core.fully_dynamic import apply_mixed_batch
 from repro.core.ensemble import resolve_weighting, vertex_ensemble_edges
 from repro.core.mosp_update import (
     MOSPResult,
@@ -45,7 +45,9 @@ from repro.core.mosp_update import (
 from repro.core.tree import SOSPTree
 from repro.dynamic.changes import ChangeBatch
 from repro.errors import AlgorithmError
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
+from repro.graph.shards import live_edge_arrays
 from repro.parallel.api import Engine, resolve_engine
 from repro.sssp.bellman_ford import frontier_bellman_ford
 from repro.types import DIST_DTYPE, INF, VERTEX_DTYPE
@@ -219,6 +221,7 @@ class IncrementalMOSP:
         )
         eng = self.engine
         timed = _make_timed("incremental_mosp", result, eng)
+        snapshot = CSRGraph.from_digraph(self.graph)
 
         dirty: Optional[set] = None
         if batch is not None and batch.num_changes:
@@ -227,7 +230,7 @@ class IncrementalMOSP:
                 stats, touched = timed(
                     f"sosp_update_{i}",
                     lambda i=i: _update_tree_step1(
-                        self.graph, self.trees[i], batch, eng
+                        self.graph, self.trees[i], batch, eng, snapshot
                     ),
                 )
                 _record_tree_stats(result, stats)
@@ -240,13 +243,13 @@ class IncrementalMOSP:
         )
         timed(
             "bellman_ford",
-            lambda: sosp_update_fulldynamic(
+            lambda: apply_mixed_batch(
                 self._ensemble_graph, self._ensemble_tree, ens_batch,
                 engine=eng,
             ),
         )
         timed("reassign", lambda: _reassign_real_weights(
-            self.graph.edge_arrays(), self.source, self._ensemble_tree.dist,
+            live_edge_arrays(snapshot), self.source, self._ensemble_tree.dist,
             self._ensemble_tree.parent, result.dist_vectors, self.trees,
         ))
         result.parent = self._ensemble_tree.parent.copy()

@@ -1,11 +1,10 @@
 """NumPy-vectorised CSR kernels for the Algorithm 1/2 hot loops.
 
-The reference implementation of :func:`~repro.core.sosp_update.sosp_update`
-relaxes edges by pointer-chasing a :class:`~repro.graph.digraph.DiGraph`
-— one Python iterator step per edge.  This module re-expresses Step 1
-(batch group relaxation) and Step 2 (affected-frontier propagation) as
-*batched array kernels* over a :class:`~repro.graph.csr.CSRGraph`
-snapshot:
+The paper's per-vertex tasks relax edges one at a time — in Python,
+one iterator step per edge of a :class:`~repro.graph.digraph.DiGraph`.
+This module re-expresses Step 1 (batch group relaxation) and Step 2
+(affected-frontier propagation) as *batched array kernels* over a
+:class:`~repro.graph.csr.CSRGraph` snapshot:
 
 - the in-edges of every frontier vertex are gathered with one
   concatenated reverse-CSR slice (:func:`gather_ranges`),
@@ -25,9 +24,10 @@ Incremental :class:`CSRGraph` snapshots (base + COO tail) are consumed
 directly; the tail contribution is merged per slab, so the kernels
 survive dynamic batches without an O(|E|) re-freeze.
 
-The kernels are certified against the pointer-chasing path and a full
-Dijkstra recompute by the differential oracle in
-``tests/test_kernels_differential.py``.
+They are the only update path.  The differential oracle in
+``tests/test_kernels_differential.py`` certifies them against the
+pointer-chasing reference kept in ``tests/_sosp_reference.py`` and
+against a full Dijkstra recompute.
 """
 
 from __future__ import annotations
@@ -490,7 +490,7 @@ def propagate_csr(
 
     ``stats`` (duck-typed :class:`~repro.core.sosp_update.UpdateStats`)
     is updated when given; ``tracker`` hooks the vertex-ownership
-    assertion exactly as the reference path does.
+    assertion, one owner (slab) per improved vertex.
     """
     eng = resolve_engine(engine)
     tracker = resolve_tracker(tracker, eng)
@@ -593,7 +593,7 @@ def frontier_bellman_ford_csr(
     seeding the affected set with the source alone makes
     :func:`propagate_csr` *be* a from-scratch SSSP solve — this is the
     vectorised Step-3 kernel :func:`~repro.core.mosp_update.mosp_update`
-    runs on the combined graph when ``use_csr_kernels=True``.  Returns
+    runs on the combined graph.  Returns
     ``(dist, parent)`` in the :func:`~repro.sssp.dijkstra.dijkstra`
     convention.
 

@@ -29,7 +29,7 @@ import numpy as np
 
 import repro.core.kernels as kernels
 from repro.core.ensemble import EnsembleGraph, build_ensemble
-from repro.core.sosp_update import UpdateStats, sosp_update
+from repro.core.sosp_update import UpdateStats, check_snapshot, sosp_update
 from repro.core.tree import SOSPTree
 from repro.dynamic.changes import ChangeBatch
 from repro.errors import AlgorithmError, NotReachableError
@@ -39,7 +39,7 @@ from repro.graph.shards import live_edge_arrays
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.parallel.api import Engine, resolve_engine
-from repro.sssp.bellman_ford import frontier_bellman_ford, parallel_bellman_ford
+from repro.sssp.bellman_ford import parallel_bellman_ford
 from repro.types import DIST_DTYPE, INF, NO_PARENT, FloatArray, IntArray
 
 __all__ = ["mosp_update", "MOSPResult"]
@@ -106,7 +106,7 @@ def mosp_update(
     weighting: str = "balanced",
     priorities: Optional[Sequence[float]] = None,
     step3: str = "frontier",
-    use_csr_kernels: bool = False,
+    use_csr_kernels: bool = True,
     csr: Optional[CSRGraph] = None,
 ) -> MOSPResult:
     """Run Algorithm 2 over the (already applied) change batch.
@@ -133,29 +133,21 @@ def mosp_update(
         :func:`~repro.core.ensemble.build_ensemble`).
     step3:
         Step-3 SSSP kernel on the combined graph: ``"frontier"`` (the
-        default — work-efficient queue-based Bellman-Ford, matching
+        default — work-efficient frontier Bellman-Ford,
+        :func:`~repro.core.kernels.frontier_bellman_ford_csr`, matching
         the two-queue implementations the paper cites) or ``"rounds"``
         (full edge-relaxation rounds, the textbook parallel
-        Bellman-Ford; identical results, different work profile).
+        Bellman-Ford; identical distances, different work profile).
     use_csr_kernels:
-        Route every stage through the vectorised CSR kernels of
-        :mod:`repro.core.kernels`: per-objective tree updates run the
-        batched Step-1/Step-2 arrays path of
-        :func:`~repro.core.sosp_update.sosp_update`, the ensemble is
-        built with ``vectorized=True``, and (for ``step3="frontier"``)
-        Step 3 runs :func:`~repro.core.kernels.frontier_bellman_ford_csr`
-        on the combined graph.  Every distance (per-objective SOSP and
-        combined-graph) is identical either way; where the combined
-        graph admits several equally short parents — common, since its
-        weights are the small integers ``k − x + 1`` — the two Step-3
-        kernels may break the tie differently, yielding a different but
-        equally optimal MOSP path (and hence real-weight vector) for
-        the affected vertices.
+        Accepted and ignored: the CSR kernels are the only path.  Kept
+        only because ``perfbench/workloads.py`` still passes it; removed
+        by the next benchmark change.
     csr:
         Optional incrementally maintained
-        :class:`~repro.graph.csr.CSRGraph` snapshot of ``graph``
-        (``use_csr_kernels=True`` only); one snapshot is frozen from
-        ``graph`` per call when omitted.  Callers maintaining it across
+        :class:`~repro.graph.csr.CSRGraph` snapshot of ``graph``; one
+        snapshot is frozen from ``graph`` per call when omitted, and
+        that one snapshot feeds both the tree updates and the
+        real-weight reassignment.  Callers maintaining it across
         batches must ``csr.apply_batch(batch)`` alongside
         ``batch.apply_to(graph)`` (``append_batch`` for insertion-only
         batches).
@@ -200,18 +192,16 @@ def mosp_update(
     )
 
     timed = _make_timed("mosp_update", result, eng)
+    snapshot = csr if csr is not None else CSRGraph.from_digraph(graph)
+    check_snapshot(snapshot, graph, "apply_batch")
 
     # ------------------------------------------------------ step 1
     if batch is not None and batch.num_changes:
-        snapshot: Optional[CSRGraph] = None
-        if use_csr_kernels:
-            snapshot = csr if csr is not None else CSRGraph.from_digraph(graph)
         for i in range(k):
             stats, _touched = timed(
                 f"sosp_update_{i}",
                 lambda i=i: _update_tree_step1(
-                    graph, trees[i], batch, eng,
-                    use_csr_kernels=use_csr_kernels, csr=snapshot,
+                    graph, trees[i], batch, eng, snapshot
                 ),
             )
             _record_tree_stats(result, stats)
@@ -220,21 +210,15 @@ def mosp_update(
     ensemble = timed(
         "ensemble",
         lambda: build_ensemble(trees, engine=eng, weighting=weighting,
-                               priorities=priorities,
-                               vectorized=use_csr_kernels),
+                               priorities=priorities),
     )
     result.ensemble = ensemble
 
     # ------------------------------------------------------ step 3
     if step3 == "frontier":
-        if use_csr_kernels:
-            bf = lambda: kernels.frontier_bellman_ford_csr(
-                ensemble.csr, source, engine=eng
-            )
-        else:
-            bf = lambda: frontier_bellman_ford(
-                ensemble.csr, source, engine=eng
-            )
+        bf = lambda: kernels.frontier_bellman_ford_csr(
+            ensemble.csr, source, engine=eng
+        )
     elif step3 == "rounds":
         bf = lambda: parallel_bellman_ford(ensemble.csr, source, engine=eng)
     else:
@@ -245,7 +229,7 @@ def mosp_update(
     result.parent = parent_c
 
     timed("reassign", lambda: _reassign_real_weights(
-        _live_edges(graph, csr), source, dist_c, parent_c,
+        live_edge_arrays(snapshot), source, dist_c, parent_c,
         result.dist_vectors, trees,
     ))
     eng.charge(int(np.isfinite(dist_c).sum()))
@@ -284,15 +268,14 @@ def _update_tree_step1(
     tree: SOSPTree,
     batch: ChangeBatch,
     eng: Engine,
-    use_csr_kernels: bool = False,
-    csr: Optional[CSRGraph] = None,
+    csr: CSRGraph,
 ) -> Tuple[Optional[UpdateStats], Set[int]]:
     """Algorithm-2 Step 1 for one per-objective tree.
 
     Dispatches to the unified fully dynamic pipeline
     (:func:`~repro.core.fully_dynamic.apply_mixed_batch`) when the
     batch carries deletions or weight changes, otherwise to plain
-    Algorithm 1 — through the CSR kernels either way when requested.
+    Algorithm 1 — both over the snapshot ``csr`` of ``graph``.
     Returns ``(stats, touched)`` where ``stats`` is the Algorithm-1
     :class:`UpdateStats` (or its mixed-pipeline subclass) and
     ``touched`` is the set of vertices whose tree entry may have
@@ -301,15 +284,9 @@ def _update_tree_step1(
     if batch.num_deletions or batch.num_weight_changes:
         from repro.core.fully_dynamic import apply_mixed_batch
 
-        mx = apply_mixed_batch(
-            graph, tree, batch, engine=eng,
-            use_csr_kernels=use_csr_kernels, csr=csr,
-        )
+        mx = apply_mixed_batch(graph, tree, batch, engine=eng, csr=csr)
         return mx, mx.touched_vertices
-    stats = sosp_update(
-        graph, tree, batch, engine=eng,
-        use_csr_kernels=use_csr_kernels, csr=csr,
-    )
+    stats = sosp_update(graph, tree, batch, engine=eng, csr=csr)
     return stats, stats.affected_vertices
 
 
@@ -334,28 +311,6 @@ def _record_tree_stats(
 
 
 # ----------------------------------------------------------------------
-def _live_edges(
-    graph: DiGraph, csr: Optional[CSRGraph] = None
-) -> Tuple[IntArray, IntArray, FloatArray]:
-    """Every live edge of ``graph`` as ``(src, dst, weights)``.
-
-    Read from ``csr`` (base + tail, tombstones dropped) when the
-    snapshot is in sync with ``graph`` — same vertex, objective and
-    live edge counts, the check the Step-1 kernels apply — which skips
-    the digraph's list-to-array conversion; otherwise from
-    :meth:`~repro.graph.digraph.DiGraph.edge_arrays`.  Row order does
-    not matter to the reassignment.
-    """
-    if (
-        csr is not None
-        and csr.n == graph.num_vertices
-        and csr.k == graph.num_objectives
-        and csr.num_edges == graph.num_edges
-    ):
-        return live_edge_arrays(csr)
-    return graph.edge_arrays()
-
-
 def _certified_weight(
     parallels: FloatArray,
     u: int,
@@ -401,10 +356,10 @@ def _reassign_real_weights(
     the combined-graph SOSP tree ``parent_c`` into ``out``.
 
     ``edges`` are the live ``(src, dst, weights)`` arrays of ``G``
-    (:func:`_live_edges`).  Every reached vertex ``v`` (finite
-    ``dist_c``, a parent, not the source) has a hop edge
-    ``(parent_c[v], v)``: the hops are sorted by that key and every
-    live edge is searched among them in one pass.  A hop with several
+    (:func:`~repro.graph.shards.live_edge_arrays` of its snapshot).
+    Every reached vertex ``v`` (finite ``dist_c``, a parent, not the
+    source) has a hop edge ``(parent_c[v], v)``: the hops are sorted by
+    that key and every live edge is searched among them in one pass.  A hop with several
     live parallel edges is priced by :func:`_certified_weight`
     (``trees`` are the per-objective SOSP trees the ensemble was built
     from); a hop with none raises :class:`~repro.errors.AlgorithmError`.

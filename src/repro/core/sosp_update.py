@@ -2,22 +2,24 @@
 
 The three steps of the paper, §3.1:
 
-- **Step 0 — Preprocessing** (:func:`repro.core.grouping.group_by_destination`):
-  inserted edges are grouped by destination, making each destination a
-  unit of parallel work owned by exactly one task.
-- **Step 1 — Process changed edges**: one task per group relaxes the
-  group's inserted edges against the current tree; an improved vertex
-  is *marked* affected.  Grouping means no two tasks write one vertex,
-  so a single pass suffices — this is the paper's improvement over the
-  iterate-until-consistent approach of prior work ([17]), which
-  :func:`sosp_update` can emulate with ``use_grouping=False`` for the
-  ablation benchmark.
+- **Step 0 — Preprocessing**: inserted edges are grouped by
+  destination, making each destination a unit of parallel work owned
+  by exactly one task.  The CSR kernel groups with one stable sort
+  inside :func:`~repro.core.kernels.relax_batch_groups`.
+- **Step 1 — Process changed edges**: each group relaxes its inserted
+  edges against the current tree; an improved vertex is *marked*
+  affected.  Grouping means no two tasks write one vertex, so a single
+  pass suffices — this is the paper's improvement over the
+  iterate-until-consistent approach of prior work ([17]).
 - **Step 2 — Propagate the update**: while the affected set is
   non-empty, gather the unique out-neighbours ``N`` of the affected
   vertices; in parallel each ``v ∈ N`` scans its *marked* predecessors
-  and relaxes; improved vertices become the next affected set.
+  and relaxes; improved vertices become the next affected set
+  (:func:`~repro.core.kernels.propagate_csr`).
 
-The function mutates the tree in place and leaves it a correct SSSP
+Both steps run as vectorised kernels over a
+:class:`~repro.graph.csr.CSRGraph` snapshot of the updated graph.  The
+function mutates the tree in place and leaves it a correct SSSP
 solution of the updated graph (certified property-based in the test
 suite).  The update touches only the affected region — its cost is
 O(|ΔE| + affected subgraph), not O(|E|).
@@ -31,8 +33,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 import repro.core.kernels as kernels
-from repro.core.affected import gather_unique_neighbors
-from repro.core.grouping import group_by_destination
 from repro.core.tree import SOSPTree
 from repro.dynamic.changes import ChangeBatch
 from repro.errors import AlgorithmError
@@ -43,7 +43,7 @@ from repro.obs.tracer import get_tracer
 from repro.parallel.api import Engine, resolve_engine
 from repro.parallel.atomics import OwnershipTracker, resolve_tracker
 
-__all__ = ["sosp_update", "UpdateStats", "propagate_reference"]
+__all__ = ["sosp_update", "UpdateStats"]
 
 
 @dataclass
@@ -58,8 +58,8 @@ class UpdateStats:
         Total improvement events across both steps (a vertex improved
         twice counts twice).
     step1_passes:
-        Passes over the inserted edges; 1 with grouping, possibly more
-        with ``use_grouping=False`` (the emulated prior-work mode).
+        Passes over the inserted edges (always 1: destination grouping
+        makes Step 1 a single race-free pass).
     iterations:
         Step 2 frontier iterations.
     relaxations:
@@ -73,8 +73,7 @@ class UpdateStats:
         diff only the churned part of the ensemble.
     step_seconds:
         Wall-clock seconds per step: ``"step1"`` (changed-edge
-        application) and ``"step2"`` (frontier propagation) — the
-        old-vs-new kernel comparison the benchmarks report.
+        application) and ``"step2"`` (frontier propagation).
     """
 
     affected_initial: int = 0
@@ -92,9 +91,7 @@ def sosp_update(
     tree: SOSPTree,
     batch: ChangeBatch,
     engine: Optional[Engine] = None,
-    use_grouping: bool = True,
     check_ownership: bool = False,
-    use_csr_kernels: bool = False,
     csr: Optional[CSRGraph] = None,
 ) -> UpdateStats:
     """Update ``tree`` in place after the insertions in ``batch``.
@@ -109,34 +106,23 @@ def sosp_update(
         The SOSP tree of ``G_t``; mutated into the tree of ``G_{t+1}``.
     batch:
         The change batch.  Only insertion records are processed; a
-        batch containing deletions raises
+        batch containing deletions or weight changes raises
         :class:`~repro.errors.AlgorithmError` (use
-        :func:`repro.core.deletion.sosp_update_fulldynamic`).
+        :func:`repro.core.fully_dynamic.apply_mixed_batch`).
     engine:
-        Execution engine (``None`` = serial).  One Step-1 group / one
-        Step-2 frontier vertex per task, matching the paper's OpenMP
-        scheduling.
-    use_grouping:
-        ``False`` switches Step 1 to the prior-work emulation: plain
-        edge-parallel passes repeated until no distance changes
-        (measured by ``UpdateStats.step1_passes``).  Results are
-        identical; only the work profile differs.
+        Execution engine (``None`` = serial).  Each superstep covers the
+        Step-1 groups / Step-2 frontier with contiguous slabs, one
+        owner per vertex, matching the paper's OpenMP scheduling.
     check_ownership:
         Enable the vertex-ownership assertion
         (:class:`~repro.parallel.atomics.OwnershipTracker`) — O(1) per
         write; used by the test suite.
-    use_csr_kernels:
-        ``True`` routes Steps 1–2 through the vectorised CSR kernels
-        (:mod:`repro.core.kernels`): batched group relaxation plus
-        whole-frontier reverse-CSR gathers instead of per-edge Python.
-        Results are identical (certified by the differential-oracle
-        suite); requires ``use_grouping=True``.
     csr:
-        Optional CSR snapshot of the **updated** graph for the kernel
-        path.  Pass a snapshot maintained incrementally with
+        Optional CSR snapshot of the **updated** graph.  Pass a snapshot
+        maintained incrementally with
         :meth:`~repro.graph.csr.CSRGraph.append_batch` to amortise the
-        freeze across batches; ``None`` freezes ``graph`` on entry
-        (one O(|E|) pass).  Ignored when ``use_csr_kernels=False``.
+        freeze across batches; ``None`` freezes ``graph`` on entry (one
+        O(|E|) pass).
 
     Returns
     -------
@@ -144,19 +130,13 @@ def sosp_update(
     """
     if batch.num_deletions or batch.num_weight_changes:
         raise AlgorithmError(
-            "sosp_update handles insertions only; use "
-            "sosp_update_fulldynamic (or apply_mixed_batch) for batches "
-            "with deletions or weight changes"
+            "sosp_update handles insertions only; use apply_mixed_batch "
+            "for batches with deletions or weight changes"
         )
     if tree.num_vertices != graph.num_vertices:
         raise AlgorithmError(
             f"tree spans {tree.num_vertices} vertices, graph has "
             f"{graph.num_vertices}; rebuild or grow the tree first"
-        )
-    if use_csr_kernels and not use_grouping:
-        raise AlgorithmError(
-            "use_csr_kernels implies destination grouping; the "
-            "ungrouped prior-work emulation has no vectorised variant"
         )
     eng = resolve_engine(engine)
     # partitioned engines own the whole update loop (per-shard pools +
@@ -190,132 +170,52 @@ def sosp_update(
     tracer = get_tracer()
     batch_size = int(batch.num_insertions)
 
-    if use_csr_kernels:
-        snapshot = csr if csr is not None else CSRGraph.from_digraph(graph)
-        if snapshot.n != n:
-            raise AlgorithmError(
-                f"CSR snapshot spans {snapshot.n} vertices, graph has {n}"
-            )
-        if snapshot.num_edges != graph.num_edges:
-            raise AlgorithmError(
-                f"CSR snapshot has {snapshot.num_edges} edges, graph has "
-                f"{graph.num_edges}: pair batch.apply_to(graph) with "
-                f"snapshot.append_batch(batch) to keep them in sync"
-            )
-        src, dst, w_all = batch.insert_records()
-        with tracer.span(
-            "sosp_update.step1", kernel="csr", batch_size=batch_size
-        ) as sp1:
-            affected_arr, scanned = kernels.relax_batch_groups(
-                src, dst, w_all[:, objective], dist, parent, marked,
-                engine=eng, tracker=tracker,
-            )
-        stats.step_seconds["step1"] = sp1.elapsed
-        stats.step1_passes = 1
-        stats.relaxations += scanned
-        stats.affected_initial = int(affected_arr.size)
-        stats.affected_total = int(affected_arr.size)
-        stats.affected_vertices.update(affected_arr.tolist())
-        with tracer.span("sosp_update.step2", kernel="csr") as sp2:
-            kernels.propagate_csr(
-                snapshot, dist, parent, marked, affected_arr,
-                objective=objective, engine=eng, stats=stats,
-                tracker=tracker,
-            )
-        stats.step_seconds["step2"] = sp2.elapsed
-        _publish_stats(stats, batch_size)
-        return stats
-
-    # ------------------------------------------------------ step 0 + 1
+    snapshot = csr if csr is not None else CSRGraph.from_digraph(graph)
+    check_snapshot(snapshot, graph, "append_batch")
+    src, dst, w_all = batch.insert_records()
     with tracer.span(
-        "sosp_update.step1",
-        kernel="python",
-        grouped=use_grouping,
-        batch_size=batch_size,
+        "sosp_update.step1", kernel="csr", batch_size=batch_size
     ) as sp1:
-        if use_grouping:
-            affected = _step1_grouped(
-                batch, objective, dist, parent, marked, eng, stats, tracker
-            )
-        else:
-            affected = _step1_ungrouped(
-                batch, objective, dist, parent, marked, eng, stats
-            )
+        affected_arr, scanned = kernels.relax_batch_groups(
+            src, dst, w_all[:, objective], dist, parent, marked,
+            engine=eng, tracker=tracker,
+        )
     stats.step_seconds["step1"] = sp1.elapsed
-    stats.affected_initial = len(affected)
-    stats.affected_total = len(affected)
-    stats.affected_vertices.update(affected)
-
-    # ---------------------------------------------------------- step 2
-    with tracer.span("sosp_update.step2", kernel="python") as sp2:
-        propagate_reference(
-            graph, objective, dist, parent, marked, affected,
-            eng, stats, tracker,
+    stats.step1_passes = 1
+    stats.relaxations += scanned
+    stats.affected_initial = int(affected_arr.size)
+    stats.affected_total = int(affected_arr.size)
+    stats.affected_vertices.update(affected_arr.tolist())
+    with tracer.span("sosp_update.step2", kernel="csr") as sp2:
+        kernels.propagate_csr(
+            snapshot, dist, parent, marked, affected_arr,
+            objective=objective, engine=eng, stats=stats,
+            tracker=tracker,
         )
     stats.step_seconds["step2"] = sp2.elapsed
     _publish_stats(stats, batch_size)
     return stats
 
 
-def propagate_reference(
-    graph: DiGraph,
-    objective: int,
-    dist: np.ndarray,
-    parent: np.ndarray,
-    marked: np.ndarray,
-    affected: List[int],
-    eng: Engine,
-    stats: "UpdateStats",
-    tracker: Optional[OwnershipTracker],
-) -> None:
-    """Step 2 on the pointer-chasing reference path.
+def check_snapshot(snapshot: CSRGraph, graph: DiGraph, sync: str) -> None:
+    """Refuse a CSR snapshot that does not mirror ``graph``.
 
-    The python twin of :func:`~repro.core.kernels.propagate_csr`:
-    while the affected set is non-empty, each unique out-neighbour
-    pulls its *marked* predecessors and relaxes.  Shared by
-    :func:`sosp_update` and the fully dynamic pipeline
-    (:func:`~repro.core.fully_dynamic.apply_mixed_batch`); ``stats`` is
-    duck-typed exactly as ``propagate_csr`` requires.
+    Compares vertex and live edge counts — the cheap signature of a
+    snapshot that missed a batch.  ``sync`` names the
+    :class:`~repro.graph.csr.CSRGraph` method the caller should pair
+    with ``batch.apply_to(graph)``.
     """
-    weights_col = graph.weight_column(objective)
-    while affected:
-        if tracker is not None:
-            tracker.next_superstep()
-        frontier = gather_unique_neighbors(graph, affected)
-        stats.frontier_sizes.append(len(frontier))
-        stats.iterations += 1
-
-        def relax(task_item):
-            task_id, v = task_item
-            best = dist[v]
-            best_u = -1
-            scanned = 0
-            for u, eid in graph.in_edges(v):
-                scanned += 1
-                if marked[u] != 1:
-                    continue
-                nd = dist[u] + weights_col[eid]
-                if nd < best:
-                    best = nd
-                    best_u = u
-            if best_u >= 0:
-                if tracker is not None:
-                    tracker.record_write(v, task_id)
-                dist[v] = best
-                parent[v] = best_u
-                marked[v] = 1
-                return v, scanned
-            return -1, scanned
-
-        results = eng.parallel_for(
-            list(enumerate(frontier)),
-            relax,
-            work_fn=lambda item, r: max(1, r[1]),
+    if snapshot.n != graph.num_vertices:
+        raise AlgorithmError(
+            f"CSR snapshot spans {snapshot.n} vertices, graph has "
+            f"{graph.num_vertices}"
         )
-        stats.relaxations += sum(r[1] for r in results)
-        affected = [v for v, _ in results if v >= 0]
-        stats.affected_total += len(affected)
-        stats.affected_vertices.update(affected)
+    if snapshot.num_edges != graph.num_edges:
+        raise AlgorithmError(
+            f"CSR snapshot has {snapshot.num_edges} edges, graph has "
+            f"{graph.num_edges}: pair batch.apply_to(graph) with "
+            f"snapshot.{sync}(batch) to keep them in sync"
+        )
 
 
 def _publish_stats(stats: UpdateStats, batch_size: int) -> None:
@@ -387,88 +287,3 @@ def _normalize_against_graph(
         np.vstack(keep_w),
         np.ones(len(keep_src), dtype=bool),
     )
-
-
-def _step1_grouped(
-    batch, objective, dist, parent, marked, eng, stats, tracker
-) -> List[int]:
-    """Steps 0+1 with destination grouping: one pass, race-free."""
-    groups = group_by_destination(batch, objective)
-
-    def process_group(task_item):
-        task_id, (v, srcs, ws) = task_item
-        best = dist[v]
-        best_u = -1
-        for u, w in zip(srcs, ws):
-            nd = dist[u] + w
-            if nd < best:
-                best = nd
-                best_u = int(u)
-        if best_u >= 0:
-            if tracker is not None:
-                tracker.record_write(v, task_id)
-            dist[v] = best
-            parent[v] = best_u
-            marked[v] = 1
-            return v, len(srcs)
-        return -1, len(srcs)
-
-    results = eng.parallel_for(
-        list(enumerate(groups)),
-        process_group,
-        work_fn=lambda item, r: max(1, r[1]),
-    )
-    stats.step1_passes = 1
-    stats.relaxations += sum(r[1] for r in results)
-    return [v for v, _ in results if v >= 0]
-
-
-def _step1_ungrouped(
-    batch, objective, dist, parent, marked, eng, stats
-) -> List[int]:
-    """Prior-work emulation ([17]): edge-parallel passes to a fixpoint.
-
-    Without grouping, several inserted edges can target one vertex, so
-    a single edge-parallel pass may apply a non-minimal update (in the
-    real racy implementation) or require re-checking (here): passes
-    repeat until no distance changes, and every pass rescans the whole
-    batch — the extra work the paper's grouping removes.
-    """
-    src, dst, w_all = batch.insert_records()
-    w = w_all[:, objective]
-    b = len(src)
-    affected_set = set()
-    chunk = max(1, b // 64)
-    spans = [(lo, min(lo + chunk, b)) for lo in range(0, b, chunk)]
-    while True:
-        stats.step1_passes += 1
-
-        def scan(span):
-            lo, hi = span
-            proposals = []
-            for i in range(lo, hi):
-                u, v = int(src[i]), int(dst[i])
-                nd = dist[u] + w[i]
-                if nd < dist[v]:
-                    proposals.append((v, nd, u))
-            return proposals
-
-        parts = eng.parallel_for(
-            spans, scan, work_fn=lambda s, r: s[1] - s[0]
-        )
-        stats.relaxations += b
-        changed = False
-        # sequential merge stands in for the atomic-min the racy
-        # implementation relies on
-        for proposals in parts:
-            for v, nd, u in proposals:
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = u
-                    marked[v] = 1
-                    affected_set.add(v)
-                    changed = True
-            eng.charge(len(proposals))
-        if not changed:
-            break
-    return sorted(affected_set)

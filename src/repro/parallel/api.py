@@ -244,9 +244,19 @@ def slab_spans(
     span ``(0, n_items)`` up to :data:`MAX_SERIAL_SLAB_ITEMS` items,
     since every further slab would only repeat the slab body's fixed
     numpy cost.
+
+    A simulated engine (one that sets ``replay_slabs``) gets
+    ``min(n_items, replay_slabs)`` even slabs whatever its thread count
+    and ``min_chunk``: its cost model already charges each task, and a
+    trace recorded at one thread must keep enough tasks per superstep
+    for :func:`~repro.parallel.backends.simulated.replay_trace` to
+    spread them over the widest replay.
     """
     if n_items <= 0:
         return []
+    replay_slabs = getattr(engine, "replay_slabs", None)
+    if replay_slabs:
+        return _even_spans(n_items, min(n_items, int(replay_slabs)))
     threads = max(1, int(getattr(engine, "threads", 1)))
     if threads == 1:
         return serial_spans(n_items)

@@ -189,9 +189,6 @@ class PartitionedEngine(BaseEngine):
 
     name = "partitioned"
 
-    #: Core update functions route through the partitioned drivers when
-    #: the resolved engine advertises this (wrappers forward it).
-    supports_partitioned_update = True
     #: Inner shm pools collect worker spans/metrics and ship them back
     #: on the tagged reply; each pool carries a ``{"shard": i}`` label
     #: so merged series/spans stay attributable per shard.
@@ -432,18 +429,12 @@ class PartitionedEngine(BaseEngine):
     ) -> CSRGraph:
         """The post-batch CSR snapshot to shard: the caller's, when
         given, else an internally maintained incremental one."""
+        # deferred: repro.core imports repro.parallel at module load
+        from repro.core.sosp_update import check_snapshot
+
         n = graph.num_vertices
         if csr is not None:
-            if csr.n != n:
-                raise AlgorithmError(
-                    f"CSR snapshot spans {csr.n} vertices, graph has {n}"
-                )
-            if csr.num_edges != graph.num_edges:
-                raise AlgorithmError(
-                    f"CSR snapshot has {csr.num_edges} edges, graph has "
-                    f"{graph.num_edges}: pair batch.apply_to(graph) with "
-                    f"snapshot.apply_batch(batch) to keep them in sync"
-                )
+            check_snapshot(csr, graph, "apply_batch")
             return csr
         own = self._own_csr
         token = (id(batch), int(batch.num_changes))

@@ -220,6 +220,11 @@ class SimulatedEngine(BaseEngine):
     """
 
     name = "simulated"
+    #: Slabs per vectorised superstep
+    #: (:func:`~repro.parallel.api.slab_spans`): 4 per thread for the
+    #: widest replay the figures run (64 threads), whatever ``threads``
+    #: this engine records at.
+    replay_slabs = 4 * 64
 
     def __init__(
         self,

@@ -28,7 +28,7 @@ releases the engine (when the service created it).
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.core import SOSPTree, apply_mixed_batch, sosp_update
 from repro.dynamic.changes import KIND_INSERT, ChangeBatch
@@ -91,14 +91,8 @@ class UpdateService:
             resolve_engine(engine, threads=threads)
             if isinstance(engine, str) else engine
         )
-        self._use_csr = bool(
-            getattr(self.engine, "supports_slab_dispatch", False)
-            or getattr(self.engine, "supports_partitioned_update", False)
-        )
         self.tree = SOSPTree.build(graph, self.source)
-        self.csr: Optional[CSRGraph] = (
-            CSRGraph.from_digraph(graph) if self._use_csr else None
-        )
+        self.csr = CSRGraph.from_digraph(graph)
         self.coalescer = Coalescer(
             flush_size=flush_size,
             flush_latency=flush_latency,
@@ -286,26 +280,21 @@ class UpdateService:
         batch = batch_of(edits, k=self.graph.num_objectives)
         insert_only = bool((batch.kind == KIND_INSERT).all())
         batch.apply_to(self.graph)
-        if self.csr is not None:
-            if insert_only:
-                self.csr.append_batch(batch)
-            else:
-                self.csr.apply_batch(batch)
         if insert_only:
+            self.csr.append_batch(batch)
             sosp_update(
                 self.graph, self.tree, batch, engine=self.engine,
-                use_csr_kernels=self._use_csr, csr=self.csr,
+                csr=self.csr,
             )
         else:
+            self.csr.apply_batch(batch)
             apply_mixed_batch(
                 self.graph, self.tree, batch, engine=self.engine,
-                use_csr_kernels=self._use_csr, csr=self.csr,
+                csr=self.csr,
             )
 
     def _freeze_epoch(self, epoch: int) -> EpochSnapshot:
-        stamp: Optional[Tuple[Any, ...]] = (
-            self.csr.tail_stamp if self.csr is not None else ("epoch", epoch)
-        )
+        stamp = self.csr.tail_stamp
         publish = getattr(self.engine, "publish_snapshot", None)
         if callable(publish):
             arrays: Dict[str, Any] = publish(

@@ -67,8 +67,8 @@ class TestInsertThenDeleteSameEdge:
             ChangeBatch.deletions([(0, 2)], k=k),
         )
 
-    def test_sosp_update_fulldynamic(self):
-        from repro.core import sosp_update_fulldynamic
+    def test_apply_mixed_batch(self):
+        from repro.core import apply_mixed_batch
         from repro.graph import DiGraph
 
         g = DiGraph(3, k=1)
@@ -78,7 +78,7 @@ class TestInsertThenDeleteSameEdge:
         tree = SOSPTree.build(g, 0)
         batch = self.make_batch(1)
         batch.apply_to(g)
-        sosp_update_fulldynamic(g, tree, batch)
+        apply_mixed_batch(g, tree, batch)
         assert tree.dist[2] == 2.0  # not 0.1
         tree.certify(g)
 

@@ -10,6 +10,7 @@ from repro.graph import DiGraph, erdos_renyi, grid_road
 from repro.mosp import martins, nondominated_against
 from repro.parallel import SerialEngine, SimulatedEngine, ThreadEngine
 from repro.sssp import dijkstra
+from tests._mosp_reference import mosp_update_reference
 
 
 def build_trees(g, source=0):
@@ -262,16 +263,18 @@ class TestValidation:
         g.add_edge(0, 1, (1.0, 4.0))
         g.add_edge(1, 2, (1.0, 4.0))
         g.add_edge(0, 2, (4.0, 1.0))
-        for vectorized in (False, True):
-            with pytest.raises(AlgorithmError, match="finite positive"):
-                mosp_update(g, build_trees(g), weighting="priority",
-                            priorities=(bad, 1.0),
-                            use_csr_kernels=vectorized)
+        with pytest.raises(AlgorithmError, match="finite positive"):
+            mosp_update(g, build_trees(g), weighting="priority",
+                        priorities=(bad, 1.0))
+        with pytest.raises(AlgorithmError, match="finite positive"):
+            mosp_update_reference(g, build_trees(g), weighting="priority",
+                                  priorities=(bad, 1.0))
 
 
 class TestCSRKernelPath:
-    """``use_csr_kernels=True`` is a drop-in replacement for the
-    reference pipeline: same MOSP output, same timing surface."""
+    """The CSR kernel pipeline is a drop-in replacement for the
+    reference pipeline (``tests/_mosp_reference.py``): same MOSP
+    output, same timing surface."""
 
     @pytest.mark.parametrize("step3", ["frontier", "rounds"])
     def test_kernel_path_matches_reference(self, step3):
@@ -288,9 +291,8 @@ class TestCSRKernelPath:
         trees_csr = copy.deepcopy(trees_ref)
         batch = random_insert_batch(g, 60, seed=5)
         batch.apply_to(g)
-        ref = mosp_update(g, trees_ref, batch, step3=step3)
-        fast = mosp_update(g, trees_csr, batch, step3=step3,
-                           use_csr_kernels=True)
+        ref = mosp_update_reference(g, trees_ref, batch, step3=step3)
+        fast = mosp_update(g, trees_csr, batch, step3=step3)
         for t_r, t_c in zip(trees_ref, trees_csr):
             np.testing.assert_array_equal(t_c.dist, t_r.dist)
             t_c.certify(g)
@@ -313,7 +315,7 @@ class TestCSRKernelPath:
         trees = build_trees(g)
         batch = random_insert_batch(g, 30, seed=7)
         batch.apply_to(g)
-        r = mosp_update(g, trees, batch, use_csr_kernels=True)
+        r = mosp_update(g, trees, batch)
         assert set(r.step_seconds) == {
             "sosp_update_0", "sosp_update_1", "ensemble",
             "bellman_ford", "reassign",
@@ -333,8 +335,7 @@ class TestCSRKernelPath:
             batch = random_insert_batch(g, 25, seed=seed)
             batch.apply_to(g)
             snapshot.append_batch(batch)
-            r = mosp_update(g, trees, batch, use_csr_kernels=True,
-                            csr=snapshot)
+            r = mosp_update(g, trees, batch, csr=snapshot)
             for i, t in enumerate(trees):
                 ref, _ = dijkstra(g, 0, i)
                 np.testing.assert_allclose(t.dist, ref, rtol=1e-9)

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from repro.core import SOSPTree, sosp_update
-from repro.core.grouping import group_by_destination
-from repro.core.affected import gather_unique_neighbors
 from repro.dynamic import ChangeBatch, random_insert_batch
 from repro.errors import AlgorithmError
 from repro.graph import DiGraph, erdos_renyi, grid_road, random_geometric
 from repro.parallel import SerialEngine, SimulatedEngine, ThreadEngine
 from repro.sssp import dijkstra
+from tests._sosp_reference import (
+    gather_unique_neighbors,
+    group_by_destination,
+    sosp_update_reference,
+)
 
 ENGINES = [
     None,
@@ -222,8 +225,8 @@ class TestGroupingAblation:
         t2 = t1.copy()
         batch = random_insert_batch(g, 60, seed=4)
         batch.apply_to(g)
-        sosp_update(g, t1, batch, use_grouping=True)
-        sosp_update(g, t2, batch, use_grouping=False)
+        sosp_update(g, t1, batch)
+        sosp_update_reference(g, t2, batch, use_grouping=False)
         np.testing.assert_allclose(t1.dist, t2.dist)
 
     def test_grouped_single_pass(self):
@@ -231,7 +234,7 @@ class TestGroupingAblation:
         tree = SOSPTree.build(g, 0)
         batch = random_insert_batch(g, 60, seed=4)
         batch.apply_to(g)
-        stats = sosp_update(g, tree, batch, use_grouping=True)
+        stats = sosp_update(g, tree, batch)
         assert stats.step1_passes == 1
 
     def test_ungrouped_may_need_extra_passes(self):
@@ -244,10 +247,11 @@ class TestGroupingAblation:
             [(3, 4, 1.0), (2, 3, 1.0), (1, 2, 1.0), (0, 1, 1.0)]
         )
         batch.apply_to(g)
-        stats = sosp_update(g, tree.copy(), batch, use_grouping=False)
+        stats = sosp_update_reference(g, tree.copy(), batch,
+                                      use_grouping=False)
         assert stats.step1_passes >= 2
         # grouping finishes step 1 in one pass and lets step 2 propagate
-        gstats = sosp_update(g, tree, batch, use_grouping=True)
+        gstats = sosp_update(g, tree, batch)
         assert gstats.step1_passes == 1
         assert_tree_correct(g, tree)
 

@@ -3,8 +3,9 @@
 Every backend family — serial, threads, processes, shm, simulated —
 must produce the **identical** distance fixpoint for
 ``sosp_update``/``mosp_update`` over random graphs and insertion
-batches.  Serial is the oracle; the other engines only change *how*
-the same supersteps execute (threads: real pool; processes: closure
+batches.  For ``sosp_update`` the oracle is the pointer-chasing twin
+in ``tests/_sosp_reference.py``; elsewhere serial is.  The engines only
+change *how* the same supersteps execute (threads: real pool; processes: closure
 round-trip or its documented serial fallback; shm: slab dispatch over
 planted shared-memory arrays; simulated: virtual-clock replay), so the
 label-correcting fixpoint is bitwise reproducible.
@@ -41,6 +42,7 @@ from repro.parallel import (
     SimulatedEngine,
     ThreadEngine,
 )
+from tests._sosp_reference import sosp_update_reference
 
 pytestmark = pytest.mark.slow
 
@@ -91,8 +93,17 @@ def _run_sosp(engine, graph, batches):
     for batch in batches:
         batch.apply_to(g)
         snapshot.append_batch(batch)
-        sosp_update(g, tree, batch, engine=engine,
-                    use_csr_kernels=True, csr=snapshot)
+        sosp_update(g, tree, batch, engine=engine, csr=snapshot)
+    return tree
+
+
+def _run_sosp_reference(graph, batches):
+    """Play the batches through the pointer-chasing twin (serial)."""
+    g = copy.deepcopy(graph)
+    tree = SOSPTree.build(g, 0)
+    for batch in batches:
+        batch.apply_to(g)
+        sosp_update_reference(g, tree, batch)
     return tree
 
 
@@ -100,8 +111,8 @@ def _run_sosp(engine, graph, batches):
 @given(data=graph_and_batches())
 def test_sosp_update_identical_across_backends(data):
     graph, batches = data
-    reference = _run_sosp(ENGINES[0], graph, batches)
-    for engine in ENGINES[1:]:
+    reference = _run_sosp_reference(graph, batches)
+    for engine in ENGINES:
         tree = _run_sosp(engine, graph, batches)
         np.testing.assert_array_equal(
             tree.dist, reference.dist,
@@ -157,7 +168,7 @@ def _run_mixed(engine, graph, batches):
         batch.apply_to(g)
         snapshot.apply_batch(batch)
         apply_mixed_batch(g, tree, batch, engine=engine,
-                          use_csr_kernels=True, csr=snapshot)
+                          csr=snapshot)
     return g, tree
 
 
@@ -222,7 +233,7 @@ def test_shm_crash_recovery_matches_oracle(monkeypatch):
         snapshot.apply_batch(batch)
         with pytest.warns(RuntimeWarning, match="died mid-superstep"):
             apply_mixed_batch(g, tree, batch, engine=engine,
-                              use_csr_kernels=True, csr=snapshot)
+                              csr=snapshot)
     finally:
         engine.close()
     np.testing.assert_array_equal(tree.dist, tree_ref.dist)
@@ -239,7 +250,7 @@ def test_mosp_update_identical_across_backends(data):
         for batch in batches:
             batch.apply_to(g)
         trees = [SOSPTree.build(g, 0, objective=i) for i in range(2)]
-        r = mosp_update(g, trees, engine=engine, use_csr_kernels=True)
+        r = mosp_update(g, trees, engine=engine)
         results.append(r.dist_vectors.copy())
     for engine, dv in zip(ENGINES[1:], results[1:]):
         np.testing.assert_array_equal(

@@ -28,7 +28,11 @@ from hypothesis import strategies as st
 
 from repro.core import SOSPTree, apply_mixed_batch, sosp_update
 from repro.core.affected import gather_unique_neighbors_csr
-from repro.core.kernels import MIN_SLAB_ITEMS, group_tail_by_position
+from repro.core.kernels import (
+    MIN_SLAB_ITEMS,
+    frontier_bellman_ford_csr,
+    group_tail_by_position,
+)
 from repro.dynamic import random_insert_batch, random_mixed_batch
 from repro.graph import road_like
 from repro.graph.csr import CSRGraph
@@ -39,6 +43,7 @@ from repro.parallel import (
     SimulatedEngine,
     SlabTask,
     ThreadEngine,
+    replay_trace,
     slab_spans,
 )
 from repro.parallel.api import MAX_SERIAL_SLAB_ITEMS, serial_spans
@@ -185,7 +190,7 @@ def test_insert_stream_matches_dijkstra(engine, n, seed):
             snapshot.append_batch(batch)
             stats = sosp_update(
                 g, tree, batch, engine=engine,
-                use_csr_kernels=True, csr=snapshot,
+                csr=snapshot,
             )
             _assert_matches_dijkstra(g, tree)
             # insert-only: the affected set is exactly the vertices
@@ -219,11 +224,40 @@ def test_mixed_stream_matches_dijkstra(engine, n, seed):
             snapshot.apply_batch(batch)
             stats = apply_mixed_batch(
                 g, tree, batch, engine=engine,
-                use_csr_kernels=True, csr=snapshot,
+                csr=snapshot,
             )
             _assert_matches_dijkstra(g, tree)
             wasted += stats.affected_total - len(stats.affected_vertices)
         assert reg.snapshot()["mixed_wasted_improvements_total"] == wasted
+
+
+class TestSimulatedSlabsSizedForReplay:
+    """A one-thread recording ``SimulatedEngine`` must still record
+    enough tasks per superstep for a 64-thread replay of its trace."""
+
+    def test_recording_engine_records_many_tasks_per_superstep(self):
+        # source -> 300 hubs -> 2 leaves each: frontiers of 300 and 600
+        hubs, n = 300, 1 + 300 + 600
+        src = [0] * hubs + [1 + h for h in range(hubs) for _ in (0, 1)]
+        dst = list(range(1, 1 + hubs)) + list(range(1 + hubs, n))
+        csr = CSRGraph(n, np.array(src), np.array(dst),
+                       np.ones((len(src), 1)))
+        eng = SimulatedEngine(threads=1, record_trace=True)
+        dist, _ = frontier_bellman_ford_csr(csr, 0, engine=eng)
+        assert np.isfinite(dist).all()
+        tasks = [len(costs) for kind, costs in eng.trace
+                 if kind == "superstep"]
+        assert tasks and all(1 < t <= SimulatedEngine.replay_slabs
+                             for t in tasks)
+        assert replay_trace(eng.trace, 64) < replay_trace(eng.trace, 1)
+
+    def test_spans_ignore_min_chunk_and_thread_count(self):
+        for threads in (1, 4):
+            eng = SimulatedEngine(threads=threads)
+            assert len(slab_spans(100, eng, MIN_SLAB_ITEMS)) == 100
+            spans = slab_spans(10_000, eng, MIN_SLAB_ITEMS)
+            assert len(spans) == 256
+            assert spans[0][0] == 0 and spans[-1][1] == 10_000
 
 
 class TestOneSlabWithoutASecondThread:

@@ -5,9 +5,9 @@ from-scratch Dijkstra recompute of the updated graph — distances
 bitwise equal (integer weights make double sums exact) and parents
 tree-certified — for arbitrary interleavings of insertions, deletions,
 and weight raises/drops, including duplicate and self-cancelling edits
-of one edge inside a single batch.  The property is certified on both
-the pointer-chasing reference path and the CSR kernel path (driven
-through the incremental ``CSRGraph.apply_batch`` mutation), across
+of one edge inside a single batch.  The property is certified both with
+a snapshot frozen on entry (``csr=None``) and with one maintained
+through the incremental ``CSRGraph.apply_batch`` mutation, across
 single batches and multi-batch sequences.
 """
 
@@ -100,6 +100,7 @@ def assert_matches_dijkstra(g, tree, exact=True):
 class TestDifferentialOracle:
     @given(data=graph_and_mixed_batches())
     def test_reference_path_equals_dijkstra(self, data):
+        """``csr=None``: each call freezes its own snapshot."""
         g, batches = data
         tree = SOSPTree.build(g, 0)
         for batch in batches:
@@ -109,8 +110,8 @@ class TestDifferentialOracle:
 
     @given(data=graph_and_mixed_batches(max_batches=3))
     def test_csr_path_equals_dijkstra_incrementally(self, data):
-        """Kernel path, with the snapshot mutated via ``apply_batch``
-        instead of re-frozen — certifying the CSR tombstone/overwrite
+        """A maintained snapshot, mutated via ``apply_batch`` instead of
+        re-frozen — certifying the CSR tombstone/overwrite
         machinery against the DiGraph as a side effect."""
         g, batches = data
         tree = SOSPTree.build(g, 0)
@@ -119,9 +120,7 @@ class TestDifferentialOracle:
             batch.apply_to(g)
             snapshot.apply_batch(batch)
             assert snapshot.num_edges == g.num_edges
-            apply_mixed_batch(
-                g, tree, batch, use_csr_kernels=True, csr=snapshot
-            )
+            apply_mixed_batch(g, tree, batch, csr=snapshot)
         assert_matches_dijkstra(g, tree)
         su, sv, sw = g.edge_arrays()
         expected = sorted(zip(su.tolist(), sv.tolist(), sw.tolist()))
@@ -142,7 +141,8 @@ class TestDifferentialOracle:
     @given(seed=st.integers(0, 10**6))
     def test_generator_batches_on_road_grid(self, seed):
         """The benchmark-shaped workload: generator mixed batches over
-        a road grid, reference and CSR paths in lockstep."""
+        a road grid, frozen-on-entry and maintained snapshots in
+        lockstep."""
         g = grid_road(5, 5, seed=seed % 97)
         g2 = copy.deepcopy(g)
         tree = SOSPTree.build(g, 0)
@@ -156,9 +156,7 @@ class TestDifferentialOracle:
         apply_mixed_batch(g, tree, batch)
         batch.apply_to(g2)
         snapshot.apply_batch(batch)
-        apply_mixed_batch(
-            g2, tree2, batch, use_csr_kernels=True, csr=snapshot
-        )
+        apply_mixed_batch(g2, tree2, batch, csr=snapshot)
         assert_matches_dijkstra(g, tree, exact=False)
         np.testing.assert_array_equal(tree2.dist, tree.dist)
         tree2.certify(g2)
@@ -167,91 +165,91 @@ class TestDifferentialOracle:
 class TestEdgeCases:
     """Deterministic regressions for the trickiest interleavings."""
 
-    def _updated(self, g, batch, use_csr=False):
+    def _updated(self, g, batch, maintained=False):
+        """``maintained``: pass a snapshot kept in sync with
+        ``apply_batch``; otherwise ``csr=None`` freezes one on entry."""
         tree = SOSPTree.build(g, 0)
-        snapshot = CSRGraph.from_digraph(g) if use_csr else None
+        snapshot = CSRGraph.from_digraph(g) if maintained else None
         batch.apply_to(g)
         if snapshot is not None:
             snapshot.apply_batch(batch)
-        stats = apply_mixed_batch(
-            g, tree, batch, use_csr_kernels=use_csr, csr=snapshot
-        )
+        stats = apply_mixed_batch(g, tree, batch, csr=snapshot)
         assert_matches_dijkstra(g, tree)
         return tree, stats
 
-    @pytest.mark.parametrize("use_csr", [False, True])
-    def test_weight_raise_on_tree_edge_reroutes(self, use_csr):
+    @pytest.mark.parametrize("maintained", [False, True])
+    def test_weight_raise_on_tree_edge_reroutes(self, maintained):
         g = build_graph(3, 1, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)])
         batch = ChangeBatch.weight_changes([(1, 2, 9.0)])
-        tree, stats = self._updated(g, batch, use_csr)
+        tree, stats = self._updated(g, batch, maintained)
         assert tree.dist[2] == 5.0 and tree.parent[2] == 0
         assert stats.invalidated == 1
 
-    @pytest.mark.parametrize("use_csr", [False, True])
+    @pytest.mark.parametrize("maintained", [False, True])
     def test_weight_drop_on_tree_edge_improves_without_invalidate(
-        self, use_csr
+        self, maintained
     ):
         g = build_graph(4, 1, [(0, 1, 2.0), (1, 2, 2.0), (2, 3, 2.0)])
         batch = ChangeBatch.weight_changes([(0, 1, 1.0)])
-        tree, stats = self._updated(g, batch, use_csr)
+        tree, stats = self._updated(g, batch, maintained)
         assert tree.dist.tolist() == [0.0, 1.0, 3.0, 5.0]
         assert stats.invalidated == 0  # drops never invalidate
 
-    @pytest.mark.parametrize("use_csr", [False, True])
-    def test_weight_drop_on_nontree_edge_steals_subtree(self, use_csr):
+    @pytest.mark.parametrize("maintained", [False, True])
+    def test_weight_drop_on_nontree_edge_steals_subtree(self, maintained):
         g = build_graph(3, 1, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)])
         batch = ChangeBatch.weight_changes([(0, 2, 1.0)])
-        tree, _ = self._updated(g, batch, use_csr)
+        tree, _ = self._updated(g, batch, maintained)
         assert tree.dist[2] == 1.0 and tree.parent[2] == 0
 
-    @pytest.mark.parametrize("use_csr", [False, True])
-    def test_weight_raise_on_nontree_edge_noop(self, use_csr):
+    @pytest.mark.parametrize("maintained", [False, True])
+    def test_weight_raise_on_nontree_edge_noop(self, maintained):
         g = build_graph(3, 1, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)])
         batch = ChangeBatch.weight_changes([(0, 2, 9.0)])
-        tree, stats = self._updated(g, batch, use_csr)
+        tree, stats = self._updated(g, batch, maintained)
         assert tree.dist[2] == 2.0
         assert stats.invalidated == 0
 
-    @pytest.mark.parametrize("use_csr", [False, True])
-    def test_self_cancelling_insert_then_delete(self, use_csr):
+    @pytest.mark.parametrize("maintained", [False, True])
+    def test_self_cancelling_insert_then_delete(self, maintained):
         g = build_graph(3, 1, [(0, 1, 4.0)])
         batch = make_batch(
             [(KIND_INSERT, 1, 2, (1.0,)), (KIND_DELETE, 1, 2, (0.0,))],
             k=1,
         )
-        tree, _ = self._updated(g, batch, use_csr)
+        tree, _ = self._updated(g, batch, maintained)
         assert np.isinf(tree.dist[2])
 
-    @pytest.mark.parametrize("use_csr", [False, True])
-    def test_delete_then_reinsert_same_edge(self, use_csr):
+    @pytest.mark.parametrize("maintained", [False, True])
+    def test_delete_then_reinsert_same_edge(self, maintained):
         g = build_graph(3, 1, [(0, 1, 1.0), (1, 2, 1.0)])
         batch = make_batch(
             [(KIND_DELETE, 1, 2, (0.0,)), (KIND_INSERT, 1, 2, (4.0,))],
             k=1,
         )
-        tree, _ = self._updated(g, batch, use_csr)
+        tree, _ = self._updated(g, batch, maintained)
         assert tree.dist[2] == 5.0
 
-    @pytest.mark.parametrize("use_csr", [False, True])
-    def test_duplicate_weight_changes_last_wins(self, use_csr):
+    @pytest.mark.parametrize("maintained", [False, True])
+    def test_duplicate_weight_changes_last_wins(self, maintained):
         g = build_graph(2, 1, [(0, 1, 5.0)])
         batch = ChangeBatch.weight_changes([(0, 1, 9.0), (0, 1, 2.0)])
-        tree, _ = self._updated(g, batch, use_csr)
+        tree, _ = self._updated(g, batch, maintained)
         assert tree.dist[1] == 2.0
 
-    @pytest.mark.parametrize("use_csr", [False, True])
-    def test_weight_change_of_absent_edge_noop(self, use_csr):
+    @pytest.mark.parametrize("maintained", [False, True])
+    def test_weight_change_of_absent_edge_noop(self, maintained):
         g = build_graph(3, 1, [(0, 1, 1.0)])
         batch = ChangeBatch.weight_changes([(1, 2, 3.0)])
-        tree, stats = self._updated(g, batch, use_csr)
+        tree, stats = self._updated(g, batch, maintained)
         assert np.isinf(tree.dist[2])
         assert stats.invalidated == 0
 
-    @pytest.mark.parametrize("use_csr", [False, True])
-    def test_parallel_edge_shields_weight_raise(self, use_csr):
+    @pytest.mark.parametrize("maintained", [False, True])
+    def test_parallel_edge_shields_weight_raise(self, maintained):
         g = build_graph(2, 1, [(0, 1, 3.0), (0, 1, 3.0)])
         batch = ChangeBatch.weight_changes([(0, 1, 8.0)])
-        tree, stats = self._updated(g, batch, use_csr)
+        tree, stats = self._updated(g, batch, maintained)
         assert tree.dist[1] == 3.0  # the twin still certifies
         assert stats.invalidated == 0
 
@@ -269,9 +267,7 @@ class TestEdgeCases:
         batch = ChangeBatch.deletions([(1, 2)])
         batch.apply_to(g)  # snapshot NOT updated
         with pytest.raises(AlgorithmError, match="apply_batch"):
-            apply_mixed_batch(
-                g, tree, batch, use_csr_kernels=True, csr=snapshot
-            )
+            apply_mixed_batch(g, tree, batch, csr=snapshot)
 
     def test_dynamic_front_rejects_weight_changes(self):
         from repro.mosp.dynamic_front import DynamicParetoFront
@@ -306,7 +302,7 @@ class TestEdgeCases:
             k=2,
         )
         batch.apply_to(g)
-        r = mosp_update(g, trees, batch, use_csr_kernels=True)
+        r = mosp_update(g, trees, batch)
         for i, t in enumerate(trees):
             ref, _ = dijkstra(g, 0, i)
             np.testing.assert_array_equal(t.dist, ref)

@@ -6,8 +6,8 @@ tree's child CSR.  It must return exactly ``sorted()`` of the set the
 per-vertex walk in :mod:`tests._fully_dynamic_reference` collects, with
 the same ``dirty_roots`` / ``invalidated`` counts, and a whole
 ``apply_mixed_batch`` run with either Step D must leave ``dist`` *and*
-``parent`` bitwise equal — on the reference and CSR kernel paths and on
-every engine backend.
+``parent`` bitwise equal — with a snapshot frozen on entry or one
+maintained across batches, and on every engine backend.
 """
 
 from __future__ import annotations
@@ -79,12 +79,13 @@ def assert_same_dirty_set(g, tree, batch):
     return got, got_stats
 
 
-def run_pipeline(graph, batches, use_csr, engine=None, reference=False):
+def run_pipeline(graph, batches, maintained, engine=None, reference=False):
     """Play ``batches`` through ``apply_mixed_batch``; returns the tree
-    and the per-batch stats."""
+    and the per-batch stats.  ``maintained`` passes a snapshot kept in
+    sync with ``apply_batch``; otherwise each call freezes its own."""
     g = copy.deepcopy(graph)
     tree = SOSPTree.build(g, 0)
-    snapshot = CSRGraph.from_digraph(g) if use_csr else None
+    snapshot = CSRGraph.from_digraph(g) if maintained else None
     stats = []
     for batch in batches:
         batch.apply_to(g)
@@ -93,18 +94,18 @@ def run_pipeline(graph, batches, use_csr, engine=None, reference=False):
         if reference:
             with reference_step_d():
                 s = apply_mixed_batch(g, tree, batch, engine=engine,
-                                      use_csr_kernels=use_csr, csr=snapshot)
+                                      csr=snapshot)
         else:
             s = apply_mixed_batch(g, tree, batch, engine=engine,
-                                  use_csr_kernels=use_csr, csr=snapshot)
+                                  csr=snapshot)
         stats.append(s)
     return g, tree, stats
 
 
-def assert_pipelines_bitwise_equal(graph, batches, use_csr, engine=None):
-    g, got, got_stats = run_pipeline(graph, batches, use_csr, engine)
+def assert_pipelines_bitwise_equal(graph, batches, maintained, engine=None):
+    g, got, got_stats = run_pipeline(graph, batches, maintained, engine)
     _, ref, ref_stats = run_pipeline(
-        graph, batches, use_csr, engine, reference=True
+        graph, batches, maintained, engine, reference=True
     )
     np.testing.assert_array_equal(got.dist, ref.dist)
     np.testing.assert_array_equal(got.parent, ref.parent)
@@ -151,11 +152,11 @@ class TestDirtySetProperty:
             apply_mixed_batch(g, tree, batch)
         assert_matches_dijkstra(g, tree, exact=False)
 
-    @pytest.mark.parametrize("use_csr", [False, True])
+    @pytest.mark.parametrize("maintained", [False, True])
     @given(data=graph_and_mixed_batches(max_batches=3))
-    def test_pipeline_bitwise_equals_reference_step_d(self, use_csr, data):
+    def test_pipeline_bitwise_equals_reference_step_d(self, maintained, data):
         graph, batches = data
-        g, tree, _ = assert_pipelines_bitwise_equal(graph, batches, use_csr)
+        g, tree, _ = assert_pipelines_bitwise_equal(graph, batches, maintained)
         assert_matches_dijkstra(g, tree)
 
 
@@ -164,19 +165,19 @@ class TestEdgeCases:
     """Deterministic Step-D shapes, each checked against the walk, the
     whole reference pipeline, and from-scratch Dijkstra."""
 
-    def _check(self, g, batch, use_csr):
+    def _check(self, g, batch, maintained):
         tree = SOSPTree.build(g, 0)
         g_after = copy.deepcopy(g)
         batch.apply_to(g_after)
         dirty, stats = assert_same_dirty_set(g_after, tree.copy(), batch)
         g_final, updated, _ = assert_pipelines_bitwise_equal(
-            g, [batch], use_csr
+            g, [batch], maintained
         )
         assert_matches_dijkstra(g_final, updated)
         return dirty, stats, tree, updated
 
-    @pytest.mark.parametrize("use_csr", [False, True])
-    def test_nested_roots(self, use_csr):
+    @pytest.mark.parametrize("maintained", [False, True])
+    def test_nested_roots(self, maintained):
         # path 0 -> 1 -> 2 -> 3 -> 4 -> 5; root 4 lies inside root 2's
         # subtree and is listed first
         g = build_graph(6, 1, [(i, i + 1, 1.0) for i in range(5)]
@@ -184,14 +185,14 @@ class TestEdgeCases:
         batch = make_batch(
             [(KIND_DELETE, 3, 4, (0.0,)), (KIND_WEIGHT, 1, 2, (7.0,))], k=1
         )
-        dirty, stats, _, updated = self._check(g, batch, use_csr)
+        dirty, stats, _, updated = self._check(g, batch, maintained)
         assert stats.dirty_roots == 2
         assert dirty.tolist() == [2, 3, 4, 5]
         assert updated.dist.tolist() == [0.0, 1.0, 8.0, 9.0, 9.0, 10.0]
 
-    @pytest.mark.parametrize("use_csr", [False, True])
+    @pytest.mark.parametrize("maintained", [False, True])
     def test_duplicate_and_self_cancelling_records_on_one_pair(
-        self, use_csr
+        self, maintained
     ):
         g = build_graph(4, 1, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0),
                                (0, 2, 6.0)])
@@ -203,30 +204,30 @@ class TestEdgeCases:
             (KIND_DELETE, 1, 2, (0.0,)),
             (KIND_DELETE, 1, 2, (0.0,)),
         ], k=1)
-        dirty, stats, _, updated = self._check(g, batch, use_csr)
+        dirty, stats, _, updated = self._check(g, batch, maintained)
         assert stats.dirty_roots == 1  # one root however many records
         assert dirty.tolist() == [2, 3]
         assert updated.dist.tolist() == [0.0, 1.0, 6.0, 7.0]
 
-    @pytest.mark.parametrize("use_csr", [False, True])
-    def test_deleting_one_of_two_equal_parallel_edges(self, use_csr):
+    @pytest.mark.parametrize("maintained", [False, True])
+    def test_deleting_one_of_two_equal_parallel_edges(self, maintained):
         g = build_graph(3, 1, [(0, 1, 2.0), (0, 1, 2.0), (1, 2, 1.0)])
         batch = make_batch([(KIND_DELETE, 0, 1, (0.0,))], k=1)
         # the batch removes one parallel; its twin still certifies
-        dirty, stats, tree, updated = self._check(g, batch, use_csr)
+        dirty, stats, tree, updated = self._check(g, batch, maintained)
         assert dirty.size == 0 and stats.dirty_roots == 0
         np.testing.assert_array_equal(updated.dist, tree.dist)
 
-    @pytest.mark.parametrize("use_csr", [False, True])
-    def test_weight_drop_on_tree_edge(self, use_csr):
+    @pytest.mark.parametrize("maintained", [False, True])
+    def test_weight_drop_on_tree_edge(self, maintained):
         g = build_graph(4, 1, [(0, 1, 3.0), (1, 2, 3.0), (2, 3, 3.0)])
         batch = ChangeBatch.weight_changes([(1, 2, 1.0)])
-        dirty, stats, _, updated = self._check(g, batch, use_csr)
+        dirty, stats, _, updated = self._check(g, batch, maintained)
         assert dirty.size == 0 and stats.invalidated == 0
         assert updated.dist.tolist() == [0.0, 3.0, 4.0, 7.0]
 
-    @pytest.mark.parametrize("use_csr", [False, True])
-    def test_records_into_unreachable_vertices(self, use_csr):
+    @pytest.mark.parametrize("maintained", [False, True])
+    def test_records_into_unreachable_vertices(self, maintained):
         # 3 and 4 are unreachable from 0; records touch them only
         g = build_graph(5, 1, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0),
                                (4, 3, 2.0)])
@@ -235,24 +236,24 @@ class TestEdgeCases:
             (KIND_WEIGHT, 4, 3, (8.0,)),
             (KIND_DELETE, 2, 3, (0.0,)),
         ], k=1)
-        dirty, stats, _, updated = self._check(g, batch, use_csr)
+        dirty, stats, _, updated = self._check(g, batch, maintained)
         assert dirty.size == 0 and stats.dirty_roots == 0
         assert np.isinf(updated.dist[3:]).all()
 
-    @pytest.mark.parametrize("use_csr", [False, True])
-    def test_deep_path_of_400_levels(self, use_csr):
+    @pytest.mark.parametrize("maintained", [False, True])
+    def test_deep_path_of_400_levels(self, maintained):
         n = 401
         g = build_graph(n, 1, [(i, i + 1, 1.0) for i in range(n - 1)]
                         + [(0, n - 1, 1000.0)])
         batch = make_batch([(KIND_DELETE, 0, 1, (0.0,))], k=1)
-        dirty, stats, _, updated = self._check(g, batch, use_csr)
+        dirty, stats, _, updated = self._check(g, batch, maintained)
         assert dirty.tolist() == list(range(1, n))  # 400 levels deep
         assert stats.invalidated == 400
         assert updated.dist[n - 1] == 1000.0
         assert np.isinf(updated.dist[1:n - 1]).all()
 
-    @pytest.mark.parametrize("use_csr", [False, True])
-    def test_deleting_the_sources_only_out_edge(self, use_csr):
+    @pytest.mark.parametrize("maintained", [False, True])
+    def test_deleting_the_sources_only_out_edge(self, maintained):
         rng = np.random.default_rng(7)
         n = 60
         edges = [(0, 1, 1.0)] + [(i, i + 1, 5.0) for i in range(1, n - 1)]
@@ -262,13 +263,13 @@ class TestEdgeCases:
         edges += [(7, 0, 1.0), (30, 0, 2.0)]  # edges back into the source
         g = build_graph(n, 1, edges)
         batch = make_batch([(KIND_DELETE, 0, 1, (0.0,))], k=1)
-        dirty, stats, _, updated = self._check(g, batch, use_csr)
+        dirty, stats, _, updated = self._check(g, batch, maintained)
         assert dirty.tolist() == list(range(1, n))
         assert stats.dirty_roots == 1
         assert updated.dist[0] == 0.0 and np.isinf(updated.dist[1:]).all()
 
-    @pytest.mark.parametrize("use_csr", [False, True])
-    def test_no_deletions_or_raises_skips_the_child_index(self, use_csr):
+    @pytest.mark.parametrize("maintained", [False, True])
+    def test_no_deletions_or_raises_skips_the_child_index(self, maintained):
         g = build_graph(4, 1, [(0, 1, 4.0), (1, 2, 4.0), (0, 3, 9.0),
                                (3, 2, 1.0)])
         batch = make_batch([
@@ -282,7 +283,7 @@ class TestEdgeCases:
             raise AssertionError("child index built without a dirty root")
 
         with mock.patch.object(SOSPTree, "child_index", boom):
-            g_final, tree, stats = run_pipeline(g, [batch], use_csr)
+            g_final, tree, stats = run_pipeline(g, [batch], maintained)
         assert stats[0].dirty_roots == 0 and stats[0].invalidated == 0
         assert_matches_dijkstra(g_final, tree)
 
@@ -312,7 +313,7 @@ def test_every_engine_bitwise_equals_reference_step_d(data):
     graph, batches = data
     for engine in ENGINES:
         g, tree, _ = assert_pipelines_bitwise_equal(
-            graph, batches, use_csr=True, engine=engine
+            graph, batches, maintained=True, engine=engine
         )
         tree.certify(g)
 
@@ -333,7 +334,7 @@ def test_invalidate_span_reports_roots_and_subtree_size(
     )
     tracer = Tracer(recording=True)
     with use_tracer(tracer):
-        run_pipeline(g, [batch], use_csr=True, engine=ENGINES[engine_index])
+        run_pipeline(g, [batch], maintained=True, engine=ENGINES[engine_index])
     spans = [s for s in tracer.drain() if s.name == span_name]
     assert len(spans) == 1
     attrs = spans[0].to_dict()["attrs"]

@@ -3,17 +3,18 @@
 Three implementations of the same mathematical object are available for
 every update:
 
-1. the reference pointer-chasing path (``use_csr_kernels=False``),
-2. the batched CSR kernel path (``use_csr_kernels=True``), and
+1. the pointer-chasing reference twin (``tests/_sosp_reference.py``,
+   ``tests/_mosp_reference.py``),
+2. the batched CSR kernels the library runs, and
 3. a from-scratch Dijkstra recompute on the updated graph.
 
 All three must agree **exactly** (the label-correcting fixpoint is
 unique, and every path uses the same float64 additions), over random
 graphs, random insertion batches, and every engine family — that
-agreement is what lets the fast path replace the reference path
-anywhere.  Parent arrays are certified structurally via
-:meth:`SOSPTree.certify` rather than compared entrywise, because
-equal-weight parallel edges admit multiple valid witness parents.
+agreement is what lets the kernels stand as the only update path.
+Parent arrays are certified structurally via :meth:`SOSPTree.certify`
+rather than compared entrywise, because equal-weight parallel edges
+admit multiple valid witness parents.
 
 Example budget comes from the hypothesis profile registered in
 ``conftest.py`` (200 locally, capped under ``HYPOTHESIS_PROFILE=ci``).
@@ -35,6 +36,8 @@ from repro.graph.csr import CSRGraph
 from repro.parallel import SerialEngine, SimulatedEngine, ThreadEngine
 from repro.sssp import dijkstra
 from repro.types import NO_PARENT
+from tests._mosp_reference import build_ensemble_reference, mosp_update_reference
+from tests._sosp_reference import sosp_update_reference
 
 pytestmark = pytest.mark.slow
 
@@ -79,10 +82,10 @@ def test_sosp_kernels_equal_reference_and_dijkstra(data, engine_idx):
     t_csr = copy.deepcopy(t_ref)
     for batch in batches:
         batch.apply_to(g)
-        sosp_update(g, t_ref, batch, engine=engine)
+        sosp_update_reference(g, t_ref, batch, engine=engine)
         sosp_update(
             g, t_csr, batch, engine=engine,
-            use_csr_kernels=True, csr=CSRGraph.from_digraph(g),
+            csr=CSRGraph.from_digraph(g),
         )
         oracle, _ = dijkstra(g, 0)
         np.testing.assert_array_equal(t_csr.dist, oracle)
@@ -106,10 +109,7 @@ def test_sosp_kernels_with_incremental_snapshot(data, engine_idx):
     for batch in batches:
         batch.apply_to(g)
         snapshot.append_batch(batch)
-        sosp_update(
-            g, tree, batch, engine=engine,
-            use_csr_kernels=True, csr=snapshot,
-        )
+        sosp_update(g, tree, batch, engine=engine, csr=snapshot)
         oracle, _ = dijkstra(g, 0)
         np.testing.assert_array_equal(tree.dist, oracle)
         tree.certify(g)
@@ -159,26 +159,23 @@ def test_mosp_kernels_equal_reference(data, engine_idx, step3):
     each reported MOSP cost vector must be the true multi-weight of
     the reported path.
     """
-    from repro.core.ensemble import build_ensemble
-
     g, batches = data
     engine = ENGINES[engine_idx]
     trees_ref = [SOSPTree.build(g, 0, objective=i) for i in range(2)]
     trees_csr = copy.deepcopy(trees_ref)
     for batch in batches:
         batch.apply_to(g)
-        ref = mosp_update(g, trees_ref, batch, engine=engine, step3=step3)
-        fast = mosp_update(
-            g, trees_csr, batch, engine=engine, step3=step3,
-            use_csr_kernels=True,
+        ref = mosp_update_reference(
+            g, trees_ref, batch, engine=engine, step3=step3
         )
+        fast = mosp_update(g, trees_csr, batch, engine=engine, step3=step3)
         assert set(fast.step_seconds) == set(ref.step_seconds)
         for t_r, t_c in zip(trees_ref, trees_csr):
             np.testing.assert_array_equal(t_c.dist, t_r.dist)
             t_c.certify(g)
         # differential for the vectorised ensemble builder: identical
         # input trees must produce a byte-identical combined graph
-        loop = build_ensemble(trees_csr, engine=engine, vectorized=False)
+        loop = build_ensemble_reference(trees_csr, engine=engine)
         assert fast.ensemble.occurrences == loop.occurrences
         for attr in ("indptr", "indices", "src", "rev_indptr",
                      "rev_indices", "edge_perm"):

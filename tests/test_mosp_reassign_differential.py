@@ -22,9 +22,9 @@ from repro.dynamic import random_insert_batch, random_mixed_batch
 from repro.errors import AlgorithmError
 from repro.graph import DiGraph, erdos_renyi
 from repro.graph.csr import CSRGraph
-from repro.sssp.bellman_ford import frontier_bellman_ford
+from repro.graph.shards import live_edge_arrays
 from repro.types import DIST_DTYPE, INF, NO_PARENT
-from tests._mosp_reference import reassign_real_weights
+from tests._mosp_reference import build_ensemble_reference, reassign_real_weights
 from tests.test_properties import SETTINGS, graph_and_batches
 
 # ``repro.core.mosp_update`` is re-exported as the function; the module
@@ -57,14 +57,11 @@ def assert_bitwise(a, b):
     assert a.tobytes() == b.tobytes(), np.argwhere(a != b)[:5]
 
 
-def assert_matches_reference(r, g, trees, csr_kernels):
+def assert_matches_reference(r, g, trees):
     """Re-run Step 3 on the result's ensemble (deterministic, so the
     parents must come back equal), then price the same combined tree
     with the reference walk: the pipeline's vectors must be its bytes."""
-    if csr_kernels:
-        dist_c, parent_c = frontier_bellman_ford_csr(r.ensemble.csr, r.source)
-    else:
-        dist_c, parent_c = frontier_bellman_ford(r.ensemble.csr, r.source)
+    dist_c, parent_c = frontier_bellman_ford_csr(r.ensemble.csr, r.source)
     np.testing.assert_array_equal(parent_c, r.parent)
     assert_bitwise(r.dist_vectors,
                    reference_vectors(g, r.source, dist_c, parent_c, trees))
@@ -97,27 +94,26 @@ class TestPipelineMatchesReference:
         g, batches = data.draw(multigraph_and_batches(k))
         weighting = data.draw(st.sampled_from(["balanced", "priority",
                                                "unit"]))
-        csr_kernels = data.draw(st.booleans())
+        maintained = data.draw(st.booleans())
         prio = PRIORITIES[k] if weighting == "priority" else None
         trees = build_trees(g)
-        snapshot = CSRGraph.from_digraph(g) if csr_kernels else None
+        snapshot = CSRGraph.from_digraph(g) if maintained else None
         for batch in batches:
             batch.apply_to(g)
             if snapshot is not None:
                 snapshot.append_batch(batch)
             r = mosp_update(g, trees, batch, weighting=weighting,
-                            priorities=prio, use_csr_kernels=csr_kernels,
-                            csr=snapshot)
-            assert_matches_reference(r, g, trees, csr_kernels)
+                            priorities=prio, csr=snapshot)
+            assert_matches_reference(r, g, trees)
 
     def test_priority_weights_are_not_integers(self):
         g = erdos_renyi(60, 300, k=3, seed=21)
         trees = build_trees(g)
         r = mosp_update(g, trees, weighting="priority",
-                        priorities=PRIORITIES[3], use_csr_kernels=True)
+                        priorities=PRIORITIES[3])
         w = r.ensemble.csr.weights[:, 0]
         assert not np.all(w == np.round(w))
-        assert_matches_reference(r, g, trees, csr_kernels=True)
+        assert_matches_reference(r, g, trees)
 
     def test_snapshot_with_tail_and_tombstones(self):
         """Edges read from a maintained snapshot (base + tail, dead
@@ -130,10 +126,10 @@ class TestPipelineMatchesReference:
         batch.apply_to(g)
         snapshot.apply_batch(batch)
         assert snapshot.num_tail_edges and snapshot.num_dead
-        r = mosp_update(g, trees, batch, use_csr_kernels=True, csr=snapshot)
-        assert_matches_reference(r, g, trees, csr_kernels=True)
+        r = mosp_update(g, trees, batch, csr=snapshot)
+        assert_matches_reference(r, g, trees)
         dist_c, parent_c = frontier_bellman_ford_csr(r.ensemble.csr, 0)
-        from_csr = kernel_vectors(mosp_mod._live_edges(g, snapshot), g, 0,
+        from_csr = kernel_vectors(live_edge_arrays(snapshot), g, 0,
                                   dist_c, parent_c, trees)
         from_graph = kernel_vectors(g.edge_arrays(), g, 0, dist_c,
                                     parent_c, trees)
@@ -147,7 +143,7 @@ class TestPipelineMatchesReference:
         unreached = ~np.isfinite(r.dist_vectors).all(axis=1)
         assert unreached[-5:].all()
         assert np.isinf(r.dist_vectors[unreached]).all()
-        assert_matches_reference(r, g, trees, csr_kernels=False)
+        assert_matches_reference(r, g, trees)
 
     def test_incremental_driver(self):
         g = erdos_renyi(60, 240, k=2, seed=25)
@@ -208,9 +204,9 @@ class TestKernelCases:
         for v in range(1, n):
             g.add_edge(v - 1, v, rng.uniform(0.1, 10.0, 3))
         trees = build_trees(g)
-        r = mosp_update(g, trees, use_csr_kernels=True)
+        r = mosp_update(g, trees)
         assert r.path_to(n - 1) == list(range(n))
-        assert_matches_reference(r, g, trees, csr_kernels=True)
+        assert_matches_reference(r, g, trees)
 
     def test_missing_hop_edge_raises(self):
         g = DiGraph(3, k=2)
@@ -239,8 +235,8 @@ class TestEnsembleCounts:
     def test_lazy_occurrences_match_count_arrays(self):
         g = erdos_renyi(40, 160, k=3, seed=30)
         trees = build_trees(g)
-        fast = mosp_update(g, trees, use_csr_kernels=True).ensemble
-        loop = mosp_update(g, trees).ensemble
+        fast = mosp_update(g, trees).ensemble
+        loop = build_ensemble_reference(trees)
         assert "occurrences" not in vars(fast)  # not built on the hot path
         assert fast.occurrences == loop.occurrences
         assert sum(fast.occurrences.values()) == int(fast.edge_count.sum())

@@ -131,7 +131,7 @@ class TestAlgorithmPublishSites:
         assert len(r.update_stats) == 2
 
     def test_deletion_metrics_published(self):
-        from repro.core.deletion import sosp_update_fulldynamic
+        from repro.core import apply_mixed_batch
 
         g = DiGraph(4, k=1)
         g.add_edge(0, 1, 1.0)
@@ -142,10 +142,10 @@ class TestAlgorithmPublishSites:
         batch = ChangeBatch.deletions([(1, 2)], k=1)
         batch.apply_to(g)
         with use_metrics() as reg:
-            sosp_update_fulldynamic(g, tree, batch)
+            apply_mixed_batch(g, tree, batch)
         snap = reg.snapshot()
-        assert snap["deletion_invalidated_total"] >= 1.0
-        assert snap["deletion_repair_iterations"]["count"] == 1.0
+        assert snap["mixed_invalidated_total"] >= 1.0
+        assert snap["mixed_propagate_iterations"]["count"] == 1.0
         assert np.isclose(tree.dist[2], 10.0)
 
     def test_front_update_metrics_published(self):

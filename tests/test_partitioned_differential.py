@@ -71,7 +71,7 @@ def _run_sosp(engine, graph, batches):
         batch.apply_to(g)
         snapshot.append_batch(batch)
         sosp_update(g, tree, batch, engine=engine,
-                    use_csr_kernels=True, csr=snapshot)
+                    csr=snapshot)
     return g, tree
 
 
@@ -83,7 +83,7 @@ def _run_mixed(engine, graph, batches):
         batch.apply_to(g)
         snapshot.apply_batch(batch)
         apply_mixed_batch(g, tree, batch, engine=engine,
-                          use_csr_kernels=True, csr=snapshot)
+                          csr=snapshot)
     return g, tree
 
 
@@ -133,7 +133,7 @@ def test_mosp_matrix_equals_serial_oracle(data):
         batch.apply_to(g)
         snapshot.append_batch(batch)
         r = mosp_update(g, trees, batch, engine=engine,
-                        use_csr_kernels=True, csr=snapshot)
+                        csr=snapshot)
         for t in trees:
             t.certify(g)
         runs.append((engine, trees, r.dist_vectors.copy()))

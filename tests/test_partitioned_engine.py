@@ -152,12 +152,11 @@ class TestExchangeProtocol:
         batch.apply_to(g2)
         snap = CSRGraph.from_digraph(g)
         snap.append_batch(batch)
-        sosp_update(g2, ref, batch, use_csr_kernels=True)
+        sosp_update(g2, ref, batch)
         engine = PartitionedEngine(threads=1, partitions=1, inner="serial")
         try:
             batch.apply_to(g)
-            sosp_update(g, tree, batch, engine=engine, csr=snap,
-                        use_csr_kernels=True)
+            sosp_update(g, tree, batch, engine=engine, csr=snap)
         finally:
             engine.close()
         np.testing.assert_array_equal(tree.dist, ref.dist)
@@ -216,7 +215,7 @@ class TestPlanMaintenance:
                 snapshot.apply_batch(batch)
                 apply_mixed_batch(g_ref, ref, batch)
                 apply_mixed_batch(g, tree, batch, engine=engine,
-                                  use_csr_kernels=True, csr=snapshot)
+                                  csr=snapshot)
                 plan_ids.add(id(engine._plan))
                 np.testing.assert_array_equal(tree.dist, ref.dist)
                 tree.certify(g)
@@ -242,7 +241,7 @@ class TestPlanMaintenance:
 
             with pytest.raises(AlgorithmError, match="keep them in sync"):
                 sosp_update(g, tree, batch, engine=engine,
-                            use_csr_kernels=True, csr=snap)
+                            csr=snap)
         finally:
             engine.close()
 
@@ -392,7 +391,7 @@ class TestConstructionAndRegistry:
         assert isinstance(unwrap_checked(e), PartitionedEngine)
         assert e.threads == 3
         assert e.partitions == 2
-        assert e.supports_partitioned_update
+        assert callable(e.partitioned_sosp_update)  # the core routes here
         e.close()
 
     def test_unknown_engine_error_names_the_registry(self):
@@ -457,7 +456,7 @@ class TestWorkerSpanCollection:
             ))
             try:
                 sosp_update(g, tree, batch, engine=engine,
-                            use_csr_kernels=True, csr=snapshot)
+                            csr=snapshot)
             finally:
                 engine.close()
         tree.certify(g)

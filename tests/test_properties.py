@@ -11,13 +11,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import SOSPTree, mosp_update, sosp_update, sosp_update_fulldynamic
+from repro.core import SOSPTree, apply_mixed_batch, mosp_update, sosp_update
 from repro.dynamic import ChangeBatch
 from repro.graph import DiGraph
 from repro.mosp import dominates, martins, nondominated_against, pareto_filter
 from repro.mosp.dominance import is_dominated_by_any
 from repro.parallel import SimulatedEngine
 from repro.sssp import dijkstra
+from tests._sosp_reference import sosp_update_reference
 
 # ----------------------------------------------------------------------
 # strategies
@@ -115,7 +116,7 @@ class TestUpdateEqualsRecompute:
         tree = SOSPTree.build(g, 0)
         for batch in batches:
             batch.apply_to(g)
-            sosp_update(g, tree, batch, use_grouping=False)
+            sosp_update_reference(g, tree, batch, use_grouping=False)
             ref, _ = dijkstra(g, 0)
             np.testing.assert_allclose(tree.dist, ref, rtol=1e-12)
 
@@ -134,7 +135,7 @@ class TestUpdateEqualsRecompute:
                     continue
                 batch = ChangeBatch.deletions([(u, v)])
             batch.apply_to(g)
-            sosp_update_fulldynamic(g, tree, batch)
+            apply_mixed_batch(g, tree, batch)
             ref, _ = dijkstra(g, 0)
             np.testing.assert_allclose(tree.dist, ref, rtol=1e-12)
             tree.certify(g)
