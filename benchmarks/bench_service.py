@@ -38,7 +38,7 @@ def _drive(n, edits, queries, readers, workers, seed):
     g = road_like(n, k=1, seed=seed)
     service = UpdateService(
         g, 0, engine="shm", threads=workers,
-        flush_size=64, flush_latency=0.02,
+        flush_size=64,
     )
     service.start()
     try:

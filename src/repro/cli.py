@@ -19,7 +19,7 @@ Commands
     incremental-update statistics.
 ``serve``
     Run the always-on update service over a synthetic edit feed:
-    streaming ingest, size/latency coalescing, epoch-stamped MVCC
+    streaming ingest, group-commit coalescing, epoch-stamped MVCC
     snapshots, clean drain/stop.
 ``serve-load``
     Load-generate against a running service — concurrent mixed edits
@@ -188,9 +188,7 @@ def _add_serve_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--batch-size", type=int, default=25,
                      help="edits per generated feed step")
     sub.add_argument("--flush-size", type=int, default=64,
-                     help="coalescer size trigger (edits per applied batch)")
-    sub.add_argument("--flush-latency", type=float, default=0.02,
-                     help="coalescer latency trigger in seconds")
+                     help="largest group of edits one epoch applies")
     sub.add_argument("--max-pending", type=int, default=4096,
                      help="ingest back-pressure bound")
     sub.add_argument("--seed", type=int, default=0)
@@ -393,8 +391,7 @@ def _make_service(args):
     engine = _serve_engine(args)
     service = UpdateService(
         g, args.source, engine=engine,
-        flush_size=args.flush_size, flush_latency=args.flush_latency,
-        max_pending=args.max_pending,
+        flush_size=args.flush_size, max_pending=args.max_pending,
     )
     return service, engine
 
@@ -409,8 +406,8 @@ def _cmd_serve(args, out) -> int:
     service, engine = _make_service(args)
     g = service.graph
     print(f"serving: {g.num_vertices} vertices, {g.num_edges} edges "
-          f"(engine: {engine.name}, flush {args.flush_size} edits / "
-          f"{args.flush_latency * 1000:.0f} ms)", file=out)
+          f"(engine: {engine.name}, flush {args.flush_size} edits)",
+          file=out)
     replica = g.copy()
     steps = max(1, -(-args.edits // max(1, args.batch_size)))
     stream = ChangeStream(

@@ -3,8 +3,8 @@
 :class:`~repro.dynamic.changes.ChangeBatch` is the unit the update
 algorithms consume, but a live network does not deliver batches — it
 delivers individual edge events that *become* batches only once a
-coalescing policy (size/latency triggers, see
-:mod:`repro.service.coalesce`) cuts the stream.  This module provides
+coalescing policy (group commit, see :mod:`repro.service.coalesce`)
+cuts the stream.  This module provides
 the record-level vocabulary between the two:
 
 - :class:`EdgeEdit` — one edge event (insert / delete / re-weight),
@@ -51,7 +51,8 @@ class EdgeEdit(NamedTuple):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         tag = {KIND_DELETE: "del", KIND_INSERT: "ins", KIND_WEIGHT: "chg"}
         w = "" if self.weights is None else f", w={list(self.weights)}"
-        return f"EdgeEdit({tag[self.kind]} {self.u}->{self.v}{w})"
+        kind = tag.get(self.kind, f"kind={self.kind!r}")
+        return f"EdgeEdit({kind} {self.u}->{self.v}{w})"
 
 
 def edits_of(batch: ChangeBatch) -> Iterator[EdgeEdit]:

@@ -9,7 +9,8 @@ that
 1. **ingests** individual :class:`~repro.dynamic.feed.EdgeEdit` events
    into a bounded, back-pressured queue,
 2. **coalesces** them into :class:`~repro.dynamic.changes.ChangeBatch`
-   batches on size- and latency-triggers
+   batches by group commit — an idle writer takes every pending edit,
+   up to ``flush_size``, at once
    (:class:`~repro.service.coalesce.Coalescer` — the BatchHL-style
    batch-dynamic serving shape), and
 3. **applies** each batch through ``sosp_update`` /

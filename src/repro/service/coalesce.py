@@ -1,14 +1,15 @@
-"""Size- and latency-triggered coalescing of edge edits into batches.
+"""Group-commit coalescing of edge edits into batches.
 
 The ingest half of the service: producers :meth:`~Coalescer.offer`
 individual edits into a bounded buffer; the single writer thread
-:meth:`~Coalescer.take`\\ s them back as flush groups.  A flush is cut
-when either
-
-- **size**: ``flush_size`` edits are pending (a full batch amortises
-  one update pass over many edits — the batch-dynamic model), or
-- **latency**: the oldest pending edit has waited ``flush_latency``
-  seconds (a trickle of edits must still reach readers promptly).
+:meth:`~Coalescer.take`\\ s them back as flush groups.  The writer
+blocks only while the buffer is empty; once any edit is pending it
+takes every pending edit, up to ``flush_size``, at once (group
+commit).  Nothing waits on a clock: a trickle reaches readers one
+update pass after it arrives, and under load groups grow back to
+``flush_size`` on their own, because edits pile up while the writer
+applies the previous group (a full batch amortises one update pass
+over many edits — the batch-dynamic model).
 
 The buffer is bounded at ``max_pending``: a producer that outruns the
 writer blocks in ``offer`` (or times out) instead of growing the queue
@@ -33,33 +34,26 @@ __all__ = ["Coalescer"]
 
 
 class Coalescer:
-    """Bounded edit buffer with size/latency flush triggers."""
+    """Bounded edit buffer whose writer takes whatever is pending."""
 
-    def __init__(
-        self,
-        flush_size: int = 128,
-        flush_latency: float = 0.05,
-        max_pending: int = 4096,
-    ) -> None:
+    def __init__(self, flush_size: int = 128, max_pending: int = 4096) -> None:
         if flush_size < 1:
             raise ReproError(f"flush_size must be >= 1, got {flush_size}")
-        if flush_latency <= 0:
-            raise ReproError(
-                f"flush_latency must be > 0, got {flush_latency}"
-            )
         if max_pending < flush_size:
             raise ReproError(
                 f"max_pending ({max_pending}) must be >= flush_size "
                 f"({flush_size})"
             )
         self.flush_size = int(flush_size)
-        self.flush_latency = float(flush_latency)
         self.max_pending = int(max_pending)
         self._edits: Deque[Tuple[float, EdgeEdit]] = deque()
         self._cond = threading.Condition()
         self._closed = False
         self.offered_total = 0
         self.rejected_total = 0
+        #: Arrival time (:func:`perf`) of the oldest edit in the group
+        #: :meth:`take` returned last — the writer's freshness anchor.
+        self.taken_since = 0.0
 
     # ----------------------------------------------------------- state
     @property
@@ -106,40 +100,25 @@ class Coalescer:
 
     # ---------------------------------------------------------- writer
     def take(self, timeout: Optional[float] = None) -> List[EdgeEdit]:
-        """Wait for a flush trigger; return the flushed edits.
+        """Wait until an edit is pending; return the next group.
 
-        Cuts at most ``flush_size`` edits (FIFO).  An empty list means
-        the wait timed out with no trigger, or the coalescer is closed
-        and fully drained — the writer's signal to exit its loop.
+        The group is every pending edit, up to ``flush_size``, in FIFO
+        order.  An empty list means the wait timed out with nothing
+        pending, or the coalescer is closed and fully drained — the
+        writer's signal to exit its loop.
         """
         with self._cond:
-            deadline = None if timeout is None else perf() + float(timeout)
-            while True:
-                n = len(self._edits)
-                if n >= self.flush_size:
-                    break
-                if self._closed:
-                    break  # flush whatever remains, then []
-                now = perf()
-                if n:
-                    age = now - self._edits[0][0]
-                    if age >= self.flush_latency:
-                        break
-                    wait = self.flush_latency - age
-                else:
-                    wait = None
-                if deadline is not None:
-                    remaining = deadline - now
-                    if remaining <= 0:
-                        return []
-                    wait = remaining if wait is None else min(wait, remaining)
-                self._cond.wait(wait)
+            self._cond.wait_for(
+                lambda: bool(self._edits) or self._closed, timeout
+            )
+            if not self._edits:
+                return []  # timed out, or closed and drained
+            self.taken_since = self._edits[0][0]
             out = [
                 self._edits.popleft()[1]
                 for _ in range(min(self.flush_size, len(self._edits)))
             ]
-            if out:
-                self._cond.notify_all()  # wake producers blocked on full
+            self._cond.notify_all()  # wake producers blocked on full
             return out
 
     def close(self) -> None:

@@ -4,7 +4,7 @@ Threading model
 ---------------
 One **writer thread** owns every piece of mutable state — the graph,
 the SOSP tree, the CSR mirror, the engine — and runs the ingest loop:
-take a coalesced flush group, recompose it into a
+take the next group of pending edits, recompose it into a
 :class:`~repro.dynamic.changes.ChangeBatch`, apply it (graph → CSR →
 ``sosp_update``/``apply_mixed_batch``), then publish the next
 :class:`~repro.service.snapshot.EpochSnapshot`.  Publication is a
@@ -20,27 +20,36 @@ Lifecycle
 ``RUNNING``/``DRAINING`` when a batch application raises.  A failed
 service is *degraded, not gone*: the last good epoch keeps serving
 reads, producers get an error instead of silent loss, and
-:attr:`UpdateService.error` carries the cause.  ``stop(drain=True)``
-closes ingest, lets the writer work the queue dry, joins it, and
-releases the engine (when the service created it).
+:attr:`UpdateService.error` carries the cause.  Malformed edits never
+get that far: :meth:`UpdateService.submit` refuses them with a
+:class:`~repro.errors.BatchError` before they are enqueued, so one bad
+edit costs its producer an error, not every client the service.
+``stop(drain=True)`` closes ingest, lets the writer work the queue
+dry, joins it, and releases the engine (when the service created it).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core import SOSPTree, apply_mixed_batch, sosp_update
-from repro.dynamic.changes import KIND_INSERT, ChangeBatch
+from repro.dynamic.changes import (
+    KIND_DELETE,
+    KIND_INSERT,
+    KIND_WEIGHT,
+    ChangeBatch,
+)
 from repro.dynamic.feed import EdgeEdit, batch_of, edits_of
-from repro.errors import ReproError
+from repro.errors import BatchError, ReproError
 from repro.graph import CSRGraph, DiGraph
 from repro.obs.clock import perf
-from repro.obs.metrics import get_metrics
+from repro.obs.metrics import get_metrics, labeled_name
 from repro.obs.tracer import get_tracer
 from repro.parallel import resolve_engine
 from repro.service.coalesce import Coalescer
 from repro.service.snapshot import EpochSnapshot
+from repro.types import INF
 
 __all__ = ["ServiceState", "UpdateService"]
 
@@ -69,8 +78,13 @@ class UpdateService:
         An engine instance, or an engine name for
         :func:`~repro.parallel.resolve_engine` (the service closes
         engines it resolved itself; instances stay caller-owned).
-    flush_size / flush_latency / max_pending:
-        Coalescing policy — see :class:`~repro.service.coalesce.Coalescer`.
+    flush_size / max_pending:
+        Group-commit policy — see
+        :class:`~repro.service.coalesce.Coalescer`.
+    flush_latency:
+        Accepted and ignored: groups are no longer held for a timer.
+        Kept only because the benchmark harness still passes it; the
+        next benchmark change removes it.
     """
 
     def __init__(
@@ -94,9 +108,7 @@ class UpdateService:
         self.tree = SOSPTree.build(graph, self.source)
         self.csr = CSRGraph.from_digraph(graph)
         self.coalescer = Coalescer(
-            flush_size=flush_size,
-            flush_latency=flush_latency,
-            max_pending=max_pending,
+            flush_size=flush_size, max_pending=max_pending
         )
         self.state = ServiceState.NEW
         self.error: Optional[BaseException] = None
@@ -138,16 +150,51 @@ class UpdateService:
 
         Returns ``False`` when the queue stayed full for ``timeout``
         seconds.  Raises once the service stopped accepting (drained,
-        stopped, or failed).
+        stopped, or failed), and raises :class:`BatchError` for an
+        edit the writer could not apply (counted in
+        ``service_rejected_edits_total{reason}``).
         """
         if self.state not in (ServiceState.RUNNING,):
             raise ReproError(f"submit() in state {self.state!r}")
+        bad = self._check(edit)
+        if bad is not None:
+            reason, why = bad
+            get_metrics().counter(
+                labeled_name("service_rejected_edits_total",
+                             {"reason": reason}),
+                "edits refused at submit(), by reason",
+            ).inc()
+            raise BatchError(f"rejected {edit!r}: {why}")
         return self.coalescer.offer(edit, timeout=timeout)
+
+    def _check(self, edit: EdgeEdit) -> Optional[Tuple[str, str]]:
+        """``(reason, message)`` when ``edit`` must not be enqueued.
+
+        Scalar checks only: this runs on the producer's thread for
+        every edit."""
+        kind, u, v, weights = edit
+        if kind not in (KIND_DELETE, KIND_INSERT, KIND_WEIGHT):
+            return "kind", f"unknown kind {kind!r}"
+        n = self.graph.num_vertices
+        if not (0 <= u < n and 0 <= v < n):
+            return "vertex", f"endpoint outside [0, {n})"
+        if kind == KIND_DELETE:
+            return None
+        k = self.graph.num_objectives
+        if weights is None or len(weights) != k:
+            return "arity", f"expected {k} weights"
+        for w in weights:
+            if not 0.0 <= w < INF:  # also false for NaN
+                return "weight", f"weight {w!r} is not finite and >= 0"
+        return None
 
     def submit_batch(
         self, batch: ChangeBatch, timeout: Optional[float] = None
     ) -> int:
-        """Offer every record of ``batch``; returns edits accepted."""
+        """Offer every record of ``batch``; returns edits accepted.
+
+        A malformed record raises :class:`BatchError` from
+        :meth:`submit`; the records before it stay accepted."""
         accepted = 0
         for edit in edits_of(batch):
             if not self.submit(edit, timeout=timeout):
@@ -231,6 +278,10 @@ class UpdateService:
         batch_hist = metrics.histogram(
             "service_batch_seconds", "apply+publish seconds per flush group"
         )
+        fresh_hist = metrics.histogram(
+            "service_freshness_seconds",
+            "age of each group's oldest edit when its epoch is published",
+        )
         epoch_counter = metrics.counter(
             "service_epochs_total", "snapshots published since start"
         )
@@ -260,7 +311,9 @@ class UpdateService:
                 ):
                     self._apply(edits)
                     self._publish()
-                batch_hist.observe(perf() - t0)
+                t1 = perf()
+                batch_hist.observe(t1 - t0)
+                fresh_hist.observe(t1 - self.coalescer.taken_since)
                 epoch_counter.inc()
                 edit_counter.inc(float(len(edits)))
                 self.edits_applied += len(edits)

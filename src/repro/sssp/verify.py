@@ -14,7 +14,9 @@ A ``(dist, parent)`` pair is a correct SSSP solution iff
 Conditions 2+3 together certify optimality — this is the standard
 LP-duality argument, checked in O(n + m).  The incremental algorithms
 are validated against this certificate after every batch in the test
-suite, independently of any reference distances.
+suite, independently of any reference distances.  Every check is an
+array pass over all vertices or all edges; the per-vertex loops it
+replaced live on as the oracle in ``tests/_verify_reference.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from repro.errors import TreeInvariantError
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
-from repro.types import INF, NO_PARENT, FloatArray, IntArray
+from repro.types import INF, NO_PARENT, BoolArray, FloatArray, IntArray
 
 __all__ = ["certify_sssp", "is_valid_sssp"]
 
@@ -72,49 +74,47 @@ def certify_sssp(
                 f"dist[{csr.indices[e]}]={dv[e]} > {du[e]} + {w[e]}"
             )
 
-    # 3/4. parent-edge tightness and unreachable consistency
-    for v in range(n):
-        p = int(parent[v])
-        if dist[v] == INF:
-            if p != NO_PARENT:
-                raise TreeInvariantError(
-                    f"unreachable vertex {v} has parent {p}"
-                )
-            continue
-        if v == source:
-            continue
-        if p == NO_PARENT:
-            raise TreeInvariantError(f"reachable vertex {v} has no parent")
-        if not 0 <= p < n:
-            raise TreeInvariantError(f"parent[{v}]={p} out of range")
-        # tight parent edge must exist
-        nbrs = csr.in_neighbors(v)
-        ws = csr.in_weights(v, objective)
-        mask = nbrs == p
-        if not mask.any():
-            raise TreeInvariantError(f"no edge ({p}, {v}) for parent pointer")
-        gap = np.abs(dist[p] + ws[mask] - dist[v])
-        if gap.min() > tol:
-            raise TreeInvariantError(
-                f"parent edge ({p}, {v}) not tight: "
-                f"dist[{p}]+w={dist[p] + ws[mask].min()} vs dist[{v}]={dist[v]}"
-            )
+    # 3/4. unreachable consistency and parent-edge tightness, as
+    # masks over all vertices (NaN distances count as reachable)
+    reach = dist != INF
+    has_parent = parent != NO_PARENT
+    needs = reach.copy()  # reachable non-source: must hang off a parent
+    needs[source] = False
+    _fail_at(~reach & has_parent, parent,
+             "unreachable vertex {v} has parent {p}")
+    _fail_at(needs & ~has_parent, parent,
+             "reachable vertex {v} has no parent")
+    _fail_at(needs & ((parent < 0) | (parent >= n)), parent,
+             "parent[{v}]={p} out of range")
+    # every vertex with a parent is now a reachable non-source one, so
+    # the edges (parent[v], v) are exactly those whose tail is their
+    # head's parent
+    w = csr.weights[:, objective]
+    cand = parent[csr.indices] == csr.src
+    heads = csr.indices[cand]
+    covered = np.zeros(n, dtype=bool)
+    covered[heads] = True
+    _fail_at(needs & ~covered, parent,
+             "no edge ({p}, {v}) for parent pointer")
+    gap = np.abs(dist[csr.src[cand]] + w[cand] - dist[heads])
+    covered[:] = False
+    covered[heads[~(gap > tol)]] = True  # not <= tol: a NaN gap passes
+    _fail_at(needs & ~covered, parent, "parent edge ({p}, {v}) not tight")
 
-    # 5. acyclicity of parent pointers
-    state = np.zeros(n, dtype=np.int8)  # 0 unvisited, 1 in progress, 2 done
-    for v0 in range(n):
-        if state[v0] or dist[v0] == INF:
-            continue
-        path = []
-        v = v0
-        while v != NO_PARENT and state[v] == 0:
-            state[v] = 1
-            path.append(v)
-            v = int(parent[v])
-        if v != NO_PARENT and state[v] == 1:
-            raise TreeInvariantError(f"parent pointers cycle through {v}")
-        for u in path:
-            state[u] = 2
+    # 5. acyclicity by pointer jumping: roots point at themselves, and
+    # bit_length(n) squarings climb >= n steps up every chain, so a
+    # vertex that has not landed on a root hangs off a cycle
+    anc = np.where(has_parent, parent, np.arange(n))
+    for _ in range(n.bit_length()):
+        anc = anc[anc]
+    _fail_at(has_parent[anc], parent, "parent pointers of {v} cycle")
+
+
+def _fail_at(bad: BoolArray, parent: IntArray, msg: str) -> None:
+    """Raise ``msg`` for the lowest vertex flagged in ``bad``."""
+    if bad.any():
+        v = int(np.flatnonzero(bad)[0])
+        raise TreeInvariantError(msg.format(v=v, p=int(parent[v])))
 
 
 def is_valid_sssp(

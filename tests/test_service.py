@@ -1,4 +1,5 @@
-"""Tests for :mod:`repro.service`: coalescing, MVCC epochs, lifecycle.
+"""Tests for :mod:`repro.service`: group commit, MVCC epochs, lifecycle,
+ingress validation.
 
 Includes the satellite property test: a reader holding epoch ``e``
 observes bitwise-identical ``dist``/``parent`` arrays while at least
@@ -7,15 +8,24 @@ three further batches land concurrently on the writer thread.
 
 from __future__ import annotations
 
+from time import perf_counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SOSPTree
-from repro.dynamic import ChangeStream, EdgeEdit, KIND_INSERT, stream_edits
-from repro.errors import ReproError
+from repro.dynamic import (
+    KIND_DELETE,
+    KIND_INSERT,
+    ChangeStream,
+    EdgeEdit,
+    stream_edits,
+)
+from repro.errors import BatchError, ReproError
 from repro.graph import erdos_renyi, grid_road
+from repro.obs.metrics import use_metrics
 from repro.parallel import SharedMemoryEngine
 from repro.service import (
     Coalescer,
@@ -24,6 +34,7 @@ from repro.service import (
     UpdateService,
     run_load,
 )
+from repro.sssp import dijkstra
 
 INS = KIND_INSERT
 
@@ -34,27 +45,39 @@ def _edit(i: int) -> EdgeEdit:
 
 class TestCoalescer:
     def test_size_trigger_cuts_a_full_flush(self):
-        c = Coalescer(flush_size=4, flush_latency=30.0)
+        c = Coalescer(flush_size=4)
         for i in range(9):
             assert c.offer(_edit(i))
-        # latency can't fire for 30s; only the size trigger can cut
+        # nine pending: flush_size caps the group
         got = c.take(timeout=2.0)
         assert [e.u for e in got] == [0, 1, 2, 3]
         assert c.depth == 5
 
-    def test_latency_trigger_flushes_a_trickle(self):
-        c = Coalescer(flush_size=1000, flush_latency=0.02)
+    def test_group_commit_takes_a_lone_edit_at_once(self):
+        c = Coalescer(flush_size=1000)
+        offered = perf_counter()
         c.offer(_edit(7))
-        got = c.take(timeout=2.0)  # far below flush_size: age must cut
+        t0 = perf_counter()
+        got = c.take(timeout=5.0)  # far below flush_size: no wait
+        assert perf_counter() - t0 < 1.0
         assert [e.u for e in got] == [7]
+        assert c.depth == 0
+        assert offered <= c.taken_since <= t0  # the edit's arrival stamp
+
+    def test_group_commit_drains_a_backlog_in_fifo_groups(self):
+        c = Coalescer(flush_size=4)
+        for i in range(10):  # 2.5 x flush_size
+            assert c.offer(_edit(i))
+        groups = [[e.u for e in c.take(timeout=1.0)] for _ in range(3)]
+        assert groups == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
         assert c.depth == 0
 
     def test_take_times_out_empty(self):
-        c = Coalescer(flush_size=4, flush_latency=0.01)
+        c = Coalescer(flush_size=4)
         assert c.take(timeout=0.05) == []
 
     def test_back_pressure_rejects_on_timeout(self):
-        c = Coalescer(flush_size=2, flush_latency=30.0, max_pending=2)
+        c = Coalescer(flush_size=2, max_pending=2)
         assert c.offer(_edit(0)) and c.offer(_edit(1))
         # full, and nobody is taking: the producer must get the signal
         assert c.offer(_edit(2), timeout=0.05) is False
@@ -64,7 +87,7 @@ class TestCoalescer:
         assert c.offer(_edit(2), timeout=0.05) is True
 
     def test_close_drains_then_signals_exhaustion(self):
-        c = Coalescer(flush_size=100, flush_latency=30.0)
+        c = Coalescer(flush_size=100)
         c.offer(_edit(0))
         c.close()
         with pytest.raises(ReproError):
@@ -76,8 +99,6 @@ class TestCoalescer:
     def test_rejects_bad_policy(self):
         with pytest.raises(ReproError):
             Coalescer(flush_size=0)
-        with pytest.raises(ReproError):
-            Coalescer(flush_latency=0.0)
         with pytest.raises(ReproError):
             Coalescer(flush_size=10, max_pending=5)
 
@@ -152,8 +173,7 @@ def _drive_edits(service, *, steps=3, batch_size=8, seed=1,
 
 class TestServiceLifecycle:
     def test_states_through_a_clean_run(self):
-        svc = UpdateService(grid_road(4, 4, seed=0), 0, flush_size=8,
-                            flush_latency=0.005)
+        svc = UpdateService(grid_road(4, 4, seed=0), 0, flush_size=8)
         assert svc.state == ServiceState.NEW
         assert svc.snapshot().epoch == 0  # epoch 0 serves before start
         svc.start()
@@ -186,8 +206,7 @@ class TestServiceLifecycle:
         assert svc.stop()
 
     def test_context_manager_starts_and_drains(self):
-        with UpdateService(grid_road(4, 4, seed=0), 0, flush_size=4,
-                           flush_latency=0.005) as svc:
+        with UpdateService(grid_road(4, 4, seed=0), 0, flush_size=4) as svc:
             assert svc.state == ServiceState.RUNNING
             _drive_edits(svc, steps=1, batch_size=4)
             assert svc.drain(timeout=30.0)
@@ -215,7 +234,7 @@ class TestServiceCorrectness:
     def test_final_epoch_matches_recompute(self, insert_fraction,
                                            weight_change_fraction):
         g = erdos_renyi(60, 240, seed=3)
-        svc = UpdateService(g, 0, flush_size=10, flush_latency=0.005)
+        svc = UpdateService(g, 0, flush_size=10)
         svc.start()
         try:
             _drive_edits(
@@ -233,10 +252,68 @@ class TestServiceCorrectness:
         assert snap.verify()
 
 
+_POISON = [  # (reason, edit) — one of each kind submit() must refuse
+    ("kind", EdgeEdit(7, 0, 1, (1.0,))),
+    ("vertex", EdgeEdit(INS, 0, 16, (1.0,))),
+    ("vertex", EdgeEdit(KIND_DELETE, -1, 1)),
+    ("arity", EdgeEdit(INS, 0, 1, None)),
+    ("arity", EdgeEdit(INS, 0, 1, (1.0, 2.0))),
+    ("weight", EdgeEdit(INS, 0, 1, (float("nan"),))),
+    ("weight", EdgeEdit(INS, 0, 1, (float("inf"),))),
+    ("weight", EdgeEdit(INS, 0, 1, (-1.0,))),
+]
+
+
+class TestIngress:
+    def test_poison_edits_are_rejected_at_submit(self):
+        g = grid_road(4, 4, seed=0)  # n = 16, k = 1
+        replica = g.copy()
+        valid = stream_edits(ChangeStream(
+            replica, batch_size=len(_POISON) + 1, steps=1,
+            insert_fraction=0.6, weight_change_fraction=0.2, seed=4,
+        ))
+        with use_metrics() as reg:
+            svc = UpdateService(g, 0, flush_size=4).start()
+            try:
+                assert svc.submit(next(valid), timeout=10.0)
+                for reason, bad in _POISON:
+                    with pytest.raises(BatchError, match="rejected"):
+                        svc.submit(bad)
+                    assert svc.submit(next(valid), timeout=10.0)
+                assert svc.drain(timeout=30.0)
+                assert svc.state == ServiceState.RUNNING
+                assert svc.error is None
+            finally:
+                assert svc.stop(drain=True, timeout=30.0)
+            counts = reg.snapshot()
+        for reason in ("kind", "vertex", "arity", "weight"):
+            want = sum(r == reason for r, _ in _POISON)
+            key = f'service_rejected_edits_total{{reason="{reason}"}}'
+            assert counts[key] == want
+        assert svc.edits_applied == len(_POISON) + 1
+        dist, _ = dijkstra(svc.graph, 0)
+        np.testing.assert_array_equal(svc.snapshot().dist, dist)
+
+    def test_freshness_is_observed_once_per_epoch(self):
+        with use_metrics() as reg:
+            with UpdateService(grid_road(4, 4, seed=0), 0,
+                               flush_size=4) as svc:
+                _drive_edits(svc, steps=2, batch_size=4)
+                assert svc.drain(timeout=30.0)
+            fresh = reg.snapshot()["service_freshness_seconds"]
+        assert fresh["count"] == svc.epochs_published >= 1
+        assert 0.0 <= fresh["min"] <= fresh["max"] < 30.0
+
+    def test_flush_latency_keyword_is_accepted_and_ignored(self):
+        svc = UpdateService(grid_road(3, 3, seed=0), 0, flush_size=4,
+                            flush_latency=0.05)
+        assert not hasattr(svc.coalescer, "flush_latency")
+        assert svc.stop()
+
+
 class TestDegradedMode:
     def test_failed_writer_keeps_serving_the_last_epoch(self):
-        svc = UpdateService(grid_road(4, 4, seed=0), 0, flush_size=2,
-                            flush_latency=0.005)
+        svc = UpdateService(grid_road(4, 4, seed=0), 0, flush_size=2)
 
         def boom(edits):
             raise RuntimeError("apply exploded")
@@ -266,7 +343,7 @@ class TestDegradedMode:
 class TestLoadGenerator:
     def test_serial_smoke_run_is_clean(self):
         svc = UpdateService(erdos_renyi(80, 320, seed=2), 0,
-                            flush_size=10, flush_latency=0.005)
+                            flush_size=10)
         svc.start()
         try:
             report = run_load(svc, edits=40, queries=60, readers=1,
@@ -297,7 +374,7 @@ class TestSnapshotIsolation:
     def _pin_and_update(self, engine, seed, *, steps=3, batch_size=8):
         g = grid_road(5, 5, seed=seed % 97)
         svc = UpdateService(g, 0, engine=engine, threads=2,
-                            flush_size=batch_size, flush_latency=0.005)
+                            flush_size=batch_size)
         svc.start()
         try:
             pinned = svc.snapshot()
