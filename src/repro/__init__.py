@@ -16,7 +16,7 @@ Public API highlights
 - :func:`repro.core.mosp_update` — Algorithm 2: single-MOSP heuristic
   update via per-objective tree updates + ensemble graph.
 - :mod:`repro.parallel` — pluggable execution engines (serial, threads,
-  processes, simulated parallel machine).
+  shared-memory processes, simulated parallel machine).
 - :mod:`repro.sssp` / :mod:`repro.mosp` — from-scratch baselines
   (Dijkstra, Bellman-Ford, Δ-stepping, Martins' Pareto enumeration).
 """

@@ -33,9 +33,6 @@ R006   a slab kernel's inferred write-set (direct stores, numpy
 R007   callables handed to process-backed engines must be importable
        module-level functions (no lambdas, closures, bound methods);
        ``SlabTask.ref`` strings must resolve
-R008   the partitioned boundary exchange publishes distances only
-       under a strict-improvement comparison and never writes
-       non-exchange (ghost-owned) state
 =====  ==============================================================
 
 Run it as ``python -m repro.analysis src tests benchmarks examples``.

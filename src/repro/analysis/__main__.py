@@ -27,7 +27,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.analysis",
         description=(
             "Concurrency-invariant analyzer for the repro package "
-            "(rules R000-R008; see docs/INVARIANTS.md)"
+            "(rules R000-R007; see docs/INVARIANTS.md)"
         ),
     )
     parser.add_argument(

@@ -1,5 +1,4 @@
-"""The interprocedural rules: R006 (write-sets), R007 (spawn safety),
-R008 (boundary-exchange monotonicity).
+"""The interprocedural rules: R006 (write-sets) and R007 (spawn safety).
 
 Unlike R001-R005, these rules read the :class:`~repro.analysis.symbols.
 ProjectContext` the runner attaches to every :class:`FileContext`: a
@@ -18,9 +17,9 @@ from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 from repro.analysis.dataflow import infer_slab_writes, slab_positional_params
 from repro.analysis.rules import Rule
 from repro.analysis.runner import FileContext, Finding
-from repro.analysis.symbols import ModuleInfo, ProjectContext, dotted_name
+from repro.analysis.symbols import ModuleInfo, ProjectContext
 
-__all__ = ["RuleR006", "RuleR007", "RuleR008"]
+__all__ = ["RuleR006", "RuleR007"]
 
 _BUILTIN_NAMES = frozenset(dir(builtins))
 
@@ -30,8 +29,8 @@ _SLABTASK_FIELDS = ("ref", "arrays", "params", "writes")
 #: Engine constructors whose ``parallel_for``/``map_reduce`` cross a
 #: process boundary (spawn pickling).  Thread/serial/simulated engines
 #: run closures natively and are exempt.
-_PROCESS_ENGINE_CLASSES = frozenset({"ProcessEngine", "SharedMemoryEngine"})
-_PROCESS_ENGINE_NAMES = frozenset({"processes", "shm"})
+_PROCESS_ENGINE_CLASSES = frozenset({"SharedMemoryEngine"})
+_PROCESS_ENGINE_NAMES = frozenset({"shm"})
 
 
 def _project_of(ctx: FileContext) -> Tuple[ProjectContext, Optional[ModuleInfo]]:
@@ -221,7 +220,7 @@ class RuleR007(Rule):
         """Walk ``stmts`` without descending into nested scopes.
 
         Engine variables are tracked lexically: an ``eng`` bound to a
-        ``ProcessEngine`` inside one function must not taint an ``eng``
+        ``SharedMemoryEngine`` inside one function must not taint an ``eng``
         bound to a thread engine in a sibling function, so each
         def/class body is analysed as its own scope (inheriting the
         enclosing bindings) rather than in one file-global pass.
@@ -458,148 +457,3 @@ class RuleR007(Rule):
                 "module-level function in its module",
             )
         # unknown-module: outside the lint run's view — nothing provable
-
-
-# ----------------------------------------------------------------- R008
-#: Subscript-store targets the exchange path legitimately owns (by
-#: trailing attribute name): the distance array itself (guarded), the
-#: repropagation seed bookkeeping, and the emit high-water snapshot.
-_R008_EXCHANGE_STATE = frozenset({"marked", "pending", "bnd_sent"})
-
-
-class RuleR008(Rule):
-    """Boundary exchange may only publish strict distance improvements.
-
-    The partitioned fixpoint argument (docs/PARALLEL.md) needs every
-    cross-shard delivery to be a monotone decrease into a ghost copy;
-    a non-strict publish can ping-pong equal distances forever, and a
-    write to any non-exchange array from the exchange path bypasses
-    shard ownership.
-    """
-
-    code = "R008"
-    summary = (
-        "exchange path publishes distances without strict improvement "
-        "or writes non-exchange state"
-    )
-    hint = (
-        "guard every dist store in the exchange path with a strict "
-        "comparison (new < current) and keep ghost deliveries limited "
-        "to dist/marked/pending updates on the destination shard"
-    )
-
-    def applies(self, ctx: FileContext) -> bool:
-        return ctx.repro_rel == "parallel/backends/partitioned.py"
-
-    # -- locating exchange regions --------------------------------------
-    def _is_exchange_span(self, node: ast.AST) -> bool:
-        if not isinstance(node, (ast.With, ast.AsyncWith)):
-            return False
-        for item in node.items:
-            expr = item.context_expr
-            if (
-                isinstance(expr, ast.Call)
-                and isinstance(expr.func, ast.Attribute)
-                and expr.func.attr == "span"
-                and expr.args
-                and isinstance(expr.args[0], ast.Constant)
-                and isinstance(expr.args[0].value, str)
-                and "exchange" in expr.args[0].value
-            ):
-                return True
-        return False
-
-    def _regions(self, ctx: FileContext) -> Iterator[ast.AST]:
-        spans: List[ast.AST] = []
-        for node in ast.walk(ctx.tree):
-            if self._is_exchange_span(node):
-                spans.append(node)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name == "emit" or "exchange" in node.name:
-                    spans.append(node)
-        # drop regions nested inside another region (avoid duplicates)
-        for region in spans:
-            if not any(
-                other is not region
-                and any(n is region for n in ast.walk(other))
-                for other in spans
-            ):
-                yield region
-
-    # -- the check ------------------------------------------------------
-    @staticmethod
-    def _store_base(node: ast.expr) -> Optional[str]:
-        while isinstance(node, ast.Subscript):
-            node = node.value
-        return dotted_name(node)
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        seen: Set[Tuple[int, int, str]] = set()
-        for region in self._regions(ctx):
-            strict: List[str] = []
-            nonstrict: List[str] = []
-            for node in ast.walk(region):
-                if not isinstance(node, ast.Compare):
-                    continue
-                is_strict = any(
-                    isinstance(op, (ast.Lt, ast.Gt)) for op in node.ops
-                )
-                is_loose = any(
-                    isinstance(op, (ast.LtE, ast.GtE)) for op in node.ops
-                )
-                for operand in [node.left, *node.comparators]:
-                    base = self._store_base(operand)
-                    if base is None:
-                        continue
-                    if is_strict:
-                        strict.append(base)
-                    elif is_loose:
-                        nonstrict.append(base)
-            has_strict_dist_guard = any(
-                b.split(".")[-1] == "dist" for b in strict
-            )
-            only_loose_guard = any(
-                b.split(".")[-1] == "dist" for b in nonstrict
-            )
-            for node in ast.walk(region):
-                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                    targets: Sequence[ast.expr] = (
-                        node.targets
-                        if isinstance(node, ast.Assign)
-                        else [node.target]
-                    )
-                else:
-                    continue
-                for target in targets:
-                    if not isinstance(target, ast.Subscript):
-                        continue
-                    base = self._store_base(target)
-                    if base is None:
-                        continue
-                    last = base.split(".")[-1]
-                    if last == "dist":
-                        if not has_strict_dist_guard:
-                            qualifier = (
-                                "only a non-strict (<=/>=) comparison"
-                                if only_loose_guard
-                                else "no improvement comparison"
-                            )
-                            msg = (
-                                f"exchange path stores into '{base}' "
-                                f"with {qualifier} in scope; deliveries "
-                                "must be strict improvements"
-                            )
-                            key = (node.lineno, node.col_offset, msg)
-                            if key not in seen:
-                                seen.add(key)
-                                yield self.finding(ctx, node, msg)
-                    elif last not in _R008_EXCHANGE_STATE:
-                        msg = (
-                            f"exchange path writes '{base}', which is "
-                            "not exchange-owned state; ghost deliveries "
-                            "may only touch dist/marked/pending"
-                        )
-                        key = (node.lineno, node.col_offset, msg)
-                        if key not in seen:
-                            seen.add(key)
-                            yield self.finding(ctx, node, msg)

@@ -7,7 +7,7 @@ protects.  Rules are heuristic AST checks, not a type system — they
 aim for zero false negatives on the bug classes that have actually
 bitten shared-memory SSSP codebases, at the cost of requiring an
 explicit ``# repro: noqa(R00x)`` for the rare intentional exception.
-The interprocedural rules (R006-R008) live in
+The interprocedural rules (R006, R007) live in
 :mod:`repro.analysis.deep_rules` and join the registry at the bottom
 of this module.
 """
@@ -626,7 +626,7 @@ class RuleR005(Rule):
 
 # The interprocedural rules import ``Rule`` from this module, so this
 # import must sit below the class definitions (cycle bottoms out here).
-from repro.analysis.deep_rules import RuleR006, RuleR007, RuleR008  # noqa: E402
+from repro.analysis.deep_rules import RuleR006, RuleR007  # noqa: E402
 
 ALL_RULES: Tuple[Rule, ...] = (
     RuleR000(),
@@ -637,5 +637,4 @@ ALL_RULES: Tuple[Rule, ...] = (
     RuleR005(),
     RuleR006(),
     RuleR007(),
-    RuleR008(),
 )

@@ -17,7 +17,7 @@ Two pieces of machinery live here rather than in a rule class:
 - **The project pass.**  :func:`lint_paths` builds one
   :class:`~repro.analysis.symbols.ProjectContext` over every file in
   the run before any rule executes, so the interprocedural rules
-  (R006-R008) can resolve kernel references across files.  With
+  (R006, R007) can resolve kernel references across files.  With
   ``jobs > 1`` the per-file work fans out over a process pool; results
   are merged and sorted by :attr:`Finding.sort_key`, so parallel runs
   are byte-identical to serial ones.

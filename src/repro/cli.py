@@ -64,11 +64,11 @@ from repro.obs import (
     use_tracer,
 )
 from repro.parallel import (
-    PartitionedEngine,
     SharedMemoryEngine,
     engine_observability,
     resolve_engine,
 )
+from repro.parallel.api import _engine_table
 from repro.sssp import recompute_sssp
 
 __all__ = ["main", "build_parser"]
@@ -129,14 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--batch-size", type=int, default=50)
     u.add_argument("--seed", type=int, default=0)
     u.add_argument("--engine", default="serial",
-                   choices=("serial", "threads", "processes", "shm",
-                            "simulated", "partitioned"))
+                   choices=tuple(_engine_table()))
     u.add_argument("--threads", type=int, default=4)
-    u.add_argument(
-        "--partitions", type=int, default=2,
-        help="shard count for --engine partitioned (one inner "
-        "shared-memory pool of --threads workers per shard)",
-    )
     u.add_argument(
         "--insert-fraction", type=float, default=1.0,
         help="fraction of each batch that inserts edges; the rest "
@@ -153,8 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the shm engine's inline threshold (slab "
         "supersteps below it run inline on the master); pass 1 to "
         "force real worker dispatch on small demo graphs, e.g. for "
-        "cross-process traces (applies to --engine shm and to the "
-        "inner pools of --engine partitioned)",
+        "cross-process traces (--engine shm only)",
     )
     _add_obs_flags(u)
 
@@ -193,9 +186,8 @@ def _add_serve_flags(sub: argparse.ArgumentParser) -> None:
                      help="ingest back-pressure bound")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--engine", default="serial",
-                     choices=("serial", "threads", "shm", "partitioned"))
+                     choices=("serial", "threads", "shm"))
     sub.add_argument("--threads", type=int, default=4)
-    sub.add_argument("--partitions", type=int, default=2)
     sub.add_argument(
         "--insert-fraction", type=float, default=0.7,
         help="fraction of the feed that inserts edges (rest deletes / "
@@ -232,8 +224,7 @@ def _cmd_info(args, out) -> int:
           "sosp_update_mixed (fully dynamic), IncrementalMOSP", file=out)
     print("baselines: dijkstra, bellman_ford (3 variants), "
           "delta_stepping, martins, weighted_sum", file=out)
-    print("engines: serial, threads, processes, shm, simulated, "
-          "partitioned", file=out)
+    print(f"engines: {', '.join(_engine_table())}", file=out)
     print(f"observability: tracer {get_tracer().describe()}, "
           f"clock {CLOCK_SOURCE}, "
           f"exporters {', '.join(EXPORTERS)}", file=out)
@@ -294,33 +285,30 @@ def _cmd_mosp(args, out) -> int:
     return 0
 
 
+def _cli_engine(args):
+    """Engine instance for update-demo, serve and serve-load.
+
+    :func:`main` has already refused ``--min-dispatch-items`` for every
+    engine but shm.
+    """
+    if args.min_dispatch_items is not None:
+        return resolve_engine(SharedMemoryEngine(
+            threads=args.threads,
+            min_dispatch_items=int(args.min_dispatch_items)))
+    return resolve_engine(args.engine, threads=args.threads)
+
+
 def _cmd_update_demo(args, out) -> int:
     tracer = get_tracer()
     with tracer.span("setup.load") as sp_load:
         g = _load(args.graph) if args.graph else road_like(2000, k=1,
                                                            seed=args.seed)
         sp_load.set(vertices=g.num_vertices, edges=g.num_edges)
-    if g.num_objectives != 1:
-        # demo drives Algorithm 1 directly; use the first objective
-        pass
-    if args.engine == "partitioned":
-        inner_options = (
-            {} if args.min_dispatch_items is None
-            else {"min_dispatch_items": int(args.min_dispatch_items)}
-        )
-        engine = resolve_engine(PartitionedEngine(
-            threads=args.threads, partitions=args.partitions,
-            inner_options=inner_options))
-    elif args.engine == "shm" and args.min_dispatch_items is not None:
-        engine = resolve_engine(SharedMemoryEngine(
-            threads=args.threads,
-            min_dispatch_items=int(args.min_dispatch_items)))
-    else:
-        engine = resolve_engine(args.engine, threads=args.threads)
+    engine = _cli_engine(args)
     with tracer.span("setup.build_tree"):
         tree = SOSPTree.build(g, args.source)
     # the update kernels run over an incrementally maintained CSR
-    # snapshot; partitioned engines shard it into per-pool sub-CSRs
+    # snapshot
     with tracer.span("setup.snapshot"):
         snapshot = CSRGraph.from_digraph(g)
     print(f"graph: {g.num_vertices} vertices, {g.num_edges} edges "
@@ -366,29 +354,12 @@ def _cmd_update_demo(args, out) -> int:
     return 0
 
 
-def _serve_engine(args):
-    """Engine instance for serve/serve-load (update-demo's rules)."""
-    if args.engine == "partitioned":
-        inner_options = (
-            {} if args.min_dispatch_items is None
-            else {"min_dispatch_items": int(args.min_dispatch_items)}
-        )
-        return resolve_engine(PartitionedEngine(
-            threads=args.threads, partitions=args.partitions,
-            inner_options=inner_options))
-    if args.engine == "shm" and args.min_dispatch_items is not None:
-        return resolve_engine(SharedMemoryEngine(
-            threads=args.threads,
-            min_dispatch_items=int(args.min_dispatch_items)))
-    return resolve_engine(args.engine, threads=args.threads)
-
-
 def _make_service(args):
     from repro.service import UpdateService
 
     g = _load(args.graph) if args.graph else road_like(2000, k=1,
                                                        seed=args.seed)
-    engine = _serve_engine(args)
+    engine = _cli_engine(args)
     service = UpdateService(
         g, args.source, engine=engine,
         flush_size=args.flush_size, max_pending=args.max_pending,
@@ -514,6 +485,11 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
+    if (
+        getattr(args, "min_dispatch_items", None) is not None
+        and args.engine != "shm"
+    ):
+        parser.error("--min-dispatch-items applies only to --engine shm")
     try:
         if getattr(args, "trace", None) or getattr(args, "metrics", None):
             return _run_with_obs(args, out)

@@ -36,7 +36,7 @@ to the edge deletions its conclusion sketches:
   from-scratch recompute (certified by the differential-oracle suite).
 
 The pipeline runs unchanged on every engine backend — serial, threads,
-processes, shared-memory slabs, simulated, and their checked wrappers —
+shared-memory slabs, simulated, and their checked wrappers —
 because all mutation happens inside the existing slab kernels, over a
 :class:`~repro.graph.csr.CSRGraph` snapshot of the updated graph.
 """
@@ -143,14 +143,6 @@ def apply_mixed_batch(
             f"{graph.num_vertices}; rebuild or grow the tree first"
         )
     eng = resolve_engine(engine)
-    # partitioned engines own the whole update loop (per-shard pools +
-    # boundary exchange); wrappers forward the driver attribute
-    driver = getattr(eng, "partitioned_mixed_update", None)
-    if callable(driver):
-        routed: MixedUpdateStats = driver(
-            graph, tree, batch, csr=csr, check_ownership=check_ownership
-        )
-        return routed
     stats = MixedUpdateStats()
     dist = tree.dist
     parent = tree.parent

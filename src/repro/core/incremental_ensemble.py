@@ -45,9 +45,8 @@ from repro.core.mosp_update import (
 from repro.core.tree import SOSPTree
 from repro.dynamic.changes import ChangeBatch
 from repro.errors import AlgorithmError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, live_edge_arrays
 from repro.graph.digraph import DiGraph
-from repro.graph.shards import live_edge_arrays
 from repro.parallel.api import Engine, resolve_engine
 from repro.sssp.bellman_ford import frontier_bellman_ford
 from repro.types import DIST_DTYPE, INF, VERTEX_DTYPE

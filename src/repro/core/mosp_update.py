@@ -5,8 +5,7 @@ Figure 6 reports exactly this breakdown:
 
 - **Step 1** — update every per-objective SOSP tree ``T_i`` with
   Algorithm 1 (sequentially over trees, as the paper's implementation
-  does; the hybrid-parallel variant is the ``processes`` engine's
-  territory).
+  does).
 - **Step 2** — build the combined graph
   (:func:`~repro.core.ensemble.build_ensemble`).
 - **Step 3** — run a parallel Bellman-Ford over the combined graph
@@ -30,12 +29,11 @@ import numpy as np
 import repro.core.kernels as kernels
 from repro.core.ensemble import EnsembleGraph, build_ensemble
 from repro.core.sosp_update import UpdateStats, check_snapshot, sosp_update
-from repro.core.tree import SOSPTree
+from repro.core.tree import SOSPTree, child_csr
 from repro.dynamic.changes import ChangeBatch
 from repro.errors import AlgorithmError, NotReachableError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, live_edge_arrays
 from repro.graph.digraph import DiGraph
-from repro.graph.shards import live_edge_arrays
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.parallel.api import Engine, resolve_engine
@@ -356,7 +354,7 @@ def _reassign_real_weights(
     the combined-graph SOSP tree ``parent_c`` into ``out``.
 
     ``edges`` are the live ``(src, dst, weights)`` arrays of ``G``
-    (:func:`~repro.graph.shards.live_edge_arrays` of its snapshot).
+    (:func:`~repro.graph.csr.live_edge_arrays` of its snapshot).
     Every reached vertex ``v`` (finite ``dist_c``, a parent, not the
     source) has a hop edge ``(parent_c[v], v)``: the hops are sorted by
     that key and every live edge is searched among them in one pass.  A hop with several
@@ -371,17 +369,14 @@ def _reassign_real_weights(
     """
     n = parent_c.shape[0]
     out[source] = 0.0
-    kids = np.flatnonzero(np.isfinite(dist_c) & (parent_c != NO_PARENT))
-    kids = kids[kids != source]
-    if kids.size == 0:
+    reached = np.isfinite(dist_c) & (parent_c != NO_PARENT)
+    reached[source] = False
+    if not reached.any():
         return
     # children grouped by parent (ascending within a group): a child CSR
     # for the level walk whose (parent, child) keys come out sorted
+    cptr, kids = child_csr(parent_c, reached)
     par = parent_c[kids].astype(np.int64)
-    by_parent = np.argsort(par, kind="stable")
-    kids, par = kids[by_parent], par[by_parent]
-    cptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(par, minlength=n), out=cptr[1:])
 
     # hop lookup: search every live edge among the sorted hop keys
     src, dst, w = edges
@@ -413,10 +408,6 @@ def _reassign_real_weights(
     # level by level from the source
     frontier = np.array([source], dtype=np.int64)
     while frontier.size:
-        start = cptr[frontier]
-        fanout = cptr[frontier + 1] - start
-        # positions start[f] .. start[f] + fanout[f] - 1 for each f
-        idx = np.repeat(start - (np.cumsum(fanout) - fanout), fanout)
-        idx += np.arange(idx.size)
+        idx, _ = kernels.gather_ranges(cptr[frontier], cptr[frontier + 1])
         frontier = kids[idx]
         out[frontier] = out[par[idx]] + hop[idx]

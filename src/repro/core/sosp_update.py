@@ -139,14 +139,6 @@ def sosp_update(
             f"{graph.num_vertices}; rebuild or grow the tree first"
         )
     eng = resolve_engine(engine)
-    # partitioned engines own the whole update loop (per-shard pools +
-    # boundary exchange); wrappers forward the driver attribute
-    driver = getattr(eng, "partitioned_sosp_update", None)
-    if callable(driver):
-        routed: UpdateStats = driver(
-            graph, tree, batch, csr=csr, check_ownership=check_ownership
-        )
-        return routed
     stats = UpdateStats()
     dist = tree.dist
     parent = tree.parent

@@ -23,7 +23,23 @@ from repro.sssp.recompute import recompute_sssp
 from repro.sssp.verify import certify_sssp
 from repro.types import NO_PARENT, BoolArray, FloatArray, IntArray
 
-__all__ = ["SOSPTree"]
+__all__ = ["SOSPTree", "child_csr"]
+
+
+def child_csr(parent: IntArray, keep: BoolArray) -> Tuple[IntArray, IntArray]:
+    """Child CSR ``(indptr, kids)`` of the forest ``parent``.
+
+    The children of ``p`` are ``kids[indptr[p]:indptr[p + 1]]``, in
+    ascending vertex order.  Only the vertices marked in ``keep`` are
+    anybody's child; it must exclude every vertex without a parent.
+    """
+    n = parent.shape[0]
+    kids = np.flatnonzero(keep)
+    par = parent[kids]
+    kids = kids[np.argsort(par, kind="stable")]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(par, minlength=n), out=indptr[1:])
+    return indptr, kids
 
 
 class SOSPTree:
@@ -134,16 +150,9 @@ class SOSPTree:
         ascending vertex order.  The source and vertices without a
         parent are nobody's child.
         """
-        n = self.num_vertices
         has_parent = self.parent != NO_PARENT
         has_parent[self.source] = False
-        kids = np.flatnonzero(has_parent)
-        par = self.parent[kids]
-        by_parent = np.argsort(par, kind="stable")
-        kids = kids[by_parent]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(par, minlength=n), out=indptr[1:])
-        return indptr, kids
+        return child_csr(self.parent, has_parent)
 
     def subtree(self, roots: IntArray) -> IntArray:
         """Sorted vertices of the subtrees hanging from ``roots``

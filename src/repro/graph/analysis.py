@@ -25,9 +25,6 @@ __all__ = [
     "degree_statistics",
     "estimate_effective_diameter",
     "graph_summary",
-    "partition_by_ranges",
-    "partition_edgecut",
-    "refine_partition_greedy",
 ]
 
 
@@ -131,118 +128,6 @@ def estimate_effective_diameter(
         if len(finite) > 1:
             values.append(float(np.quantile(finite, quantile)))
     return max(values) if values else 0.0
-
-
-def _live_edge_arrays(
-    graph: Union[DiGraph, CSRGraph]
-) -> "tuple[IntArray, IntArray]":
-    """``(src, dst)`` of every live edge (tombstones filtered, tail
-    included) — the edge view the partition helpers score against."""
-    csr = _to_csr(graph)
-    src = np.concatenate(
-        (np.asarray(csr.src), np.asarray(csr.tail_src))
-    ).astype(np.int64)
-    dst = np.concatenate(
-        (np.asarray(csr.indices), np.asarray(csr.tail_dst))
-    ).astype(np.int64)
-    w0 = np.concatenate((csr.weights[:, 0], csr.tail_weights[:, 0]))
-    alive = np.isfinite(w0)
-    return src[alive], dst[alive]
-
-
-def partition_by_ranges(n: int, parts: int) -> IntArray:
-    """Assign ``n`` vertices to ``parts`` contiguous, balanced ranges.
-
-    Returns the length-``n`` owner array: vertex ``v`` belongs to
-    partition ``part[v]``.  Range sizes differ by at most one; with
-    ``parts > n`` the trailing partitions own no vertices (legal — the
-    partitioned engine treats them as empty shards).  Contiguous ranges
-    are the paper's default layout: road-network ids are
-    locality-ordered, so range cuts approximate geometric cuts.
-    """
-    if parts < 1:
-        raise VertexError(parts, 1, "partition count")
-    part = np.empty(n, dtype=np.int64)
-    bounds = [round(p * n / parts) for p in range(parts + 1)]
-    for p in range(parts):
-        part[bounds[p] : bounds[p + 1]] = p
-    return part
-
-
-def partition_edgecut(
-    graph: Union[DiGraph, CSRGraph], part: IntArray
-) -> int:
-    """Number of live directed edges crossing partitions under ``part``."""
-    src, dst = _live_edge_arrays(graph)
-    part = np.asarray(part, dtype=np.int64)
-    return int(np.count_nonzero(part[src] != part[dst]))
-
-
-def refine_partition_greedy(
-    graph: Union[DiGraph, CSRGraph],
-    part: IntArray,
-    passes: int = 2,
-    balance_tolerance: float = 0.1,
-) -> IntArray:
-    """Greedy min-edgecut refinement of a vertex partition.
-
-    Sweeps the vertices in id order (deterministic); a vertex moves to
-    the partition holding the plurality of its in+out neighbours when
-    that strictly reduces the edge cut, the target stays within
-    ``ceil(n/parts * (1 + balance_tolerance))`` vertices, and the
-    source partition keeps at least one vertex.  Returns a new owner
-    array; the input is not mutated.  A cheap stand-in for the
-    multilevel partitioners the paper's MPI layer would use — good
-    enough to shave range-cut edges on non-locality-ordered ids.
-    """
-    src, dst = _live_edge_arrays(graph)
-    part = np.asarray(part, dtype=np.int64).copy()
-    n = int(part.shape[0])
-    if n == 0 or src.size == 0:
-        return part
-    parts = int(part.max()) + 1
-    if parts < 2:
-        return part
-    sizes = np.bincount(part, minlength=parts)
-    cap = -(-n // parts)  # ceil
-    cap = int(cap * (1.0 + balance_tolerance)) + 1
-    # undirected incident lists for the gain computation
-    order = np.argsort(src, kind="stable")
-    out_nbr_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(out_nbr_ptr, src + 1, 1)
-    np.cumsum(out_nbr_ptr, out=out_nbr_ptr)
-    out_nbrs = dst[order]
-    rorder = np.argsort(dst, kind="stable")
-    in_nbr_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(in_nbr_ptr, dst + 1, 1)
-    np.cumsum(in_nbr_ptr, out=in_nbr_ptr)
-    in_nbrs = src[rorder]
-    for _ in range(max(0, passes)):
-        moved = False
-        for v in range(n):
-            nbrs = np.concatenate((
-                out_nbrs[out_nbr_ptr[v] : out_nbr_ptr[v + 1]],
-                in_nbrs[in_nbr_ptr[v] : in_nbr_ptr[v + 1]],
-            ))
-            nbrs = nbrs[nbrs != v]  # self-loops never cross a cut
-            if nbrs.size == 0:
-                continue
-            counts = np.bincount(part[nbrs], minlength=parts)
-            cur = int(part[v])
-            best = int(np.argmax(counts))  # ties -> smallest id
-            if (
-                best != cur
-                and counts[best] > counts[cur]
-                and sizes[best] < cap
-                and sizes[cur] > 1
-            ):
-                part[v] = best
-                sizes[cur] -= 1
-                sizes[best] += 1
-                moved = True
-        if not moved:
-            break
-    return part
 
 
 def graph_summary(graph: Union[DiGraph, CSRGraph]) -> Dict[str, object]:

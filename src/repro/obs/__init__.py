@@ -21,7 +21,7 @@ Zero-dependency subsystem answering the paper's evaluation question —
   re-parented under the dispatching superstep span at merge;
 - :mod:`repro.obs.report` — ``python -m repro.obs report``, rolling a
   merged trace up into the paper's phase taxonomy (Step 1/2/3, seed,
-  exchange, dispatch overhead, worker idle/skew).
+  front, dispatch overhead, worker idle/skew).
 
 See ``docs/OBSERVABILITY.md`` for the span/metric ↔ paper phase map.
 """

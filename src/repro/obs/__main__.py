@@ -6,7 +6,7 @@
     ``trace-smoke`` job runs this on a fresh ``update-demo`` trace.
 ``report <trace> [--json] [--min-coverage F]``
     Roll a merged trace (span ``.jsonl`` log or Chrome trace file) up
-    into the paper's phase taxonomy (Step 1/2/3, seed, exchange,
+    into the paper's phase taxonomy (Step 1/2/3, seed,
     dispatch overhead, worker idle/skew — see
     :mod:`repro.obs.report`).  ``--min-coverage 0.95`` exits 1 unless
     at least 95% of wall time lands in named phases.

@@ -2,7 +2,7 @@
 
 The slab spans of :class:`~repro.obs.engine.TracedEngine` used to stop
 at the master: workers saw their own default (null) tracer, so the
-shm/process/partitioned backends — which carry all real workloads —
+shm backend's worker processes — which carry all real workloads —
 were observability blind spots.  This module closes the gap without
 adding a single IPC round trip:
 
@@ -31,8 +31,8 @@ adding a single IPC round trip:
    rebases the spans onto the master clock, re-parents them under the
    dispatching superstep span (clamped so no merged span starts before
    its parent — the invariant ``validate_chrome_trace`` now checks),
-   and aggregates the metric deltas into the session registry with
-   ``worker``/``shard`` labels.
+   and aggregates the metric deltas into the session registry with a
+   ``worker`` label.
 """
 
 from __future__ import annotations
@@ -252,7 +252,6 @@ def merge_report(
     t_send: float,
     t_done: float,
     anchor: Optional[Span] = None,
-    labels: Optional[Mapping[str, str]] = None,
     tracer: Optional[Tracer] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> int:
@@ -264,14 +263,13 @@ def merge_report(
     preserved, top-level spans under ``anchor`` (the dispatching
     superstep span) — and clamped so no merged span starts before its
     anchor.  Metric deltas are folded into the registry with the
-    worker's pid (and any caller ``labels``, e.g. the shard index)
-    appended as labels.  Returns the number of spans merged.
+    worker's pid appended as a label.  Returns the number of spans
+    merged.
     """
     tracer = tracer if tracer is not None else get_tracer()
     registry = registry if registry is not None else get_metrics()
     offset = estimate_offset(t_send, report.t_recv, report.t_reply, t_done)
-    all_labels: Dict[str, str] = dict(labels or {})
-    all_labels["worker"] = str(report.pid)
+    labels = {"worker": str(report.pid)}
     merged = 0
     if tracer.recording and report.spans:
         rows = [r for r in report.spans if r.get("end") is not None]
@@ -302,12 +300,12 @@ def merge_report(
             # one synthetic lane per worker process in trace viewers
             sp.thread = int(report.pid)
             sp.attrs = dict(row.get("attrs") or {})
-            sp.attrs.update(all_labels)
+            sp.attrs.update(labels)
             sp.attrs["clock_offset"] = offset
             tracer.record_finished(sp)
             merged += 1
     if report.metrics:
-        registry.merge_deltas(report.metrics, labels=all_labels)
+        registry.merge_deltas(report.metrics, labels=labels)
     if report.dropped and registry.enabled:
         registry.counter(
             "worker_spans_dropped_total",
@@ -320,7 +318,6 @@ def merge_reports(
     reports: List[WorkerReport],
     t_send: float,
     anchor: Optional[Span] = None,
-    labels: Optional[Mapping[str, str]] = None,
 ) -> int:
     """Merge every chunk report of one superstep; returns spans merged.
 
@@ -331,6 +328,6 @@ def merge_reports(
     """
     t_done = clock.perf()
     return sum(
-        merge_report(r, t_send, t_done, anchor=anchor, labels=labels)
+        merge_report(r, t_send, t_done, anchor=anchor)
         for r in reports
     )

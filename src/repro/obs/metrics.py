@@ -55,10 +55,10 @@ def labeled_name(
 class Counter:
     """Monotonically increasing total.
 
-    ``inc`` is locked: counters are mutated from shard-driver threads
-    merging worker reports concurrently (and from the service ingest
-    thread while readers export), and a lost ``+=`` would silently
-    under-count drop/total series.  Publication is batched (once per
+    ``inc`` is locked: counters are mutated from engine threads
+    concurrently (and from the service ingest thread while readers
+    export), and a lost ``+=`` would silently under-count drop/total
+    series.  Publication is batched (once per
     call, never per inner-loop item), so the lock is off every hot
     path.
     """
@@ -226,11 +226,10 @@ class MetricsRegistry:
     ) -> None:
         """Fold a :meth:`deltas` dump into this registry.
 
-        ``labels`` (e.g. ``{"shard": "0", "worker": "4711"}``) are
-        appended to each metric name in Prometheus label syntax, so
-        per-worker/per-shard series stay separable in exports while the
-        unlabelled master series remain untouched.  No-op when
-        disabled.
+        ``labels`` (e.g. ``{"worker": "4711"}``) are appended to each
+        metric name in Prometheus label syntax, so per-worker series
+        stay separable in exports while the unlabelled master series
+        remain untouched.  No-op when disabled.
         """
         if not self.enabled:
             return

@@ -14,9 +14,8 @@ step1       per-tree SOSP updates: ``*.step1``, ``*.invalidate``,
             the per-objective ``*.sosp_update_<i>`` wrappers
 seed        ``*.seed`` (Step I of the mixed pipeline)
 step2       propagation / combine: ``*.step2``, ``*.propagate``,
-            ``partitioned.superstep``, ``*.ensemble``
+            ``*.ensemble``
 step3       combined-graph solve: ``*.bellman_ford``, ``*.reassign``
-exchange    ``partitioned.exchange`` boundary merges
 front       ``dynamic_front.*`` (label-correcting Pareto front)
 dispatch    engine-superstep time not covered by worker execution —
             payload pickling, pool round trips, reply decode
@@ -28,7 +27,7 @@ other       anything unrecognised (kept visible, counted against
 Attribution is by **self time**: each master span contributes its
 elapsed time minus the *interval union* of its master children's, so
 nested phases never double-count — even when children run concurrently
-on shard threads.  Sibling spans on different threads still overlap
+on different threads.  Sibling spans on different threads still overlap
 each other in wall time, so on a multithreaded master the per-phase
 sums are *lane time* (like ``user`` vs ``real`` in ``time(1)``) and
 may exceed ``wall_seconds``; ``coverage`` is therefore defined as the
@@ -62,7 +61,7 @@ __all__ = ["PHASES", "load_trace", "attribute_trace", "render_text"]
 #: Report buckets, in render order.
 PHASES = (
     "driver", "setup", "step1", "seed", "step2", "step3",
-    "exchange", "front", "dispatch", "teardown", "other",
+    "front", "dispatch", "teardown", "other",
 )
 
 _SpanLike = Union[Span, Dict[str, Any]]
@@ -123,8 +122,6 @@ def _classify(name: str) -> Optional[str]:
         return "teardown"
     if name.startswith("dynamic_front"):
         return "front"
-    if name == "partitioned.superstep":
-        return "step2"
     last = name.rsplit(".", 1)[-1]
     if last in ("step1", "invalidate") or last.startswith("sosp_update"):
         return "step1"
@@ -134,8 +131,6 @@ def _classify(name: str) -> Optional[str]:
         return "step2"
     if last in ("bellman_ford", "reassign"):
         return "step3"
-    if last == "exchange":
-        return "exchange"
     return None
 
 
@@ -179,7 +174,7 @@ def attribute_trace(rows: Sequence[_SpanLike]) -> Dict[str, Any]:
             if hi > lo:
                 child_ivals.setdefault(pid, []).append([lo, hi])
     # merged-interval child coverage per parent: concurrent children on
-    # shard threads overlap, so a plain elapsed sum would over-subtract
+    # different threads overlap, so a plain elapsed sum would over-subtract
     child_sum: Dict[Any, float] = {}
     for pid, ivals in child_ivals.items():
         ivals.sort()

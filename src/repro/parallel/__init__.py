@@ -12,22 +12,14 @@ abstraction with four interchangeable backends:
                           dynamic chunk scheduling — the faithful structural
                           port of the paper's implementation (races and all,
                           were it not for vertex ownership)
-:class:`ProcessEngine`    ``multiprocessing`` pool for embarrassingly parallel
-                          stages (e.g. independent per-objective tree updates,
-                          the hybrid parallelism of the paper's future work)
 :class:`SharedMemoryEngine`  persistent ``spawn`` pool over
                           ``multiprocessing.shared_memory``-planted arrays;
                           supersteps dispatch :class:`~repro.parallel.api.SlabTask`
                           references and ``(lo, hi)`` slab indices only — the
                           GIL-free backend that actually runs the vectorised
-                          CSR kernels multicore (see ``docs/PARALLEL.md``)
-:class:`PartitionedEngine`  multi-pool model of the paper's distributed
-                          deployment: the CSR is sharded into vertex
-                          partitions, one inner engine pool (shm by
-                          default) runs per shard, and dynamic updates
-                          execute as supersteps of local fixpoints +
-                          boundary exchange over the cut edges (see
-                          ``docs/PARALLEL.md``)
+                          CSR kernels multicore (see ``docs/PARALLEL.md``);
+                          generic closures travel pickled, with a loud serial
+                          fallback when they cannot
 :class:`SimulatedEngine`  a deterministic work-span machine model: the same
                           task graph is executed once, each task is charged
                           its reported work, and tasks are scheduled over
@@ -53,8 +45,6 @@ from repro.parallel.api import (
     slab_spans,
 )
 from repro.parallel.atomics import OwnershipTracker
-from repro.parallel.backends.partitioned import PartitionedEngine
-from repro.parallel.backends.processes import ProcessEngine
 from repro.parallel.backends.shm import SharedMemoryEngine
 from repro.parallel.checked import CheckedEngine
 from repro.parallel.backends.serial import SerialEngine
@@ -75,8 +65,6 @@ __all__ = [
     "parallel_for_slabs",
     "SerialEngine",
     "ThreadEngine",
-    "ProcessEngine",
-    "PartitionedEngine",
     "SharedMemoryEngine",
     "SlabTask",
     "SimulatedEngine",

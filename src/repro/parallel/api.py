@@ -156,10 +156,6 @@ class BaseEngine:
             raise EngineError(f"threads must be >= 1, got {threads}")
         self.threads = int(threads)
         self.work_units: float = 0.0
-        #: Extra labels stamped onto spans/metrics merged from this
-        #: engine's workers (the partitioned engine sets
-        #: ``{"shard": "<i>"}`` on each inner pool).
-        self.obs_labels: Dict[str, str] = {}
 
     def _account_work(
         self,
@@ -301,8 +297,6 @@ def parallel_for_slabs(
 def _engine_table() -> Dict[str, Type[Any]]:
     """Backend name → engine class (shared by resolution and info)."""
     # imports deferred to avoid a cycle with backends importing BaseEngine
-    from repro.parallel.backends.partitioned import PartitionedEngine
-    from repro.parallel.backends.processes import ProcessEngine
     from repro.parallel.backends.serial import SerialEngine
     from repro.parallel.backends.shm import SharedMemoryEngine
     from repro.parallel.backends.simulated import SimulatedEngine
@@ -311,10 +305,8 @@ def _engine_table() -> Dict[str, Type[Any]]:
     return {
         "serial": SerialEngine,
         "threads": ThreadEngine,
-        "processes": ProcessEngine,
         "shm": SharedMemoryEngine,
         "simulated": SimulatedEngine,
-        "partitioned": PartitionedEngine,
     }
 
 
@@ -341,9 +333,8 @@ def resolve_engine(
     """Coerce ``engine`` into an :class:`Engine` instance.
 
     Accepts an existing engine (returned unchanged), ``None`` (serial),
-    or a backend name ``"serial" | "threads" | "processes" | "shm" |
-    "simulated" | "partitioned"`` which is instantiated with
-    ``threads``; an unknown name raises
+    or a backend name ``"serial" | "threads" | "shm" | "simulated"``
+    which is instantiated with ``threads``; an unknown name raises
     :class:`~repro.errors.UnknownEngineError` (picklable, carrying the
     registry names).
 

@@ -1,1 +1,1 @@
-"""Concrete engine backends (serial, threads, processes, simulated)."""
+"""Concrete engine backends (serial, threads, shm, simulated)."""

@@ -1,10 +1,10 @@
 """Shared-memory process engine: persistent workers, planted arrays.
 
-:class:`~repro.parallel.backends.processes.ProcessEngine` re-pickles
+The generic :meth:`SharedMemoryEngine.parallel_for` path re-pickles
 the task closure and its items on every superstep, so the vectorised
 CSR kernels — whose tasks are closures over multi-megabyte arrays —
-never actually run multicore: they hit the "not picklable" fallback.
-This backend fixes the transport, not the kernels:
+would never actually run multicore: they hit the "not picklable"
+fallback.  The slab path fixes the transport, not the kernels:
 
 1.  The master **plants** each kernel array into a named
     ``multiprocessing.shared_memory`` segment (:meth:`plant`).  Plants
@@ -33,8 +33,9 @@ those writes race-free without locks, exactly as in §3.1.
 
 Degraded modes (always loud, never wrong silently):
 
-- generic ``parallel_for`` with an unpicklable closure → serial
-  fallback with a one-time warning (same contract as ``ProcessEngine``);
+- generic ``parallel_for`` with an unpicklable closure, or one the
+  worker cannot unpickle (e.g. ``fn`` defined in ``__main__`` under
+  the spawn context) → serial fallback with a one-time warning;
 - a worker process dying mid-superstep (``BrokenProcessPool``) → the
   pool is discarded and lazily re-created, the kernel's write set
   (:attr:`~repro.parallel.api.SlabTask.writes`; every catalog array
@@ -79,16 +80,14 @@ from typing import (
 import numpy as np
 
 from repro.errors import EngineError
-from repro.obs.collect import WorkerCapture, merge_reports, obs_header
+from repro.obs.collect import WorkerCapture, WorkerReport, merge_reports, obs_header
 from repro.obs.tracer import current_span
-from repro.parallel.api import BaseEngine, SlabTask, serial_spans, slab_spans
-from repro.parallel.backends.processes import (
-    _chunk_bounds,
-    _chunk_runner,
-    _decode_parts,
-    _TAG_RESULTS,
-    _TAG_RESULTS_OBS,
-    _TAG_UNPICKLABLE,
+from repro.parallel.api import (
+    BaseEngine,
+    SlabTask,
+    _even_spans,
+    serial_spans,
+    slab_spans,
 )
 
 T = TypeVar("T")
@@ -108,6 +107,78 @@ _MAX_WORKER_SEGMENTS = 64
 #: Unique segment-name source (per master process; the pid is also
 #: embedded so concurrent test runs never collide).
 _SEGMENT_SEQ = itertools.count(1)
+
+# ----------------------------------------------------------------------
+# tagged reply protocol (both dispatch paths)
+# ----------------------------------------------------------------------
+
+#: First byte of a worker reply: chunk results follow.
+_TAG_RESULTS = b"R"
+#: First byte of a worker reply: the payload did not survive the
+#: spawn round-trip; the repr of the unpickle error follows.
+_TAG_UNPICKLABLE = b"U"
+#: First byte of a worker reply: ``(results, WorkerReport)`` follows —
+#: chunk results plus the worker's piggybacked span/metric report (sent
+#: only when the dispatch payload carried an observability header).
+_TAG_RESULTS_OBS = b"O"
+
+
+def _chunk_runner(payload: bytes) -> bytes:
+    """Executed in the worker process: unpickle (fn, chunk), run, pickle.
+
+    A payload that pickled fine on the master can still fail to
+    *unpickle* here (spawn re-imports modules; ``__main__`` is not the
+    master's ``__main__``).  Raising would mark the whole pool broken,
+    so the failure is tagged and returned for the master to degrade to
+    its serial fallback.  Exceptions raised by the task itself are NOT
+    caught — they propagate to the master exactly like any other
+    engine's task failure.
+
+    The payload is ``(fn, chunk)`` — or ``(fn, chunk, header)`` when
+    the master's tracer is recording, in which case the chunk runs
+    under a :class:`~repro.obs.collect.WorkerCapture` and the reply
+    piggybacks the worker's span/metric report on the ``b"O"`` tag.
+    """
+    try:
+        parts = pickle.loads(payload)
+        fn, chunk = parts[0], parts[1]
+        header = parts[2] if len(parts) > 2 else None
+    except Exception as exc:  # repro: noqa(R003) - reported to master, which warns and falls back
+        return _TAG_UNPICKLABLE + pickle.dumps(repr(exc))
+    if header is None:
+        return _TAG_RESULTS + pickle.dumps([fn(item) for item in chunk])
+    with WorkerCapture(header) as cap:
+        with cap.task("worker.chunk", op="parallel_for", items=len(chunk)):
+            results = [fn(item) for item in chunk]
+        report = cap.report()
+    return _TAG_RESULTS_OBS + pickle.dumps((results, report))
+
+
+def _decode_parts(
+    parts: Sequence[bytes],
+) -> Tuple[Optional[List[Any]], Optional[str], List[WorkerReport]]:
+    """Decode tagged worker replies.
+
+    Returns ``(results, None, reports)`` on success — ``reports``
+    collects the piggybacked :class:`~repro.obs.collect.WorkerReport`
+    of every ``b"O"``-tagged reply (empty for the legacy ``b"R"`` tag)
+    — or ``(None, error_repr, reports)`` when any worker reported an
+    unpicklable payload.
+    """
+    out: List[Any] = []
+    reports: List[WorkerReport] = []
+    for blob in parts:
+        tag, body = blob[:1], blob[1:]
+        if tag == _TAG_UNPICKLABLE:
+            return None, pickle.loads(body), reports
+        if tag == _TAG_RESULTS_OBS:
+            results, report = pickle.loads(body)
+            out.extend(results)
+            reports.append(report)
+        else:
+            out.extend(pickle.loads(body))
+    return out, None, reports
+
 
 # ----------------------------------------------------------------------
 # worker side
@@ -210,9 +281,8 @@ def _run_slab_chunk(payload: bytes) -> bytes:
     :class:`~repro.obs.collect.WorkerCapture` task span and the reply
     piggybacks the worker's report on the ``b"O"`` tag.  The arrays are
     materialised as views over the attached segments.  The same
-    tagged-reply protocol as
-    :func:`~repro.parallel.backends.processes._chunk_runner` keeps
-    payload decode failures from poisoning the pool.
+    tagged-reply protocol as :func:`_chunk_runner` keeps payload
+    decode failures from poisoning the pool.
     """
     try:
         parts = pickle.loads(payload)
@@ -309,8 +379,8 @@ class SharedMemoryEngine(BaseEngine):
         (dispatch costs ~a millisecond; tiny frontiers aren't worth
         it).  Tests pass ``1`` to force dispatch.
     min_items_per_process:
-        Inline threshold of the generic ``parallel_for`` path, as in
-        :class:`~repro.parallel.backends.processes.ProcessEngine`.
+        Below ``threads * min_items_per_process`` items the generic
+        ``parallel_for`` path skips the pool and runs inline.
 
     Attributes
     ----------
@@ -600,7 +670,7 @@ class SharedMemoryEngine(BaseEngine):
                 if header is None
                 else (task.ref, catalog, params, spans[clo:chi], header)
             )
-            for clo, chi in _chunk_bounds(len(spans), self.threads)
+            for clo, chi in _even_spans(len(spans), self.threads)
         ]
         self.last_dispatch_bytes = sum(len(p) for p in payloads)
         self.dispatched_supersteps += 1
@@ -634,10 +704,7 @@ class SharedMemoryEngine(BaseEngine):
         results, error, reports = _decode_parts(parts)
         if header is not None and reports:
             self.last_obs_bytes = sum(len(pickle.dumps(r)) for r in reports)
-            merge_reports(
-                reports, header["t_send"], anchor=current_span(),
-                labels=self.obs_labels or None,
-            )
+            merge_reports(reports, header["t_send"], anchor=current_span())
         if results is None:
             # make the failed superstep atomic: chunks that did run
             # have already written into the shared views
@@ -680,7 +747,7 @@ class SharedMemoryEngine(BaseEngine):
             self._account_work(items, results, work_fn)
             return results
         chunks = [
-            list(items[lo:hi]) for lo, hi in _chunk_bounds(n, self.threads)
+            list(items[lo:hi]) for lo, hi in _even_spans(n, self.threads)
         ]
         header = obs_header()
         try:
@@ -708,10 +775,7 @@ class SharedMemoryEngine(BaseEngine):
             return results
         out, error, reports = _decode_parts(parts)
         if header is not None and reports:
-            merge_reports(
-                reports, header["t_send"], anchor=current_span(),
-                labels=self.obs_labels or None,
-            )
+            merge_reports(reports, header["t_send"], anchor=current_span())
         if out is None:
             out = self._fallback(
                 items, fn,

@@ -105,35 +105,6 @@ def crash_then_propagate_slab(
     return _propagate_relax_slab(arrays, params, lo, hi)
 
 
-def crash_one_shard_propagate_slab(
-    arrays: Mapping[str, np.ndarray], params: Mapping[str, Any],
-    lo: int, hi: int,
-) -> Tuple[np.ndarray, int]:
-    """Like :func:`crash_then_propagate_slab`, but kills only the shard
-    pool whose planted ``sosp.dist`` has the length named by the
-    ``REPRO_TEST_CRASH_DIST_LEN`` environment variable.
-
-    The partitioned engine runs one shared-memory pool per shard, all
-    dispatching the same slab ref with the same fixed params — the
-    local dist length is the only per-shard discriminator a kernel can
-    see, so the crash test sizes its shards to make it unique.  Spawn
-    workers inherit the master's environment, so a ``monkeypatch.setenv``
-    before the pools first dispatch reaches them.
-    """
-    import multiprocessing
-
-    target = int(os.environ.get("REPRO_TEST_CRASH_DIST_LEN", "-1"))
-    if (
-        multiprocessing.parent_process() is not None
-        and len(arrays["sosp.dist"]) == target
-    ):
-        arrays["sosp.dist"][lo:hi] = -1.0
-        os._exit(3)
-    from repro.core.kernels import _propagate_relax_slab
-
-    return _propagate_relax_slab(arrays, params, lo, hi)
-
-
 def sneaky_slab(
     arrays: Mapping[str, np.ndarray], params: Mapping[str, Any],
     lo: int, hi: int,

@@ -5,7 +5,7 @@ import time
 from typing import Any, Callable, List, Mapping, Optional
 
 from repro.parallel.api import SlabTask
-from repro.parallel.backends.processes import ProcessEngine
+from repro.parallel.backends.shm import SharedMemoryEngine
 
 
 def blanket(engine: Any, items: List[int], hits: List[int]) -> List[int]:
@@ -43,9 +43,5 @@ def dispatch_slab(engine: Any) -> None:
 
 
 def dispatch_lambda(items: List[int]) -> List[int]:
-    eng = ProcessEngine(threads=2)
+    eng = SharedMemoryEngine(threads=2)
     return eng.parallel_for(items, lambda x: x)  # repro: noqa(R007)
-
-
-def emit(run: Any, cur: Any) -> None:
-    run.dist[:] = cur  # repro: noqa(R008)

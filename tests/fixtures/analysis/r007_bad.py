@@ -7,12 +7,11 @@ hands them something that has no importable name.
 from typing import Any, List
 
 from repro.parallel.api import SlabTask, resolve_engine
-from repro.parallel.backends.processes import ProcessEngine
 from repro.parallel.backends.shm import SharedMemoryEngine
 
 
 def dispatch_inline_lambda(items: List[int]) -> List[int]:
-    eng = ProcessEngine(threads=2)
+    eng = SharedMemoryEngine(threads=2)
     return eng.parallel_for(items, lambda x: x + 1)
 
 
@@ -22,7 +21,7 @@ def dispatch_closure(items: List[int]) -> List[int]:
     def task(x: int) -> int:
         return x * scale
 
-    eng = ProcessEngine(threads=2)
+    eng = SharedMemoryEngine(threads=2)
     return eng.parallel_for(items, task)
 
 
@@ -33,7 +32,7 @@ def dispatch_lambda_binding(items: List[int]) -> List[int]:
 
 
 def dispatch_resolved(items: List[int]) -> List[int]:
-    eng = resolve_engine("processes", threads=2)
+    eng = resolve_engine("shm", threads=2)
     return eng.parallel_for(items, lambda x: x)
 
 

@@ -3,7 +3,7 @@
 from typing import Any, List
 
 from repro.parallel.api import SlabTask
-from repro.parallel.backends.processes import ProcessEngine
+from repro.parallel.backends.shm import SharedMemoryEngine
 from repro.parallel.backends.threads import ThreadEngine
 
 
@@ -12,7 +12,7 @@ def double(x: int) -> int:
 
 
 def dispatch_module_level(items: List[int]) -> List[int]:
-    eng = ProcessEngine(threads=2)
+    eng = SharedMemoryEngine(threads=2)
     return eng.parallel_for(items, double)
 
 

@@ -1,4 +1,4 @@
-"""The interprocedural analyzer: R006-R008, formats, baseline, jobs.
+"""The interprocedural analyzer: R006-R007, formats, baseline, jobs.
 
 Complements ``test_analysis_linter.py`` (the per-rule fixture-corpus
 contract) with the machinery the deep rules ride on: write-set
@@ -77,14 +77,16 @@ class TestR006WriteSets:
 
     def test_shipped_kernels_pass(self):
         # meta-test: the real dispatch sites must satisfy their own rule
-        for rel in ("src/repro/core/kernels.py", "src/repro/bench/engines.py"):
+        for rel in ("src/repro/core/kernels.py", "src/repro/core/ensemble.py"):
             findings = lint_file(str(REPO_ROOT / rel), select={"R006"})
             assert findings == [], "\n".join(f.format() for f in findings)
 
     def test_inference_matches_shipped_declaration(self):
-        ws = infer_ref_writes("repro.bench.engines:_span_via_shm")
+        ws = infer_ref_writes("repro.core.kernels:_relax_groups_slab")
         assert ws is not None and ws.complete
-        assert ws.writes == frozenset({"bench.dist"})
+        assert ws.writes == frozenset(
+            {"sosp.dist", "sosp.parent", "sosp.marked"}
+        )
 
     def test_sosp_kernels_infer_full_write_set(self):
         ws = infer_ref_writes("repro.core.kernels:_propagate_relax_slab")
@@ -96,13 +98,13 @@ class TestR006WriteSets:
 
 class TestR007Scoping:
     def test_engine_vars_do_not_leak_across_functions(self):
-        # a ProcessEngine-bound name in one function must not taint the
+        # a SharedMemoryEngine-bound name in one function must not taint the
         # same name bound to an in-process engine in a sibling
         src = (
-            "from repro.parallel.backends.processes import ProcessEngine\n"
+            "from repro.parallel.backends.shm import SharedMemoryEngine\n"
             "from repro.parallel.backends.threads import ThreadEngine\n\n\n"
-            "def uses_processes(items):\n"
-            "    eng = ProcessEngine(threads=2)\n"
+            "def uses_shm(items):\n"
+            "    eng = SharedMemoryEngine(threads=2)\n"
             "    return eng.parallel_for(items, _task)\n\n\n"
             "def uses_threads(items):\n"
             "    eng = ThreadEngine(threads=2)\n"
@@ -117,9 +119,9 @@ class TestR007Scoping:
 
     def test_enclosing_engine_visible_to_nested_scope(self):
         src = (
-            "from repro.parallel.backends.processes import ProcessEngine\n"
+            "from repro.parallel.backends.shm import SharedMemoryEngine\n"
             "\n\ndef outer(items):\n"
-            "    eng = ProcessEngine(threads=2)\n\n"
+            "    eng = SharedMemoryEngine(threads=2)\n\n"
             "    def run():\n"
             "        return eng.parallel_for(items, lambda x: x)\n\n"
             "    return run()\n"
@@ -128,23 +130,6 @@ class TestR007Scoping:
             src, path="tests/fx.py", select={"R007"}, respect_scope=False
         )
         assert len(findings) == 1 and "lambda" in findings[0].message
-
-
-class TestR008Messages:
-    def test_nonstrict_guard_named_in_message(self):
-        findings = fixture_findings("r008_bad.py", "R008")
-        assert any("non-strict" in f.message for f in findings)
-
-    def test_ghost_write_named_in_message(self):
-        findings = fixture_findings("r008_bad.py", "R008")
-        assert any("ghost_buf" in f.message for f in findings)
-
-    def test_shipped_partitioned_backend_passes(self):
-        findings = lint_file(
-            str(REPO_ROOT / "src/repro/parallel/backends/partitioned.py"),
-            select={"R008"},
-        )
-        assert findings == [], "\n".join(f.format() for f in findings)
 
 
 SAMPLE = [

@@ -1,4 +1,5 @@
-"""Tests for cost-model calibration and the ProcessEngine backend."""
+"""Tests for cost-model calibration and the shm engine's generic
+``parallel_for`` path (pickled closures, serial fallback)."""
 
 import pytest
 
@@ -6,8 +7,8 @@ from repro.bench.calibration import (
     calibrate_cost_model,
     measure_seconds_per_relaxation,
 )
-from repro.parallel import ProcessEngine, SimulatedEngine
-from repro.parallel.backends.processes import _chunk_runner
+from repro.parallel import SharedMemoryEngine, SimulatedEngine
+from repro.parallel.backends.shm import _chunk_runner
 
 
 def test_measurement_positive_and_plausible():
@@ -37,34 +38,37 @@ def test_calibrated_model_drives_engine():
 
 
 # ----------------------------------------------------------------------
-# ProcessEngine: needs module-level (picklable) task functions
+# SharedMemoryEngine.parallel_for: needs module-level (picklable) task
+# functions
 # ----------------------------------------------------------------------
 
 def _square(x):
     return x * x
 
 
-class TestProcessEngine:
+class TestSharedMemoryParallelFor:
     def test_small_input_runs_inline(self):
-        eng = ProcessEngine(threads=2, min_items_per_process=100)
+        eng = SharedMemoryEngine(threads=2, min_items_per_process=100)
         assert eng.parallel_for([1, 2, 3], _square) == [1, 4, 9]
+        assert eng._pool is None  # below the threshold: no spawn
         eng.close()
 
     def test_picklable_function_across_processes(self):
-        with ProcessEngine(threads=2, min_items_per_process=1) as eng:
+        with SharedMemoryEngine(threads=2, min_items_per_process=1) as eng:
             out = eng.parallel_for(list(range(40)), _square)
+            assert eng._pool is not None
         assert out == [i * i for i in range(40)]
 
     def test_unpicklable_falls_back_with_warning(self):
         captured = []
 
         def closure(x):
-            # intentionally unpicklable shared state: proves the
-            # process engine's serial fallback still runs the closure
+            # intentionally unpicklable shared state: proves the shm
+            # engine's serial fallback still runs the closure
             captured.append(x)  # repro: noqa(R001)
             return x + 1
 
-        eng = ProcessEngine(threads=2, min_items_per_process=1)
+        eng = SharedMemoryEngine(threads=2, min_items_per_process=1)
         with pytest.warns(RuntimeWarning):
             out = eng.parallel_for(list(range(10)), closure)  # repro: noqa(R007)
         assert out == list(range(1, 11))

@@ -17,7 +17,7 @@ from repro.parallel import (
     resolve_engine,
 )
 
-FAMILIES = ["serial", "threads", "processes", "simulated"]
+FAMILIES = ["serial", "threads", "simulated"]
 
 
 class TestWrapping:

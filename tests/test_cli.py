@@ -35,6 +35,11 @@ class TestInfo:
         assert "3624062.3625134" in text
         assert "sosp_update" in text
 
+    def test_engine_list_is_the_registry(self):
+        code, text = run(["info"])
+        assert code == 0
+        assert "engines: serial, threads, shm, simulated\n" in text
+
     def test_reports_observability_build(self):
         code, text = run(["info"])
         assert code == 0
@@ -49,8 +54,6 @@ class TestInfo:
         line = [ln for ln in text.splitlines()
                 if ln.startswith("worker spans:")][0]
         assert "shm collected" in line
-        assert "processes collected" in line
-        assert "partitioned collected" in line
         assert "serial inline" in line
         assert "threads inline" in line
 
@@ -169,18 +172,19 @@ class TestUpdateDemo:
         assert code == 0
         assert f"engine: {engine_label('threads')}" in text
 
-    def test_partitioned_engine_selection(self):
-        # --threads 1 keeps the shard pools inline (no spawn) so the
-        # demo stays fast; the partitioned path still shards the
-        # snapshot and runs the exchange loop
-        code, text = run(
-            ["update-demo", "--steps", "1", "--batch-size", "5",
-             "--engine", "partitioned", "--partitions", "2",
-             "--threads", "1"]
-        )
-        assert code == 0
-        assert f"engine: {engine_label('partitioned')}" in text
-        assert "csr kernels" in text
+    @pytest.mark.parametrize("name", ["partitioned", "processes"])
+    def test_retired_engine_is_a_usage_error(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["update-demo", "--engine", name])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["update-demo", "serve", "serve-load"])
+    def test_min_dispatch_items_needs_shm(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--engine", "threads", "--min-dispatch-items", "1"])
+        assert exc.value.code == 2
+        assert "--min-dispatch-items" in capsys.readouterr().err
 
 
 class TestObservabilityFlags:

@@ -36,7 +36,6 @@ from repro.dynamic import (
 from repro.graph import DiGraph
 from repro.graph.csr import CSRGraph
 from repro.parallel import (
-    ProcessEngine,
     SerialEngine,
     SharedMemoryEngine,
     SimulatedEngine,
@@ -49,7 +48,6 @@ pytestmark = pytest.mark.slow
 ENGINES = [
     SerialEngine(),
     ThreadEngine(threads=2),
-    ProcessEngine(threads=2),
     SharedMemoryEngine(threads=2, min_dispatch_items=1),
     SimulatedEngine(threads=4),
 ]

@@ -34,8 +34,6 @@ from repro.graph import grid_road
 from repro.graph.csr import CSRGraph
 from repro.obs.tracer import Tracer, use_tracer
 from repro.parallel import (
-    PartitionedEngine,
-    ProcessEngine,
     SerialEngine,
     SharedMemoryEngine,
     SimulatedEngine,
@@ -56,7 +54,7 @@ fully_dynamic = importlib.import_module("repro.core.fully_dynamic")
 
 
 def reference_step_d():
-    """Run the pipeline (and the partitioned driver) on the old walk."""
+    """Run the pipeline on the old walk."""
     return mock.patch.object(
         fully_dynamic, "_invalidate", invalidate_reference_sorted
     )
@@ -292,10 +290,8 @@ class TestEdgeCases:
 ENGINES = [
     SerialEngine(),
     ThreadEngine(threads=2),
-    ProcessEngine(threads=2),
     SharedMemoryEngine(threads=2, min_dispatch_items=1),
     SimulatedEngine(threads=4),
-    PartitionedEngine(threads=1, partitions=2, inner="serial"),
 ]
 
 
@@ -320,7 +316,6 @@ def test_every_engine_bitwise_equals_reference_step_d(data):
 
 @pytest.mark.parametrize("engine_index, span_name", [
     (0, "sosp_update_mixed.invalidate"),
-    (len(ENGINES) - 1, "partitioned.invalidate"),
 ])
 def test_invalidate_span_reports_roots_and_subtree_size(
     engine_index, span_name

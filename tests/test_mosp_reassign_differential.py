@@ -21,8 +21,7 @@ from repro.core.kernels import frontier_bellman_ford_csr
 from repro.dynamic import random_insert_batch, random_mixed_batch
 from repro.errors import AlgorithmError
 from repro.graph import DiGraph, erdos_renyi
-from repro.graph.csr import CSRGraph
-from repro.graph.shards import live_edge_arrays
+from repro.graph.csr import CSRGraph, live_edge_arrays
 from repro.types import DIST_DTYPE, INF, NO_PARENT
 from tests._mosp_reference import build_ensemble_reference, reassign_real_weights
 from tests.test_properties import SETTINGS, graph_and_batches

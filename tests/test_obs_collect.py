@@ -176,8 +176,7 @@ class TestMergeReport:
         registry = MetricsRegistry(enabled=True)
         with use_tracer(tracer), use_metrics(registry):
             with tracer.span("superstep") as anchor:
-                n = merge_reports([report], t_send=5.0, anchor=anchor,
-                                  labels={"shard": "3"})
+                n = merge_reports([report], t_send=5.0, anchor=anchor)
         assert n == 2
         spans = {s.name: s for s in tracer.drain()}
         outer, inner = spans["worker.outer"], spans["worker.inner"]
@@ -191,11 +190,10 @@ class TestMergeReport:
             anchor.end + 0.5
         )
         assert outer.attrs["worker"] == "4711"
-        assert outer.attrs["shard"] == "3"
         assert "clock_offset" in outer.attrs
         assert outer.thread == 4711
         snap = registry.snapshot()
-        assert snap['worker_tasks_total{shard="3",worker="4711"}'] == 2.0
+        assert snap['worker_tasks_total{worker="4711"}'] == 2.0
         assert snap["worker_spans_dropped_total"] == 1.0
 
     def test_start_clamped_to_anchor(self):

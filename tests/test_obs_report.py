@@ -55,10 +55,8 @@ class TestClassify:
         ("sosp_update.step2", "step2"),
         ("sosp_update_mixed.propagate", "step2"),
         ("mosp_update.ensemble", "step2"),
-        ("partitioned.superstep", "step2"),
         ("mosp_update.bellman_ford", "step3"),
         ("mosp_update.reassign", "step3"),
-        ("partitioned.exchange", "exchange"),
         ("dynamic_front.update", "front"),
         ("superstep", None),
         ("unheard.of", None),
@@ -112,12 +110,12 @@ class TestAttribution:
         assert report["phases"]["other"] == 0.0
 
     def test_concurrent_children_do_not_oversubtract(self):
-        # two shard threads overlap inside one parent: interval-union
-        # child coverage keeps the parent's self-time exact
+        # two threads overlap inside one parent: interval-union child
+        # coverage keeps the parent's self-time exact
         rows = [
             _row("cli.demo", 1, None, 0.0, 10.0),
-            _row("partitioned.superstep", 2, 1, 1.0, 7.0, thread=2),
-            _row("partitioned.superstep", 3, 1, 2.0, 8.0, thread=3),
+            _row("sosp_update.step2", 2, 1, 1.0, 7.0, thread=2),
+            _row("sosp_update.step2", 3, 1, 2.0, 8.0, thread=3),
         ]
         report = attribute_trace(rows)
         # children cover [1, 8] -> driver self-time is 3, not 10-12

@@ -113,11 +113,14 @@ class TestTracedEngineNesting:
         with use_tracer(tracer):
             eng = resolve_engine(engine_name, threads=threads)
             assert isinstance(eng, TracedEngine)
-            with tracer.span("phase") as phase:
-                results = eng.parallel_for(
-                    list(range(8)), _spawn_span,
-                    work_fn=lambda item, r: 1 + item,
-                )
+            try:
+                with tracer.span("phase") as phase:
+                    results = eng.parallel_for(
+                        list(range(8)), _spawn_span,
+                        work_fn=lambda item, r: 1 + item,
+                    )
+            finally:
+                getattr(eng, "close", lambda: None)()
         assert results == [i * 2 for i in range(8)]
         return phase, tracer.drain()
 
@@ -142,10 +145,10 @@ class TestTracedEngineNesting:
         assert len(tasks) == 8
         assert {s.parent_id for s in tasks} == {ss[0].span_id}
 
-    def test_processes_superstep_recorded(self):
+    def test_shm_superstep_recorded(self):
         # worker processes keep their own (default) tracer; the
         # coordinating side still records the superstep span
-        phase, spans = self._run_phase("processes", threads=2)
+        phase, spans = self._run_phase("shm", threads=2)
         ss = [s for s in spans if s.name == "superstep"]
         assert len(ss) == 1 and ss[0].parent_id == phase.span_id
         assert ss[0].attrs["items"] == 8

@@ -1,14 +1,14 @@
-"""Unit tests for the parallel engines (all six backends)."""
+"""Unit tests for the parallel engines (all four backends)."""
+
+import pickle
 
 import numpy as np
 import pytest
 
-from repro.errors import EngineError, OwnershipViolation
+from repro.errors import EngineError, OwnershipViolation, UnknownEngineError
 from repro.parallel import (
     CostModel,
     OwnershipTracker,
-    PartitionedEngine,
-    ProcessEngine,
     SerialEngine,
     SharedMemoryEngine,
     SimulatedEngine,
@@ -24,10 +24,8 @@ from tests._shm_support import square
 ALL_ENGINES = [
     SerialEngine(),
     ThreadEngine(threads=3),
-    ProcessEngine(threads=2, min_items_per_process=1),
     SharedMemoryEngine(threads=2, min_dispatch_items=1),
     SimulatedEngine(threads=4),
-    PartitionedEngine(threads=1, partitions=2, inner="serial"),
 ]
 
 
@@ -98,6 +96,30 @@ class TestResolveEngine:
     def test_unknown_name_rejected(self):
         with pytest.raises(EngineError):
             resolve_engine("gpu")
+
+    def test_unknown_engine_error_names_the_registry(self):
+        with pytest.raises(UnknownEngineError) as exc_info:
+            resolve_engine("gpu")
+        err = exc_info.value
+        assert err.name == "gpu"
+        assert "shm" in err.valid
+        assert "serial" in err.valid
+        assert "shm" in str(err)
+        assert isinstance(err, EngineError)  # old except clauses keep working
+
+    def test_unknown_engine_error_round_trips_through_pickle(self):
+        err = UnknownEngineError("gpu", ("serial", "shm"))
+        clone = pickle.loads(pickle.dumps(err))
+        assert isinstance(clone, UnknownEngineError)
+        assert clone.name == "gpu"
+        assert clone.valid == ("serial", "shm")
+        assert str(clone) == str(err)
+
+    @pytest.mark.parametrize("name", ["processes", "partitioned"])
+    def test_retired_engine_names_are_unknown(self, name):
+        with pytest.raises(UnknownEngineError) as exc_info:
+            resolve_engine(name)
+        assert exc_info.value.valid == ("serial", "threads", "shm", "simulated")
 
     def test_garbage_rejected(self):
         with pytest.raises(EngineError):

@@ -1,5 +1,4 @@
-"""Unit tests for :class:`SharedMemoryEngine` and the ProcessEngine
-correctness fixes.
+"""Unit tests for :class:`SharedMemoryEngine`.
 
 Covers, per the tentpole and satellites:
 
@@ -9,11 +8,11 @@ Covers, per the tentpole and satellites:
   guard pickler hard-fails on smuggled ndarrays),
 - worker crash recovery (pool reset + inline re-run),
 - double-close idempotency, segment unlinking, engine reuse,
-- the worker-side unpickle fallback (satellite bug 3) on both process
-  backends,
-- graceful pool close (satellite bug 2),
-- cross-backend work-accounting parity (satellite bug 1), and
-- non-empty traced work distributions on the processes/shm backends.
+- the worker-side unpickle fallback of the generic ``parallel_for``
+  path,
+- graceful pool close and reuse,
+- cross-backend work-accounting parity, and
+- non-empty traced work distributions on both shm dispatch paths.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from repro.errors import EngineError
 from repro.obs.engine import TracedEngine
 from repro.obs.tracer import Tracer, use_tracer
 from repro.parallel import (
-    ProcessEngine,
     SerialEngine,
     SharedMemoryEngine,
     SimulatedEngine,
@@ -213,8 +211,8 @@ class TestLifecycle:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=seg)
 
-    def test_process_engine_graceful_close_and_reuse(self):
-        e = ProcessEngine(threads=2, min_items_per_process=1)
+    def test_generic_path_graceful_close_and_reuse(self):
+        e = SharedMemoryEngine(threads=2, min_items_per_process=1)
         assert e.parallel_for(list(range(8)), square) == [
             i * i for i in range(8)
         ]
@@ -226,11 +224,10 @@ class TestLifecycle:
 
 
 class TestUnpickleFallback:
-    """Satellite bug 3: a worker-side unpickle failure must degrade to
-    the serial fallback instead of poisoning the pool."""
+    """A worker-side unpickle failure must degrade to the serial
+    fallback instead of poisoning the pool."""
 
-    @pytest.mark.parametrize("engine_cls", [ProcessEngine,
-                                            SharedMemoryEngine])
+    @pytest.mark.parametrize("engine_cls", [SharedMemoryEngine])
     def test_worker_unpickle_failure_falls_back(self, engine_cls):
         e = engine_cls(threads=2, min_items_per_process=1)
         try:
@@ -247,14 +244,13 @@ class TestUnpickleFallback:
 
 
 class TestWorkAccountingParity:
-    """Satellite bug 1: every backend accumulates the same work units
-    for the same superstep (ProcessEngine used to drop ``work_fn``)."""
+    """Every backend accumulates the same work units for the same
+    superstep (a process backend once dropped ``work_fn``)."""
 
     def _engines(self):
         return [
             SerialEngine(),
             ThreadEngine(threads=2),
-            ProcessEngine(threads=2, min_items_per_process=1),
             SharedMemoryEngine(threads=2, min_items_per_process=1),
             SimulatedEngine(threads=2),
         ]
@@ -280,7 +276,7 @@ class TestWorkAccountingParity:
                 getattr(e, "close", lambda: None)()
 
     def test_fallback_path_still_accounts(self):
-        e = ProcessEngine(threads=2, min_items_per_process=1)
+        e = SharedMemoryEngine(threads=2, min_items_per_process=1)
         try:
             captured = []
 
@@ -298,14 +294,14 @@ class TestWorkAccountingParity:
 
 
 class TestTracedSpans:
-    """Acceptance: traced spans on processes/shm report non-empty work
-    distributions."""
+    """Acceptance: traced spans on both shm dispatch paths report
+    non-empty work distributions."""
 
-    def test_processes_spans_have_work_stats(self):
+    def test_generic_path_spans_have_work_stats(self):
         tracer = Tracer(recording=True)
         with use_tracer(tracer):
-            e = TracedEngine(ProcessEngine(threads=2,
-                                           min_items_per_process=1))
+            e = TracedEngine(SharedMemoryEngine(threads=2,
+                                                min_items_per_process=1))
             e.parallel_for(list(range(12)), square,
                            work_fn=lambda i, r: float(i + 1))
             e.close()
@@ -393,7 +389,7 @@ class TestWorkerSpanCollection:
         along — ``REPRO_OBS=off`` replies keep the legacy ``b"R"``."""
         import pickle
 
-        from repro.parallel.backends.processes import (
+        from repro.parallel.backends.shm import (
             _TAG_RESULTS,
             _TAG_RESULTS_OBS,
             _chunk_runner,
@@ -567,8 +563,7 @@ class TestResolveAndWrappers:
             e.close()
 
     def test_close_is_safe_through_wrappers_on_any_backend(self):
-        for name in ("serial", "threads", "processes", "shm",
-                     "simulated"):
+        for name in ("serial", "threads", "shm", "simulated"):
             e = resolve_engine(name, threads=2, checked=True)
             e.close()  # must never raise, even when inner has no pool
 
