@@ -44,7 +44,7 @@ because all mutation happens inside the existing slab kernels, over a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 import numpy as np
 
@@ -59,7 +59,7 @@ from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.parallel.api import Engine, resolve_engine
 from repro.parallel.atomics import OwnershipTracker, resolve_tracker
-from repro.types import DIST_DTYPE, INF, NO_PARENT, FloatArray, IntArray
+from repro.types import INF, NO_PARENT, FloatArray, IntArray
 
 __all__ = ["apply_mixed_batch", "sosp_update_mixed", "MixedUpdateStats"]
 
@@ -163,7 +163,7 @@ def apply_mixed_batch(
         deletions=int(batch.num_deletions),
         weight_changes=int(batch.num_weight_changes),
     ) as sp_inv:
-        dirty = _invalidate(graph, tree, batch, stats)
+        dirty = _invalidate(snapshot, tree, batch, stats)
         if dirty.size:
             dist[dirty] = INF
             parent[dirty] = NO_PARENT
@@ -176,7 +176,7 @@ def apply_mixed_batch(
     # ------------------------------------------------------ Step I
     with tracer.span("sosp_update_mixed.seed") as sp_seed:
         s_src, s_dst, s_w = _gather_stimuli(
-            graph, batch, dirty, objective, snapshot
+            snapshot, batch, dirty, objective
         )
         stats.seed_stimuli = int(s_src.size)
         affected_arr, scanned = kernels.relax_batch_groups(
@@ -211,7 +211,7 @@ sosp_update_mixed = apply_mixed_batch
 
 # ----------------------------------------------------------------------
 def _invalidate(
-    graph: DiGraph,
+    snapshot: CSRGraph,
     tree: SOSPTree,
     batch: ChangeBatch,
     stats: MixedUpdateStats,
@@ -223,7 +223,9 @@ def _invalidate(
     ``(u, v)`` edge certifies a distance ``≤ dist[v]``.  The test is
     strictly one-sided (``nd > dist[v]``): a weight drop on the parent
     edge leaves ``dist[v]`` a valid upper bound, and the matching Step-I
-    stimulus lowers it without the invalidation churn.  The roots'
+    stimulus lowers it without the invalidation churn.  The surviving
+    weights come from the updated snapshot in one vectorised lookup
+    (:meth:`~repro.graph.csr.CSRGraph.min_weight_between`).  The roots'
     subtrees are swept over the tree's child CSR
     (:meth:`~repro.core.tree.SOSPTree.subtree`), built only when some
     root exists.
@@ -240,13 +242,11 @@ def _invalidate(
     # one test per distinct v decides for all of them
     cand = (parent[dst] == src) & np.isfinite(dist[dst])
     v_cand = np.unique(dst[cand])
+    if not v_cand.size:
+        return v_cand
     u_cand = parent[v_cand]
-    nd = dist[u_cand] + np.array(
-        [
-            graph.min_weight_between(u, v, objective)
-            for u, v in zip(u_cand.tolist(), v_cand.tolist())
-        ],
-        dtype=DIST_DTYPE,
+    nd = dist[u_cand] + snapshot.min_weight_between(
+        u_cand, v_cand, objective
     )
     old = dist[v_cand]
     roots = v_cand[(nd > old) & ~np.isclose(nd, old)]
@@ -259,44 +259,33 @@ def _invalidate(
 
 
 def _gather_stimuli(
-    graph: DiGraph,
+    snapshot: CSRGraph,
     batch: ChangeBatch,
     dirty: IntArray,
     objective: int,
-    snapshot: CSRGraph,
 ) -> Tuple[IntArray, IntArray, FloatArray]:
     """Assemble the Step-I candidate edges ``(src, dst, weight)``.
 
-    Change stimuli come first (one per distinct inserted /
-    weight-changed pair, normalised to the minimum live weight so the
-    batch's record order and duplicates cannot disagree with the
-    graph), then the dirty boundary — every in-edge of every
-    invalidated vertex.  Order is deterministic, and duplicates between
-    the two groups are harmless: the group relaxation reduces each
-    destination with one segmented argmin.
+    Change stimuli come first: one per distinct inserted /
+    weight-changed pair, in first-occurrence order (insertions, then
+    weight changes), normalised to the minimum live weight so the
+    batch's record order and duplicates cannot disagree with the graph;
+    pairs with no live edge left are dropped.  Then the dirty boundary
+    — every in-edge of every invalidated vertex.  Order is
+    deterministic, and duplicates between the two groups are harmless:
+    the group relaxation reduces each destination with one segmented
+    argmin.
     """
-    stim_src: List[int] = []
-    stim_dst: List[int] = []
-    stim_w: List[float] = []
-    seen: Set[Tuple[int, int]] = set()
     ins_src, ins_dst, _ins_w = batch.insert_records()
     wc_src, wc_dst, _wc_w = batch.weight_change_records()
-    for u, v in zip(
-        np.concatenate((ins_src, wc_src)).tolist(),
-        np.concatenate((ins_dst, wc_dst)).tolist(),
-    ):
-        if (u, v) in seen:
-            continue
-        seen.add((u, v))
-        live = graph.min_weight_between(u, v, objective)
-        if np.isfinite(live):
-            stim_src.append(u)
-            stim_dst.append(v)
-            stim_w.append(float(live))
-
-    src = np.asarray(stim_src, dtype=np.int64)
-    dst = np.asarray(stim_dst, dtype=np.int64)
-    w = np.asarray(stim_w, dtype=DIST_DTYPE)
+    src = np.concatenate((ins_src, wc_src))
+    dst = np.concatenate((ins_dst, wc_dst))
+    _, first = np.unique(src * snapshot.n + dst, return_index=True)
+    first.sort()
+    src, dst = src[first], dst[first]
+    w = snapshot.min_weight_between(src, dst, objective)
+    live = np.isfinite(w)
+    src, dst, w = src[live], dst[live], w[live]
     if dirty.size:
         b_src, b_dst, b_w = kernels.gather_in_edges_csr(
             snapshot, dirty, objective

@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # circular at runtime: sosp_update imports kernels
     from repro.core.sosp_update import UpdateStats
 
 from repro.core.affected import gather_unique_neighbors_csr
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, gather_ranges
 from repro.parallel.api import (
     Engine,
     SlabTask,
@@ -249,30 +249,6 @@ def _propagate_relax_slab(
         parent[vv] = best_u[improved]
         marked[vv] = 1
     return np.asarray(vv, dtype=np.int64), scanned
-
-
-def gather_ranges(
-    starts: IntArray, ends: IntArray
-) -> Tuple[IntArray, IntArray]:
-    """Concatenate the index ranges ``[starts[i], ends[i])``.
-
-    Returns ``(idx, seg_starts)``: ``idx`` is the concatenation of all
-    ranges (so ``arr[idx]`` gathers every range of ``arr`` in one
-    call), and ``seg_starts`` is the ``(s+1,)`` boundary array of each
-    range's slice inside ``idx``.  Empty ranges are allowed.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    ends = np.asarray(ends, dtype=np.int64)
-    deg = ends - starts
-    seg_starts = np.zeros(len(deg) + 1, dtype=np.int64)
-    np.cumsum(deg, out=seg_starts[1:])
-    total = int(seg_starts[-1])
-    if total == 0:
-        return np.empty(0, dtype=np.int64), seg_starts
-    idx = np.arange(total, dtype=np.int64) + np.repeat(
-        starts - seg_starts[:-1], deg
-    )
-    return idx, seg_starts
 
 
 def segmented_argmin(

@@ -151,19 +151,19 @@ def sosp_update(
         OwnershipTracker() if check_ownership else resolve_tracker(None, eng)
     )
 
+    snapshot = csr if csr is not None else CSRGraph.from_digraph(graph)
+    check_snapshot(snapshot, graph, "append_batch")
+
     # normalise the insertion records against the *live* graph: a batch
     # may insert and delete the same (u, v) edge (mixed batches apply
     # in record order), so the only trustworthy stimulus per record is
     # the smallest live (u, v) weight — achievable by construction and
     # at least as good as whatever the record carried.  Records whose
     # endpoints have no surviving edge are dropped.
-    batch = _normalize_against_graph(graph, batch, objective)
+    batch = _normalize_against_graph(snapshot, batch, objective)
 
     tracer = get_tracer()
     batch_size = int(batch.num_insertions)
-
-    snapshot = csr if csr is not None else CSRGraph.from_digraph(graph)
-    check_snapshot(snapshot, graph, "append_batch")
     src, dst, w_all = batch.insert_records()
     with tracer.span(
         "sosp_update.step1", kernel="csr", batch_size=batch_size
@@ -245,37 +245,21 @@ def _publish_stats(stats: UpdateStats, batch_size: int) -> None:
 
 # ----------------------------------------------------------------------
 def _normalize_against_graph(
-    graph: DiGraph, batch: ChangeBatch, objective: int
+    snapshot: CSRGraph, batch: ChangeBatch, objective: int
 ) -> ChangeBatch:
     """Rewrite insertion records to the minimum live ``(u, v)`` weight
     for ``objective``; drop records with no surviving edge.
 
-    Cost O(Σ out-degree(u)) over the batch — negligible next to the
-    update itself — and only runs when the batch could disagree with
-    the graph (records whose weight matches a live edge pass through
-    untouched in the common case)."""
+    One vectorised lookup over the updated snapshot
+    (:meth:`~repro.graph.csr.CSRGraph.min_weight_between`), O(|batch| +
+    degree)."""
     src, dst, w = batch.insert_records()
     if len(src) == 0:
         return batch
-    keep_src: List[int] = []
-    keep_dst: List[int] = []
-    keep_w: List[np.ndarray] = []
-    k = batch.num_objectives
-    for i in range(len(src)):
-        u, v = int(src[i]), int(dst[i])
-        live = graph.min_weight_between(u, v, objective)
-        if not np.isfinite(live):
-            continue  # edge no longer exists (deleted later in batch)
-        row = w[i].copy()
-        row[objective] = live
-        keep_src.append(u)
-        keep_dst.append(v)
-        keep_w.append(row)
-    if not keep_src:
-        return ChangeBatch.insertions([])
+    live = snapshot.min_weight_between(src, dst, objective)
+    keep = np.isfinite(live)  # an edge deleted later in the batch is gone
+    w = w[keep]
+    w[:, objective] = live[keep]
     return ChangeBatch(
-        np.asarray(keep_src),
-        np.asarray(keep_dst),
-        np.vstack(keep_w),
-        np.ones(len(keep_src), dtype=bool),
+        src[keep], dst[keep], w, np.ones(int(keep.sum()), dtype=bool)
     )

@@ -20,34 +20,23 @@ insert/delete-only callers are unaffected.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import BatchError
 from repro.graph.digraph import DiGraph
-from repro.types import DIST_DTYPE, VERTEX_DTYPE, FloatArray, IntArray
+from repro.types import (
+    DIST_DTYPE,
+    KIND_DELETE,
+    KIND_INSERT,
+    KIND_WEIGHT,
+    VERTEX_DTYPE,
+    FloatArray,
+    IntArray,
+)
 
 __all__ = ["ChangeBatch", "KIND_DELETE", "KIND_INSERT", "KIND_WEIGHT"]
-
-#: Record-kind codes stored in :attr:`ChangeBatch.kind`.
-KIND_DELETE = 0
-KIND_INSERT = 1
-KIND_WEIGHT = 2
-
-
-def _min_weight_eid(g: DiGraph, u: int, v: int) -> Optional[int]:
-    """The live ``(u, v)`` edge with the lexicographically smallest
-    weight vector (the one :meth:`DiGraph.remove_edge` targets), or
-    ``None`` when no live edge exists."""
-    best: Optional[int] = None
-    for vv, eid in g.out_edges(u):
-        if vv == v and (
-            best is None
-            or tuple(g.weight(eid)) < tuple(g.weight(best))
-        ):
-            best = eid
-    return best
 
 
 class ChangeBatch:
@@ -297,45 +286,19 @@ class ChangeBatch:
 
     # ------------------------------------------------------------------
     def apply_to(self, g: DiGraph) -> List[int]:
-        """Apply the batch to ``g`` in record order.
+        """Apply the batch to ``g`` in record order; return the edge ids
+        of the inserted edges.
 
-        Insertions add edges (returning their edge ids).  Deletion and
-        weight-change records target the live matching edge with the
-        lexicographically smallest weight vector — the same edge
-        :meth:`~repro.graph.digraph.DiGraph.remove_edge` picks — and
-        are skipped with no effect when no live edge matches
-        (idempotent semantics for randomly generated batches).
+        Deletion and weight-change records target the live matching
+        edge with the lexicographically smallest weight vector — the
+        same edge :meth:`~repro.graph.digraph.DiGraph.remove_edge`
+        picks — and are skipped with no effect when no live edge
+        matches (idempotent semantics for randomly generated batches).
         Record order matters: a deletion can remove an edge inserted
         earlier in the same batch, and consecutive weight changes on
         one ``(u, v)`` pair re-resolve their target edge after each
-        change.
+        change.  Every record is validated before the first mutation,
+        so a bad record leaves ``g`` untouched
+        (:meth:`~repro.graph.digraph.DiGraph.apply_batch`).
         """
-        if self.num_changes and (
-            int(self.src.max(initial=0)) >= g.num_vertices
-            or int(self.dst.max(initial=0)) >= g.num_vertices
-        ):
-            raise BatchError(
-                "batch references vertices outside the graph; "
-                "grow the graph first with add_vertices()"
-            )
-        if (
-            self.num_changes > self.num_deletions
-            and self.num_objectives != g.num_objectives
-        ):
-            raise BatchError(
-                f"batch k={self.num_objectives} != graph k={g.num_objectives}"
-            )
-        eids: List[int] = []
-        for i in range(self.num_changes):
-            u, v = int(self.src[i]), int(self.dst[i])
-            code = int(self.kind[i])
-            if code == KIND_INSERT:
-                eids.append(g.add_edge(u, v, self.weights[i]))
-            elif code == KIND_DELETE:
-                if g.has_edge(u, v):
-                    g.remove_edge(u, v)
-            else:  # KIND_WEIGHT
-                eid = _min_weight_eid(g, u, v)
-                if eid is not None:
-                    g.set_weight(eid, self.weights[i])
-        return eids
+        return g.apply_batch(self)

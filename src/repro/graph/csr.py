@@ -25,41 +25,71 @@ whole-array consumers (``indptr``/``indices``/``src``/...) see only the
 frozen base and must call :meth:`compact` first — or go through
 :meth:`ensure`, which static solvers use at their entry points.
 
-Deletion and weight mutation (the fully dynamic story)
-------------------------------------------------------
-:meth:`delete_edges` and :meth:`update_edge_weights` extend the
-incremental contract to the other two record kinds without an O(|E|)
-re-freeze: a deleted edge is *tombstoned* in place — its weight row
+Mixed batches in one pass (the fully dynamic story)
+---------------------------------------------------
+:meth:`apply_batch` applies a mixed batch of insertions, deletions and
+weight changes in record order, in O(|batch| + degree) — never
+O(tail).  A deleted edge is *tombstoned* in place: its weight row
 (base or tail) becomes ``+inf``, which no shortest-path relaxation can
-ever improve through — and a weight change overwrites its target row
-directly.  Both target the live matching edge with the
-lexicographically smallest weight vector, exactly mirroring
-:meth:`DiGraph.remove_edge` semantics so an incrementally maintained
-snapshot stays edge-multiset-equal to its digraph.  Mutating a base
-row bumps :attr:`base_stamp` (tail rows bump :attr:`tail_stamp`), so
-shared-memory engines re-plant exactly the arrays that changed.
-Tombstones are physically dropped at the next :meth:`compact`;
-until then ``num_edges`` discounts them, structural queries
-(``out_neighbors``/``in_neighbors``/degrees) may still report the dead
-endpoints, and weight queries return their ``inf`` rows — harmless to
-the relaxation kernels, which only ever take minima.
+ever improve through.  A weight change overwrites its target row.
+Both target the live matching edge with the lexicographically smallest
+weight vector, first in row order on ties (base rows, then tail rows),
+mirroring :meth:`DiGraph.remove_edge`, so an incrementally maintained
+snapshot stays edge-multiset-equal to its digraph.
+
+The target is found through a **pair index**: a dict from the pair
+key ``u * n + v`` to the tuple of that pair's tail rows, in row order.
+A record's candidates are the base slice ``indptr[u]:indptr[u+1]``
+(rows whose head is ``v``) plus the tail rows the index lists.  The
+pass appends all the batch's insertions to the tail in one
+concatenate, but a row joins the index only when the loop reaches its
+record, so a deletion never sees an edge inserted after it.  :meth:`append_edges` extends the
+index in place (an epoch of one or two edits costs one or two dict
+entries); :meth:`compact` resets it; a pickled or copied snapshot drops
+it and rebuilds it from its tail on first use.  The same index backs
+:meth:`min_weight_between`, the live-weight lookup of the update
+pipelines.  The pass compacts at most once, after its last record.
+
+Mutating a base row bumps :attr:`base_stamp` (tail rows bump
+:attr:`tail_stamp`), so shared-memory engines re-plant exactly the
+arrays that changed.  Tombstones are physically dropped at the next
+:meth:`compact`; until then ``num_edges`` discounts them, structural
+queries (``out_neighbors``/``in_neighbors``/degrees) may still report
+the dead endpoints, and weight queries return their ``inf`` rows —
+harmless to the relaxation kernels, which only ever take minima.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Iterator, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
-from repro.errors import GraphError, VertexError
+from repro.errors import GraphError, VertexError, WeightError
 from repro.graph.digraph import DiGraph
-from repro.types import DIST_DTYPE, VERTEX_DTYPE, FloatArray, IntArray
+from repro.types import (
+    DIST_DTYPE,
+    KIND_DELETE,
+    KIND_INSERT,
+    VERTEX_DTYPE,
+    FloatArray,
+    IntArray,
+)
 
 if TYPE_CHECKING:  # circular at runtime: dynamic.changes uses graphs
     from repro.dynamic.changes import ChangeBatch
 
-__all__ = ["CSRGraph", "live_edge_arrays"]
+__all__ = ["CSRGraph", "gather_ranges", "live_edge_arrays"]
 
 
 class CSRGraph:
@@ -118,6 +148,7 @@ class CSRGraph:
         "base_version",
         "tail_version",
         "num_dead",
+        "_pairs",
     )
 
     def __init__(
@@ -141,7 +172,7 @@ class CSRGraph:
         self.base_version = 0
         self.tail_version = 0
         #: Tombstoned (deleted-in-place) rows across base + tail; see
-        #: :meth:`delete_edges`.  Discounted from :attr:`num_edges` and
+        #: :meth:`apply_batch`.  Discounted from :attr:`num_edges` and
         #: physically dropped by :meth:`compact`.
         self.num_dead = 0
         self._freeze(src, dst, weights)
@@ -150,7 +181,11 @@ class CSRGraph:
         self.tail_weights = np.empty((0, self.k), dtype=DIST_DTYPE)
 
     def __getstate__(self) -> dict:
-        return {slot: getattr(self, slot) for slot in self.__slots__}
+        # the pair index is derived from the tail: a copy rebuilds it
+        # on first use instead of shipping it
+        state = {slot: getattr(self, slot) for slot in self.__slots__}
+        state["_pairs"] = None
+        return state
 
     def __setstate__(self, state: dict) -> None:
         """Restore a pickled/copied snapshot under a **fresh** uid.
@@ -186,6 +221,9 @@ class CSRGraph:
         n = self.n
         self.m = int(src.shape[0])
         self.base_version += 1
+        #: Pair index over the tail (see the module docstring); ``None``
+        #: until first use on a copy.
+        self._pairs: Optional[Dict[int, Tuple[int, ...]]] = {}
 
         # forward CSR: stable sort edges by src
         order = np.argsort(src, kind="stable")
@@ -266,36 +304,81 @@ class CSRGraph:
         empties the tail)."""
         return (self.uid, self.base_version, self.tail_version)
 
+    def _check_records(
+        self, src: IntArray, dst: IntArray, weights: FloatArray
+    ) -> None:
+        """Refuse records before anything is mutated: a vertex outside
+        ``[0, n)`` raises :class:`VertexError`, weight rows of another
+        arity :class:`GraphError`, non-finite or negative weights
+        :class:`WeightError`.  ``weights`` holds only the rows that
+        carry a weight (deletions carry none)."""
+        if len(src):
+            ids = np.concatenate((src, dst))
+            bad = ids[(ids < 0) | (ids >= self.n)]
+            if bad.size:
+                raise VertexError(int(bad[0]), self.n)
+        if len(weights):
+            if weights.shape[1] != self.k:
+                raise GraphError(
+                    f"batch weights have k={weights.shape[1]}, snapshot "
+                    f"has k={self.k}"
+                )
+            if not np.isfinite(weights).all() or (weights < 0).any():
+                raise WeightError("edge weights must be finite and >= 0")
+
+    def _pair_rows(self) -> Dict[int, Tuple[int, ...]]:
+        """The tail's pair index, rebuilt from the tail if a copy
+        dropped it."""
+        if self._pairs is None:
+            self._pairs = {}
+            self._index_tail(0, self.num_tail_edges)
+        return self._pairs
+
+    def _index_tail(self, start: int, stop: int) -> None:
+        """Add tail rows ``start..stop-1`` to the pair index."""
+        pairs = self._pairs
+        if pairs is None:  # built from the whole tail on first use
+            return
+        keys = (
+            self.tail_src[start:stop] * self.n + self.tail_dst[start:stop]
+        ).tolist()
+        for row, key in enumerate(keys, start):
+            pairs[key] = pairs.get(key, ()) + (row,)
+
+    def _extend_tail(
+        self, src: IntArray, dst: IntArray, weights: FloatArray
+    ) -> None:
+        """Concatenate rows onto the COO tail (not yet indexed)."""
+        self.tail_src = np.concatenate((self.tail_src, src))
+        self.tail_dst = np.concatenate((self.tail_dst, dst))
+        self.tail_weights = np.concatenate((self.tail_weights, weights))
+        self.tail_version += 1
+
+    def _compact_if_long(self) -> None:
+        """The rebuild half of the append-or-rebuild policy."""
+        limit = max(self.MIN_TAIL_REBUILD,
+                    int(self.TAIL_REBUILD_FRACTION * self.m))
+        if self.num_tail_edges > limit:
+            self.compact()
+
     def append_edges(
         self, src: IntArray, dst: IntArray, weights: FloatArray
     ) -> None:
         """Append a batch of edges in O(|batch|) amortised.
 
-        New edges go to the COO tail; when the tail outgrows
-        ``max(MIN_TAIL_REBUILD, TAIL_REBUILD_FRACTION * m)`` the whole
-        snapshot is re-frozen (and the tail emptied).  Query methods
-        see the appended edges immediately either way.
+        New edges go to the COO tail and the pair index; when the tail
+        outgrows ``max(MIN_TAIL_REBUILD, TAIL_REBUILD_FRACTION * m)``
+        the whole snapshot is re-frozen (and the tail emptied).  Query
+        methods see the appended edges immediately either way.
         """
         src, dst, weights = self._coerce_edges(src, dst, weights)
-        if weights.shape[1] != self.k:
-            raise GraphError(
-                f"appended weights have k={weights.shape[1]}, snapshot "
-                f"has k={self.k}"
-            )
+        self._check_records(src, dst, weights)
         if len(src) == 0:
             return
-        if src.min() < 0 or src.max() >= self.n or dst.min() < 0 or dst.max() >= self.n:
-            raise VertexError(
-                int(max(src.max(initial=0), dst.max(initial=0))), self.n
-            )
-        self.tail_src = np.concatenate((self.tail_src, src))
-        self.tail_dst = np.concatenate((self.tail_dst, dst))
-        self.tail_weights = np.concatenate((self.tail_weights, weights))
-        self.tail_version += 1
-        limit = max(self.MIN_TAIL_REBUILD,
-                    int(self.TAIL_REBUILD_FRACTION * self.m))
-        if self.num_tail_edges > limit:
-            self.compact()
+        start = self.num_tail_edges
+        self._extend_tail(src, dst, weights)
+        self._index_tail(start, self.num_tail_edges)
+        self._compact_if_long()
 
     def append_batch(self, batch: "ChangeBatch") -> None:
         """Append the insertion records of a
@@ -313,134 +396,125 @@ class CSRGraph:
         src, dst, w = batch.insert_records()
         self.append_edges(src, dst, w)
 
+    def _base_matches(
+        self, src: IntArray, dst: IntArray
+    ) -> Tuple[IntArray, IntArray]:
+        """Every base row of every pair ``(src[i], dst[i])``: returns
+        ``(owner, rows)`` with ``owner`` the pair's position ``i``, in
+        ``(i, row)`` order."""
+        lo, hi = self.indptr[src], self.indptr[src + 1]
+        rows, _ = gather_ranges(lo, hi)
+        owner = np.repeat(np.arange(len(src), dtype=np.int64), hi - lo)
+        hit = self.indices[rows] == dst[owner]
+        return owner[hit], rows[hit]
+
+    def _lexmin_live(
+        self, base_rows: Sequence[int], tail_rows: Sequence[int]
+    ) -> Tuple[int, int]:
+        """The target of a deletion or weight change: among one pair's
+        candidate rows, the live one with the lexicographically
+        smallest weight vector, the first in row order on ties (base
+        rows, then tail rows).  Returns ``(where, row)``, ``where`` 0 =
+        base, 1 = tail, ``(-1, -1)`` when no candidate is live."""
+        best_where, best_row = -1, -1
+        best_w: List[float] = []
+        for where, arr, rows in ((0, self.weights, base_rows),
+                                 (1, self.tail_weights, tail_rows)):
+            for row in rows:
+                w = arr[row].tolist()
+                if w[0] != np.inf and (best_where < 0 or w < best_w):
+                    best_where, best_row, best_w = where, row, w
+        return best_where, best_row
+
     def apply_batch(self, batch: "ChangeBatch") -> None:
         """Apply a mixed :class:`~repro.dynamic.changes.ChangeBatch` in
         record order, the CSR twin of
         :meth:`~repro.dynamic.changes.ChangeBatch.apply_to`.
 
-        Insertions append to the COO tail, deletions tombstone their
-        target row, weight changes overwrite theirs; runs of
-        consecutive insertions are appended in one O(|run|) call.
-        After ``batch.apply_to(graph)`` + ``snapshot.apply_batch(batch)``
-        the snapshot's live edge multiset equals the digraph's.
+        One pass, O(|batch| + degree): every record is checked first
+        (:meth:`_check_records`), so a bad record leaves the snapshot
+        untouched; the insertions are appended to the tail in one
+        concatenate and join the pair index as the loop reaches them;
+        deletions tombstone and weight changes overwrite the
+        :meth:`_lexmin_live` row among the base slice and the indexed
+        tail rows of their pair.  Compacts at most once, after the
+        pass.  After ``batch.apply_to(graph)`` +
+        ``snapshot.apply_batch(batch)`` the snapshot's live edge
+        multiset equals the digraph's.
         """
-        kind = np.asarray(batch.kind)
-        b = int(kind.shape[0])
-        i = 0
-        while i < b:
-            j = i + 1
-            while j < b and kind[j] == kind[i]:
-                j += 1
-            code = int(kind[i])
-            if code == 1:  # KIND_INSERT (duck-typed, no import cycle)
-                self.append_edges(
-                    batch.src[i:j], batch.dst[i:j], batch.weights[i:j]
-                )
-            elif code == 0:  # KIND_DELETE
-                self.delete_edges(batch.src[i:j], batch.dst[i:j])
-            else:  # KIND_WEIGHT
-                self.update_edge_weights(
-                    batch.src[i:j], batch.dst[i:j], batch.weights[i:j]
-                )
-            i = j
-
-    def _find_live_min(self, u: int, v: int) -> Tuple[int, int]:
-        """Locate the live ``(u, v)`` edge with the lexicographically
-        smallest weight vector (the :meth:`DiGraph.remove_edge` target).
-
-        Returns ``(where, row)`` with ``where`` 0 = base / 1 = tail, or
-        ``(-1, -1)`` when no live edge matches.  Base rows precede tail
-        rows in the scan, matching insertion order, so ties resolve to
-        the same multiset outcome as the digraph.
-        """
-        best_where, best_row = -1, -1
-        best_w: Tuple[float, ...] = ()
-        for row in range(int(self.indptr[u]), int(self.indptr[u + 1])):
-            if int(self.indices[row]) != v:
-                continue
-            w = tuple(self.weights[row])
-            if not np.isfinite(w[0]):
-                continue  # tombstone
-            if best_where < 0 or w < best_w:
-                best_where, best_row, best_w = 0, row, w
-        if self.num_tail_edges:
-            for row in np.flatnonzero(
-                (self.tail_src == u) & (self.tail_dst == v)
-            ):
-                w = tuple(self.tail_weights[int(row)])
-                if not np.isfinite(w[0]):
-                    continue
-                if best_where < 0 or w < best_w:
-                    best_where, best_row, best_w = 1, int(row), w
-        return best_where, best_row
-
-    def delete_edges(self, src: IntArray, dst: IntArray) -> int:
-        """Tombstone one live edge per ``(u, v)`` record, in order.
-
-        The target row's weight vector becomes ``+inf`` — semantically
-        deleted for every relaxation kernel (``dist + inf`` never
-        improves anything) without disturbing the CSR layout.  Records
-        with no live match are skipped (the idempotent semantics of
-        :meth:`ChangeBatch.apply_to`).  Returns the number tombstoned.
-        """
-        src = np.ascontiguousarray(src, dtype=VERTEX_DTYPE)
-        dst = np.ascontiguousarray(dst, dtype=VERTEX_DTYPE)
-        removed = 0
+        src, dst, weights, kind = batch.src, batch.dst, batch.weights, batch.kind
+        self._check_records(src, dst, weights[kind != KIND_DELETE])
+        ins = kind == KIND_INSERT
+        pairs = self._pair_rows()  # before the tail grows
+        next_row = self.num_tail_edges
+        if ins.any():
+            self._extend_tail(src[ins], dst[ins], weights[ins])
+        mut = ~ins
+        owner, rows = self._base_matches(src[mut], dst[mut])
+        bounds = np.searchsorted(
+            owner, np.arange(int(np.count_nonzero(mut)) + 1)
+        ).tolist()
+        base_rows = rows.tolist()
+        j = 0
         base_touched = tail_touched = False
-        for u, v in zip(src.tolist(), dst.tolist()):
-            where, row = self._find_live_min(int(u), int(v))
-            if where < 0:
+        for i, (key, code) in enumerate(
+            zip((src * self.n + dst).tolist(), kind.tolist())
+        ):
+            if code == KIND_INSERT:
+                pairs[key] = pairs.get(key, ()) + (next_row,)
+                next_row += 1
                 continue
-            if where == 0:
-                self.weights[row, :] = np.inf
-                base_touched = True
-            else:
-                self.tail_weights[row, :] = np.inf
-                tail_touched = True
-            self.num_dead += 1
-            removed += 1
-        if base_touched:
-            self.base_version += 1
-        if tail_touched:
-            self.tail_version += 1
-        return removed
-
-    def update_edge_weights(
-        self, src: IntArray, dst: IntArray, weights: FloatArray
-    ) -> int:
-        """Overwrite the weight vector of one live edge per record.
-
-        Each ``(u, v, w)`` record re-resolves its target (the live
-        lex-min parallel edge) *after* the previous record applied, so
-        consecutive changes to one pair behave exactly like repeated
-        :meth:`DiGraph.set_weight` calls through
-        :meth:`ChangeBatch.apply_to`.  Records with no live match are
-        skipped.  Returns the number of rows rewritten.
-        """
-        src, dst, weights = self._coerce_edges(src, dst, weights)
-        if weights.shape[1] != self.k:
-            raise GraphError(
-                f"weight updates have k={weights.shape[1]}, snapshot "
-                f"has k={self.k}"
+            where, row = self._lexmin_live(
+                base_rows[bounds[j]:bounds[j + 1]], pairs.get(key, ())
             )
-        changed = 0
-        base_touched = tail_touched = False
-        for i in range(len(src)):
-            where, row = self._find_live_min(int(src[i]), int(dst[i]))
+            j += 1
             if where < 0:
                 continue
+            arr = self.weights if where == 0 else self.tail_weights
+            if code == KIND_DELETE:
+                arr[row] = np.inf
+                self.num_dead += 1
+            else:
+                arr[row] = weights[i]
             if where == 0:
-                self.weights[row] = weights[i]
                 base_touched = True
             else:
-                self.tail_weights[row] = weights[i]
                 tail_touched = True
-            changed += 1
         if base_touched:
             self.base_version += 1
         if tail_touched:
             self.tail_version += 1
-        return changed
+        self._compact_if_long()
+
+    def min_weight_between(
+        self, src: IntArray, dst: IntArray, objective: int = 0
+    ) -> FloatArray:
+        """Smallest ``objective`` weight over the live edges of each
+        pair ``(src[i], dst[i])``; ``inf`` where none is live.
+
+        The vectorised twin of :meth:`DiGraph.min_weight_between`
+        (bitwise equal on a synced snapshot): one gather over the base
+        slices plus a pair-index lookup per pair.  Tombstones weigh
+        ``inf`` and never win the minimum.
+        """
+        src = np.asarray(src, dtype=VERTEX_DTYPE)
+        dst = np.asarray(dst, dtype=VERTEX_DTYPE)
+        out = np.full(src.shape[0], np.inf, dtype=DIST_DTYPE)
+        owner, rows = self._base_matches(src, dst)
+        np.minimum.at(out, owner, self.weights[rows, objective])
+        if self.num_tail_edges:
+            pairs = self._pair_rows()
+            keys = (src * self.n + dst).tolist()
+            tails = [pairs.get(key, ()) for key in keys]
+            hit_rows = list(itertools.chain.from_iterable(tails))
+            if hit_rows:
+                owner = np.repeat(
+                    np.arange(len(tails)), [len(t) for t in tails]
+                )
+                np.minimum.at(
+                    out, owner, self.tail_weights[hit_rows, objective]
+                )
+        return out
 
     def compact(self) -> None:
         """Merge the tail into the sorted base, dropping tombstoned
@@ -579,3 +653,27 @@ def live_edge_arrays(
         alive = np.isfinite(w[:, 0])
         src, dst, w = src[alive], dst[alive], w[alive]
     return src, dst, w
+
+
+def gather_ranges(
+    starts: IntArray, ends: IntArray
+) -> Tuple[IntArray, IntArray]:
+    """Concatenate the index ranges ``[starts[i], ends[i])``.
+
+    Returns ``(idx, seg_starts)``: ``idx`` is the concatenation of all
+    ranges (so ``arr[idx]`` gathers every range of ``arr`` in one
+    call), and ``seg_starts`` is the ``(s+1,)`` boundary array of each
+    range's slice inside ``idx``.  Empty ranges are allowed.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    deg = ends - starts
+    seg_starts = np.zeros(len(deg) + 1, dtype=np.int64)
+    np.cumsum(deg, out=seg_starts[1:])
+    total = int(seg_starts[-1])
+    if total == 0:
+        return np.empty(0, dtype=np.int64), seg_starts
+    idx = np.arange(total, dtype=np.int64) + np.repeat(
+        starts - seg_starts[:-1], deg
+    )
+    return idx, seg_starts

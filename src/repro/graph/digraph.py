@@ -23,12 +23,30 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
-from repro.errors import EdgeError, VertexError, WeightError
-from repro.types import DIST_DTYPE, VERTEX_DTYPE, FloatArray, WeightLike
+from repro.errors import BatchError, EdgeError, VertexError, WeightError
+from repro.types import (
+    DIST_DTYPE,
+    KIND_DELETE,
+    KIND_INSERT,
+    VERTEX_DTYPE,
+    FloatArray,
+    WeightLike,
+)
+
+if TYPE_CHECKING:  # circular at runtime: dynamic.changes uses graphs
+    from repro.dynamic.changes import ChangeBatch
 
 __all__ = ["DiGraph"]
 
@@ -166,13 +184,7 @@ class DiGraph:
             weight = (float(weight),)
         w = self._coerce_weight(weight)
         eid = len(self._src)
-        if eid >= self._weights.shape[0]:
-            grown = np.empty(
-                (max(2 * self._weights.shape[0], eid + 1), self._k),
-                dtype=DIST_DTYPE,
-            )
-            grown[: self._weights.shape[0]] = self._weights
-            self._weights = grown
+        self._reserve(eid + 1)
         self._src.append(u)
         self._dst.append(v)
         self._weights[eid] = w
@@ -181,6 +193,15 @@ class DiGraph:
         self._in[v].append(eid)
         self._m += 1
         return eid
+
+    def _reserve(self, slots: int) -> None:
+        """Grow the weight buffer (geometrically) to hold ``slots``
+        edge records."""
+        cap = self._weights.shape[0]
+        if slots > cap:
+            grown = np.empty((max(2 * cap, slots), self._k), dtype=DIST_DTYPE)
+            grown[:cap] = self._weights
+            self._weights = grown
 
     def add_edges(self, edges: Iterable[Tuple[int, int, Sequence[float]]]) -> List[int]:
         """Insert many edges; return their edge ids."""
@@ -205,16 +226,24 @@ class DiGraph:
         """
         self._check_vertex(u)
         self._check_vertex(v)
-        best: Optional[int] = None
-        for eid in self._out[u]:
-            if self._alive[eid] and self._dst[eid] == v:
-                if best is None or tuple(self._weights[eid]) < tuple(
-                    self._weights[best]
-                ):
-                    best = eid
+        best = self._lexmin_live(u, v)
         if best is None:
             raise EdgeError(f"no live edge ({u}, {v}) to delete")
         self.remove_edge_id(best)
+        return best
+
+    def _lexmin_live(self, u: int, v: int) -> Optional[int]:
+        """The target of a deletion or weight change of ``(u, v)``: the
+        live parallel edge with the lexicographically smallest weight
+        vector, the first in insertion order on ties; ``None`` when no
+        live ``(u, v)`` edge exists."""
+        dst, alive, w = self._dst, self._alive, self._weights
+        best: Optional[int] = None
+        for eid in self._out[u]:
+            if dst[eid] == v and alive[eid] and (
+                best is None or w[eid].tolist() < w[best].tolist()
+            ):
+                best = eid
         return best
 
     def set_weight(self, eid: int, weight: WeightLike) -> None:
@@ -224,6 +253,70 @@ class DiGraph:
         if self._k == 1 and np.isscalar(weight):
             weight = (float(weight),)
         self._weights[eid] = self._coerce_weight(weight)
+
+    def apply_batch(self, batch: "ChangeBatch") -> List[int]:
+        """Apply a :class:`~repro.dynamic.changes.ChangeBatch` in record
+        order in one pass; return the inserted edges' ids.
+
+        Every record is checked first — vertex range and arity raise
+        :class:`~repro.errors.BatchError`, a non-finite or negative
+        weight :class:`~repro.errors.WeightError` — so a bad record
+        leaves the graph untouched.  The inserted weight rows are then
+        written in one slice, and the loop runs over plain lists.
+        Deletions and weight changes target :meth:`_lexmin_live` at the
+        moment their record is reached and skip when no live edge
+        matches.  :meth:`~repro.dynamic.changes.ChangeBatch.apply_to`
+        is the entry point.
+        """
+        src, dst, weights, kind = batch.src, batch.dst, batch.weights, batch.kind
+        n = self._n
+        if len(src) and (
+            min(int(src.min()), int(dst.min())) < 0
+            or max(int(src.max()), int(dst.max())) >= n
+        ):
+            raise BatchError(
+                "batch references vertices outside the graph; "
+                "grow the graph first with add_vertices()"
+            )
+        weighted = weights[kind != KIND_DELETE]
+        if len(weighted):
+            if weighted.shape[1] != self._k:
+                raise BatchError(
+                    f"batch k={weighted.shape[1]} != graph k={self._k}"
+                )
+            if not np.isfinite(weighted).all() or (weighted < 0).any():
+                raise WeightError(
+                    "batch weights must be finite and >= 0"
+                )
+        ins = kind == KIND_INSERT
+        first = len(self._src)
+        n_ins = int(np.count_nonzero(ins))
+        self._reserve(first + n_ins)
+        self._weights[first : first + n_ins] = weights[ins]
+        out, inn, alive = self._out, self._in, self._alive
+        eid = first
+        for i, (u, v, code) in enumerate(
+            zip(src.tolist(), dst.tolist(), kind.tolist())
+        ):
+            if code == KIND_INSERT:
+                self._src.append(u)
+                self._dst.append(v)
+                alive.append(True)
+                out[u].append(eid)
+                inn[v].append(eid)
+                eid += 1
+                continue
+            target = self._lexmin_live(u, v)
+            if target is None:
+                continue
+            if code == KIND_DELETE:
+                alive[target] = False
+                self._m -= 1
+                self._num_dead += 1
+            else:
+                self._weights[target] = weights[i]
+        self._m += n_ins
+        return list(range(first, eid))
 
     def compact(self) -> None:
         """Rebuild dense storage, dropping tombstones and remapping ids.

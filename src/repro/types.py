@@ -25,6 +25,9 @@ __all__ = [
     "NO_PARENT",
     "DIST_DTYPE",
     "VERTEX_DTYPE",
+    "KIND_DELETE",
+    "KIND_INSERT",
+    "KIND_WEIGHT",
     "as_float_array",
     "as_vertex_array",
 ]
@@ -62,6 +65,13 @@ DIST_DTYPE = np.float64
 
 #: dtype used for all vertex-id arrays.
 VERTEX_DTYPE = np.int64
+
+#: Record-kind codes of a change batch (``ChangeBatch.kind``).  They
+#: live here, below both graph representations, so each graph's batch
+#: applier can read them without importing :mod:`repro.dynamic`.
+KIND_DELETE = 0
+KIND_INSERT = 1
+KIND_WEIGHT = 2
 
 
 def as_float_array(values: Iterable[float]) -> FloatArray:

@@ -21,11 +21,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.sosp_update import (
-    UpdateStats,
-    _normalize_against_graph,
-    _publish_stats,
-)
+from repro.core.sosp_update import UpdateStats, _publish_stats
 from repro.core.tree import SOSPTree
 from repro.dynamic.changes import ChangeBatch
 from repro.errors import AlgorithmError
@@ -34,6 +30,7 @@ from repro.obs.tracer import get_tracer
 from repro.parallel.api import Engine, resolve_engine
 from repro.parallel.atomics import OwnershipTracker, resolve_tracker
 from repro.types import FloatArray, IntArray
+from tests._graph_apply_reference import normalize_against_graph_reference
 
 __all__ = [
     "group_by_destination",
@@ -126,7 +123,7 @@ def sosp_update_reference(
     objective = tree.objective
     marked = np.zeros(graph.num_vertices, dtype=np.int8)
     tracker = resolve_tracker(None, eng)
-    batch = _normalize_against_graph(graph, batch, objective)
+    batch = normalize_against_graph_reference(graph, batch, objective)
     tracer = get_tracer()
     batch_size = int(batch.num_insertions)
 

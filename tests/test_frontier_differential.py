@@ -33,7 +33,7 @@ from repro.core.kernels import (
     frontier_bellman_ford_csr,
     group_tail_by_position,
 )
-from repro.dynamic import random_insert_batch, random_mixed_batch
+from repro.dynamic import ChangeBatch, random_insert_batch, random_mixed_batch
 from repro.graph import road_like
 from repro.graph.csr import CSRGraph
 from repro.obs.metrics import use_metrics
@@ -84,10 +84,7 @@ def csr_snapshots(draw, max_n=40):
     if live:
         dead = draw(st.lists(st.sampled_from(live), max_size=len(live)))
         if dead:
-            csr.delete_edges(
-                np.array([u for u, _ in dead], dtype=np.int64),
-                np.array([v for _, v in dead], dtype=np.int64),
-            )
+            csr.apply_batch(ChangeBatch.deletions(dead, k=K))
     return csr
 
 

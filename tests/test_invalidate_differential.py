@@ -54,9 +54,13 @@ fully_dynamic = importlib.import_module("repro.core.fully_dynamic")
 
 
 def reference_step_d():
-    """Run the pipeline on the old walk."""
+    """Run the pipeline on the old walk (which reads live weights from
+    a thawed copy of the pipeline's snapshot)."""
     return mock.patch.object(
-        fully_dynamic, "_invalidate", invalidate_reference_sorted
+        fully_dynamic, "_invalidate",
+        lambda snapshot, tree, batch, stats: invalidate_reference_sorted(
+            snapshot.to_digraph(), tree, batch, stats
+        ),
     )
 
 
@@ -64,7 +68,9 @@ def assert_same_dirty_set(g, tree, batch):
     """Both Step Ds on one (updated graph, pre-batch tree) state."""
     before = (tree.dist.copy(), tree.parent.copy())
     got_stats = MixedUpdateStats()
-    got = fully_dynamic._invalidate(g, tree, batch, got_stats)
+    got = fully_dynamic._invalidate(
+        CSRGraph.from_digraph(g), tree, batch, got_stats
+    )
     ref_stats = MixedUpdateStats()
     ref = invalidate_reference(g, tree, batch, ref_stats)
     assert got.dtype == np.int64
