@@ -28,8 +28,9 @@ R005   no wall-clock ``time.time`` outside the bench harness (the
        notion of time elsewhere)
 R006   a slab kernel's inferred write-set (direct stores, numpy
        in-place ops, one helper-call level) must match its
-       ``SlabTask(writes=...)`` declaration — crash rollback and
-       ownership reporting protect exactly the declared set
+       ``SlabTask(writes=...)`` declaration — a dispatched superstep
+       copies back, and ownership reporting covers, exactly the
+       declared set
 R007   callables handed to process-backed engines must be importable
        module-level functions (no lambdas, closures, bound methods);
        ``SlabTask.ref`` strings must resolve

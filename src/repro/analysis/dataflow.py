@@ -2,11 +2,12 @@
 
 A slab kernel has the signature ``fn(arrays, params, lo, hi)`` and is
 dispatched by reference (:class:`~repro.parallel.api.SlabTask`); its
-``writes=(...)`` declaration is load-bearing — the shm backend
-snapshots exactly those planted arrays for transactional crash
-rollback, and :class:`~repro.parallel.checked.CheckedEngine` scopes
-its runtime cross-check to them.  This module infers, from the AST
-alone, which planted catalog arrays a kernel actually stores into:
+``writes=(...)`` declaration is load-bearing — after a dispatched
+superstep the shm backend copies exactly those arrays back into the
+caller's (an undeclared write is lost there but kept inline), and
+:class:`~repro.parallel.checked.CheckedEngine` scopes its runtime
+cross-check to them.  This module infers, from the AST alone, which
+task arrays a kernel actually stores into:
 
 - direct subscript stores: ``arrays["k"][lo:hi] = ...`` and stores
   through local views (``d = arrays["k"]; d[v] = ...``), including

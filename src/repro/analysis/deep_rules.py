@@ -59,6 +59,22 @@ def _slabtask_arg(call: ast.Call, field: str) -> Optional[ast.expr]:
     return None
 
 
+def _bound_names(
+    project: ProjectContext, mi: ModuleInfo, node: ast.expr
+) -> Optional[Tuple[str, ...]]:
+    """The logical names of a ``SlabTask(arrays=...)`` value: the keys
+    of a dict literal with constant keys, or a tuple of names."""
+    if isinstance(node, ast.Dict):
+        names: List[str] = []
+        for key in node.keys:
+            s = project.resolve_str(mi, key) if key is not None else None
+            if s is None:
+                return None  # ``**spread`` or a computed key
+            names.append(s)
+        return tuple(names)
+    return project.resolve_str_tuple(mi, node)
+
+
 def _is_slabtask_call(node: ast.AST) -> bool:
     if not isinstance(node, ast.Call):
         return False
@@ -72,11 +88,12 @@ def _is_slabtask_call(node: ast.AST) -> bool:
 class RuleR006(Rule):
     """A slab kernel's declared ``writes=`` must match what it stores.
 
-    The declaration is load-bearing twice over: the shm backend's crash
-    rollback snapshots exactly ``task.writes``, so an undeclared write
-    survives a rollback and corrupts recovery; and ownership reporting
-    scopes to the declared set, so an undeclared write escapes the
-    single-writer sanitizer entirely.
+    The declaration is load-bearing twice over: a dispatched shm
+    superstep copies exactly ``task.writes`` back into the caller's
+    arrays, so an undeclared write is lost after a dispatch but kept
+    inline — the result then depends on the engine's dispatch
+    decision; and ownership reporting scopes to the declared set, so an
+    undeclared write escapes the single-writer sanitizer entirely.
     """
 
     code = "R006"
@@ -85,9 +102,10 @@ class RuleR006(Rule):
         "declaration"
     )
     hint = (
-        "declare every planted array the kernel (or a helper it calls) "
-        "stores into in SlabTask(writes=...); crash rollback and the "
-        "ownership sanitizer only protect declared writes"
+        "declare every task array the kernel (or a helper it calls) "
+        "stores into in SlabTask(writes=...); a dispatched superstep "
+        "copies back, and the ownership sanitizer checks, only declared "
+        "writes"
     )
 
     def applies(self, ctx: FileContext) -> bool:
@@ -114,7 +132,7 @@ class RuleR006(Rule):
             isinstance(writes_expr, ast.Constant)
             and writes_expr.value is None
         ):
-            return  # writes=None: documented "unknown, snapshot all"
+            return  # writes=None: documented "unknown, copy all back"
         ref_expr = _slabtask_arg(call, "ref")
         if ref_expr is None:
             return
@@ -128,7 +146,7 @@ class RuleR006(Rule):
             return  # dynamic ref/writes: nothing provable statically
         arrays_expr = _slabtask_arg(call, "arrays")
         arrays = (
-            project.resolve_str_tuple(mi, arrays_expr)
+            _bound_names(project, mi, arrays_expr)
             if arrays_expr is not None
             else None
         )
@@ -140,7 +158,7 @@ class RuleR006(Rule):
                     call,
                     f"kernel '{ref}' declares writes to "
                     f"{', '.join(phantom)} absent from task.arrays "
-                    "(rollback snapshot would fail at dispatch)",
+                    "(the copy-back would fail at dispatch)",
                 )
         status, kernel_mi, fn = project.resolve_ref(ref)
         if status != "ok" or kernel_mi is None or fn is None:
@@ -153,7 +171,7 @@ class RuleR006(Rule):
             yield self.finding(
                 ctx,
                 call,
-                f"kernel '{ref}' writes planted array(s) "
+                f"kernel '{ref}' writes task array(s) "
                 f"{', '.join(undeclared)} not declared in writes="
                 f"{tuple(declared)!r}",
             )
@@ -165,7 +183,7 @@ class RuleR006(Rule):
                     call,
                     f"kernel '{ref}' never writes declared array(s) "
                     f"{', '.join(unwritten)} (stale writes= entry "
-                    "forces needless rollback snapshots)",
+                    "forces needless copy-backs after a dispatch)",
                 )
 
 

@@ -144,10 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     u.add_argument(
         "--min-dispatch-items", type=int, default=None,
-        help="override the shm engine's inline threshold (slab "
-        "supersteps below it run inline on the master); pass 1 to "
-        "force real worker dispatch on small demo graphs, e.g. for "
-        "cross-process traces (--engine shm only)",
+        help="replace the shm engine's measured dispatch policy by a "
+        "static threshold (slab supersteps below it run inline on the "
+        "master); pass 1 to force real worker dispatch on small demo "
+        "graphs, e.g. for cross-process traces (--engine shm only)",
     )
     _add_obs_flags(u)
 
@@ -196,7 +196,7 @@ def _add_serve_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--weight-change-fraction", type=float, default=0.15)
     sub.add_argument(
         "--min-dispatch-items", type=int, default=None,
-        help="shm inline threshold override (see update-demo)",
+        help="shm static dispatch threshold (see update-demo)",
     )
 
 

@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.kernels import _publish, _supports_slab_plant
 from repro.core.tree import SOSPTree
 from repro.errors import AlgorithmError
 from repro.graph.csr import CSRGraph
@@ -159,8 +158,8 @@ def _ensemble_slab(
     """Slab kernel of the vectorised parent comparison (read-only).
 
     Consumes the stacked ``(k, n)`` parent/dist matrices through the
-    slab-kernel signature, so the shm backend dispatches it by
-    reference over planted arrays while every other engine runs the
+    slab-kernel signature, so the shm backend can dispatch it by
+    reference over planted copies while every other engine runs the
     same body as a closure.  Emits the slab's deduplicated
     ``(dst, src, weight, count)`` quadruple sorted by vertex.
     """
@@ -215,30 +214,17 @@ def _ensemble_edges(
     dists = np.stack([t.dist for t in trees])
     inv_prio = (1.0 / prio) if prio is not None else None
 
-    planted = _supports_slab_plant(eng)
-    arrays: Dict[str, np.ndarray] = {}
-    _publish(eng, planted, arrays, "ens.parents", parents)
-    _publish(eng, planted, arrays, "ens.dists", dists)
-    names = ["ens.parents", "ens.dists"]
-    params = {"weighting": weighting}
+    arrays: Dict[str, np.ndarray] = {"ens.parents": parents, "ens.dists": dists}
     if inv_prio is not None:
-        _publish(eng, planted, arrays, "ens.inv_prio",
-                 np.ascontiguousarray(inv_prio, dtype=DIST_DTYPE))
-        names.append("ens.inv_prio")
-    task = (
-        SlabTask(ref="repro.core.ensemble:_ensemble_slab",
-                 arrays=tuple(names), params=params,
-                 writes=())  # read-only kernel: no recovery snapshot
-        if planted
-        else None
+        arrays["ens.inv_prio"] = np.ascontiguousarray(inv_prio, dtype=DIST_DTYPE)
+    task = SlabTask(
+        ref="repro.core.ensemble:_ensemble_slab",
+        arrays=arrays,
+        params={"weighting": weighting},
+        writes=(),  # read-only kernel: nothing to copy back
     )
-
-    def run(lo: int, hi: int):
-        return _ensemble_slab(arrays, params, lo, hi)
-
     results = parallel_for_slabs(
-        eng, n, run, work_fn=lambda span, r: k * (span[1] - span[0]),
-        task=task,
+        eng, n, task, work_fn=lambda span, r: k * (span[1] - span[0]),
     )
     if not results:
         e = np.empty(0, dtype=np.int64)

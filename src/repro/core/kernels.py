@@ -32,7 +32,7 @@ against a full Dijkstra recompute.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -71,36 +71,6 @@ _PROPAGATE_SLAB_REF = "repro.core.kernels:_propagate_relax_slab"
 MIN_SLAB_ITEMS = 64
 
 
-def _supports_slab_plant(engine: Engine) -> bool:
-    """True when the engine takes the shared-memory slab fast path.
-
-    Checked/traced wrappers forward both the flag and ``plant``, so the
-    test works through any wrapper stack; every other backend runs the
-    closure fallback over the raw arrays, unchanged.
-    """
-    return bool(getattr(engine, "supports_slab_dispatch", False)) and callable(
-        getattr(engine, "plant", None)
-    )
-
-
-def _publish(
-    engine: Engine,
-    planted: bool,
-    arrays: Dict[str, np.ndarray],
-    name: str,
-    value: np.ndarray,
-    fingerprint: Optional[Tuple[Any, ...]] = None,
-) -> None:
-    """Bind ``name`` for the next superstep: a shared-memory plant on a
-    slab-dispatch engine (skipped entirely when ``fingerprint`` matches
-    the previous plant — the incremental re-plant path for CSR base
-    arrays), the raw array otherwise."""
-    if planted:
-        arrays[name] = engine.plant(name, value, fingerprint=fingerprint)
-    else:
-        arrays[name] = value
-
-
 def _record_slab_writes(
     tracker: Optional[OwnershipTracker], results: Any
 ) -> None:
@@ -127,8 +97,8 @@ def _relax_groups_slab(
     """Slab kernel for Step 0/1: relax destination groups ``[lo, hi)``.
 
     All state arrives through ``arrays`` (the slab-kernel signature),
-    so the same function body serves the closure fallback on the raw
-    arrays and the shared-memory dispatch on planted views.  Each
+    so the same function body runs on the caller's arrays and, in a
+    dispatched shared-memory superstep, on planted copies.  Each
     destination group lives in exactly one slab, making the in-place
     ``dist``/``parent``/``marked`` writes race-free.
     """
@@ -152,36 +122,8 @@ def _relax_groups_slab(
     return np.asarray(vv, dtype=np.int64), bnd - a
 
 
-#: Array names :func:`_propagate_relax_slab` consumes (the
-#: :class:`SlabTask` catalog of every Step-2 superstep).
-_PROPAGATE_ARRAYS: Tuple[str, ...] = (
-    "csr.rev_indptr",
-    "csr.rev_indices",
-    "csr.edge_perm",
-    "csr.weights",
-    "sosp.dist",
-    "sosp.parent",
-    "sosp.marked",
-    "step2.frontier",
-    "step2.t_seg",
-    "step2.t_src",
-    "step2.t_w",
-)
-
-#: Array names :func:`_relax_groups_slab` consumes.
-_RELAX_GROUPS_ARRAYS: Tuple[str, ...] = (
-    "step1.seg_starts",
-    "step1.s_src",
-    "step1.s_w",
-    "step1.groups",
-    "sosp.dist",
-    "sosp.parent",
-    "sosp.marked",
-)
-
-#: The arrays both slab kernels mutate — the crash-recovery write set
-#: the shared-memory engine snapshots before dispatching a superstep
-#: (everything else in the catalogs is read-only).
+#: The arrays both slab kernels mutate — the copy-back set of a
+#: dispatched superstep (everything else in their tasks is read-only).
 _SOSP_WRITES: Tuple[str, ...] = (
     "sosp.dist",
     "sosp.parent",
@@ -396,44 +338,24 @@ def relax_batch_groups(
     groups = s_dst[seg_starts[:-1]]
     nseg = len(groups)
 
-    planted = _supports_slab_plant(eng)
-    arrays: Dict[str, np.ndarray] = {}
-    _publish(eng, planted, arrays, "step1.seg_starts", seg_starts)
-    _publish(eng, planted, arrays, "step1.s_src", s_src)
-    _publish(eng, planted, arrays, "step1.s_w", s_w)
-    _publish(eng, planted, arrays, "step1.groups", groups)
-    _publish(eng, planted, arrays, "sosp.dist", dist)
-    _publish(eng, planted, arrays, "sosp.parent", parent)
-    _publish(eng, planted, arrays, "sosp.marked", marked)
-    task = (
-        SlabTask(
-            ref="repro.core.kernels:_relax_groups_slab",
-            arrays=_RELAX_GROUPS_ARRAYS,
-            writes=_SOSP_WRITES,
-        )
-        if planted
-        else None
+    task = SlabTask(
+        ref="repro.core.kernels:_relax_groups_slab",
+        arrays={
+            "step1.seg_starts": seg_starts,
+            "step1.s_src": s_src,
+            "step1.s_w": s_w,
+            "step1.groups": groups,
+            "sosp.dist": dist,
+            "sosp.parent": parent,
+            "sosp.marked": marked,
+        },
+        writes=_SOSP_WRITES,
     )
-
-    def run(lo: int, hi: int):
-        return _relax_groups_slab(arrays, {}, lo, hi)
-
-    try:
-        results = parallel_for_slabs(
-            eng, nseg, run,
-            work_fn=lambda span, r: max(1, r[1]),
-            min_chunk=MIN_SLAB_ITEMS,
-            task=task,
-        )
-    finally:
-        # planted mode mutates the shared views; mirror them back even
-        # when dispatch raises mid-Step-1, so partial (still-valid
-        # monotone) relaxations reach the caller's arrays — the same
-        # contract as propagate_csr's finally block
-        if planted:
-            np.copyto(dist, arrays["sosp.dist"])
-            np.copyto(parent, arrays["sosp.parent"])
-            np.copyto(marked, arrays["sosp.marked"])
+    results = parallel_for_slabs(
+        eng, nseg, task,
+        work_fn=lambda span, r: max(1, r[1]),
+        min_chunk=MIN_SLAB_ITEMS,
+    )
     _record_slab_writes(tracker, results)
     affected = (
         np.concatenate([r[0] for r in results])
@@ -472,30 +394,17 @@ def propagate_csr(
     tracker = resolve_tracker(tracker, eng)
     affected = np.asarray(affected, dtype=np.int64)
 
-    planted = _supports_slab_plant(eng)
-    arrays: Dict[str, np.ndarray] = {}
-    # the frozen CSR base arrays are fingerprinted with the snapshot's
-    # base_stamp: tail-only appends keep the stamp, so re-entering this
-    # kernel after a dynamic batch re-plants nothing (zero copies)
-    base_fp = csr.base_stamp
-    _publish(eng, planted, arrays, "csr.rev_indptr", csr.rev_indptr, base_fp)
-    _publish(eng, planted, arrays, "csr.rev_indices", csr.rev_indices, base_fp)
-    _publish(eng, planted, arrays, "csr.edge_perm", csr.edge_perm, base_fp)
-    _publish(eng, planted, arrays, "csr.weights", csr.weights, base_fp)
-    _publish(eng, planted, arrays, "sosp.dist", dist)
-    _publish(eng, planted, arrays, "sosp.parent", parent)
-    _publish(eng, planted, arrays, "sosp.marked", marked)
     params = {"objective": int(objective)}
-    task = (
-        SlabTask(
-            ref=_PROPAGATE_SLAB_REF,
-            arrays=_PROPAGATE_ARRAYS,
-            params=params,
-            writes=_SOSP_WRITES,
-        )
-        if planted
-        else None
-    )
+    # the frozen CSR base arrays are fingerprinted with the snapshot's
+    # base_stamp: tail-only appends keep the stamp, so a dispatch after
+    # a dynamic batch re-plants none of them (zero copies)
+    base_fp = csr.base_stamp
+    fingerprints = {
+        "csr.rev_indptr": base_fp,
+        "csr.rev_indices": base_fp,
+        "csr.edge_perm": base_fp,
+        "csr.weights": base_fp,
+    }
 
     # dense per-call scratch: ``posmap`` for the tail grouping, and
     # ``improved`` collects the distinct affected vertices, so no
@@ -522,19 +431,29 @@ def propagate_csr(
                 t_src = np.empty(0, dtype=np.int64)
                 t_w = np.empty(0, dtype=DIST_DTYPE)
 
-            _publish(eng, planted, arrays, "step2.frontier", frontier)
-            _publish(eng, planted, arrays, "step2.t_seg", t_seg)
-            _publish(eng, planted, arrays, "step2.t_src", t_src)
-            _publish(eng, planted, arrays, "step2.t_w", t_w)
-
-            def relax(lo: int, hi: int):
-                return _propagate_relax_slab(arrays, params, lo, hi)
-
+            task = SlabTask(
+                ref=_PROPAGATE_SLAB_REF,
+                arrays={
+                    "csr.rev_indptr": csr.rev_indptr,
+                    "csr.rev_indices": csr.rev_indices,
+                    "csr.edge_perm": csr.edge_perm,
+                    "csr.weights": csr.weights,
+                    "sosp.dist": dist,
+                    "sosp.parent": parent,
+                    "sosp.marked": marked,
+                    "step2.frontier": frontier,
+                    "step2.t_seg": t_seg,
+                    "step2.t_src": t_src,
+                    "step2.t_w": t_w,
+                },
+                params=params,
+                writes=_SOSP_WRITES,
+                fingerprints=fingerprints,
+            )
             results = parallel_for_slabs(
-                eng, int(frontier.size), relax,
+                eng, int(frontier.size), task,
                 work_fn=lambda span, r: max(1, r[1]),
                 min_chunk=MIN_SLAB_ITEMS,
-                task=task,
             )
             _record_slab_writes(tracker, results)
             if stats is not None:
@@ -549,12 +468,6 @@ def propagate_csr(
     finally:
         if stats is not None:
             stats.affected_vertices.update(np.flatnonzero(improved).tolist())
-        # planted mode mutates the shared views; the caller's arrays are
-        # the contract, so mirror the fixpoint back even on error
-        if planted:
-            np.copyto(dist, arrays["sosp.dist"])
-            np.copyto(parent, arrays["sosp.parent"])
-            np.copyto(marked, arrays["sosp.marked"])
 
 
 def frontier_bellman_ford_csr(

@@ -116,22 +116,23 @@ class OwnershipViolation(EngineError):
 
 
 class WriteSetViolation(EngineError):
-    """A slab dispatch mutated arrays outside its declared write-set.
+    """A slab superstep mutated arrays outside its declared write-set.
 
-    ``SlabTask.writes`` is a contract: crash rollback snapshots exactly
-    the declared arrays, so an undeclared mutation survives a rollback
-    and silently corrupts recovery.  :class:`repro.parallel.checked.
-    CheckedEngine` raises this when either the static analyzer's
-    inferred write-set for ``task.ref`` exceeds the declaration, or a
-    before/after content digest shows an undeclared planted array
-    changed during the dispatch.
+    ``SlabTask.writes`` is a contract: a dispatched superstep copies
+    exactly the declared arrays back into the caller's, so an
+    undeclared mutation is lost after a dispatch but kept when the
+    superstep runs inline — a result that depends on the engine's
+    dispatch decision.  :class:`repro.parallel.checked.CheckedEngine`
+    raises this when either the static analyzer's inferred write-set
+    for ``task.ref`` exceeds the declaration, or a before/after content
+    digest shows an undeclared array changed during the superstep.
     """
 
     def __init__(self, ref: str, arrays: "tuple[str, ...]", how: str) -> None:
         super().__init__(
             f"slab kernel {ref!r} mutated undeclared array(s) "
             f"{', '.join(sorted(arrays))} ({how}); declare them in "
-            "SlabTask(writes=...) so rollback snapshots cover them"
+            "SlabTask(writes=...) so a dispatched superstep copies them back"
         )
         self.ref = ref
         self.arrays = tuple(arrays)

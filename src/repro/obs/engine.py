@@ -21,9 +21,9 @@ caller's context.  Worker *processes* see their own default tracer, so
 the attach is a harmless no-op there — their spans instead travel the
 piggybacked collector protocol of :mod:`repro.obs.collect` and are
 re-parented under the superstep span at merge time.  A superstep that
-lost a worker and re-ran inline after rollback (the shm
-``BrokenProcessPool`` path) is stamped ``recovery=true``, so crash
-recoveries are visible in traces.
+lost a worker and re-ran inline (the shm ``BrokenProcessPool`` path)
+is stamped ``recovery=true``, so crash recoveries are visible in
+traces.
 
 :func:`repro.parallel.api.resolve_engine` applies this wrapper
 automatically whenever the active tracer is recording; algorithm code
@@ -160,17 +160,19 @@ class TracedEngine:
         work_fn: Optional[Callable[[Any, Any], float]] = None,
         min_chunk: int = 1,
     ) -> List[Any]:
-        """Slab-dispatch fast path: one span per dispatched superstep.
+        """Slab-dispatch fast path: one span per slab superstep.
 
         The work distribution is computed here from the backend's
         ``last_slab_spans`` — spans on the shm backend therefore report
         the same non-empty ``work_p50/p95/max`` the closure backends
-        do, plus the dispatch payload size in bytes.  When the tracer
+        do, plus the dispatch payload size in bytes and the superstep's
+        ``path`` (``inline``, ``dispatched`` or ``probe``: where the
+        backend's dispatch policy ran it).  When the tracer
         is recording, the shm workers additionally record one
         ``worker.slab`` span per slab and ship them back piggybacked on
         the reply (:mod:`repro.obs.collect`); the merge re-parents them
         under this superstep span.  A superstep that lost a worker and
-        re-ran inline after rollback is stamped ``recovery=true``.
+        re-ran inline is stamped ``recovery=true``.
         """
         tracer = get_tracer()
         enclosing = current_span()
@@ -187,6 +189,9 @@ class TracedEngine:
             )
             if getattr(self.inner, "last_superstep_recovery", False):
                 sp.set(recovery=True)
+            path = getattr(self.inner, "last_slab_path", None)
+            if path is not None:
+                sp.set(path=path)
             spans = list(getattr(self.inner, "last_slab_spans", []) or [])
             sp.set(
                 slabs=len(spans),
@@ -217,10 +222,6 @@ class TracedEngine:
                     "tasks per superstep",
                 ).observe(len(spans))
         return results
-
-    def plant(self, name: str, array: Any, fingerprint: Any = None) -> Any:
-        """Forward array planting to a shared-memory backend."""
-        return self.inner.plant(name, array, fingerprint=fingerprint)
 
     def close(self) -> None:
         """Release the wrapped backend's pool/segments, if it has any."""

@@ -21,6 +21,7 @@ plain values.
 
 from __future__ import annotations
 
+import importlib
 import os
 from dataclasses import dataclass, field
 from typing import (
@@ -52,6 +53,7 @@ __all__ = [
     "slab_spans",
     "serial_spans",
     "parallel_for_slabs",
+    "resolve_slab_kernel",
 ]
 
 
@@ -95,7 +97,7 @@ class Engine(Protocol):
         ...
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlabTask:
     """A superstep task addressable *by reference* instead of by closure.
 
@@ -106,28 +108,66 @@ class SlabTask:
       string.  The function must have the *slab kernel signature*
       ``fn(arrays, params, lo, hi)`` where ``arrays`` maps logical
       names to ndarrays and all mutation goes through ``arrays``;
-    - ``arrays``: the logical names of the arrays the kernel consumes —
-      each must have been published to the engine with
-      :meth:`~repro.parallel.backends.shm.SharedMemoryEngine.plant`;
+    - ``arrays``: the caller's arrays the kernel consumes, by logical
+      name.  A superstep that runs in this process runs the kernel on
+      them directly; a dispatched one plants copies into shared memory
+      first (see
+      :meth:`~repro.parallel.backends.shm.SharedMemoryEngine.parallel_for_slabs`);
     - ``params``: small picklable scalars (never ndarrays — the
       dispatch path refuses to pickle arrays by design);
-    - ``writes``: the subset of ``arrays`` the kernel mutates.  Crash
-      recovery snapshots exactly this set before a dispatched superstep
-      so a worker death can roll the shared state back and re-run on
-      pristine inputs (see
-      :meth:`~repro.parallel.backends.shm.SharedMemoryEngine.parallel_for_slabs`).
-      ``None`` (the default) means "unknown" and conservatively
-      snapshots every catalog array; declare ``()`` for a read-only
-      kernel to skip the snapshot entirely.
+    - ``writes``: the names in ``arrays`` the kernel mutates — the
+      *copy-back set*.  After a dispatched superstep succeeds, exactly
+      these planted copies are copied back into the caller's arrays, so
+      a write the task does not declare is *lost* after a dispatch but
+      kept when the superstep runs inline: an engine-dependent result,
+      which is why lint rule R006 and
+      :class:`~repro.parallel.checked.CheckedEngine` reject it.
+      ``None`` (the default) means "unknown" and conservatively copies
+      every array back; declare ``()`` for a read-only kernel;
+    - ``fingerprints``: optional name → fingerprint.  A dispatch
+      re-plants a fingerprinted array only when its fingerprint changed
+      since the previous plant (callers key the frozen CSR base arrays
+      by :attr:`~repro.graph.csr.CSRGraph.base_stamp`).
 
-    Engines without slab dispatch ignore the task and run the closure
-    fallback that :func:`parallel_for_slabs` also receives.
+    Engines without slab dispatch run the kernel over ``arrays`` in
+    :func:`parallel_for_slabs`' closure fallback.
     """
 
     ref: str
-    arrays: Tuple[str, ...]
+    arrays: Mapping[str, Any]
     params: Mapping[str, Any] = field(default_factory=dict)
     writes: Optional[Tuple[str, ...]] = None
+    fingerprints: Mapping[str, Tuple[Any, ...]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.arrays, Mapping):
+            raise EngineError(
+                f"SlabTask.arrays must map logical names to ndarrays, "
+                f"got {type(self.arrays).__name__}"
+            )
+
+
+#: "module:qualname" -> resolved slab kernel (see resolve_slab_kernel).
+_KERNELS: Dict[str, Callable[..., Any]] = {}
+
+
+def resolve_slab_kernel(ref: str) -> Callable[..., Any]:
+    """Resolve a ``"module:qualname"`` :attr:`SlabTask.ref` (cached)."""
+    fn = _KERNELS.get(ref)
+    if fn is None:
+        module_name, sep, qualname = ref.partition(":")
+        if not sep or not module_name or not qualname:
+            raise EngineError(
+                f"bad SlabTask ref {ref!r}; expected 'module:qualname'"
+            )
+        obj: Any = importlib.import_module(module_name)
+        for part in qualname.split("."):
+            obj = getattr(obj, part)
+        if not callable(obj):
+            raise EngineError(f"SlabTask ref {ref!r} is not callable")
+        fn = obj
+        _KERNELS[ref] = fn
+    return fn
 
 
 class BaseEngine:
@@ -263,12 +303,12 @@ def slab_spans(
 def parallel_for_slabs(
     engine: "Engine",
     n_items: int,
-    fn: Callable[[int, int], R],
-    work_fn: Optional[Callable[[Tuple[int, int], R], float]] = None,
+    task: SlabTask,
+    work_fn: Optional[Callable[[Tuple[int, int], Any], float]] = None,
     min_chunk: int = 1,
-    task: Optional[SlabTask] = None,
-) -> List[R]:
-    """One superstep over contiguous index slabs: ``fn(lo, hi)`` per slab.
+) -> List[Any]:
+    """One superstep over contiguous index slabs: the kernel
+    ``task.ref`` runs once per ``(lo, hi)`` slab over ``task.arrays``.
 
     The slab decomposition preserves the vertex-ownership guarantee of
     the per-item loops it replaces — each index belongs to exactly one
@@ -276,21 +316,23 @@ def parallel_for_slabs(
     ``work_fn(span, result)`` reports work units exactly as in
     :meth:`Engine.parallel_for`.
 
-    When ``task`` is given *and* the engine advertises
-    ``supports_slab_dispatch`` (the shared-memory backend, possibly
-    under checked/traced wrappers), the superstep is dispatched by
-    reference through :class:`SlabTask` — workers read the planted
-    arrays out of shared memory and only the ``(lo, hi)`` spans travel.
-    Every other engine runs the ``fn`` closure exactly as before, so
-    kernels pass both and stay backend-agnostic.
+    An engine that advertises ``supports_slab_dispatch`` (the
+    shared-memory backend, possibly under checked/traced wrappers)
+    receives the task itself and decides where the superstep runs.
+    Every other engine runs the kernel as a closure over the caller's
+    arrays, one task per slab, so kernels build one task and stay
+    backend-agnostic.
     """
-    if task is not None and getattr(engine, "supports_slab_dispatch", False):
+    if getattr(engine, "supports_slab_dispatch", False):
         return engine.parallel_for_slabs(  # type: ignore[attr-defined]
             n_items, task, work_fn=work_fn, min_chunk=min_chunk
         )
+    kernel = resolve_slab_kernel(task.ref)
     spans = slab_spans(n_items, engine, min_chunk)
     return engine.parallel_for(
-        spans, lambda span: fn(span[0], span[1]), work_fn=work_fn
+        spans,
+        lambda span: kernel(task.arrays, task.params, span[0], span[1]),
+        work_fn=work_fn,
     )
 
 

@@ -6,8 +6,10 @@ CSR kernels — whose tasks are closures over multi-megabyte arrays —
 would never actually run multicore: they hit the "not picklable"
 fallback.  The slab path fixes the transport, not the kernels:
 
-1.  The master **plants** each kernel array into a named
-    ``multiprocessing.shared_memory`` segment (:meth:`plant`).  Plants
+1.  A slab superstep arrives as a :class:`~repro.parallel.api.SlabTask`
+    bound to the caller's arrays.  Only a superstep the engine decides
+    to *dispatch* plants them into named
+    ``multiprocessing.shared_memory`` segments (:meth:`plant`).  Plants
     are keyed by logical name (``"csr.rev_indices"``, ``"sosp.dist"``,
     ...) and carry an optional *fingerprint*: re-planting with an
     unchanged fingerprint is a no-op (zero copies), which is how the
@@ -18,18 +20,24 @@ fallback.  The slab path fixes the transport, not the kernels:
 2.  A persistent ``spawn``-context pool attaches to segments **once**
     (pool initializer + a per-worker attach cache) and re-uses the
     mapping across supersteps.
-3.  A superstep dispatches a :class:`~repro.parallel.api.SlabTask`:
-    only the kernel *reference* (``"module:function"``), the segment
-    catalog (names/dtypes/shapes — ~100 bytes per array), scalar
-    params, and the ``(lo, hi)`` slab spans travel.  A guard pickler
-    refuses to serialise any ndarray into a dispatch payload, so "zero
-    per-superstep graph pickling" is enforced by construction, not by
-    convention.
+3.  The dispatch payload carries only the kernel *reference*
+    (``"module:function"``), the segment catalog (names/dtypes/shapes —
+    ~100 bytes per array), scalar params, and the ``(lo, hi)`` slab
+    spans.  A guard pickler refuses to serialise any ndarray into a
+    dispatch payload, so "zero per-superstep graph pickling" is
+    enforced by construction, not by convention.
+4.  Workers write their slab's results into the planted copies; the
+    paper's per-vertex ownership guarantee — each index belongs to
+    exactly one slab — makes those writes race-free without locks,
+    exactly as in §3.1.  Once every chunk has replied, the task's
+    declared write set (:attr:`~repro.parallel.api.SlabTask.writes`)
+    is copied back into the caller's arrays.
 
-Workers write their slab's results directly into the planted output
-arrays (``dist``/``parent``/``marked``); the paper's per-vertex
-ownership guarantee — each index belongs to exactly one slab — makes
-those writes race-free without locks, exactly as in §3.1.
+Whether a superstep dispatches at all is a measured decision
+(:class:`DispatchPolicy`): the engine times its own inline and
+dispatched supersteps per kernel and dispatches only when the model
+predicts that the workers finish first.  An inline superstep runs the
+kernel on the caller's arrays and costs what the serial engine pays.
 
 Degraded modes (always loud, never wrong silently):
 
@@ -37,15 +45,15 @@ Degraded modes (always loud, never wrong silently):
   worker cannot unpickle (e.g. ``fn`` defined in ``__main__`` under
   the spawn context) → serial fallback with a one-time warning;
 - a worker process dying mid-superstep (``BrokenProcessPool``) → the
-  pool is discarded and lazily re-created, the kernel's write set
-  (:attr:`~repro.parallel.api.SlabTask.writes`; every catalog array
-  when undeclared) is rolled back to a snapshot taken just before
-  dispatch, and the superstep re-runs inline on the master's views.
-  The rollback matters for correctness, not just hygiene: without it,
-  writes applied before the crash (by the dead worker *or* by sibling
-  chunks that completed) would no longer test as improvements on the
-  re-run, so their vertices would silently drop out of the returned
-  affected sets and downstream propagation.
+  pool is discarded and lazily re-created, and the superstep re-runs
+  inline on the caller's arrays.  Those are still pristine — nothing
+  is copied back before every chunk has replied — so writes applied
+  before the crash (by the dead worker *or* by sibling chunks that
+  completed) cannot hide improvements from the re-run's returned
+  affected sets;
+- a payload that does not survive the spawn round-trip raises
+  :class:`~repro.errors.EngineError` and leaves the caller's arrays
+  bitwise unchanged.
 
 Lifecycle: :meth:`close` drains the pool gracefully and unlinks every
 segment; an ``atexit`` finalizer covers engines nobody closes.  The
@@ -56,18 +64,20 @@ lazily) and ``close()`` is idempotent.
 from __future__ import annotations
 
 import atexit
-import importlib
 import io
 import itertools
 import os
 import pickle
+import statistics
 import warnings
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context, shared_memory
 from typing import (
     Any,
     Callable,
+    Deque,
     Dict,
     List,
     Mapping,
@@ -80,12 +90,15 @@ from typing import (
 import numpy as np
 
 from repro.errors import EngineError
+from repro.obs import clock
 from repro.obs.collect import WorkerCapture, WorkerReport, merge_reports, obs_header
+from repro.obs.metrics import get_metrics, labeled_name
 from repro.obs.tracer import current_span
 from repro.parallel.api import (
     BaseEngine,
     SlabTask,
     _even_spans,
+    resolve_slab_kernel,
     serial_spans,
     slab_spans,
 )
@@ -93,7 +106,7 @@ from repro.parallel.api import (
 T = TypeVar("T")
 R = TypeVar("R")
 
-__all__ = ["SharedMemoryEngine"]
+__all__ = ["DispatchPolicy", "SharedMemoryEngine"]
 
 #: Smallest segment ever allocated (shared memory cannot be 0 bytes,
 #: and tiny plants grow in place up to this for free).
@@ -121,6 +134,12 @@ _TAG_UNPICKLABLE = b"U"
 #: chunk results plus the worker's piggybacked span/metric report (sent
 #: only when the dispatch payload carried an observability header).
 _TAG_RESULTS_OBS = b"O"
+#: First byte of a slab-chunk reply: ``(results, busy_s, report)``
+#: follows — the chunk's results, the seconds its kernel calls took in
+#: the worker (the dispatch policy's worker-rate sample) and the
+#: piggybacked :class:`~repro.obs.collect.WorkerReport`, or ``None``
+#: when the payload carried no observability header.
+_TAG_SLAB = b"S"
 
 
 def _chunk_runner(payload: bytes) -> bytes:
@@ -156,28 +175,35 @@ def _chunk_runner(payload: bytes) -> bytes:
 
 def _decode_parts(
     parts: Sequence[bytes],
-) -> Tuple[Optional[List[Any]], Optional[str], List[WorkerReport]]:
+) -> Tuple[Optional[List[Any]], Optional[str], List[WorkerReport], List[float]]:
     """Decode tagged worker replies.
 
-    Returns ``(results, None, reports)`` on success — ``reports``
+    Returns ``(results, None, reports, busy)`` on success — ``reports``
     collects the piggybacked :class:`~repro.obs.collect.WorkerReport`
-    of every ``b"O"``-tagged reply (empty for the legacy ``b"R"`` tag)
-    — or ``(None, error_repr, reports)`` when any worker reported an
-    unpicklable payload.
+    of every reply that carried one, ``busy`` the worker seconds of
+    every ``b"S"``-tagged slab reply — or ``(None, error_repr, reports,
+    busy)`` when any worker reported an unpicklable payload.
     """
     out: List[Any] = []
     reports: List[WorkerReport] = []
+    busy: List[float] = []
     for blob in parts:
         tag, body = blob[:1], blob[1:]
         if tag == _TAG_UNPICKLABLE:
-            return None, pickle.loads(body), reports
-        if tag == _TAG_RESULTS_OBS:
+            return None, pickle.loads(body), reports, busy
+        if tag == _TAG_SLAB:
+            results, busy_s, report = pickle.loads(body)
+            out.extend(results)
+            busy.append(float(busy_s))
+            if report is not None:
+                reports.append(report)
+        elif tag == _TAG_RESULTS_OBS:
             results, report = pickle.loads(body)
             out.extend(results)
             reports.append(report)
         else:
             out.extend(pickle.loads(body))
-    return out, None, reports
+    return out, None, reports, busy
 
 
 # ----------------------------------------------------------------------
@@ -193,8 +219,6 @@ _SEGMENTS: Dict[str, shared_memory.SharedMemory] = {}
 #: pointer), so closing a viewed segment would not fail loudly — the
 #: view would silently dangle over unmapped memory.
 _PINNED: set = set()
-#: "module:qualname" -> resolved kernel callable.
-_KERNELS: Dict[str, Callable[..., Any]] = {}
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
@@ -245,31 +269,11 @@ def _worker_init(segment_names: Tuple[str, ...]) -> None:
     :func:`_attach_segment` on first use and then cached the same way.
     """
     _SEGMENTS.clear()
-    _KERNELS.clear()
     for name in segment_names:
         try:
             _attach_segment(name)
         except FileNotFoundError:
             continue  # re-planted away before the worker spawned
-
-
-def _resolve_kernel(ref: str) -> Callable[..., Any]:
-    """Resolve a ``"module:qualname"`` :attr:`SlabTask.ref` (cached)."""
-    fn = _KERNELS.get(ref)
-    if fn is None:
-        module_name, sep, qualname = ref.partition(":")
-        if not sep or not module_name or not qualname:
-            raise EngineError(
-                f"bad SlabTask ref {ref!r}; expected 'module:qualname'"
-            )
-        obj: Any = importlib.import_module(module_name)
-        for part in qualname.split("."):
-            obj = getattr(obj, part)
-        if not callable(obj):
-            raise EngineError(f"SlabTask ref {ref!r} is not callable")
-        fn = obj
-        _KERNELS[ref] = fn
-    return fn
 
 
 def _run_slab_chunk(payload: bytes) -> bytes:
@@ -279,16 +283,18 @@ def _run_slab_chunk(payload: bytes) -> bytes:
     an observability header as a fifth element when the master's tracer
     is recording, in which case each slab runs under a
     :class:`~repro.obs.collect.WorkerCapture` task span and the reply
-    piggybacks the worker's report on the ``b"O"`` tag.  The arrays are
-    materialised as views over the attached segments.  The same
-    tagged-reply protocol as :func:`_chunk_runner` keeps payload
-    decode failures from poisoning the pool.
+    piggybacks the worker's report.  The arrays are materialised as
+    views over the attached segments.  The reply (``b"S"``) also
+    carries the seconds the kernel calls took here, which the master's
+    :class:`DispatchPolicy` reads as its worker-rate sample.  The same
+    tagged-reply protocol as :func:`_chunk_runner` keeps payload decode
+    failures from poisoning the pool.
     """
     try:
         parts = pickle.loads(payload)
         ref, catalog, params, spans = parts[:4]
         header = parts[4] if len(parts) > 4 else None
-        fn = _resolve_kernel(ref)
+        fn = resolve_slab_kernel(ref)
         # Pin the catalog's segments for the duration of the chunk:
         # with > _MAX_WORKER_SEGMENTS names in one catalog, a later
         # attach in this comprehension could otherwise evict (close) a
@@ -305,16 +311,20 @@ def _run_slab_chunk(payload: bytes) -> bytes:
         return _TAG_UNPICKLABLE + pickle.dumps(repr(exc))
     try:
         if header is None:
-            return _TAG_RESULTS + pickle.dumps(
-                [fn(arrays, params, lo, hi) for lo, hi in spans]
-            )
+            t0 = clock.perf()
+            results = [fn(arrays, params, lo, hi) for lo, hi in spans]
+            busy = clock.perf() - t0
+            return _TAG_SLAB + pickle.dumps((results, busy, None))
         with WorkerCapture(header) as cap:
             results = []
+            busy = 0.0
             for lo, hi in spans:
                 with cap.task("worker.slab", kernel=ref, lo=lo, hi=hi):
+                    t0 = clock.perf()
                     results.append(fn(arrays, params, lo, hi))
+                    busy += clock.perf() - t0
             report = cap.report()
-        return _TAG_RESULTS_OBS + pickle.dumps((results, report))
+        return _TAG_SLAB + pickle.dumps((results, busy, report))
     finally:
         _PINNED.clear()
 
@@ -338,8 +348,8 @@ class _GuardPickler(pickle.Pickler):
         if isinstance(obj, np.ndarray):
             raise EngineError(
                 f"slab dispatch tried to pickle an ndarray of "
-                f"{obj.nbytes} bytes; plant() it and pass its logical "
-                f"name in SlabTask.arrays instead"
+                f"{obj.nbytes} bytes; pass it in SlabTask.arrays so a "
+                f"dispatch plants it instead"
             )
         return NotImplemented
 
@@ -367,23 +377,192 @@ class _Plant:
         self.copies = 0
 
 
+#: Where a slab superstep ran: on the master, dispatched because the
+#: policy predicted a win (or the static rule said so), or dispatched
+#: to measure the dispatch cost.
+INLINE, DISPATCHED, PROBE = "inline", "dispatched", "probe"
+
+
+class DecayedLine:
+    """Least-squares line ``y = c + a·x`` over exponentially decayed sums.
+
+    Recent observations weigh most (:attr:`DECAY` per observation), so
+    the fit follows a host whose speed changes.
+    """
+
+    DECAY = 0.98
+
+    def __init__(self) -> None:
+        # decayed sums of 1, x, x², y and x·y
+        self.s0 = self.s1 = self.s2 = self.t0 = self.t1 = 0.0
+
+    def add(self, x: float, y: float) -> None:
+        d = self.DECAY
+        self.s0 = d * self.s0 + 1.0
+        self.s1 = d * self.s1 + x
+        self.s2 = d * self.s2 + x * x
+        self.t0 = d * self.t0 + y
+        self.t1 = d * self.t1 + x * y
+
+    def fit(self) -> Optional[Tuple[float, float]]:
+        """``(c, a)``, or ``None`` before any observation.
+
+        While the observed ``x`` do not spread, the line goes through
+        the origin; a fitted slope or intercept below zero (noise) is
+        clamped to zero.
+        """
+        if self.s1 <= 0:
+            return None
+        det = self.s0 * self.s2 - self.s1 * self.s1
+        if det <= 1e-9 * self.s0 * self.s2:
+            return 0.0, self.t0 / self.s1
+        a = max(0.0, (self.s0 * self.t1 - self.s1 * self.t0) / det)
+        return max(0.0, (self.t0 - a * self.s1) / self.s0), a
+
+    def mean_x(self) -> float:
+        return self.s1 / self.s0 if self.s0 > 0 else 0.0
+
+
+class SlabCost:
+    """Running cost estimates of one slab kernel, in seconds.
+
+    - ``c_i + a_i·n`` (:attr:`inline`): an inline superstep of ``n``
+      items;
+    - ``c_w + a_w·m`` (:attr:`worker`): the kernel seconds of one
+      dispatched chunk of ``m`` items, as its worker reports them;
+    - ``F`` (:attr:`fixed`): everything else one dispatch costs (plant,
+      payload, worker wake-up, reply, copy-back) — its wall time minus
+      the slowest chunk's kernel seconds; the median of the last
+      :attr:`WINDOW` dispatches, so one slow outlier (a re-plant after
+      a CSR rebuild) cannot pin a kernel inline.
+
+    Both lines need their intercepts.  Every inline superstep, and every
+    worker chunk, pays a fixed cost in numpy calls per slab (~0.2 ms on
+    a 2-vCPU x86 host); folded into a per-item rate it reads several
+    times the true per-item cost on small supersteps — inline after a
+    wave's tail of small supersteps, which would send the next large
+    ones to the workers, and on workers after a small probe, which
+    would keep a host where dispatch wins from ever dispatching.
+    Until a dispatch has been measured, the worker line is assumed to
+    be the inline line.
+    """
+
+    WINDOW = 5
+
+    def __init__(self) -> None:
+        self.inline = DecayedLine()
+        self.worker = DecayedLine()
+        self.fixed_samples: Deque[float] = deque(maxlen=self.WINDOW)
+        #: Model-inline supersteps since the last re-probe, and how
+        #: many the next re-probe waits for (doubles after each).
+        self.skipped = 0
+        self.gap = 1
+
+    @property
+    def fixed(self) -> Optional[float]:
+        return statistics.median(self.fixed_samples) if self.fixed_samples else None
+
+    def worker_fit(self) -> Optional[Tuple[float, float]]:
+        fit = self.worker.fit()
+        return fit if fit is not None else self.inline.fit()
+
+
+class DispatchPolicy:
+    """Decides where each eligible slab superstep of a shm engine runs.
+
+    An *eligible* superstep has at least two slabs on an engine with at
+    least two workers; every other one runs inline without asking.
+
+    With ``min_dispatch_items`` an ``int``, the rule is static: dispatch
+    iff the superstep has at least that many items.  With ``None`` it
+    is measured, per kernel (:class:`SlabCost`): a superstep of ``n``
+    items over ``w`` workers dispatches iff
+    ``F + c_w + a_w·n/w < c_i + a_i·n``.
+    The first eligible superstep of a kernel runs inline to learn its
+    inline line; later ones *probe* (dispatch to measure) until ``F``
+    is known.  While the model says "inline", a re-probe follows after
+    1, 2, 4, … model-inline supersteps, so a host where dispatch never
+    wins pays O(log N) probes over N supersteps, and a host whose speed
+    changes is measured again.  A due probe waits for a superstep no
+    larger than the kernel's mean eligible superstep: where dispatch
+    loses, the loss grows with the superstep.
+
+    The policy reads no clock: the engine feeds it measured seconds
+    through :meth:`observe_inline` and :meth:`observe_dispatch`.
+    """
+
+    def __init__(self, min_dispatch_items: Optional[int] = None) -> None:
+        self.min_dispatch_items = (
+            None if min_dispatch_items is None else int(min_dispatch_items)
+        )
+        self.costs: Dict[str, SlabCost] = {}
+
+    def cost(self, ref: str) -> SlabCost:
+        rec = self.costs.get(ref)
+        if rec is None:
+            rec = self.costs[ref] = SlabCost()
+        return rec
+
+    def choose(self, ref: str, n_items: int, workers: int) -> str:
+        """``INLINE``, ``DISPATCHED`` or ``PROBE`` for one eligible
+        superstep of ``n_items`` items over ``workers`` workers."""
+        if self.min_dispatch_items is not None:
+            return DISPATCHED if n_items >= self.min_dispatch_items else INLINE
+        c = self.cost(ref)
+        inline, worker, fixed = c.inline.fit(), c.worker_fit(), c.fixed
+        if inline is None or worker is None:
+            return INLINE
+        small = n_items <= c.inline.mean_x()
+        if fixed is None:
+            return PROBE if small else INLINE
+        c_i, a_i = inline
+        c_w, a_w = worker
+        if fixed + c_w + a_w * n_items / workers < c_i + a_i * n_items:
+            return DISPATCHED
+        c.skipped += 1
+        if c.skipped > c.gap and small:
+            c.skipped = 0
+            c.gap *= 2
+            return PROBE
+        return INLINE
+
+    def observe_inline(self, ref: str, n_items: int, seconds: float) -> None:
+        """Record an eligible superstep that ran inline."""
+        self.cost(ref).inline.add(n_items, seconds)
+
+    def observe_dispatch(
+        self, ref: str, wall: float, chunks: Sequence[Tuple[float, float]]
+    ) -> None:
+        """Record a dispatched superstep: its master-side wall seconds
+        and each chunk's ``(items, worker kernel seconds)``."""
+        if not chunks:
+            return
+        c = self.cost(ref)
+        c.fixed_samples.append(max(0.0, wall - max(b for _, b in chunks)))
+        for items, busy in chunks:
+            c.worker.add(items, busy)
+
+
 class SharedMemoryEngine(BaseEngine):
-    """Execute slab supersteps over shared-memory-planted arrays.
+    """Execute slab supersteps inline or over shared-memory-planted arrays.
 
     Parameters
     ----------
     threads:
         Number of spawn-context worker processes.
     min_dispatch_items:
-        Slab supersteps smaller than this run inline on the master
-        (dispatch costs ~a millisecond; tiny frontiers aren't worth
-        it).  Tests pass ``1`` to force dispatch.
+        ``None`` (the default) lets the engine's own measurements decide
+        which slab supersteps dispatch (:class:`DispatchPolicy`).  An
+        ``int`` is a static rule instead: supersteps smaller than this
+        run inline on the master.  Tests pass ``1`` to force dispatch.
     min_items_per_process:
         Below ``threads * min_items_per_process`` items the generic
         ``parallel_for`` path skips the pool and runs inline.
 
     Attributes
     ----------
+    policy:
+        The :class:`DispatchPolicy` and its per-kernel estimates.
     last_dispatch_bytes:
         Total payload bytes of the most recent *dispatched* slab
         superstep — the pickle-counting tests assert this stays
@@ -391,18 +570,20 @@ class SharedMemoryEngine(BaseEngine):
     last_obs_bytes:
         Serialized bytes of the worker observability reports
         piggybacked on the most recent dispatched superstep's replies;
-        ``0`` whenever the tracer is not recording (the reply payloads
-        are then byte-identical to the pre-collection protocol).
+        ``0`` whenever the tracer is not recording.
     last_superstep_recovery:
         True when the most recent superstep lost a worker process
-        (``BrokenProcessPool``) and re-ran inline after rollback —
+        (``BrokenProcessPool``) and re-ran inline —
         :class:`~repro.obs.engine.TracedEngine` stamps the superstep
         span with ``recovery=true`` from this.
     last_slab_spans:
         The ``(lo, hi)`` spans of the most recent slab superstep
         (traced wrappers read it to reconstruct work distributions).
+    last_slab_path:
+        Where the most recent slab superstep ran: ``"inline"``,
+        ``"dispatched"`` or ``"probe"``.
     dispatched_supersteps, inline_supersteps:
-        Counters over slab supersteps.
+        Counters over slab supersteps (probes count as dispatched).
     """
 
     name = "shm"
@@ -416,20 +597,25 @@ class SharedMemoryEngine(BaseEngine):
     def __init__(
         self,
         threads: int = 2,
-        min_dispatch_items: int = 2048,
+        min_dispatch_items: Optional[int] = None,
         min_items_per_process: int = 1,
     ) -> None:
         super().__init__(threads=threads)
-        self.min_dispatch_items = int(min_dispatch_items)
+        self.policy = DispatchPolicy(min_dispatch_items)
+        self.min_dispatch_items = self.policy.min_dispatch_items
         self.min_items_per_process = int(min_items_per_process)
         self.last_dispatch_bytes = 0
         self.last_obs_bytes = 0
         self.last_superstep_recovery = False
         self.last_slab_spans: List[Tuple[int, int]] = []
+        self.last_slab_path = INLINE
         self.dispatched_supersteps = 0
         self.inline_supersteps = 0
         self._plants: Dict[str, _Plant] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
+        # the first dispatch after a pool (re)start pays worker imports
+        # and segment attaches, so it is not a cost sample
+        self._pool_fresh = True
         self._leaked_segments: List[shared_memory.SharedMemory] = []
         self._warned = False
         self._atexit_registered = False
@@ -460,6 +646,7 @@ class SharedMemoryEngine(BaseEngine):
                     tuple(p.segment.name for p in self._plants.values()),
                 ),
             )
+            self._pool_fresh = True
             self._ensure_finalizer()
         return self._pool
 
@@ -628,39 +815,45 @@ class SharedMemoryEngine(BaseEngine):
         work_fn: Optional[Callable[[Tuple[int, int], Any], float]] = None,
         min_chunk: int = 1,
     ) -> List[Any]:
-        """One slab superstep dispatched by reference (see module doc)."""
+        """One slab superstep, inline or dispatched (see module doc)."""
         spans = slab_spans(n_items, self, min_chunk)
         self.last_slab_spans = spans
         self.last_obs_bytes = 0
         self.last_superstep_recovery = False
         if not spans:
             return []
-        missing = [a for a in task.arrays if a not in self._plants]
-        if missing:
-            raise EngineError(
-                f"SlabTask references unplanted arrays {missing}; call "
-                f"plant() before dispatching"
-            )
-        fn = _resolve_kernel(task.ref)
-        arrays = {a: self._plants[a].view for a in task.arrays}
-        if (
-            self.threads == 1
-            or len(spans) == 1
-            or n_items < self.min_dispatch_items
-        ):
+        fn = resolve_slab_kernel(task.ref)
+        workers = min(self.threads, len(spans))
+        eligible = workers > 1
+        path = (
+            self.policy.choose(task.ref, n_items, workers)
+            if eligible else INLINE
+        )
+        self.last_slab_path = path
+        self._count_path(path)
+        if path == INLINE:
             spans = serial_spans(n_items)
             self.last_slab_spans = spans
             self.inline_supersteps += 1
-            results = [fn(arrays, task.params, lo, hi) for lo, hi in spans]
+            t0 = clock.perf()
+            results = [fn(task.arrays, task.params, lo, hi) for lo, hi in spans]
+            if eligible:
+                self.policy.observe_inline(task.ref, n_items, clock.perf() - t0)
+                self._export_cost(task.ref)
             self._account_work(spans, results, work_fn)
             return results
+        self.dispatched_supersteps += 1
+        pool = self._ensure_pool()
+        sample = not self._pool_fresh
+        self._pool_fresh = False
+        t0 = clock.perf()
+        views = {
+            name: self.plant(name, array, task.fingerprints.get(name))
+            for name, array in task.arrays.items()
+        }
         catalog = {
-            a: (
-                self._plants[a].segment.name,
-                arrays[a].dtype.str,
-                arrays[a].shape,
-            )
-            for a in task.arrays
+            name: (self._plants[name].segment.name, view.dtype.str, view.shape)
+            for name, view in views.items()
         }
         params = dict(task.params)
         header = obs_header()
@@ -673,20 +866,7 @@ class SharedMemoryEngine(BaseEngine):
             for clo, chi in _even_spans(len(spans), self.threads)
         ]
         self.last_dispatch_bytes = sum(len(p) for p in payloads)
-        self.dispatched_supersteps += 1
-        # Pre-dispatch snapshot of the kernel's write set: recovery
-        # must re-run against the exact state the crashed superstep
-        # saw.  Re-running over already-mutated arrays would be
-        # silently wrong — improvements applied before the crash (by
-        # the dead worker or by completed sibling chunks) no longer
-        # test as improvements, so the re-run would omit them from its
-        # returned results (e.g. drop vertices from an affected set).
-        rollback = {
-            a: np.array(arrays[a], copy=True)
-            for a in (task.arrays if task.writes is None else task.writes)
-        }
         try:
-            pool = self._ensure_pool()
             futures = [pool.submit(_run_slab_chunk, p) for p in payloads]
             parts = [f.result() for f in futures]
         except BrokenProcessPool:
@@ -694,28 +874,73 @@ class SharedMemoryEngine(BaseEngine):
             self.last_superstep_recovery = True
             self._warn_once(
                 "a worker process died mid-superstep; pool reset, "
-                "write set rolled back, re-running the superstep inline"
+                "re-running the superstep inline"
             )
-            for a, snap in rollback.items():
-                np.copyto(arrays[a], snap, casting="no")
-            results = [fn(arrays, task.params, lo, hi) for lo, hi in spans]
+            # nothing was copied back, so the caller's arrays are the
+            # exact state the crashed superstep saw
+            results = [fn(task.arrays, task.params, lo, hi) for lo, hi in spans]
             self._account_work(spans, results, work_fn)
             return results
-        results, error, reports = _decode_parts(parts)
+        results, error, reports, busy = _decode_parts(parts)
         if header is not None and reports:
             self.last_obs_bytes = sum(len(pickle.dumps(r)) for r in reports)
             merge_reports(reports, header["t_send"], anchor=current_span())
         if results is None:
-            # make the failed superstep atomic: chunks that did run
-            # have already written into the shared views
-            for a, snap in rollback.items():
-                np.copyto(arrays[a], snap, casting="no")
             raise EngineError(
                 f"slab dispatch payload did not survive the spawn "
                 f"round-trip: {error}"
             )
+        copy_back = tuple(task.arrays) if task.writes is None else task.writes
+        for name in copy_back:
+            np.copyto(task.arrays[name], views[name], casting="no")
+        if sample:
+            chunk_items = [
+                sum(hi - lo for lo, hi in spans[clo:chi])
+                for clo, chi in _even_spans(len(spans), self.threads)
+            ]
+            self.policy.observe_dispatch(
+                task.ref, clock.perf() - t0, list(zip(chunk_items, busy))
+            )
+            self._export_cost(task.ref)
         self._account_work(spans, results, work_fn)
         return results
+
+    @staticmethod
+    def _count_path(path: str) -> None:
+        m = get_metrics()
+        if m.enabled:
+            m.counter(
+                labeled_name("shm_supersteps_total", {"path": path}),
+                "shm slab supersteps by where they ran",
+            ).inc()
+
+    def _export_cost(self, ref: str) -> None:
+        """Publish ``ref``'s current estimates as gauges."""
+        m = get_metrics()
+        if not m.enabled:
+            return
+        c = self.policy.cost(ref)
+        labels = {"kernel": ref}
+        gauges = [("shm_dispatch_fixed_seconds", c.fixed,
+                   "estimated fixed cost of one dispatch (F)")]
+        inline, worker = c.inline.fit(), c.worker_fit()
+        if inline is not None:
+            gauges += [
+                ("shm_inline_fixed_seconds", inline[0],
+                 "estimated fixed cost of one inline superstep (c_i)"),
+                ("shm_inline_seconds_per_item", inline[1],
+                 "estimated inline seconds per item (a_i)"),
+            ]
+        if worker is not None:
+            gauges += [
+                ("shm_worker_fixed_seconds", worker[0],
+                 "estimated fixed kernel cost of one worker chunk (c_w)"),
+                ("shm_worker_seconds_per_item", worker[1],
+                 "estimated worker seconds per item (a_w)"),
+            ]
+        for name, value, help_ in gauges:
+            if value is not None:
+                m.gauge(labeled_name(name, labels), help_).set(value)
 
     # ----------------------------------------------------- generic path
     def _warn_once(self, reason: str) -> None:
@@ -773,7 +998,7 @@ class SharedMemoryEngine(BaseEngine):
             )
             self._account_work(items, results, work_fn)
             return results
-        out, error, reports = _decode_parts(parts)
+        out, error, reports, _ = _decode_parts(parts)
         if header is not None and reports:
             merge_reports(reports, header["t_send"], anchor=current_span())
         if out is None:

@@ -71,8 +71,6 @@ class CheckedEngine:
             inner = inner.inner  # never stack sanitizers
         self.inner = inner
         self.tracker: OwnershipTracker = _LockedTracker()
-        # every view handed out by plant(), for the write-set cross-check
-        self._planted: Dict[str, "np.ndarray"] = {}
 
     @property
     def name(self) -> str:
@@ -121,19 +119,23 @@ class CheckedEngine:
 
         When the task declares a write-set (``writes is not None``),
         this wrapper also cross-checks it two ways — the runtime twin
-        of lint rule R006:
+        of lint rule R006.  An undeclared write is kept when the
+        superstep runs inline but lost when it is dispatched (only
+        ``task.writes`` is copied back), so it makes the result depend
+        on the engine's dispatch decision:
 
         1. *statically*, against the analyzer's inferred write-set for
            ``task.ref`` (anything the kernel provably stores into but
            didn't declare is rejected before dispatch);
-        2. *observationally*, by content-digesting every planted array
-           the task maps but does not declare, before and after the
-           dispatch — catching dynamic writes static inference can't
-           see (e.g. a catalog key computed from ``params``).
+        2. *observationally*, by content-digesting every array the task
+           binds but does not declare, before and after the superstep —
+           catching dynamic writes static inference can't see (e.g. a
+           catalog key computed from ``params``) whenever the superstep
+           ran inline.
         """
         self.tracker.next_superstep()
         self._check_static_writes(task)
-        undeclared = self._undeclared_planted(task)
+        undeclared = self._undeclared(task)
         before = {n: self._digest(a) for n, a in undeclared.items()}
         out = self.inner.parallel_for_slabs(
             n_items, task, work_fn=work_fn, min_chunk=min_chunk
@@ -175,34 +177,13 @@ class CheckedEngine:
                 task.ref, undeclared, "static write-set inference"
             )
 
-    def _undeclared_planted(self, task: SlabTask) -> Dict[str, "np.ndarray"]:
-        """Planted arrays the task maps but does not declare writable."""
+    @staticmethod
+    def _undeclared(task: SlabTask) -> Dict[str, "np.ndarray"]:
+        """Arrays the task binds but does not declare writable."""
         if task.writes is None:
             return {}
         declared = set(task.writes)
-        return {
-            n: self._planted[n]
-            for n in task.arrays
-            if n not in declared and n in self._planted
-        }
-
-    def plant(
-        self,
-        name: str,
-        array: "np.ndarray",
-        fingerprint: Optional[Tuple[Any, ...]] = None,
-    ) -> "np.ndarray":
-        """Forward array planting to a shared-memory backend.
-
-        The returned view is remembered so ``parallel_for_slabs`` can
-        digest undeclared arrays around each dispatch (write-set
-        cross-check).
-        """
-        view: "np.ndarray" = self.inner.plant(
-            name, array, fingerprint=fingerprint
-        )
-        self._planted[name] = view
-        return view
+        return {n: a for n, a in task.arrays.items() if n not in declared}
 
     def close(self) -> None:
         """Release the wrapped backend's pool/segments, if it has any.

@@ -67,9 +67,9 @@ def crash_after_write_slab(
     Counts the zero entries of its span (the "improvements"), writes
     them to 1, then kills the process — but only in a pool worker (pid
     guard as in :func:`crash_if_worker_slab`).  A recovery re-run that
-    does not first roll the write set back sees the already-written 1s,
-    reports 0 improvements for those spans, and under-counts — exactly
-    how a lost `affected` vertex manifests in the real kernels.
+    saw the already-written 1s would report 0 improvements for those
+    spans and under-count — exactly how a lost `affected` vertex
+    manifests in the real kernels.
     """
     out = arrays["out"]
     improved = int((out[lo:hi] == 0).sum())
@@ -85,11 +85,11 @@ def crash_then_propagate_slab(
 ) -> Tuple[np.ndarray, int]:
     """Step-2 kernel stand-in that dies in pool workers, mid-write.
 
-    Poisons the planted ``sosp.dist`` view and kills the process when
+    Poisons the planted ``sosp.dist`` copy and kills the process when
     running inside a spawn worker (``multiprocessing.parent_process()``
     is set there and ``None`` in the test runner), so the shared-memory
-    engine's crash recovery must both roll the write set back and
-    re-run the superstep.  The recovery re-run resolves this same ref
+    engine's crash recovery must re-run the superstep on the caller's
+    still-pristine arrays.  The recovery re-run resolves this same ref
     inline on the master, where it delegates to the real
     :func:`repro.core.kernels._propagate_relax_slab` — the
     mixed-pipeline crash test monkeypatches

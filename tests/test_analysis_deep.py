@@ -75,6 +75,28 @@ class TestR006WriteSets:
         assert len(phantom) == 1
         assert "absent from task.arrays" in phantom[0].message
 
+    def test_dict_bound_arrays_are_read_by_key(self):
+        # SlabTask.arrays binds name -> ndarray; the phantom and the
+        # undeclared-write checks read the names off the dict's keys
+        src = (
+            "from repro.parallel.api import SlabTask\n\n\n"
+            "def kern(arrays, params, lo, hi):\n"
+            "    arrays['dist'][lo:hi] = 0.0\n"
+            "    arrays['aux'][lo:hi] = 1.0\n"
+            "    return hi - lo\n\n\n"
+            "def go(engine, d, a):\n"
+            "    engine.parallel_for_slabs(8, SlabTask(\n"
+            "        ref='tests.fx:kern', arrays={'dist': d, 'aux': a},\n"
+            "        writes=('dist', 'ghost')))\n"
+        )
+        findings = lint_source(
+            src, path="tests/fx.py", select={"R006"}, respect_scope=False
+        )
+        messages = [f.message for f in findings if f.severity == "error"]
+        assert any("ghost" in m and "absent from task.arrays" in m
+                   for m in messages), messages
+        assert any("aux" in m and "not declared" in m for m in messages)
+
     def test_shipped_kernels_pass(self):
         # meta-test: the real dispatch sites must satisfy their own rule
         for rel in ("src/repro/core/kernels.py", "src/repro/core/ensemble.py"):

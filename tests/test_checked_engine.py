@@ -161,13 +161,13 @@ class TestWriteSetCrossCheck:
 
         eng = self._engine()
         try:
-            out = eng.plant("out", np.zeros(8, dtype=np.int64))
-            eng.plant("aux", np.zeros(8, dtype=np.int64))
+            out = np.zeros(8, dtype=np.int64)
+            aux = np.zeros(8, dtype=np.int64)
             with pytest.raises(WriteSetViolation, match="static"):
                 # intentional drift: the violation under test
                 eng.parallel_for_slabs(8, SlabTask(  # repro: noqa(R006)
                     ref="tests._shm_support:sneaky_slab",
-                    arrays=("out", "aux"),
+                    arrays={"out": out, "aux": aux},
                     writes=("out",),
                 ))
             # rejected before dispatch: nothing ran, nothing mutated
@@ -188,12 +188,11 @@ class TestWriteSetCrossCheck:
 
         eng = self._engine()
         try:
-            eng.plant("out", np.zeros(8, dtype=np.int64))
-            eng.plant("aux", np.zeros(8, dtype=np.int64))
             with pytest.raises(WriteSetViolation, match="observed"):
                 eng.parallel_for_slabs(8, SlabTask(
                     ref="tests._shm_support:dynamic_write_slab",
-                    arrays=("out", "aux"),
+                    arrays={"out": np.zeros(8, dtype=np.int64),
+                            "aux": np.zeros(8, dtype=np.int64)},
                     params={"victim": "aux"},
                     writes=("out",),
                 ))
@@ -205,10 +204,10 @@ class TestWriteSetCrossCheck:
 
         eng = self._engine()
         try:
-            out = eng.plant("out", np.ones(8, dtype=np.int64))
+            out = np.ones(8, dtype=np.int64)
             res = eng.parallel_for_slabs(8, SlabTask(
                 ref="tests._shm_support:double_slab",
-                arrays=("out",),
+                arrays={"out": out},
                 writes=("out",),
             ))
             assert sum(res) == 16.0
@@ -217,17 +216,16 @@ class TestWriteSetCrossCheck:
             eng.close()
 
     def test_writes_none_skips_cross_check(self):
-        # writes=None means "unknown: snapshot everything" — the
+        # writes=None means "unknown: copy everything back" — the
         # cross-check has no declaration to hold the kernel to
         from repro.parallel.api import SlabTask
 
         eng = self._engine()
         try:
-            eng.plant("out", np.zeros(8, dtype=np.int64))
-            eng.plant("aux", np.zeros(8, dtype=np.int64))
             eng.parallel_for_slabs(8, SlabTask(
                 ref="tests._shm_support:sneaky_slab",
-                arrays=("out", "aux"),
+                arrays={"out": np.zeros(8, dtype=np.int64),
+                        "aux": np.zeros(8, dtype=np.int64)},
                 writes=None,
             ))
         finally:

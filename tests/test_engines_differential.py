@@ -6,14 +6,15 @@ must produce the **identical** distance fixpoint for
 batches.  For ``sosp_update`` the oracle is the pointer-chasing twin
 in ``tests/_sosp_reference.py``; elsewhere serial is.  The engines only
 change *how* the same supersteps execute (threads: real pool; processes: closure
-round-trip or its documented serial fallback; shm: slab dispatch over
-planted shared-memory arrays; simulated: virtual-clock replay), so the
+round-trip or its documented serial fallback; shm: inline or slab
+dispatch over planted shared-memory copies; simulated: virtual-clock replay), so the
 label-correcting fixpoint is bitwise reproducible.
 
-The shm engine runs with ``min_dispatch_items=1`` so even the tiny
-hypothesis graphs take the real dispatch path, and the process-pool
-engines are module-scoped — spawning a pool per example would dominate
-the suite.
+One shm engine runs with ``min_dispatch_items=1`` so even the tiny
+hypothesis graphs take the real dispatch path; a second runs the
+default measured dispatch policy, whose decisions must never move a
+distance.  The process-pool engines are module-scoped — spawning a pool
+per example would dominate the suite.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ ENGINES = [
     SerialEngine(),
     ThreadEngine(threads=2),
     SharedMemoryEngine(threads=2, min_dispatch_items=1),
+    SharedMemoryEngine(threads=2),
     SimulatedEngine(threads=4),
 ]
 

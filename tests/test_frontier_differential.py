@@ -279,12 +279,14 @@ class TestOneSlabWithoutASecondThread:
         assert spans[0][0] == 0 and spans[-1][1] == 1000
 
     def test_inline_shm_superstep_reports_one_span(self):
-        eng = SharedMemoryEngine(threads=2)  # default dispatch cutoff
+        # the default policy runs a kernel's first eligible superstep
+        # inline, to learn its inline rate
+        eng = SharedMemoryEngine(threads=2)
         try:
             n = 10 * MIN_SLAB_ITEMS
-            view = eng.plant("out", np.ones(n, dtype=np.float64))
+            view = np.ones(n, dtype=np.float64)
             task = SlabTask(ref="tests._shm_support:double_slab",
-                            arrays=("out",))
+                            arrays={"out": view})
             results = eng.parallel_for_slabs(
                 n, task, min_chunk=MIN_SLAB_ITEMS
             )

@@ -297,6 +297,7 @@ ENGINES = [
     SerialEngine(),
     ThreadEngine(threads=2),
     SharedMemoryEngine(threads=2, min_dispatch_items=1),
+    SharedMemoryEngine(threads=2),
     SimulatedEngine(threads=4),
 ]
 

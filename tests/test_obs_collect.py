@@ -254,8 +254,8 @@ class TestBufferOverflowE2E:
         with use_tracer(tracer), use_metrics():
             e = TracedEngine(SharedMemoryEngine(threads=2,
                                                 min_dispatch_items=1))
-            e.plant("out", np.zeros(4, dtype=np.float64))
-            task = SlabTask(ref=spam, arrays=("out",),
+            task = SlabTask(ref=spam,
+                            arrays={"out": np.zeros(4, dtype=np.float64)},
                             params={"spans": 600}, writes=("out",))
             e.parallel_for_slabs(4, task)
             registry = get_metrics()

@@ -399,9 +399,9 @@ class TestSnapshotIsolation:
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(min_value=0, max_value=2**16))
     def test_pinned_epoch_survives_concurrent_batches_shm(self, seed):
-        # default min_dispatch_items: small graphs run inline, so each
-        # example exercises the full shm publish path without paying a
-        # worker-pool spawn
+        # default dispatch policy: a 25-vertex graph's supersteps have
+        # one slab and run inline, so each example exercises the full
+        # shm publish path without paying a worker-pool spawn
         self._pin_and_update("shm", seed)
 
     @settings(deadline=None, max_examples=10)

@@ -3,6 +3,9 @@
 Covers, per the tentpole and satellites:
 
 - plant / fingerprinted re-plant (zero-copy for unchanged CSR bases),
+- plant on dispatch: a task binds the caller's arrays, a dispatched
+  superstep copies its declared write set back, and a failed one
+  leaves the caller's arrays bitwise unchanged,
 - zero per-superstep array pickling (the dispatch payload stays
   catalog-sized no matter how large the planted arrays get, and the
   guard pickler hard-fails on smuggled ndarrays),
@@ -40,6 +43,12 @@ DOUBLE = "tests._shm_support:double_slab"
 PIDS = "tests._shm_support:pid_slab"
 CRASH = "tests._shm_support:crash_if_worker_slab"
 CRASH_AFTER_WRITE = "tests._shm_support:crash_after_write_slab"
+SNEAKY = "tests._shm_support:sneaky_slab"
+
+
+def doubled(out):
+    """A DOUBLE task bound to ``out``."""
+    return SlabTask(ref=DOUBLE, arrays={"out": out})
 
 
 @pytest.fixture()
@@ -93,19 +102,18 @@ class TestPlant:
 class TestSlabDispatch:
     def test_dispatch_runs_and_writes_shared(self, eng):
         data = np.arange(64, dtype=np.float64)
-        view = eng.plant("out", data)
-        task = SlabTask(ref=DOUBLE, arrays=("out",))
-        results = eng.parallel_for_slabs(64, task)
+        out = data.copy()
+        results = eng.parallel_for_slabs(64, doubled(out))
         assert eng.dispatched_supersteps == 1
-        np.testing.assert_array_equal(view, data * 2)
+        assert eng.last_slab_path == "dispatched"
+        np.testing.assert_array_equal(out, data * 2)  # copied back
         assert sum(results) == float((data * 2).sum())
 
     def test_zero_per_superstep_array_pickling(self, eng):
         """Payload size is catalog-sized and independent of array size."""
         sizes = {}
         for n in (1 << 12, 1 << 16):
-            eng.plant("out", np.ones(n, dtype=np.float64))
-            eng.parallel_for_slabs(n, SlabTask(ref=DOUBLE, arrays=("out",)))
+            eng.parallel_for_slabs(n, doubled(np.ones(n, dtype=np.float64)))
             sizes[n] = eng.last_dispatch_bytes
         assert all(b < 2048 for b in sizes.values()), sizes
         # 16x more array data, (near-)identical payload: nothing but
@@ -113,75 +121,133 @@ class TestSlabDispatch:
         assert sizes[1 << 16] - sizes[1 << 12] < 256
 
     def test_guard_refuses_ndarray_in_params(self, eng):
-        eng.plant("out", np.zeros(4096, dtype=np.float64))
         task = SlabTask(
-            ref=DOUBLE, arrays=("out",),
+            ref=DOUBLE, arrays={"out": np.zeros(4096, dtype=np.float64)},
             params={"smuggled": np.arange(3)},
         )
         with pytest.raises(EngineError, match="plant"):
             eng.parallel_for_slabs(4096, task)
 
-    def test_unplanted_array_rejected(self, eng):
-        task = SlabTask(ref=DOUBLE, arrays=("never-planted",))
-        with pytest.raises(EngineError, match="unplanted"):
-            eng.parallel_for_slabs(8, task)
+    def test_unplanted_array_rejected(self):
+        # a task names no arrays it does not bind: names alone are refused
+        with pytest.raises(EngineError, match="ndarrays"):
+            SlabTask(ref=DOUBLE, arrays=("never-planted",))
 
     def test_runs_in_worker_processes(self, eng):
-        view = eng.plant("out", np.zeros(4096, dtype=np.int64))
-        results = eng.parallel_for_slabs(4096, SlabTask(ref=PIDS,
-                                                        arrays=("out",)))
+        out = np.zeros(4096, dtype=np.int64)
+        results = eng.parallel_for_slabs(
+            4096, SlabTask(ref=PIDS, arrays={"out": out})
+        )
         pids = {pid for _, _, pid in results}
         assert pids and os.getpid() not in pids
-        assert set(np.unique(view)) <= pids
+        assert set(np.unique(out)) <= pids
 
     def test_small_supersteps_run_inline(self):
         e = SharedMemoryEngine(threads=2, min_dispatch_items=10_000)
         try:
-            view = e.plant("out", np.ones(32, dtype=np.float64))
-            e.parallel_for_slabs(32, SlabTask(ref=DOUBLE, arrays=("out",)))
+            out = np.ones(32, dtype=np.float64)
+            e.parallel_for_slabs(32, doubled(out))
             assert e.inline_supersteps == 1 and e.dispatched_supersteps == 0
-            np.testing.assert_array_equal(view, np.full(32, 2.0))
+            np.testing.assert_array_equal(out, np.full(32, 2.0))
+            assert e.plant_stats == {}  # an inline superstep plants nothing
         finally:
             e.close()
 
+    def test_only_declared_writes_are_copied_back(self):
+        """``writes`` is the copy-back set: an undeclared write is kept
+        when the superstep runs inline and lost when it is dispatched —
+        the engine-dependent result R006 exists to rule out."""
+        kept = {}
+        for cutoff in (1, 10_000):  # dispatched, then inline
+            e = SharedMemoryEngine(threads=2, min_dispatch_items=cutoff)
+            try:
+                out = np.zeros(256, dtype=np.float64)
+                aux = np.zeros(256, dtype=np.float64)
+                e.parallel_for_slabs(256, SlabTask(  # repro: noqa(R006)
+                    ref=SNEAKY, arrays={"out": out, "aux": aux},
+                    writes=("out",),
+                ))
+                np.testing.assert_array_equal(out, 1.0)
+                kept[e.last_slab_path] = bool(aux.any())
+            finally:
+                e.close()
+        assert kept == {"dispatched": False, "inline": True}
+
+    def test_failed_payload_leaves_arrays_bitwise_unchanged(
+        self, eng, monkeypatch
+    ):
+        """A payload the workers cannot decode raises, and the caller's
+        arrays are exactly what they were: nothing was copied back, and
+        no rollback copy of them was ever taken."""
+        out = np.arange(4096, dtype=np.float64)
+        before = out.copy()
+        touched = []
+        real_copyto, real_array, real_copy = np.copyto, np.array, np.copy
+
+        def spy_copyto(dst, src, *a, **k):
+            if dst is out:
+                touched.append("copyto")
+            return real_copyto(dst, src, *a, **k)
+
+        def spy_array(obj, *a, **k):
+            if obj is out:
+                touched.append("array")
+            return real_array(obj, *a, **k)
+
+        def spy_copy(obj, *a, **k):
+            if obj is out:
+                touched.append("copy")
+            return real_copy(obj, *a, **k)
+
+        monkeypatch.setattr(np, "copyto", spy_copyto)
+        monkeypatch.setattr(np, "array", spy_array)
+        monkeypatch.setattr(np, "copy", spy_copy)
+        task = SlabTask(ref=DOUBLE, arrays={"out": out},
+                        params={"poison": MainOnlyFn()}, writes=("out",))
+        with pytest.raises(EngineError, match="spawn round-trip"):
+            eng.parallel_for_slabs(4096, task)
+        monkeypatch.undo()
+        assert touched == []
+        np.testing.assert_array_equal(out, before)
+        assert out.tobytes() == before.tobytes()
+
     def test_worker_crash_recovery(self, eng):
-        view = eng.plant("out", np.zeros(4096, dtype=np.int64))
-        task = SlabTask(ref=CRASH, arrays=("out",),
+        out = np.zeros(4096, dtype=np.int64)
+        task = SlabTask(ref=CRASH, arrays={"out": out},
                         params={"master_pid": os.getpid()})
         with pytest.warns(RuntimeWarning, match="died mid-superstep"):
             results = eng.parallel_for_slabs(4096, task)
-        # inline re-run completed the superstep on the shared views
+        # inline re-run completed the superstep on the caller's arrays
         assert sum(results) == 4096
-        np.testing.assert_array_equal(view, np.ones(4096, dtype=np.int64))
+        np.testing.assert_array_equal(out, np.ones(4096, dtype=np.int64))
         # and the engine recovered: the next dispatch uses a fresh pool
-        eng.plant("out", np.ones(4096, dtype=np.float64))
         out = eng.parallel_for_slabs(
-            4096, SlabTask(ref=DOUBLE, arrays=("out",))
+            4096, doubled(np.ones(4096, dtype=np.float64))
         )
         assert sum(out) == 2.0 * 4096
 
     def test_crash_after_write_loses_no_improvements(self, eng):
         """A worker that mutates its slab and then dies must not make
-        the recovery re-run under-report: the engine snapshots the
-        task's write set before dispatch and rolls it back, so every
-        pre-crash write still tests as an improvement on the re-run.
-        (Without the rollback the re-run sees the mutated state and
-        silently drops those results — lost `affected` vertices in the
-        real kernels.)"""
-        view = eng.plant("out", np.zeros(4096, dtype=np.int64))
-        task = SlabTask(ref=CRASH_AFTER_WRITE, arrays=("out",),
+        the recovery re-run under-report: workers write planted copies,
+        and nothing is copied back before every chunk replied, so every
+        pre-crash write still tests as an improvement on the re-run
+        over the caller's arrays.  (Were the crashed writes visible,
+        the re-run would see the mutated state and silently drop those
+        results — lost `affected` vertices in the real kernels.)"""
+        out = np.zeros(4096, dtype=np.int64)
+        task = SlabTask(ref=CRASH_AFTER_WRITE, arrays={"out": out},
                         params={"master_pid": os.getpid()},
                         writes=("out",))
         with pytest.warns(RuntimeWarning, match="died mid-superstep"):
             results = eng.parallel_for_slabs(4096, task)
         assert sum(results) == 4096  # every improvement re-reported
-        np.testing.assert_array_equal(view, np.ones(4096, dtype=np.int64))
+        np.testing.assert_array_equal(out, np.ones(4096, dtype=np.int64))
 
     def test_undeclared_write_set_snapshots_whole_catalog(self, eng):
         """``writes=None`` (unknown) must stay conservative: the same
         crash-after-write recovery works with no ``writes`` declared."""
-        eng.plant("out", np.zeros(4096, dtype=np.int64))
-        task = SlabTask(ref=CRASH_AFTER_WRITE, arrays=("out",),
+        task = SlabTask(ref=CRASH_AFTER_WRITE,
+                        arrays={"out": np.zeros(4096, dtype=np.int64)},
                         params={"master_pid": os.getpid()})
         with pytest.warns(RuntimeWarning, match="died mid-superstep"):
             results = eng.parallel_for_slabs(4096, task)
@@ -191,17 +257,16 @@ class TestSlabDispatch:
 class TestLifecycle:
     def test_double_close_idempotent_and_reusable(self):
         e = SharedMemoryEngine(threads=2, min_dispatch_items=1)
-        e.plant("out", np.ones(128, dtype=np.float64))
-        e.parallel_for_slabs(128, SlabTask(ref=DOUBLE, arrays=("out",)))
+        e.parallel_for_slabs(128, doubled(np.ones(128, dtype=np.float64)))
         seg = e.plant_stats["out"]["segment"]
         e.close()
         e.close()  # second close is a no-op, not an error
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=seg)  # segment unlinked
         # reusable: plants and pool re-materialise lazily
-        view = e.plant("out", np.ones(128, dtype=np.float64))
-        e.parallel_for_slabs(128, SlabTask(ref=DOUBLE, arrays=("out",)))
-        np.testing.assert_array_equal(view, np.full(128, 2.0))
+        out = np.ones(128, dtype=np.float64)
+        e.parallel_for_slabs(128, doubled(out))
+        np.testing.assert_array_equal(out, np.full(128, 2.0))
         e.close()
 
     def test_context_manager_closes(self):
@@ -317,9 +382,8 @@ class TestTracedSpans:
         with use_tracer(tracer):
             e = TracedEngine(SharedMemoryEngine(threads=2,
                                                 min_dispatch_items=1))
-            e.plant("out", np.ones(4096, dtype=np.float64))
             e.parallel_for_slabs(
-                4096, SlabTask(ref=DOUBLE, arrays=("out",)),
+                4096, doubled(np.ones(4096, dtype=np.float64)),
                 work_fn=lambda span, r: float(span[1] - span[0]),
             )
             e.close()
@@ -330,6 +394,7 @@ class TestTracedSpans:
         assert sp.attrs["work_total"] == 4096.0
         assert sp.attrs["work_p50"] > 0
         assert sp.attrs["dispatch_bytes"] > 0  # dispatched, not inline
+        assert sp.attrs["path"] == "dispatched"
         assert sp.attrs["slabs"] >= 2
 
 
@@ -344,9 +409,8 @@ class TestWorkerSpanCollection:
         with use_tracer(tracer):
             e = TracedEngine(SharedMemoryEngine(threads=2,
                                                 min_dispatch_items=1))
-            e.plant("out", np.ones(4096, dtype=np.float64))
-            e.parallel_for_slabs(4096, SlabTask(ref=DOUBLE,
-                                                arrays=("out",)))
+            e.parallel_for_slabs(4096,
+                                 doubled(np.ones(4096, dtype=np.float64)))
             assert e.inner.last_obs_bytes > 0
             e.close()
         spans = tracer.drain()
@@ -369,17 +433,15 @@ class TestWorkerSpanCollection:
         with use_tracer(tracer):
             e = TracedEngine(SharedMemoryEngine(threads=2,
                                                 min_dispatch_items=1))
-            e.plant("out", np.ones(4096, dtype=np.float64))
-            e.parallel_for_slabs(4096, SlabTask(ref=DOUBLE,
-                                                arrays=("out",)))
+            e.parallel_for_slabs(4096,
+                                 doubled(np.ones(4096, dtype=np.float64)))
             e.close()
         path = tmp_path / "trace.json"
         export_chrome_trace(tracer.drain(), path)
         assert validate_chrome_trace(path) == []
 
     def test_no_collection_without_recording_tracer(self, eng):
-        eng.plant("out", np.ones(4096, dtype=np.float64))
-        eng.parallel_for_slabs(4096, SlabTask(ref=DOUBLE, arrays=("out",)))
+        eng.parallel_for_slabs(4096, doubled(np.ones(4096, dtype=np.float64)))
         assert eng.dispatched_supersteps == 1
         # passive default tracer: no header shipped, no report returned
         assert eng.last_obs_bytes == 0
@@ -410,8 +472,8 @@ class TestWorkerSpanCollection:
         with use_tracer(tracer):
             e = TracedEngine(SharedMemoryEngine(threads=2,
                                                 min_dispatch_items=1))
-            e.plant("out", np.zeros(4096, dtype=np.int64))
-            task = SlabTask(ref=CRASH, arrays=("out",),
+            task = SlabTask(ref=CRASH,
+                            arrays={"out": np.zeros(4096, dtype=np.int64)},
                             params={"master_pid": os.getpid()})
             with pytest.warns(RuntimeWarning, match="died mid-superstep"):
                 results = e.parallel_for_slabs(4096, task)
@@ -425,8 +487,7 @@ class TestWorkerSpanCollection:
         with use_tracer(tracer):
             e = TracedEngine(SharedMemoryEngine(threads=2,
                                                 min_dispatch_items=1))
-            e.plant("out", np.ones(64, dtype=np.float64))
-            e.parallel_for_slabs(64, SlabTask(ref=DOUBLE, arrays=("out",)))
+            e.parallel_for_slabs(64, doubled(np.ones(64, dtype=np.float64)))
             e.close()
         sp = [s for s in tracer.drain() if s.name == "superstep"][0]
         assert "recovery" not in sp.attrs
@@ -504,9 +565,10 @@ class TestWorkerAttachCache:
 
 
 class TestKernelMirrorBack:
-    """relax_batch_groups must mirror the planted views back to the
-    caller's arrays even when slab dispatch raises mid-Step-1,
-    matching propagate_csr's finally-block contract."""
+    """relax_batch_groups must leave the caller's arrays as the engine
+    left them when slab dispatch raises mid-Step-1: the task binds
+    those arrays, so there is nothing to mirror back and nothing to
+    undo."""
 
     def test_relax_batch_groups_mirrors_on_dispatch_error(self):
         from repro.core.kernels import relax_batch_groups
@@ -516,8 +578,8 @@ class TestKernelMirrorBack:
             def parallel_for_slabs(self, n_items, task,
                                    work_fn=None, min_chunk=1):
                 # mutate like a half-finished superstep, then die
-                self._plants["sosp.dist"].view[1] = 0.5
-                self._plants["sosp.marked"].view[1] = 1
+                task.arrays["sosp.dist"][1] = 0.5
+                task.arrays["sosp.marked"][1] = 1
                 raise EngineError("worker army vanished")
 
         e = ExplodingEngine(threads=2, min_dispatch_items=1)
@@ -555,9 +617,8 @@ class TestResolveAndWrappers:
         try:
             assert e.name == "checked(shm)"
             assert getattr(e, "supports_slab_dispatch", False)
-            e.plant("out", np.ones(256, dtype=np.float64))
-            e.parallel_for_slabs(256, SlabTask(ref=DOUBLE,
-                                               arrays=("out",)))
+            e.parallel_for_slabs(256,
+                                 doubled(np.ones(256, dtype=np.float64)))
             assert e.tracker.supersteps >= 1
         finally:
             e.close()
@@ -582,17 +643,18 @@ class TestTwoEngineLifecycle:
         b = SharedMemoryEngine(threads=2, min_dispatch_items=1)
         try:
             a.plant("out", np.ones(8, dtype=np.float64))
-            view_b = b.plant("out", np.full(8, 2.0))
+            out_b = np.full(8, 2.0)
+            b.plant("out", out_b)
             seg_b = b.plant_stats["out"]["segment"]
             a.close()
             # b's identically-named plant lives in its own segment and
             # must survive a's teardown intact...
             probe = shared_memory.SharedMemory(name=seg_b)
             probe.close()
-            # ...and b must still dispatch real work afterwards
-            b.parallel_for_slabs(8, SlabTask(ref=DOUBLE,
-                                             arrays=("out",)))
-            np.testing.assert_array_equal(view_b, np.full(8, 4.0))
+            # ...and b must still dispatch real work through it afterwards
+            b.parallel_for_slabs(8, doubled(out_b))
+            assert b.plant_stats["out"]["segment"] == seg_b
+            np.testing.assert_array_equal(out_b, np.full(8, 4.0))
         finally:
             b.close()
             a.close()  # second close of a dead engine: no-op
