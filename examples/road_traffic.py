@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core import SOSPTree, mosp_update
 from repro.dynamic.workloads import road_traffic_scenario
-from repro.parallel import ThreadEngine
+from repro.parallel import resolve_engine
 
 scenario = road_traffic_scenario(n=2500, steps=6, batch_size=40, seed=7)
 g = scenario.graph
@@ -25,7 +25,7 @@ source = scenario.source
 # the destination: the far corner of the map
 destination = g.num_vertices - 1
 
-engine = ThreadEngine(threads=4)
+engine = resolve_engine("serial")
 trees = [SOSPTree.build(g, source, objective=i) for i in range(2)]
 
 print(f"network: {g.num_vertices} junctions, {g.num_edges} road segments")
@@ -69,8 +69,6 @@ for t, batch in enumerate(scenario.stream.batches(), start=1):
         mode = "balanced"
     affected = sum(s.affected_total for s in result.update_stats)
     report(t, mode, result, affected)
-
-engine.close()
 
 print("\nper-objective optima for comparison:")
 print(f"  fastest: time={trees[0].dist[destination]:.1f} "

@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("balanced", "unit", "priority"))
     m.add_argument("--priorities", type=float, nargs="+", default=None)
     m.add_argument("--engine", default="serial",
-                   choices=("serial", "threads", "simulated"))
+                   choices=tuple(_engine_table()))
     m.add_argument("--threads", type=int, default=4)
     _add_obs_flags(m)
 
@@ -186,7 +186,7 @@ def _add_serve_flags(sub: argparse.ArgumentParser) -> None:
                      help="ingest back-pressure bound")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--engine", default="serial",
-                     choices=("serial", "threads", "shm"))
+                     choices=tuple(_engine_table()))
     sub.add_argument("--threads", type=int, default=4)
     sub.add_argument(
         "--insert-fraction", type=float, default=0.7,
@@ -274,8 +274,13 @@ def _cmd_mosp(args, out) -> int:
         SOSPTree.build(g, args.source, objective=i)
         for i in range(g.num_objectives)
     ]
-    r = mosp_update(g, trees, engine=engine,
-                    weighting=args.weighting, priorities=args.priorities)
+    try:
+        r = mosp_update(g, trees, engine=engine, weighting=args.weighting,
+                        priorities=args.priorities)
+    finally:
+        closer = getattr(engine, "close", None)
+        if callable(closer):
+            closer()
     path = r.path_to(args.target)
     print("path:", " -> ".join(map(str, path)), file=out)
     print("cost:", np.round(r.cost_to(args.target), 6).tolist(), file=out)

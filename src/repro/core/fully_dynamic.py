@@ -58,7 +58,6 @@ from repro.graph.digraph import DiGraph
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.parallel.api import Engine, resolve_engine
-from repro.parallel.atomics import OwnershipTracker, resolve_tracker
 from repro.types import INF, NO_PARENT, FloatArray, IntArray
 
 __all__ = ["apply_mixed_batch", "sosp_update_mixed", "MixedUpdateStats"]
@@ -100,7 +99,6 @@ def apply_mixed_batch(
     tree: SOSPTree,
     batch: ChangeBatch,
     engine: Optional[Engine] = None,
-    check_ownership: bool = False,
     use_csr_kernels: bool = True,
     csr: Optional[CSRGraph] = None,
 ) -> MixedUpdateStats:
@@ -120,9 +118,9 @@ def apply_mixed_batch(
     engine:
         Execution engine (``None`` = serial); every backend family is
         supported because the pipeline reuses the Step-1/Step-2 slab
-        kernels unchanged.
-    check_ownership:
-        Enable the single-writer-per-vertex assertion
+        kernels unchanged.  A
+        :class:`~repro.parallel.checked.CheckedEngine` adds the
+        single-writer-per-vertex assertion
         (:class:`~repro.parallel.atomics.OwnershipTracker`).
     use_csr_kernels:
         Accepted and ignored: the CSR kernels are the only path.  Kept
@@ -149,9 +147,6 @@ def apply_mixed_batch(
     objective = tree.objective
     n = graph.num_vertices
     marked = np.zeros(n, dtype=np.int8)
-    tracker = (
-        OwnershipTracker() if check_ownership else resolve_tracker(None, eng)
-    )
     tracer = get_tracer()
 
     snapshot = csr if csr is not None else CSRGraph.from_digraph(graph)
@@ -180,8 +175,7 @@ def apply_mixed_batch(
         )
         stats.seed_stimuli = int(s_src.size)
         affected_arr, scanned = kernels.relax_batch_groups(
-            s_src, s_dst, s_w, dist, parent, marked,
-            engine=eng, tracker=tracker,
+            s_src, s_dst, s_w, dist, parent, marked, engine=eng
         )
         sp_seed.set(stimuli=stats.seed_stimuli,
                     affected=int(affected_arr.size))
@@ -197,7 +191,6 @@ def apply_mixed_batch(
         kernels.propagate_csr(
             snapshot, dist, parent, marked, affected_arr,
             objective=objective, engine=eng, stats=stats,
-            tracker=tracker,
         )
     stats.step_seconds["propagate"] = sp_prop.elapsed
     stats.touched_vertices |= stats.affected_vertices

@@ -309,7 +309,6 @@ def relax_batch_groups(
     parent: IntArray,
     marked: IntArray,
     engine: Optional[Engine] = None,
-    tracker: Optional[OwnershipTracker] = None,
 ) -> Tuple[IntArray, int]:
     """Vectorised Step 0 + Step 1: group the inserted edges by
     destination and relax each group to its minimum in one pass.
@@ -325,7 +324,7 @@ def relax_batch_groups(
     vertices and the number of edge relaxations performed.
     """
     eng = resolve_engine(engine)
-    tracker = resolve_tracker(tracker, eng)
+    tracker = resolve_tracker(eng)
     b = len(src)
     if b == 0:
         return np.empty(0, dtype=np.int64), 0
@@ -373,7 +372,6 @@ def propagate_csr(
     objective: int = 0,
     engine: Optional[Engine] = None,
     stats: Optional["UpdateStats"] = None,
-    tracker: Optional[OwnershipTracker] = None,
 ) -> None:
     """Vectorised Step 2: propagate the update through the affected
     subgraph until the frontier is empty.
@@ -387,11 +385,11 @@ def propagate_csr(
     distances.  Mutates ``dist``/``parent``/``marked`` in place.
 
     ``stats`` (duck-typed :class:`~repro.core.sosp_update.UpdateStats`)
-    is updated when given; ``tracker`` hooks the vertex-ownership
-    assertion, one owner (slab) per improved vertex.
+    is updated when given; a checked engine's tracker gets one owner
+    (slab) per improved vertex.
     """
     eng = resolve_engine(engine)
-    tracker = resolve_tracker(tracker, eng)
+    tracker = resolve_tracker(eng)
     affected = np.asarray(affected, dtype=np.int64)
 
     params = {"objective": int(objective)}

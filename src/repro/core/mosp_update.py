@@ -37,7 +37,6 @@ from repro.graph.digraph import DiGraph
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.parallel.api import Engine, resolve_engine
-from repro.sssp.bellman_ford import parallel_bellman_ford
 from repro.types import DIST_DTYPE, INF, NO_PARENT, FloatArray, IntArray
 
 __all__ = ["mosp_update", "MOSPResult"]
@@ -103,7 +102,6 @@ def mosp_update(
     engine: Optional[Engine] = None,
     weighting: str = "balanced",
     priorities: Optional[Sequence[float]] = None,
-    step3: str = "frontier",
     use_csr_kernels: bool = True,
     csr: Optional[CSRGraph] = None,
 ) -> MOSPResult:
@@ -129,13 +127,6 @@ def mosp_update(
     weighting, priorities:
         Ensemble weighting scheme (see
         :func:`~repro.core.ensemble.build_ensemble`).
-    step3:
-        Step-3 SSSP kernel on the combined graph: ``"frontier"`` (the
-        default — work-efficient frontier Bellman-Ford,
-        :func:`~repro.core.kernels.frontier_bellman_ford_csr`, matching
-        the two-queue implementations the paper cites) or ``"rounds"``
-        (full edge-relaxation rounds, the textbook parallel
-        Bellman-Ford; identical distances, different work profile).
     use_csr_kernels:
         Accepted and ignored: the CSR kernels are the only path.  Kept
         only because ``perfbench/workloads.py`` still passes it; removed
@@ -213,17 +204,14 @@ def mosp_update(
     result.ensemble = ensemble
 
     # ------------------------------------------------------ step 3
-    if step3 == "frontier":
-        bf = lambda: kernels.frontier_bellman_ford_csr(
+    # work-efficient frontier Bellman-Ford on the combined graph,
+    # matching the two-queue implementations the paper cites
+    dist_c, parent_c = timed(
+        "bellman_ford",
+        lambda: kernels.frontier_bellman_ford_csr(
             ensemble.csr, source, engine=eng
-        )
-    elif step3 == "rounds":
-        bf = lambda: parallel_bellman_ford(ensemble.csr, source, engine=eng)
-    else:
-        raise AlgorithmError(
-            f"unknown step3 kernel {step3!r}; expected frontier | rounds"
-        )
-    dist_c, parent_c = timed("bellman_ford", bf)
+        ),
+    )
     result.parent = parent_c
 
     timed("reassign", lambda: _reassign_real_weights(

@@ -41,7 +41,6 @@ from repro.graph.digraph import DiGraph
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.parallel.api import Engine, resolve_engine
-from repro.parallel.atomics import OwnershipTracker, resolve_tracker
 
 __all__ = ["sosp_update", "UpdateStats"]
 
@@ -91,7 +90,6 @@ def sosp_update(
     tree: SOSPTree,
     batch: ChangeBatch,
     engine: Optional[Engine] = None,
-    check_ownership: bool = False,
     csr: Optional[CSRGraph] = None,
 ) -> UpdateStats:
     """Update ``tree`` in place after the insertions in ``batch``.
@@ -112,11 +110,10 @@ def sosp_update(
     engine:
         Execution engine (``None`` = serial).  Each superstep covers the
         Step-1 groups / Step-2 frontier with contiguous slabs, one
-        owner per vertex, matching the paper's OpenMP scheduling.
-    check_ownership:
-        Enable the vertex-ownership assertion
-        (:class:`~repro.parallel.atomics.OwnershipTracker`) — O(1) per
-        write; used by the test suite.
+        owner per vertex, matching the paper's OpenMP scheduling.  A
+        :class:`~repro.parallel.checked.CheckedEngine` adds the
+        vertex-ownership assertion
+        (:class:`~repro.parallel.atomics.OwnershipTracker`).
     csr:
         Optional CSR snapshot of the **updated** graph.  Pass a snapshot
         maintained incrementally with
@@ -145,11 +142,6 @@ def sosp_update(
     objective = tree.objective
     n = graph.num_vertices
     marked = np.zeros(n, dtype=np.int8)
-    # explicit opt-in wins; otherwise a checked engine (resolve_engine
-    # checked=True / REPRO_CHECKED_ENGINES=1) supplies its own tracker
-    tracker = (
-        OwnershipTracker() if check_ownership else resolve_tracker(None, eng)
-    )
 
     snapshot = csr if csr is not None else CSRGraph.from_digraph(graph)
     check_snapshot(snapshot, graph, "append_batch")
@@ -169,8 +161,7 @@ def sosp_update(
         "sosp_update.step1", kernel="csr", batch_size=batch_size
     ) as sp1:
         affected_arr, scanned = kernels.relax_batch_groups(
-            src, dst, w_all[:, objective], dist, parent, marked,
-            engine=eng, tracker=tracker,
+            src, dst, w_all[:, objective], dist, parent, marked, engine=eng
         )
     stats.step_seconds["step1"] = sp1.elapsed
     stats.step1_passes = 1
@@ -182,7 +173,6 @@ def sosp_update(
         kernels.propagate_csr(
             snapshot, dist, parent, marked, affected_arr,
             objective=objective, engine=eng, stats=stats,
-            tracker=tracker,
         )
     stats.step_seconds["step2"] = sp2.elapsed
     _publish_stats(stats, batch_size)

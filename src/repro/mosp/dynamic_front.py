@@ -358,7 +358,7 @@ class DynamicParetoFront:
         g = self.graph
         # a checked engine supplies a tracker; grouping by vertex means
         # each Pareto set is mutated by exactly one task per superstep
-        tracker = resolve_tracker(None, self.engine)
+        tracker = resolve_tracker(self.engine)
         while candidates:
             stats.supersteps += 1
             stats.candidates += len(candidates)

@@ -14,16 +14,14 @@ sanitizer and the tracer compose) and annotates every
   ``work_fn`` accounting — the straggler/imbalance signal of the
   paper's dynamic-scheduling discussion.
 
-Task functions are wrapped in a picklable :class:`_TaskRunner` that
-re-attaches the superstep span inside the worker, so spans opened by
-task bodies reparent correctly even on pool threads that never saw the
-caller's context.  Worker *processes* see their own default tracer, so
-the attach is a harmless no-op there — their spans instead travel the
-piggybacked collector protocol of :mod:`repro.obs.collect` and are
-re-parented under the superstep span at merge time.  A superstep that
-lost a worker and re-ran inline (the shm ``BrokenProcessPool`` path)
-is stamped ``recovery=true``, so crash recoveries are visible in
-traces.
+Task bodies that run in the caller's process (serial, simulated, an
+inline shm superstep) open their spans under the superstep span
+directly.  Worker *processes* see their own default tracer; their
+spans travel the piggybacked collector protocol of
+:mod:`repro.obs.collect` and are re-parented under the superstep span
+at merge time.  A superstep that lost a worker and re-ran inline (the
+shm ``BrokenProcessPool`` path) is stamped ``recovery=true``, so crash
+recoveries are visible in traces.
 
 :func:`repro.parallel.api.resolve_engine` applies this wrapper
 automatically whenever the active tracer is recording; algorithm code
@@ -35,26 +33,12 @@ from __future__ import annotations
 from typing import Any, Callable, List, Optional, Sequence, TypeVar
 
 from repro.obs.metrics import get_metrics
-from repro.obs.tracer import Span, current_span, get_tracer
+from repro.obs.tracer import current_span, get_tracer
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 __all__ = ["TracedEngine"]
-
-
-class _TaskRunner:
-    """Picklable task shim: run ``fn`` with the superstep span attached."""
-
-    __slots__ = ("fn", "span")
-
-    def __init__(self, fn: Callable[[T], R], span: Span) -> None:
-        self.fn = fn
-        self.span = span
-
-    def __call__(self, item: T) -> R:
-        with get_tracer().attach(self.span):
-            return self.fn(item)
 
 
 class TracedEngine:
@@ -73,25 +57,23 @@ class TracedEngine:
     def threads(self) -> int:
         return int(self.inner.threads)
 
-    def _superstep(
+    def parallel_for(
         self,
-        op: str,
         items: Sequence[T],
         fn: Callable[[T], R],
-        work_fn: Optional[Callable[[T, R], float]],
-        run: Callable[[Callable[[T], R]], List[R]],
+        work_fn: Optional[Callable[[T, R], float]] = None,
     ) -> List[R]:
         tracer = get_tracer()
         enclosing = current_span()
         with tracer.span(
             "superstep",
-            op=op,
+            op="parallel_for",
             phase=enclosing.name if enclosing is not None else "",
             backend=self.inner.name,
             threads=self.threads,
             items=len(items),
         ) as sp:
-            results = run(_TaskRunner(fn, sp))
+            results = self.inner.parallel_for(items, fn, work_fn=work_fn)
             if getattr(self.inner, "last_superstep_recovery", False):
                 sp.set(recovery=True)
             if work_fn is not None and results:
@@ -118,18 +100,6 @@ class TracedEngine:
                 ).observe(len(items))
         return results
 
-    def parallel_for(
-        self,
-        items: Sequence[T],
-        fn: Callable[[T], R],
-        work_fn: Optional[Callable[[T, R], float]] = None,
-    ) -> List[R]:
-        return self._superstep(
-            "parallel_for", items, fn, work_fn,
-            lambda task: self.inner.parallel_for(items, task,
-                                                 work_fn=work_fn),
-        )
-
     def map_reduce(
         self,
         items: Sequence[T],
@@ -147,10 +117,9 @@ class TracedEngine:
             backend=self.inner.name,
             threads=self.threads,
             items=len(items),
-        ) as sp:
+        ):
             return self.inner.map_reduce(
-                items, _TaskRunner(fn, sp), reduce_fn, init,
-                work_fn=work_fn,
+                items, fn, reduce_fn, init, work_fn=work_fn
             )
 
     def parallel_for_slabs(

@@ -55,12 +55,11 @@ def labeled_name(
 class Counter:
     """Monotonically increasing total.
 
-    ``inc`` is locked: counters are mutated from engine threads
-    concurrently (and from the service ingest thread while readers
-    export), and a lost ``+=`` would silently under-count drop/total
-    series.  Publication is batched (once per
-    call, never per inner-loop item), so the lock is off every hot
-    path.
+    ``inc`` is locked: the service's submitting threads and its ingest
+    thread mutate counters concurrently, and a lost ``+=`` would
+    silently under-count drop/total series.  Publication
+    is batched (once per call, never per inner-loop item), so the lock
+    is off every hot path.
     """
 
     __slots__ = ("name", "help", "value", "_enabled", "_lock")
@@ -138,6 +137,7 @@ def percentile(sorted_values: List[float], q: float) -> float:
 
 
 _Metric = Union[Counter, Gauge, Histogram]
+_PROM_TYPES = {Counter: "counter", Gauge: "gauge", Histogram: "summary"}
 
 
 class MetricsRegistry:
@@ -249,30 +249,39 @@ class MetricsRegistry:
                 )
 
     def to_prometheus(self) -> str:
-        """Prometheus text exposition (histograms as summaries)."""
-        lines: List[str] = []
+        """Prometheus text exposition (histograms as summaries).
+
+        A labelled series (``name{worker="7"}``, see
+        :func:`labeled_name`) belongs to the *family* ``name``: each
+        family gets one ``# HELP`` and one ``# TYPE`` line, followed by
+        all of its series.
+        """
         with self._lock:
             items = sorted(self._metrics.items())
+        families: Dict[str, List[Tuple[str, _Metric]]] = {}
         for name, m in items:
-            if m.help:
-                lines.append(f"# HELP {name} {m.help}")
-            if isinstance(m, Counter):
-                lines.append(f"# TYPE {name} counter")
-                lines.append(f"{name} {_fmt(m.value)}")
-            elif isinstance(m, Gauge):
-                lines.append(f"# TYPE {name} gauge")
-                lines.append(f"{name} {_fmt(m.value)}")
-            else:
+            families.setdefault(name.partition("{")[0], []).append((name, m))
+        lines: List[str] = []
+        for family, series in sorted(families.items()):
+            help_text = next((m.help for _, m in series if m.help), "")
+            if help_text:
+                lines.append(f"# HELP {family} {help_text}")
+            lines.append(f"# TYPE {family} {_PROM_TYPES[type(series[0][1])]}")
+            for name, m in series:
+                if not isinstance(m, Histogram):
+                    lines.append(f"{name} {_fmt(m.value)}")
+                    continue
+                labels = name[len(family):]  # "" or '{k="v",...}'
                 s = m.summary()
-                lines.append(f"# TYPE {name} summary")
-                for q in ("p50", "p95"):
+                for q, quantile in (("p50", "0.50"), ("p95", "0.95")):
                     if q in s:
-                        quant = q[1:] if q == "p50" else "95"
-                        lines.append(
-                            f'{name}{{quantile="0.{quant}"}} {_fmt(s[q])}'
+                        body = ",".join(
+                            p for p in (labels[1:-1], f'quantile="{quantile}"')
+                            if p
                         )
-                lines.append(f"{name}_sum {_fmt(s['sum'])}")
-                lines.append(f"{name}_count {_fmt(s['count'])}")
+                        lines.append(f"{family}{{{body}}} {_fmt(s[q])}")
+                lines.append(f"{family}_sum{labels} {_fmt(s['sum'])}")
+                lines.append(f"{family}_count{labels} {_fmt(s['count'])}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     def __len__(self) -> int:

@@ -152,20 +152,6 @@ class Tracer:
             with self._lock:
                 self._record(span)
 
-    @contextmanager
-    def attach(self, span: Optional[Span]) -> Iterator[None]:
-        """Make ``span`` the current parent in this context.
-
-        Worker tasks run in pool threads that did not inherit the
-        superstep's context; attaching the superstep span reparents any
-        span the task body opens.
-        """
-        token = _CURRENT.set(span)
-        try:
-            yield
-        finally:
-            _CURRENT.reset(token)
-
     def drain(self) -> List[Span]:
         """Remove and return every finished span recorded so far."""
         with self._lock:
@@ -197,10 +183,6 @@ class NullTracer(Tracer):
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[Span]:
         yield self._null_span
-
-    @contextmanager
-    def attach(self, span: Optional[Span]) -> Iterator[None]:
-        yield
 
     def describe(self) -> str:
         return "off"

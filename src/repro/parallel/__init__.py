@@ -4,14 +4,10 @@ The paper's implementation is C++/OpenMP on a dual 32-core EPYC.  In
 CPython the GIL (and, in this reproduction environment, a single CPU
 core) rules out *measuring* real shared-memory speedups, so the
 algorithms in :mod:`repro.core` are written against an engine
-abstraction with four interchangeable backends:
+abstraction with three interchangeable backends:
 
 ========================  =====================================================
 :class:`SerialEngine`     plain loop; the baseline and the reference semantics
-:class:`ThreadEngine`     a real ``ThreadPoolExecutor`` pool with OpenMP-style
-                          dynamic chunk scheduling — the faithful structural
-                          port of the paper's implementation (races and all,
-                          were it not for vertex ownership)
 :class:`SharedMemoryEngine`  persistent ``spawn`` pool over
                           ``multiprocessing.shared_memory``-planted arrays;
                           supersteps dispatch :class:`~repro.parallel.api.SlabTask`
@@ -54,7 +50,6 @@ from repro.parallel.backends.simulated import (
     dynamic_makespan,
     replay_trace,
 )
-from repro.parallel.backends.threads import ThreadEngine
 from repro.parallel.cost import WorkMeter
 
 __all__ = [
@@ -64,7 +59,6 @@ __all__ = [
     "slab_spans",
     "parallel_for_slabs",
     "SerialEngine",
-    "ThreadEngine",
     "SharedMemoryEngine",
     "SlabTask",
     "SimulatedEngine",

@@ -61,7 +61,7 @@ __all__ = [
 class Engine(Protocol):
     """Execution engine protocol (one ``parallel_for`` = one superstep)."""
 
-    #: Human-readable backend name (``"serial"``, ``"threads"``, ...).
+    #: Human-readable backend name (``"serial"``, ``"shm"``, ...).
     name: str
 
     #: Number of (real or virtual) threads.
@@ -342,11 +342,9 @@ def _engine_table() -> Dict[str, Type[Any]]:
     from repro.parallel.backends.serial import SerialEngine
     from repro.parallel.backends.shm import SharedMemoryEngine
     from repro.parallel.backends.simulated import SimulatedEngine
-    from repro.parallel.backends.threads import ThreadEngine
 
     return {
         "serial": SerialEngine,
-        "threads": ThreadEngine,
         "shm": SharedMemoryEngine,
         "simulated": SimulatedEngine,
     }
@@ -375,7 +373,7 @@ def resolve_engine(
     """Coerce ``engine`` into an :class:`Engine` instance.
 
     Accepts an existing engine (returned unchanged), ``None`` (serial),
-    or a backend name ``"serial" | "threads" | "shm" | "simulated"``
+    or a backend name ``"serial" | "shm" | "simulated"``
     which is instantiated with ``threads``; an unknown name raises
     :class:`~repro.errors.UnknownEngineError` (picklable, carrying the
     registry names).

@@ -9,8 +9,8 @@ that performed it, and a second write to the same vertex inside one
 superstep raises :class:`~repro.errors.OwnershipViolation`.
 
 The tracker costs one dict operation per write, so it is enabled only
-when a kernel is called with ``check_ownership=True`` (tests do this;
-benchmarks do not).
+on a :class:`~repro.parallel.checked.CheckedEngine` (``checked=True``
+or ``REPRO_CHECKED_ENGINES=1``; tests do this, benchmarks do not).
 """
 
 from __future__ import annotations
@@ -75,20 +75,15 @@ class OwnershipTracker:
         )
 
 
-def resolve_tracker(
-    explicit: Optional[OwnershipTracker], engine: object
-) -> Optional[OwnershipTracker]:
-    """The tracker a kernel should report writes to, if any.
+def resolve_tracker(engine: object) -> Optional[OwnershipTracker]:
+    """The tracker a kernel running on ``engine`` reports writes to.
 
-    An explicitly passed tracker wins (the legacy
-    ``check_ownership=True`` path); otherwise a
-    :class:`~repro.parallel.checked.CheckedEngine` resolved with
-    ``checked=True`` exposes its tracker as ``engine.tracker`` and
-    every kernel picks it up automatically — that is what makes the
-    sanitizer one flag away on every backend family.
+    A :class:`~repro.parallel.checked.CheckedEngine` (``checked=True``
+    or ``REPRO_CHECKED_ENGINES=1``) exposes its tracker as
+    ``engine.tracker`` and every kernel picks it up automatically —
+    that is what makes the sanitizer one flag away on every backend
+    family.  Any other engine has none.
     """
-    if explicit is not None:
-        return explicit
     tracker = getattr(engine, "tracker", None)
     if isinstance(tracker, OwnershipTracker):
         return tracker

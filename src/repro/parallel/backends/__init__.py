@@ -1,1 +1,1 @@
-"""Concrete engine backends (serial, threads, shm, simulated)."""
+"""Concrete engine backends (serial, shm, simulated)."""

@@ -208,7 +208,7 @@ class SimulatedEngine(BaseEngine):
         :mod:`repro.parallel.cost`.
     chunk_size:
         Dynamic-scheduling chunk; ``None`` = ``max(1, n // (8 T))``
-        per superstep, matching :class:`ThreadEngine`.
+        per superstep (OpenMP's ``schedule(dynamic)`` chunking).
 
     Attributes
     ----------

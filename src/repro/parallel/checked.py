@@ -1,24 +1,27 @@
 """The checked engine: ownership tracking one flag away, on any backend.
 
-:class:`~repro.parallel.atomics.OwnershipTracker` used to be opt-in
-per kernel call (``check_ownership=True``).  :class:`CheckedEngine`
-moves the opt-in to the *engine*: wrap any backend and every kernel
-that runs on it picks up the tracker automatically (kernels look for
-an ``engine.tracker`` attribute when no explicit tracker was passed),
-and the superstep boundary — one ``parallel_for`` — advances the
-tracker so stale writes from a previous superstep can't mask a race.
+The opt-in for :class:`~repro.parallel.atomics.OwnershipTracker`
+lives on the *engine*: wrap any backend and every kernel that runs on
+it picks up the tracker automatically (kernels look for an
+``engine.tracker`` attribute), and the superstep boundary — one
+``parallel_for`` — advances the tracker so stale writes from a
+previous superstep can't mask a race.
 
-Enable it per call site (``resolve_engine("threads", threads=4,
-checked=True)``) or globally for a whole test run with the
-``REPRO_CHECKED_ENGINES=1`` environment variable, which the dedicated
-CI job uses to execute the tier-1 suite under checked engines for
-every backend family.
+Enable it per call site (``resolve_engine("shm", threads=2,
+checked=True)`` or ``engine=CheckedEngine(SerialEngine())``) or
+globally for a whole test run with the ``REPRO_CHECKED_ENGINES=1``
+environment variable, which the dedicated CI job uses to execute the
+tier-1 suite under checked engines for every backend family.
+
+Every backend runs its tasks' master-side code on one thread (serial
+and simulated loop in the caller; shm workers are processes that
+cannot see the tracker, so slab kernels record their writes on the
+master after the barrier), so the tracker needs no lock.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
@@ -31,22 +34,6 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 __all__ = ["CheckedEngine"]
-
-
-class _LockedTracker(OwnershipTracker):
-    """An :class:`OwnershipTracker` whose write registration is guarded
-    by a lock, so the sanitizer itself is race-free under real-thread
-    backends (get-then-set on the writers dict is not atomic)."""
-
-    __slots__ = ("_lock",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._lock = threading.Lock()
-
-    def record_write(self, vertex: int, task: int) -> None:
-        with self._lock:
-            super().record_write(vertex, task)
 
 
 class CheckedEngine:
@@ -62,15 +49,14 @@ class CheckedEngine:
     inner:
         The wrapped backend.
     tracker:
-        The (thread-safe) :class:`OwnershipTracker` kernels report
-        their writes to.
+        The :class:`OwnershipTracker` kernels report their writes to.
     """
 
     def __init__(self, inner: Any) -> None:
         if isinstance(inner, CheckedEngine):
             inner = inner.inner  # never stack sanitizers
         self.inner = inner
-        self.tracker: OwnershipTracker = _LockedTracker()
+        self.tracker = OwnershipTracker()
 
     @property
     def name(self) -> str:
@@ -191,7 +177,7 @@ class CheckedEngine:
         Wrappers used to swallow ``close()`` into ``__getattr__``
         delegation only when the inner engine defined it; this explicit
         hop makes ``close()`` safe on every checked engine (a no-op
-        over serial/threads/simulated backends).
+        over serial/simulated backends).
         """
         inner_close = getattr(self.inner, "close", None)
         if callable(inner_close):

@@ -34,7 +34,7 @@ from repro.dynamic.changes import ChangeBatch
 from repro.errors import AlgorithmError
 from repro.graph.digraph import DiGraph
 from repro.parallel.api import Engine, resolve_engine
-from repro.sssp.bellman_ford import frontier_bellman_ford, parallel_bellman_ford
+from repro.sssp.bellman_ford import frontier_bellman_ford
 from repro.types import DIST_DTYPE, INF, NO_PARENT, VERTEX_DTYPE, FloatArray, IntArray
 from tests._sosp_reference import sosp_update_reference
 
@@ -151,7 +151,6 @@ def mosp_update_reference(
     engine: Optional[Engine] = None,
     weighting: str = "balanced",
     priorities: Optional[Sequence[float]] = None,
-    step3: str = "frontier",
 ) -> MOSPResult:
     """Algorithm 2 on the reference pieces, with the step timers of
     :func:`repro.core.mosp_update.mosp_update`.  Insertion batches
@@ -177,12 +176,9 @@ def mosp_update_reference(
         trees, engine=eng, weighting=weighting, priorities=priorities,
     ))
     result.ensemble = ensemble
-    step3_kernel = {
-        "frontier": frontier_bellman_ford,
-        "rounds": parallel_bellman_ford,
-    }[step3]
     dist_c, parent_c = timed(
-        "bellman_ford", lambda: step3_kernel(ensemble.csr, source, engine=eng)
+        "bellman_ford",
+        lambda: frontier_bellman_ford(ensemble.csr, source, engine=eng),
     )
     result.parent = parent_c
     timed("reassign", lambda: reassign_real_weights(

@@ -122,7 +122,7 @@ def sosp_update_reference(
     parent = tree.parent
     objective = tree.objective
     marked = np.zeros(graph.num_vertices, dtype=np.int8)
-    tracker = resolve_tracker(None, eng)
+    tracker = resolve_tracker(eng)
     batch = normalize_against_graph_reference(graph, batch, objective)
     tracer = get_tracer()
     batch_size = int(batch.num_insertions)

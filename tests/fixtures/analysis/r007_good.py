@@ -4,7 +4,7 @@ from typing import Any, List
 
 from repro.parallel.api import SlabTask
 from repro.parallel.backends.shm import SharedMemoryEngine
-from repro.parallel.backends.threads import ThreadEngine
+from repro.parallel.backends.serial import SerialEngine
 
 
 def double(x: int) -> int:
@@ -16,13 +16,13 @@ def dispatch_module_level(items: List[int]) -> List[int]:
     return eng.parallel_for(items, double)
 
 
-def closures_fine_on_threads(items: List[int]) -> List[int]:
+def closures_fine_in_process(items: List[int]) -> List[int]:
     results: List[int] = []
 
     def task(x: int) -> int:
         return x + len(results)
 
-    eng = ThreadEngine(threads=2)  # in-process: closures pickle-free
+    eng = SerialEngine()  # in-process: closures pickle-free
     return eng.parallel_for(items, task)
 
 

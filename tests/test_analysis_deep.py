@@ -124,12 +124,12 @@ class TestR007Scoping:
         # same name bound to an in-process engine in a sibling
         src = (
             "from repro.parallel.backends.shm import SharedMemoryEngine\n"
-            "from repro.parallel.backends.threads import ThreadEngine\n\n\n"
+            "from repro.parallel.backends.serial import SerialEngine\n\n\n"
             "def uses_shm(items):\n"
             "    eng = SharedMemoryEngine(threads=2)\n"
             "    return eng.parallel_for(items, _task)\n\n\n"
-            "def uses_threads(items):\n"
-            "    eng = ThreadEngine(threads=2)\n"
+            "def uses_serial(items):\n"
+            "    eng = SerialEngine()\n"
             "    return eng.parallel_for(items, lambda x: x)\n\n\n"
             "def _task(x):\n"
             "    return x\n"

@@ -13,11 +13,10 @@ from repro.parallel import (
     OwnershipTracker,
     SerialEngine,
     SimulatedEngine,
-    ThreadEngine,
     resolve_engine,
 )
 
-FAMILIES = ["serial", "threads", "simulated"]
+FAMILIES = ["serial", "shm", "simulated"]
 
 
 class TestWrapping:
@@ -110,19 +109,6 @@ class TestViolationDetection:
         eng.parallel_for(list(enumerate([7])), task)
         eng.parallel_for(list(enumerate([7])), task)  # new superstep
         assert eng.tracker.writes == 2
-
-    def test_locked_tracker_thread_safe_on_disjoint_vertices(self):
-        eng = CheckedEngine(ThreadEngine(threads=4, chunk_size=1))
-
-        def task(item):
-            task_id, v = item
-            eng.tracker.record_write(v, task_id)
-            return v
-
-        items = list(enumerate(range(500)))
-        assert eng.parallel_for(items, task) == list(range(500))
-        assert eng.tracker.writes == 500
-        eng.close()
 
 
 class TestKernelsUnderCheckedEngines:

@@ -38,7 +38,7 @@ class TestInfo:
     def test_engine_list_is_the_registry(self):
         code, text = run(["info"])
         assert code == 0
-        assert "engines: serial, threads, shm, simulated\n" in text
+        assert "engines: serial, shm, simulated\n" in text
 
     def test_reports_observability_build(self):
         code, text = run(["info"])
@@ -55,7 +55,7 @@ class TestInfo:
                 if ln.startswith("worker spans:")][0]
         assert "shm collected" in line
         assert "serial inline" in line
-        assert "threads inline" in line
+        assert "simulated inline" in line
 
 
 class TestGenerate:
@@ -167,22 +167,24 @@ class TestUpdateDemo:
     def test_engine_selection(self):
         code, text = run(
             ["update-demo", "--steps", "1", "--batch-size", "5",
-             "--engine", "threads", "--threads", "2"]
+             "--engine", "simulated", "--threads", "2"]
         )
         assert code == 0
-        assert f"engine: {engine_label('threads')}" in text
+        assert f"engine: {engine_label('simulated')}" in text
 
-    @pytest.mark.parametrize("name", ["partitioned", "processes"])
+    @pytest.mark.parametrize("name", ["partitioned", "processes", "threads"])
     def test_retired_engine_is_a_usage_error(self, name, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(["update-demo", "--engine", name])
-        assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        for argv in (["update-demo"], ["serve"], ["serve-load"],
+                     ["mosp", "g.txt", "--target", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                run([*argv, "--engine", name])
+            assert exc.value.code == 2, argv
+            assert "invalid choice" in capsys.readouterr().err, argv
 
     @pytest.mark.parametrize("command", ["update-demo", "serve", "serve-load"])
     def test_min_dispatch_items_needs_shm(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
-            run([command, "--engine", "threads", "--min-dispatch-items", "1"])
+            run([command, "--engine", "serial", "--min-dispatch-items", "1"])
         assert exc.value.code == 2
         assert "--min-dispatch-items" in capsys.readouterr().err
 
@@ -205,7 +207,7 @@ class TestObservabilityFlags:
 
         trace = tmp_path / "trace.json"
         run(["update-demo", "--steps", "1", "--batch-size", "10",
-             "--engine", "threads", "--threads", "2",
+             "--engine", "simulated", "--threads", "2",
              "--trace", str(trace)])
         doc = json.loads(trace.read_text())
         names = {e["name"] for e in doc["traceEvents"]}

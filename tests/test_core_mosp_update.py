@@ -8,7 +8,7 @@ from repro.dynamic import ChangeBatch, random_insert_batch
 from repro.errors import AlgorithmError, NotReachableError
 from repro.graph import DiGraph, erdos_renyi, grid_road
 from repro.mosp import martins, nondominated_against
-from repro.parallel import SerialEngine, SimulatedEngine, ThreadEngine
+from repro.parallel import SerialEngine, SimulatedEngine
 from repro.sssp import dijkstra
 from tests._mosp_reference import mosp_update_reference
 
@@ -88,7 +88,9 @@ class TestPipelineBasics:
 
 class TestWithBatch:
     @pytest.mark.parametrize("engine", [
-        None, SerialEngine(), ThreadEngine(threads=3),
+        None, SerialEngine(),
+        # the multi-thread slot: three virtual threads, many slabs
+        pytest.param(SimulatedEngine(threads=3), id="threads"),
         SimulatedEngine(threads=4),
     ], ids=lambda e: getattr(e, "name", "default"))
     def test_update_then_recombine(self, engine):
@@ -276,8 +278,7 @@ class TestCSRKernelPath:
     reference pipeline (``tests/_mosp_reference.py``): same MOSP
     output, same timing surface."""
 
-    @pytest.mark.parametrize("step3", ["frontier", "rounds"])
-    def test_kernel_path_matches_reference(self, step3):
+    def test_kernel_path_matches_reference(self):
         """Everything uniquely determined must match exactly: per-tree
         SOSP distances, the ensemble graph, and the set of reachable
         vertices.  Combined-graph parents are tie-broken differently by
@@ -291,8 +292,8 @@ class TestCSRKernelPath:
         trees_csr = copy.deepcopy(trees_ref)
         batch = random_insert_batch(g, 60, seed=5)
         batch.apply_to(g)
-        ref = mosp_update_reference(g, trees_ref, batch, step3=step3)
-        fast = mosp_update(g, trees_csr, batch, step3=step3)
+        ref = mosp_update_reference(g, trees_ref, batch)
+        fast = mosp_update(g, trees_csr, batch)
         for t_r, t_c in zip(trees_ref, trees_csr):
             np.testing.assert_array_equal(t_c.dist, t_r.dist)
             t_c.certify(g)

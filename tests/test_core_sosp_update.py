@@ -7,7 +7,12 @@ from repro.core import SOSPTree, sosp_update
 from repro.dynamic import ChangeBatch, random_insert_batch
 from repro.errors import AlgorithmError
 from repro.graph import DiGraph, erdos_renyi, grid_road, random_geometric
-from repro.parallel import SerialEngine, SimulatedEngine, ThreadEngine
+from repro.parallel import (
+    CheckedEngine,
+    SerialEngine,
+    SimulatedEngine,
+    resolve_engine,
+)
 from repro.sssp import dijkstra
 from tests._sosp_reference import (
     gather_unique_neighbors,
@@ -18,7 +23,8 @@ from tests._sosp_reference import (
 ENGINES = [
     None,
     SerialEngine(),
-    ThreadEngine(threads=3),
+    # the multi-thread slot: three virtual threads, many slabs per superstep
+    pytest.param(SimulatedEngine(threads=3), id="threads"),
     SimulatedEngine(threads=4),
 ]
 
@@ -100,7 +106,9 @@ class TestPaperExample:
             [(1, 2, 5.0), (3, 5, 1.0), (1, 5, 4.0)]
         )
         batch.apply_to(g)
-        stats = sosp_update(g, tree, batch, check_ownership=True)
+        stats = sosp_update(
+            g, tree, batch, engine=CheckedEngine(SerialEngine())
+        )
         assert_tree_correct(g, tree)
         # u2 and u5 improve in step 1; propagation needs >= 2 iterations
         # (u4 then u6)
@@ -126,7 +134,9 @@ class TestEnginesAgree:
         tree = SOSPTree.build(g, 0)
         batch = random_insert_batch(g, 80, seed=seed + 10)
         batch.apply_to(g)
-        sosp_update(g, tree, batch, engine=engine, check_ownership=True)
+        sosp_update(
+            g, tree, batch, engine=resolve_engine(engine, checked=True)
+        )
         assert_tree_correct(g, tree)
 
 
@@ -184,7 +194,7 @@ class TestUpdateSemantics:
             [(0, 1, 5.0), (0, 1, 3.0), (2, 1, 1.0)]
         )
         batch.apply_to(g)
-        sosp_update(g, tree, batch, check_ownership=True)
+        sosp_update(g, tree, batch, engine=CheckedEngine(SerialEngine()))
         # best: 0->1 direct with 3.0
         assert tree.dist[1] == 3.0
         assert_tree_correct(g, tree)

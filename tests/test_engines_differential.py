@@ -40,7 +40,6 @@ from repro.parallel import (
     SerialEngine,
     SharedMemoryEngine,
     SimulatedEngine,
-    ThreadEngine,
 )
 from tests._sosp_reference import sosp_update_reference
 
@@ -48,7 +47,6 @@ pytestmark = pytest.mark.slow
 
 ENGINES = [
     SerialEngine(),
-    ThreadEngine(threads=2),
     SharedMemoryEngine(threads=2, min_dispatch_items=1),
     SharedMemoryEngine(threads=2),
     SimulatedEngine(threads=4),

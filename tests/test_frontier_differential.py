@@ -42,7 +42,6 @@ from repro.parallel import (
     SharedMemoryEngine,
     SimulatedEngine,
     SlabTask,
-    ThreadEngine,
     replay_trace,
     slab_spans,
 )
@@ -148,7 +147,8 @@ class TestBookkeepingEqualsReference:
 # ----------------------------------------------------------------------
 ENGINE_FACTORIES = {
     "serial": SerialEngine,
-    "threads": lambda: ThreadEngine(threads=2),
+    # the multi-thread slot: two virtual threads
+    "threads": lambda: SimulatedEngine(threads=2),
     "simulated": lambda: SimulatedEngine(threads=4),
     "shm-dispatch": lambda: SharedMemoryEngine(threads=2, min_dispatch_items=1),
     "shm": lambda: SharedMemoryEngine(threads=2),
@@ -200,7 +200,8 @@ def test_insert_stream_matches_dijkstra(engine, n, seed):
         assert reg.snapshot()["sosp_wasted_improvements_total"] == wasted
     # frontiers big enough that a two-thread engine cuts several slabs
     assert widest > 2 * MIN_SLAB_ITEMS
-    assert len(slab_spans(widest, ThreadEngine(threads=2), MIN_SLAB_ITEMS)) > 1
+    two_workers = SharedMemoryEngine(threads=2)  # sized, never started
+    assert len(slab_spans(widest, two_workers, MIN_SLAB_ITEMS)) > 1
     if getattr(engine, "min_dispatch_items", None) == 1:
         assert engine.dispatched_supersteps > dispatched
 
@@ -274,7 +275,7 @@ class TestOneSlabWithoutASecondThread:
         assert max(hi - lo for lo, hi in spans) <= MAX_SERIAL_SLAB_ITEMS
 
     def test_multi_thread_engine_keeps_its_slabs(self):
-        spans = slab_spans(1000, ThreadEngine(threads=2), MIN_SLAB_ITEMS)
+        spans = slab_spans(1000, SharedMemoryEngine(threads=2), MIN_SLAB_ITEMS)
         assert len(spans) == 8
         assert spans[0][0] == 0 and spans[-1][1] == 1000
 

@@ -37,7 +37,6 @@ from repro.parallel import (
     SerialEngine,
     SharedMemoryEngine,
     SimulatedEngine,
-    ThreadEngine,
 )
 from tests._fully_dynamic_reference import (
     invalidate_reference,
@@ -295,7 +294,6 @@ class TestEdgeCases:
 # ----------------------------------------------------------------------
 ENGINES = [
     SerialEngine(),
-    ThreadEngine(threads=2),
     SharedMemoryEngine(threads=2, min_dispatch_items=1),
     SharedMemoryEngine(threads=2),
     SimulatedEngine(threads=4),

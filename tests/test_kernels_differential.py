@@ -33,7 +33,7 @@ from repro.core import SOSPTree, mosp_update, sosp_update
 from repro.dynamic import ChangeBatch
 from repro.graph import DiGraph
 from repro.graph.csr import CSRGraph
-from repro.parallel import SerialEngine, SimulatedEngine, ThreadEngine
+from repro.parallel import SerialEngine, SimulatedEngine
 from repro.sssp import dijkstra
 from repro.types import NO_PARENT
 from tests._mosp_reference import build_ensemble_reference, mosp_update_reference
@@ -41,11 +41,12 @@ from tests._sosp_reference import sosp_update_reference
 
 pytestmark = pytest.mark.slow
 
-#: One engine per backend family the kernels claim to support.  Shared
-#: instances: engines hold no cross-call state that affects results.
+#: One-slab and many-slab engines (a simulated engine cuts every
+#: superstep into up to 256 slabs).  Shared instances: engines hold no
+#: cross-call state that affects results.
 ENGINES = [
     SerialEngine(),
-    ThreadEngine(threads=2),
+    SimulatedEngine(threads=2),
     SimulatedEngine(threads=4),
 ]
 
@@ -143,9 +144,8 @@ def certify_combined_parents(result):
 
 
 @given(data=graph_and_batches(k=2, max_n=12, max_batches=2),
-       engine_idx=st.integers(0, len(ENGINES) - 1),
-       step3=st.sampled_from(["frontier", "rounds"]))
-def test_mosp_kernels_equal_reference(data, engine_idx, step3):
+       engine_idx=st.integers(0, len(ENGINES) - 1))
+def test_mosp_kernels_equal_reference(data, engine_idx):
     """Algorithm 2 with kernels ≡ Algorithm 2 without.
 
     Exact equality holds for everything uniquely determined: per-tree
@@ -165,10 +165,8 @@ def test_mosp_kernels_equal_reference(data, engine_idx, step3):
     trees_csr = copy.deepcopy(trees_ref)
     for batch in batches:
         batch.apply_to(g)
-        ref = mosp_update_reference(
-            g, trees_ref, batch, engine=engine, step3=step3
-        )
-        fast = mosp_update(g, trees_csr, batch, engine=engine, step3=step3)
+        ref = mosp_update_reference(g, trees_ref, batch, engine=engine)
+        fast = mosp_update(g, trees_csr, batch, engine=engine)
         assert set(fast.step_seconds) == set(ref.step_seconds)
         for t_r, t_c in zip(trees_ref, trees_csr):
             np.testing.assert_array_equal(t_c.dist, t_r.dist)

@@ -10,7 +10,7 @@ from repro.errors import AlgorithmError
 from repro.graph import DiGraph, erdos_renyi
 from repro.mosp import martins
 from repro.mosp.dynamic_front import DynamicParetoFront
-from repro.parallel import SerialEngine, SimulatedEngine, ThreadEngine
+from repro.parallel import SerialEngine, SimulatedEngine
 
 
 def fronts_equal(dpf, graph, source):
@@ -96,7 +96,9 @@ class TestBasics:
 
 
 @pytest.mark.parametrize("engine", [
-    None, SerialEngine(), ThreadEngine(threads=3),
+    None, SerialEngine(),
+    # the multi-thread slot: three virtual threads
+    pytest.param(SimulatedEngine(threads=3), id="threads"),
     SimulatedEngine(threads=4),
 ], ids=lambda e: getattr(e, "name", "default"))
 class TestEngines:

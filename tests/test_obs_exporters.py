@@ -129,6 +129,37 @@ class TestPrometheus:
         assert "# HELP c_total my help" in text
         assert "# TYPE c_total counter" in text
 
+    def test_labelled_series_share_one_family_header(self):
+        from repro.obs.metrics import labeled_name
+
+        reg = MetricsRegistry()
+        for path in ("inline", "dispatched"):
+            reg.counter(
+                labeled_name("shm_supersteps_total", {"path": path}),
+                "slab supersteps by path",
+            ).inc()
+        worker = MetricsRegistry()
+        worker.counter("worker_tasks_total", "tasks in workers").inc(2)
+        worker.histogram("worker_slab_items", "items per slab").observe(8)
+        for pid in ("11", "12"):
+            reg.merge_deltas(worker.deltas(), labels={"worker": pid})
+        text = reg.to_prometheus()
+        types = [l.split()[2] for l in text.splitlines()
+                 if l.startswith("# TYPE ")]
+        assert sorted(types) == [
+            "shm_supersteps_total", "worker_slab_items", "worker_tasks_total",
+        ]
+        assert "# HELP shm_supersteps_total slab supersteps by path" in text
+        assert "{" not in "".join(l for l in text.splitlines()
+                                  if l.startswith("#"))
+        samples = parse_prometheus(text)
+        assert samples['shm_supersteps_total{path="inline"}'] == 1.0
+        assert samples['worker_tasks_total{worker="11"}'] == 2.0
+        assert samples[
+            'worker_slab_items{worker="12",quantile="0.50"}'
+        ] == 8.0
+        assert samples['worker_slab_items_count{worker="12"}'] == 1.0
+
 
 class TestParentTimeConsistency:
     """Skewed-clock fixtures: a merged worker span whose timestamps were

@@ -135,10 +135,10 @@ class TestTracedEngineNesting:
         assert ss[0].attrs["work_total"] == sum(1 + i for i in range(8))
         assert ss[0].attrs["work_max"] == 8.0
 
-    def test_threads_worker_spans_reparent_to_superstep(self):
-        # worker threads never inherited the caller's contextvars, so
-        # reparenting only works through _TaskRunner's attach
-        phase, spans = self._run_phase("threads", threads=3)
+    def test_simulated_task_spans_nest_under_superstep(self):
+        # task bodies run in the caller's context, so the spans they
+        # open are children of the superstep span
+        phase, spans = self._run_phase("simulated", threads=3)
         ss = [s for s in spans if s.name == "superstep"]
         tasks = [s for s in spans if s.name == "task"]
         assert len(ss) == 1 and ss[0].parent_id == phase.span_id

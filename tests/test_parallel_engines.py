@@ -1,4 +1,4 @@
-"""Unit tests for the parallel engines (all four backends)."""
+"""Unit tests for the parallel engines (all three backends)."""
 
 import pickle
 
@@ -12,7 +12,6 @@ from repro.parallel import (
     SerialEngine,
     SharedMemoryEngine,
     SimulatedEngine,
-    ThreadEngine,
     WorkMeter,
     resolve_engine,
 )
@@ -23,7 +22,6 @@ from tests._shm_support import square
 
 ALL_ENGINES = [
     SerialEngine(),
-    ThreadEngine(threads=3),
     SharedMemoryEngine(threads=2, min_dispatch_items=1),
     SimulatedEngine(threads=4),
 ]
@@ -115,11 +113,16 @@ class TestResolveEngine:
         assert clone.valid == ("serial", "shm")
         assert str(clone) == str(err)
 
-    @pytest.mark.parametrize("name", ["processes", "partitioned"])
+    @pytest.mark.parametrize("name", ["processes", "partitioned", "threads"])
     def test_retired_engine_names_are_unknown(self, name):
         with pytest.raises(UnknownEngineError) as exc_info:
             resolve_engine(name)
-        assert exc_info.value.valid == ("serial", "threads", "shm", "simulated")
+        assert exc_info.value.valid == ("serial", "shm", "simulated")
+
+    def test_thread_engine_class_is_gone(self):
+        import repro.parallel
+
+        assert not hasattr(repro.parallel, "ThreadEngine")
 
     def test_garbage_rejected(self):
         with pytest.raises(EngineError):
@@ -127,31 +130,7 @@ class TestResolveEngine:
 
     def test_zero_threads_rejected(self):
         with pytest.raises(EngineError):
-            ThreadEngine(threads=0)
-
-
-class TestThreadEngine:
-    def test_really_uses_pool(self):
-        import threading
-
-        names = set()
-
-        def record(i):
-            # intentional shared write: observing which pool threads ran
-            names.add(threading.current_thread().name)  # repro: noqa(R001)
-            return i
-
-        with ThreadEngine(threads=4, chunk_size=1) as e:
-            e.parallel_for(list(range(200)), record)
-        assert any("repro-worker" in n for n in names)
-
-    def test_close_idempotent(self):
-        e = ThreadEngine(threads=2)
-        e.parallel_for([1, 2, 3], square)
-        e.close()
-        e.close()
-        # pool is recreated on demand
-        assert e.parallel_for([2], square) == [4]
+            SimulatedEngine(threads=0)
 
 
 class TestSimulatedEngine:

@@ -16,7 +16,7 @@ from repro.dynamic import ChangeBatch
 from repro.graph import DiGraph
 from repro.mosp import dominates, martins, nondominated_against, pareto_filter
 from repro.mosp.dominance import is_dominated_by_any
-from repro.parallel import SimulatedEngine
+from repro.parallel import CheckedEngine, SerialEngine, SimulatedEngine
 from repro.sssp import dijkstra
 from tests._sosp_reference import sosp_update_reference
 
@@ -92,7 +92,7 @@ class TestUpdateEqualsRecompute:
         tree = SOSPTree.build(g, 0)
         for batch in batches:
             batch.apply_to(g)
-            sosp_update(g, tree, batch, check_ownership=True)
+            sosp_update(g, tree, batch, engine=CheckedEngine(SerialEngine()))
             ref, _ = dijkstra(g, 0)
             np.testing.assert_allclose(tree.dist, ref, rtol=1e-12)
             tree.certify(g)

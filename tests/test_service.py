@@ -404,11 +404,6 @@ class TestSnapshotIsolation:
         # shm publish path without paying a worker-pool spawn
         self._pin_and_update("shm", seed)
 
-    @settings(deadline=None, max_examples=10)
-    @given(seed=st.integers(min_value=0, max_value=2**16))
-    def test_pinned_epoch_survives_concurrent_batches_threads(self, seed):
-        self._pin_and_update("threads", seed)
-
     def test_pinned_epoch_survives_real_dispatch(self):
         # one non-hypothesis pin through a *live worker pool*: every
         # update superstep crosses process boundaries before publishing

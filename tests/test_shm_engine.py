@@ -34,7 +34,6 @@ from repro.parallel import (
     SharedMemoryEngine,
     SimulatedEngine,
     SlabTask,
-    ThreadEngine,
     resolve_engine,
 )
 from tests._shm_support import MainOnlyFn, square
@@ -315,7 +314,6 @@ class TestWorkAccountingParity:
     def _engines(self):
         return [
             SerialEngine(),
-            ThreadEngine(threads=2),
             SharedMemoryEngine(threads=2, min_items_per_process=1),
             SimulatedEngine(threads=2),
         ]
@@ -624,7 +622,7 @@ class TestResolveAndWrappers:
             e.close()
 
     def test_close_is_safe_through_wrappers_on_any_backend(self):
-        for name in ("serial", "threads", "shm", "simulated"):
+        for name in ("serial", "shm", "simulated"):
             e = resolve_engine(name, threads=2, checked=True)
             e.close()  # must never raise, even when inner has no pool
 

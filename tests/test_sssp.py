@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import AlgorithmError, TreeInvariantError, VertexError
 from repro.graph import CSRGraph, DiGraph, erdos_renyi, grid_road, random_geometric
-from repro.parallel import SerialEngine, SimulatedEngine, ThreadEngine, WorkMeter
+from repro.parallel import SerialEngine, SimulatedEngine, WorkMeter
 from repro.sssp import (
     bellman_ford,
     certify_sssp,
@@ -135,7 +135,7 @@ class TestParallelBellmanFord:
     @pytest.mark.parametrize("engine", [
         None,
         SerialEngine(),
-        ThreadEngine(threads=3),
+        SimulatedEngine(threads=3),
         SimulatedEngine(threads=4),
     ])
     def test_matches_dijkstra(self, engine):
