@@ -31,6 +31,7 @@ from repro.bench import render_table
 from repro.bench.datasets import load_dataset
 from repro.core import IncrementalMOSP, SOSPTree, mosp_update
 from repro.dynamic import local_insert_batch
+from repro.graph import CSRGraph
 from repro.parallel import SimulatedEngine
 from repro.sssp import frontier_bellman_ford
 
@@ -45,7 +46,10 @@ def run_ablation():
 
     eng_inc = SimulatedEngine(threads=4)
     eng_scr = SimulatedEngine(threads=4)
-    inc = IncrementalMOSP(g_inc, 0, engine=eng_inc)
+    # IncrementalMOSP reads one CSR, kept current batch by
+    # batch; g_inc stays as the batch generator's replica
+    csr = CSRGraph.from_digraph(g_inc)
+    inc = IncrementalMOSP(csr, 0, engine=eng_inc)
     trees = [SOSPTree.build(g_scr, 0, objective=i) for i in range(2)]
 
     rows = []
@@ -53,6 +57,7 @@ def run_ablation():
     for step in range(1, STEPS + 1):
         batch = local_insert_batch(g_inc, BATCH, hops=3, seed=100 + step)
         batch.apply_to(g_inc)
+        csr.apply_batch(batch)
         batch.apply_to(g_scr)
 
         r_inc = inc.update(batch)

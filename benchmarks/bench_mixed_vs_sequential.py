@@ -80,7 +80,7 @@ def _run_mixed(graph, batch, engine):
     batch.apply_to(g)
     snapshot.apply_batch(batch)
     t0 = time.perf_counter()
-    apply_mixed_batch(g, tree, batch, engine=engine, csr=snapshot)
+    apply_mixed_batch(snapshot, tree, batch, engine=engine)
     return time.perf_counter() - t0, tree
 
 
@@ -91,12 +91,12 @@ def _run_replay(graph, del_batch, ins_batch, engine):
     del_batch.apply_to(g)
     snapshot.apply_batch(del_batch)
     t0 = time.perf_counter()
-    apply_mixed_batch(g, tree, del_batch, engine=engine, csr=snapshot)
+    apply_mixed_batch(snapshot, tree, del_batch, engine=engine)
     elapsed = time.perf_counter() - t0
     ins_batch.apply_to(g)
     snapshot.append_batch(ins_batch)
     t0 = time.perf_counter()
-    sosp_update(g, tree, ins_batch, engine=engine, csr=snapshot)
+    sosp_update(snapshot, tree, ins_batch, engine=engine)
     return elapsed + (time.perf_counter() - t0), tree
 
 

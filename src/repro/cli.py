@@ -221,7 +221,7 @@ def _cmd_info(args, out) -> int:
     print("paper: Khanda, Shovan & Das, SC-W 2023 "
           "(doi:10.1145/3624062.3625134)", file=out)
     print("algorithms: sosp_update (Alg 1), mosp_update (Alg 2), "
-          "sosp_update_mixed (fully dynamic), IncrementalMOSP", file=out)
+          "apply_mixed_batch (fully dynamic), IncrementalMOSP", file=out)
     print("baselines: dijkstra, bellman_ford (3 variants), "
           "delta_stepping, martins, weighted_sum", file=out)
     print(f"engines: {', '.join(_engine_table())}", file=out)
@@ -310,12 +310,12 @@ def _cmd_update_demo(args, out) -> int:
                                                            seed=args.seed)
         sp_load.set(vertices=g.num_vertices, edges=g.num_edges)
     engine = _cli_engine(args)
-    with tracer.span("setup.build_tree"):
-        tree = SOSPTree.build(g, args.source)
-    # the update kernels run over an incrementally maintained CSR
-    # snapshot
+    # the updates read one CSR graph, mutated batch by batch; ``g``
+    # stays only as the batch generators' replica
     with tracer.span("setup.snapshot"):
-        snapshot = CSRGraph.from_digraph(g)
+        csr = CSRGraph.from_digraph(g)
+    with tracer.span("setup.build_tree"):
+        tree = SOSPTree.build(csr, args.source)
     print(f"graph: {g.num_vertices} vertices, {g.num_edges} edges "
           f"(engine: {engine.name}, csr kernels)", file=out)
     mixed = (
@@ -333,18 +333,14 @@ def _cmd_update_demo(args, out) -> int:
                 batch = random_insert_batch(g, args.batch_size,
                                             seed=args.seed + step)
             batch.apply_to(g)
-            if mixed:
-                snapshot.apply_batch(batch)
-            else:
-                snapshot.append_batch(batch)
+            csr.apply_batch(batch)
         if mixed:
-            stats = apply_mixed_batch(g, tree, batch, engine=engine,
-                                      csr=snapshot)
+            stats = apply_mixed_batch(csr, tree, batch, engine=engine)
             extra = (f", {stats.invalidated} invalidated"
                      f" (-{batch.num_deletions}"
                      f" ~{batch.num_weight_changes} edges)")
         else:
-            stats = sosp_update(g, tree, batch, engine=engine, csr=snapshot)
+            stats = sosp_update(csr, tree, batch, engine=engine)
             extra = ""
         print(
             f"step {step}: +{batch.num_insertions} edges{extra}, "
@@ -381,10 +377,10 @@ def _cmd_serve(args, out) -> int:
 
     service, engine = _make_service(args)
     g = service.graph
-    print(f"serving: {g.num_vertices} vertices, {g.num_edges} edges "
+    print(f"serving: {g.n} vertices, {g.num_edges} edges "
           f"(engine: {engine.name}, flush {args.flush_size} edits)",
           file=out)
-    replica = g.copy()
+    replica = g.to_digraph()
     steps = max(1, -(-args.edits // max(1, args.batch_size)))
     stream = ChangeStream(
         replica, batch_size=max(1, args.batch_size), steps=steps,
@@ -424,7 +420,7 @@ def _cmd_serve_load(args, out) -> int:
 
     service, engine = _make_service(args)
     g = service.graph
-    print(f"serving: {g.num_vertices} vertices, {g.num_edges} edges "
+    print(f"serving: {g.n} vertices, {g.num_edges} edges "
           f"(engine: {engine.name}, {args.readers} readers)", file=out)
     service.start()
     report = run_load(

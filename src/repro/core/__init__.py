@@ -7,8 +7,7 @@
   parallel incremental SSSP update with destination grouping (Step 0),
   race-free batch application (Step 1), and iterative affected-frontier
   propagation (Step 2).
-- :func:`~repro.core.fully_dynamic.apply_mixed_batch` (alias
-  ``sosp_update_mixed``) — the unified fully dynamic pipeline for
+- :func:`~repro.core.fully_dynamic.apply_mixed_batch` — the unified fully dynamic pipeline for
   mixed insertion / deletion / weight-change batches: one invalidate /
   seed / propagate pass over the same slab kernels — the edge
   deletion extension sketched in the paper's conclusion.
@@ -26,11 +25,7 @@
 """
 
 from repro.core.ensemble import EnsembleGraph, build_ensemble
-from repro.core.fully_dynamic import (
-    MixedUpdateStats,
-    apply_mixed_batch,
-    sosp_update_mixed,
-)
+from repro.core.fully_dynamic import MixedUpdateStats, apply_mixed_batch
 from repro.core.incremental_ensemble import IncrementalMOSP
 from repro.core.mosp_update import MOSPResult, mosp_update
 from repro.core.sosp_update import UpdateStats, sosp_update
@@ -40,7 +35,6 @@ __all__ = [
     "SOSPTree",
     "sosp_update",
     "apply_mixed_batch",
-    "sosp_update_mixed",
     "MixedUpdateStats",
     "UpdateStats",
     "build_ensemble",

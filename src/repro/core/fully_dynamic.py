@@ -35,24 +35,23 @@ to the edge deletions its conclusion sketches:
   out-neighbours re-enter the frontier, so the fixpoint equals a
   from-scratch recompute (certified by the differential-oracle suite).
 
-The pipeline runs unchanged on every engine backend — serial, threads,
+The pipeline runs unchanged on every engine backend — serial,
 shared-memory slabs, simulated, and their checked wrappers —
-because all mutation happens inside the existing slab kernels, over a
-:class:`~repro.graph.csr.CSRGraph` snapshot of the updated graph.
+because all mutation happens inside the existing slab kernels, over
+the :class:`~repro.graph.csr.CSRGraph` of the updated graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Set, Tuple
+from typing import Optional, Set, Tuple, Union
 
 import numpy as np
 
 import repro.core.kernels as kernels
-from repro.core.sosp_update import UpdateStats, check_snapshot
+from repro.core.sosp_update import UpdateStats, resolve_graph
 from repro.core.tree import SOSPTree
 from repro.dynamic.changes import ChangeBatch
-from repro.errors import AlgorithmError
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.obs.metrics import get_metrics
@@ -60,7 +59,7 @@ from repro.obs.tracer import get_tracer
 from repro.parallel.api import Engine, resolve_engine
 from repro.types import INF, NO_PARENT, FloatArray, IntArray
 
-__all__ = ["apply_mixed_batch", "sosp_update_mixed", "MixedUpdateStats"]
+__all__ = ["apply_mixed_batch", "MixedUpdateStats"]
 
 
 @dataclass
@@ -95,7 +94,7 @@ class MixedUpdateStats(UpdateStats):
 
 
 def apply_mixed_batch(
-    graph: DiGraph,
+    graph: Union[CSRGraph, DiGraph],
     tree: SOSPTree,
     batch: ChangeBatch,
     engine: Optional[Engine] = None,
@@ -108,7 +107,10 @@ def apply_mixed_batch(
     ----------
     graph:
         The **updated** graph ``G_{t+1}`` — the batch must already have
-        been applied (``batch.apply_to(graph)``).
+        been applied.  A :class:`~repro.graph.csr.CSRGraph` is read in
+        place and never compacted (keep it current with
+        ``graph.apply_batch(batch)``); a
+        :class:`~repro.graph.digraph.DiGraph` is frozen on entry.
     tree:
         The SOSP tree of ``G_t``; mutated into the tree of ``G_{t+1}``.
     batch:
@@ -122,35 +124,27 @@ def apply_mixed_batch(
         :class:`~repro.parallel.checked.CheckedEngine` adds the
         single-writer-per-vertex assertion
         (:class:`~repro.parallel.atomics.OwnershipTracker`).
-    use_csr_kernels:
-        Accepted and ignored: the CSR kernels are the only path.  Kept
-        only because ``perfbench/workloads.py`` still passes it; removed
-        by the next benchmark change.
-    csr:
-        Optional incrementally maintained snapshot of the updated graph
-        (``None`` freezes ``graph`` on entry).  Pair
-        ``batch.apply_to(graph)`` with ``csr.apply_batch(batch)``.
+    use_csr_kernels, csr:
+        The legacy call shape ``(DiGraph, ..., use_csr_kernels=True,
+        csr=maintained)``, kept only because ``perfbench/workloads.py``
+        still passes it; both are removed by the next benchmark change.
+        ``use_csr_kernels`` is ignored (the CSR kernels are the only
+        path).  A given ``csr`` is the graph the update reads, and a
+        ``graph`` it does not mirror is refused
+        (:func:`~repro.core.sosp_update.check_snapshot`).
 
     Returns
     -------
     :class:`MixedUpdateStats`
     """
-    if tree.num_vertices != graph.num_vertices:
-        raise AlgorithmError(
-            f"tree spans {tree.num_vertices} vertices, graph has "
-            f"{graph.num_vertices}; rebuild or grow the tree first"
-        )
+    snapshot = resolve_graph(graph, tree, csr)
     eng = resolve_engine(engine)
     stats = MixedUpdateStats()
     dist = tree.dist
     parent = tree.parent
     objective = tree.objective
-    n = graph.num_vertices
-    marked = np.zeros(n, dtype=np.int8)
+    marked = np.zeros(snapshot.n, dtype=np.int8)
     tracer = get_tracer()
-
-    snapshot = csr if csr is not None else CSRGraph.from_digraph(graph)
-    check_snapshot(snapshot, graph, "apply_batch")
 
     # ------------------------------------------------------ Step D
     with tracer.span(
@@ -196,10 +190,6 @@ def apply_mixed_batch(
     stats.touched_vertices |= stats.affected_vertices
     _publish_mixed_stats(stats, batch)
     return stats
-
-
-#: Public alias: the paper-style entry-point name.
-sosp_update_mixed = apply_mixed_batch
 
 
 # ----------------------------------------------------------------------

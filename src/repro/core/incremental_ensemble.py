@@ -9,7 +9,8 @@ proposed in Algorithm [1]."
 :class:`IncrementalMOSP` keeps the whole MOSP pipeline warm across time
 steps:
 
-1. the ``k`` per-objective SOSP trees (updated by Algorithm 1);
+1. the ``k`` per-objective SOSP trees (updated by Algorithm 1 over the
+   caller's :class:`~repro.graph.csr.CSRGraph`, read in place);
 2. the ensemble graph as a *mutable* :class:`~repro.graph.DiGraph`
    patched with the diff between consecutive ensembles;
 3. the SOSP tree **on** the ensemble graph, updated by the fully
@@ -60,9 +61,13 @@ class IncrementalMOSP:
     Parameters
     ----------
     graph:
-        The multi-objective graph; the caller keeps applying batches to
-        it (``batch.apply_to(graph)``) before calling :meth:`update`,
-        exactly as with :func:`~repro.core.mosp_update.mosp_update`.
+        The multi-objective :class:`~repro.graph.csr.CSRGraph`; the
+        caller keeps it current with ``graph.apply_batch(batch)``
+        before calling :meth:`update`.  A
+        :class:`~repro.graph.digraph.DiGraph` is refused: frozen once
+        here and then mutated by the caller, it would desynchronise
+        silently.  Construction compacts the CSR (the initial trees
+        come from a static solver); updates read it in place.
     source:
         Common source of all trees.
     engine:
@@ -73,42 +78,49 @@ class IncrementalMOSP:
 
     Examples
     --------
-    >>> from repro.graph import DiGraph
+    >>> from repro.graph import CSRGraph, DiGraph
     >>> from repro.dynamic import ChangeBatch
     >>> g = DiGraph(3, k=2)
     >>> _ = g.add_edge(0, 1, (1.0, 2.0)); _ = g.add_edge(1, 2, (1.0, 2.0))
-    >>> inc = IncrementalMOSP(g, source=0)
+    >>> csr = CSRGraph.from_digraph(g)
+    >>> inc = IncrementalMOSP(csr, source=0)
     >>> inc.result().path_to(2)
     [0, 1, 2]
     >>> batch = ChangeBatch.insertions([(0, 2, (1.5, 1.5))])
-    >>> _ = batch.apply_to(g)
+    >>> csr.apply_batch(batch)
     >>> inc.update(batch).path_to(2)
     [0, 2]
     """
 
     def __init__(
         self,
-        graph: DiGraph,
+        graph: CSRGraph,
         source: int,
         engine: Optional[Engine] = None,
         weighting: str = "balanced",
         priorities: Optional[Sequence[float]] = None,
     ) -> None:
+        if not isinstance(graph, CSRGraph):
+            raise AlgorithmError(
+                "IncrementalMOSP takes a CSRGraph kept current with "
+                f"apply_batch, got {type(graph).__name__}; freeze it "
+                "once with CSRGraph.from_digraph"
+            )
         self.graph = graph
         self.source = int(source)
         self.engine = resolve_engine(engine)
         self.weighting = weighting
         self.priorities = priorities
 
-        k = graph.num_objectives
+        k = graph.k
         self._prio = resolve_weighting(weighting, priorities, k)
         self.trees: List[SOSPTree] = [
             SOSPTree.build(graph, source, objective=i) for i in range(k)
         ]
         # warm ensemble state: per-destination in-edge maps {u: w}
-        self._ensemble_graph = DiGraph(graph.num_vertices, k=1)
+        self._ensemble_graph = DiGraph(graph.n, k=1)
         self._in_edges: List[Dict[int, float]] = [
-            {} for _ in range(graph.num_vertices)
+            {} for _ in range(graph.n)
         ]
         self._ensemble_tree: Optional[SOSPTree] = None
         self._bootstrap()
@@ -117,7 +129,7 @@ class IncrementalMOSP:
     def _bootstrap(self) -> None:
         """Initial from-scratch combined-graph SOSP (the paper's
         'initially the algorithm needs to compute ... from scratch')."""
-        n = self.graph.num_vertices
+        n = self.graph.n
         for v in range(n):
             entries = vertex_ensemble_edges(
                 self.trees, v, self.weighting, self._prio
@@ -140,7 +152,7 @@ class IncrementalMOSP:
         ``dirty=None`` means "everything" (used when the caller did not
         run Step 1 through this object, so churn is unknown).
         """
-        vertices = range(self.graph.num_vertices) if dirty is None else dirty
+        vertices = range(self.graph.n) if dirty is None else dirty
         ins: List[Tuple[int, int, Tuple[float]]] = []
         dels: List[Tuple[int, int]] = []
 
@@ -206,12 +218,8 @@ class IncrementalMOSP:
         """
         if self._ensemble_tree is None:  # pragma: no cover - defensive
             raise AlgorithmError("IncrementalMOSP not bootstrapped")
-        n = self.graph.num_vertices
-        if n != self._ensemble_graph.num_vertices:
-            raise AlgorithmError(
-                "graph grew vertices; rebuild IncrementalMOSP"
-            )
-        k = self.graph.num_objectives
+        n = self.graph.n
+        k = self.graph.k
         result = MOSPResult(
             source=self.source,
             parent=np.full(n, -1, dtype=VERTEX_DTYPE),
@@ -220,7 +228,6 @@ class IncrementalMOSP:
         )
         eng = self.engine
         timed = _make_timed("incremental_mosp", result, eng)
-        snapshot = CSRGraph.from_digraph(self.graph)
 
         dirty: Optional[set] = None
         if batch is not None and batch.num_changes:
@@ -229,7 +236,7 @@ class IncrementalMOSP:
                 stats, touched = timed(
                     f"sosp_update_{i}",
                     lambda i=i: _update_tree_step1(
-                        self.graph, self.trees[i], batch, eng, snapshot
+                        self.trees[i], batch, eng, self.graph
                     ),
                 )
                 _record_tree_stats(result, stats)
@@ -248,7 +255,7 @@ class IncrementalMOSP:
             ),
         )
         timed("reassign", lambda: _reassign_real_weights(
-            live_edge_arrays(snapshot), self.source, self._ensemble_tree.dist,
+            live_edge_arrays(self.graph), self.source, self._ensemble_tree.dist,
             self._ensemble_tree.parent, result.dist_vectors, self.trees,
         ))
         result.parent = self._ensemble_tree.parent.copy()

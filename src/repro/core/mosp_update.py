@@ -22,13 +22,13 @@ path with per-objective cost ≥ the SOSP bound in general.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 import repro.core.kernels as kernels
 from repro.core.ensemble import EnsembleGraph, build_ensemble
-from repro.core.sosp_update import UpdateStats, check_snapshot, sosp_update
+from repro.core.sosp_update import UpdateStats, resolve_graph, sosp_update
 from repro.core.tree import SOSPTree, child_csr
 from repro.dynamic.changes import ChangeBatch
 from repro.errors import AlgorithmError, NotReachableError
@@ -96,7 +96,7 @@ class MOSPResult:
 
 
 def mosp_update(
-    graph: DiGraph,
+    graph: Union[CSRGraph, DiGraph],
     trees: Sequence[SOSPTree],
     batch: Optional[ChangeBatch] = None,
     engine: Optional[Engine] = None,
@@ -111,8 +111,13 @@ def mosp_update(
     ----------
     graph:
         The updated multi-objective graph ``G_{t+1}`` (apply the batch
-        with ``batch.apply_to(graph)`` first, exactly as for
-        :func:`~repro.core.sosp_update.sosp_update`).
+        first, exactly as for
+        :func:`~repro.core.sosp_update.sosp_update`).  A
+        :class:`~repro.graph.csr.CSRGraph` is read in place and never
+        compacted (keep it current with ``graph.apply_batch(batch)``);
+        a :class:`~repro.graph.digraph.DiGraph` is frozen once on entry.
+        The one CSR feeds both the tree updates and the real-weight
+        reassignment.
     trees:
         One SOSP tree per objective, all rooted at the same source,
         with ``trees[i].objective == i``.  Updated in place.
@@ -127,19 +132,14 @@ def mosp_update(
     weighting, priorities:
         Ensemble weighting scheme (see
         :func:`~repro.core.ensemble.build_ensemble`).
-    use_csr_kernels:
-        Accepted and ignored: the CSR kernels are the only path.  Kept
-        only because ``perfbench/workloads.py`` still passes it; removed
-        by the next benchmark change.
-    csr:
-        Optional incrementally maintained
-        :class:`~repro.graph.csr.CSRGraph` snapshot of ``graph``; one
-        snapshot is frozen from ``graph`` per call when omitted, and
-        that one snapshot feeds both the tree updates and the
-        real-weight reassignment.  Callers maintaining it across
-        batches must ``csr.apply_batch(batch)`` alongside
-        ``batch.apply_to(graph)`` (``append_batch`` for insertion-only
-        batches).
+    use_csr_kernels, csr:
+        The legacy call shape ``(DiGraph, ..., use_csr_kernels=True,
+        csr=maintained)``, kept only because ``perfbench/workloads.py``
+        still passes it; both are removed by the next benchmark change.
+        ``use_csr_kernels`` is ignored (the CSR kernels are the only
+        path).  A given ``csr`` is the graph the update reads, and a
+        ``graph`` it does not mirror is refused
+        (:func:`~repro.core.sosp_update.check_snapshot`).
 
     Returns
     -------
@@ -160,7 +160,8 @@ def mosp_update(
     """
     if not trees:
         raise AlgorithmError("mosp_update needs at least one SOSP tree")
-    k = graph.num_objectives
+    snapshot = resolve_graph(graph, trees[0], csr)
+    k = snapshot.k
     if len(trees) != k:
         raise AlgorithmError(
             f"graph has k={k} objectives but {len(trees)} trees were given"
@@ -175,14 +176,12 @@ def mosp_update(
     eng = resolve_engine(engine)
     result = MOSPResult(
         source=source,
-        parent=np.full(graph.num_vertices, NO_PARENT, dtype=np.int64),
-        dist_vectors=np.full((graph.num_vertices, k), INF, dtype=DIST_DTYPE),
+        parent=np.full(snapshot.n, NO_PARENT, dtype=np.int64),
+        dist_vectors=np.full((snapshot.n, k), INF, dtype=DIST_DTYPE),
         ensemble=None,  # type: ignore[arg-type]
     )
 
     timed = _make_timed("mosp_update", result, eng)
-    snapshot = csr if csr is not None else CSRGraph.from_digraph(graph)
-    check_snapshot(snapshot, graph, "apply_batch")
 
     # ------------------------------------------------------ step 1
     if batch is not None and batch.num_changes:
@@ -190,7 +189,7 @@ def mosp_update(
             stats, _touched = timed(
                 f"sosp_update_{i}",
                 lambda i=i: _update_tree_step1(
-                    graph, trees[i], batch, eng, snapshot
+                    trees[i], batch, eng, snapshot
                 ),
             )
             _record_tree_stats(result, stats)
@@ -250,7 +249,6 @@ def _make_timed(prefix: str, result: MOSPResult, eng: Engine):
 
 
 def _update_tree_step1(
-    graph: DiGraph,
     tree: SOSPTree,
     batch: ChangeBatch,
     eng: Engine,
@@ -261,7 +259,7 @@ def _update_tree_step1(
     Dispatches to the unified fully dynamic pipeline
     (:func:`~repro.core.fully_dynamic.apply_mixed_batch`) when the
     batch carries deletions or weight changes, otherwise to plain
-    Algorithm 1 — both over the snapshot ``csr`` of ``graph``.
+    Algorithm 1 — both over the updated graph ``csr``.
     Returns ``(stats, touched)`` where ``stats`` is the Algorithm-1
     :class:`UpdateStats` (or its mixed-pipeline subclass) and
     ``touched`` is the set of vertices whose tree entry may have
@@ -270,9 +268,9 @@ def _update_tree_step1(
     if batch.num_deletions or batch.num_weight_changes:
         from repro.core.fully_dynamic import apply_mixed_batch
 
-        mx = apply_mixed_batch(graph, tree, batch, engine=eng, csr=csr)
+        mx = apply_mixed_batch(csr, tree, batch, engine=eng)
         return mx, mx.touched_vertices
-    stats = sosp_update(graph, tree, batch, engine=eng, csr=csr)
+    stats = sosp_update(csr, tree, batch, engine=eng)
     return stats, stats.affected_vertices
 
 

@@ -17,10 +17,10 @@ The three steps of the paper, §3.1:
   and relaxes; improved vertices become the next affected set
   (:func:`~repro.core.kernels.propagate_csr`).
 
-Both steps run as vectorised kernels over a
-:class:`~repro.graph.csr.CSRGraph` snapshot of the updated graph.  The
-function mutates the tree in place and leaves it a correct SSSP
-solution of the updated graph (certified property-based in the test
+Both steps run as vectorised kernels over the
+:class:`~repro.graph.csr.CSRGraph` of the updated graph (see
+:func:`resolve_graph`).  The function mutates the tree in place and
+leaves it a correct SSSP solution of the updated graph (certified property-based in the test
 suite).  The update touches only the affected region — its cost is
 O(|ΔE| + affected subgraph), not O(|E|).
 """
@@ -28,7 +28,7 @@ O(|ΔE| + affected subgraph), not O(|E|).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -86,11 +86,10 @@ class UpdateStats:
 
 
 def sosp_update(
-    graph: DiGraph,
+    graph: Union[CSRGraph, DiGraph],
     tree: SOSPTree,
     batch: ChangeBatch,
     engine: Optional[Engine] = None,
-    csr: Optional[CSRGraph] = None,
 ) -> UpdateStats:
     """Update ``tree`` in place after the insertions in ``batch``.
 
@@ -98,8 +97,12 @@ def sosp_update(
     ----------
     graph:
         The **updated** graph ``G_{t+1}`` — the batch must already have
-        been applied (``batch.apply_to(graph)``); Step 2 needs the new
-        edges visible in the adjacency.
+        been applied; Step 2 needs the new edges visible in the
+        adjacency.  A :class:`~repro.graph.csr.CSRGraph` is read in
+        place and never compacted (keep it current with
+        ``graph.apply_batch(batch)``); a
+        :class:`~repro.graph.digraph.DiGraph` is frozen on entry (one
+        O(|E|) pass).
     tree:
         The SOSP tree of ``G_t``; mutated into the tree of ``G_{t+1}``.
     batch:
@@ -114,12 +117,6 @@ def sosp_update(
         :class:`~repro.parallel.checked.CheckedEngine` adds the
         vertex-ownership assertion
         (:class:`~repro.parallel.atomics.OwnershipTracker`).
-    csr:
-        Optional CSR snapshot of the **updated** graph.  Pass a snapshot
-        maintained incrementally with
-        :meth:`~repro.graph.csr.CSRGraph.append_batch` to amortise the
-        freeze across batches; ``None`` freezes ``graph`` on entry (one
-        O(|E|) pass).
 
     Returns
     -------
@@ -130,21 +127,13 @@ def sosp_update(
             "sosp_update handles insertions only; use apply_mixed_batch "
             "for batches with deletions or weight changes"
         )
-    if tree.num_vertices != graph.num_vertices:
-        raise AlgorithmError(
-            f"tree spans {tree.num_vertices} vertices, graph has "
-            f"{graph.num_vertices}; rebuild or grow the tree first"
-        )
+    snapshot = resolve_graph(graph, tree)
     eng = resolve_engine(engine)
     stats = UpdateStats()
     dist = tree.dist
     parent = tree.parent
     objective = tree.objective
-    n = graph.num_vertices
-    marked = np.zeros(n, dtype=np.int8)
-
-    snapshot = csr if csr is not None else CSRGraph.from_digraph(graph)
-    check_snapshot(snapshot, graph, "append_batch")
+    marked = np.zeros(snapshot.n, dtype=np.int8)
 
     # normalise the insertion records against the *live* graph: a batch
     # may insert and delete the same (u, v) edge (mixed batches apply
@@ -179,13 +168,43 @@ def sosp_update(
     return stats
 
 
-def check_snapshot(snapshot: CSRGraph, graph: DiGraph, sync: str) -> None:
+def resolve_graph(
+    graph: Union[CSRGraph, DiGraph],
+    tree: SOSPTree,
+    csr: Optional[CSRGraph] = None,
+) -> CSRGraph:
+    """The :class:`~repro.graph.csr.CSRGraph` an update of ``tree`` reads.
+
+    A ``CSRGraph`` is returned as is — never compacted, so an update
+    stays O(|batch| + affected) on a CSR its owner keeps current with
+    :meth:`~repro.graph.csr.CSRGraph.apply_batch`.  A ``DiGraph`` is
+    frozen (one O(|E|) pass).  ``csr`` is the legacy call shape
+    ``(DiGraph, ..., csr=maintained)`` of
+    :func:`~repro.core.fully_dynamic.apply_mixed_batch` and
+    :func:`~repro.core.mosp_update.mosp_update`: the maintained CSR is
+    the graph read, once :func:`check_snapshot` has compared it with
+    the DiGraph.  A ``tree`` that does not span the graph is refused.
+    """
+    if csr is None:
+        snapshot = (graph if isinstance(graph, CSRGraph)
+                    else CSRGraph.from_digraph(graph))
+    else:
+        check_snapshot(csr, graph)  # type: ignore[arg-type]
+        snapshot = csr
+    if tree.num_vertices != snapshot.n:
+        raise AlgorithmError(
+            f"tree spans {tree.num_vertices} vertices, graph has "
+            f"{snapshot.n}; rebuild or grow the tree first"
+        )
+    return snapshot
+
+
+def check_snapshot(snapshot: CSRGraph, graph: DiGraph) -> None:
     """Refuse a CSR snapshot that does not mirror ``graph``.
 
     Compares vertex and live edge counts — the cheap signature of a
-    snapshot that missed a batch.  ``sync`` names the
-    :class:`~repro.graph.csr.CSRGraph` method the caller should pair
-    with ``batch.apply_to(graph)``.
+    snapshot that missed a batch.  Runs only for the legacy ``csr=``
+    argument (see :func:`resolve_graph`).
     """
     if snapshot.n != graph.num_vertices:
         raise AlgorithmError(
@@ -196,7 +215,7 @@ def check_snapshot(snapshot: CSRGraph, graph: DiGraph, sync: str) -> None:
         raise AlgorithmError(
             f"CSR snapshot has {snapshot.num_edges} edges, graph has "
             f"{graph.num_edges}: pair batch.apply_to(graph) with "
-            f"snapshot.{sync}(batch) to keep them in sync"
+            f"snapshot.apply_batch(batch) to keep them in sync"
         )
 
 

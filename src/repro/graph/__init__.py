@@ -7,9 +7,11 @@ This package provides everything the shortest-path layers sit on:
   amortised edge insertion and tombstone deletion.  This is the
   "arrays of structures" adjacency the paper describes, adapted to
   numpy storage.
-- :class:`~repro.graph.csr.CSRGraph` — an immutable compressed
-  sparse-row snapshot (forward and reverse) used by the vectorised
-  kernels (Bellman-Ford rounds, batch relaxation).
+- :class:`~repro.graph.csr.CSRGraph` — a compressed sparse-row graph
+  (forward and reverse) with an appended COO tail, read by the
+  vectorised kernels and mutated in place by
+  :meth:`~repro.graph.csr.CSRGraph.apply_batch` — the one graph the
+  update path reads.
 - :mod:`~repro.graph.generators` — seeded synthetic network
   generators, including the road-like and random-geometric families
   used as stand-ins for the paper's Table 2 datasets.

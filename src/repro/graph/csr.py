@@ -1,4 +1,4 @@
-"""Compressed sparse-row (CSR) snapshots of a digraph, with incremental append.
+"""Compressed sparse-row (CSR) graphs, mutated in place batch by batch.
 
 The vectorised kernels (Bellman-Ford rounds, batched relaxation of
 affected frontiers) want cache-friendly contiguous arrays rather than
@@ -13,17 +13,21 @@ so both "neighbours of u" and "predecessors of v" are O(degree) slices.
 
 Incremental append (the dynamic-batch story)
 --------------------------------------------
-A frozen snapshot would force an O(|E|) re-freeze after every change
-batch, wiping out the point of an O(affected) update algorithm.
-:meth:`CSRGraph.append_edges` therefore follows an **append-or-rebuild
-policy**: appended edges land in a small COO *tail* (``tail_src`` /
-``tail_dst`` / ``tail_weights``) in O(|batch|); only when the tail
-outgrows ``max(MIN_TAIL_REBUILD, TAIL_REBUILD_FRACTION * m)`` is the
-whole structure re-frozen, so the amortised per-batch cost stays
-O(|batch|).  The per-vertex query methods merge the tail transparently;
-whole-array consumers (``indptr``/``indices``/``src``/...) see only the
-frozen base and must call :meth:`compact` first — or go through
-:meth:`ensure`, which static solvers use at their entry points.
+A :class:`CSRGraph` is the one graph the update pipelines read and
+their long-lived owners (the update service, ``IncrementalMOSP``, the
+``update-demo`` loop) mutate.  Re-freezing it after every change batch
+would cost O(|E|), wiping out the point of an O(affected) update
+algorithm, so its one mutator, :meth:`apply_batch`, follows an
+**append-or-rebuild policy**: inserted edges land in a small COO
+*tail* (``tail_src`` / ``tail_dst`` / ``tail_weights``) in
+O(|batch|); only when the tail outgrows ``max(MIN_TAIL_REBUILD,
+TAIL_REBUILD_FRACTION * m)`` is the whole structure re-frozen, so the
+amortised per-batch cost stays O(|batch|).  The per-vertex query
+methods merge the tail transparently; whole-array consumers
+(``indptr``/``indices``/``src``/...) see only the frozen base and must
+call :meth:`compact` first — or go through :meth:`ensure`, which
+static solvers use at their entry points (so a static solve compacts
+the graph in place).
 
 Mixed batches in one pass (the fully dynamic story)
 ---------------------------------------------------
@@ -43,9 +47,9 @@ A record's candidates are the base slice ``indptr[u]:indptr[u+1]``
 (rows whose head is ``v``) plus the tail rows the index lists.  The
 pass appends all the batch's insertions to the tail in one
 concatenate, but a row joins the index only when the loop reaches its
-record, so a deletion never sees an edge inserted after it.  :meth:`append_edges` extends the
-index in place (an epoch of one or two edits costs one or two dict
-entries); :meth:`compact` resets it; a pickled or copied snapshot drops
+record, so a deletion never sees an edge inserted after it.  The pass
+extends the index in place (an epoch of one or two edits costs one or
+two dict entries); :meth:`compact` resets it; a pickled or copied snapshot drops
 it and rebuilds it from its tail on first use.  The same index backs
 :meth:`min_weight_between`, the live-weight lookup of the update
 pipelines.  The pass compacts at most once, after its last record.
@@ -288,9 +292,10 @@ class CSRGraph:
     def base_stamp(self) -> Tuple[int, int]:
         """Fingerprint of the frozen base arrays.
 
-        Changes exactly when :meth:`_freeze` runs (construction,
-        :meth:`compact`, the rebuild branch of :meth:`append_edges`),
-        so a shared-memory engine can re-plant
+        Changes when :meth:`_freeze` runs (construction,
+        :meth:`compact`, the rebuild branch of :meth:`apply_batch`) and
+        when a batch overwrites or tombstones a base row, so a
+        shared-memory engine can re-plant
         ``indptr``/``indices``/``weights``/reverse arrays only when the
         base actually changed — tail-only appends keep the stamp and
         cost zero copies.
@@ -331,70 +336,10 @@ class CSRGraph:
         dropped it."""
         if self._pairs is None:
             self._pairs = {}
-            self._index_tail(0, self.num_tail_edges)
+            keys = (self.tail_src * self.n + self.tail_dst).tolist()
+            for row, key in enumerate(keys):
+                self._pairs[key] = self._pairs.get(key, ()) + (row,)
         return self._pairs
-
-    def _index_tail(self, start: int, stop: int) -> None:
-        """Add tail rows ``start..stop-1`` to the pair index."""
-        pairs = self._pairs
-        if pairs is None:  # built from the whole tail on first use
-            return
-        keys = (
-            self.tail_src[start:stop] * self.n + self.tail_dst[start:stop]
-        ).tolist()
-        for row, key in enumerate(keys, start):
-            pairs[key] = pairs.get(key, ()) + (row,)
-
-    def _extend_tail(
-        self, src: IntArray, dst: IntArray, weights: FloatArray
-    ) -> None:
-        """Concatenate rows onto the COO tail (not yet indexed)."""
-        self.tail_src = np.concatenate((self.tail_src, src))
-        self.tail_dst = np.concatenate((self.tail_dst, dst))
-        self.tail_weights = np.concatenate((self.tail_weights, weights))
-        self.tail_version += 1
-
-    def _compact_if_long(self) -> None:
-        """The rebuild half of the append-or-rebuild policy."""
-        limit = max(self.MIN_TAIL_REBUILD,
-                    int(self.TAIL_REBUILD_FRACTION * self.m))
-        if self.num_tail_edges > limit:
-            self.compact()
-
-    def append_edges(
-        self, src: IntArray, dst: IntArray, weights: FloatArray
-    ) -> None:
-        """Append a batch of edges in O(|batch|) amortised.
-
-        New edges go to the COO tail and the pair index; when the tail
-        outgrows ``max(MIN_TAIL_REBUILD, TAIL_REBUILD_FRACTION * m)``
-        the whole snapshot is re-frozen (and the tail emptied).  Query
-        methods see the appended edges immediately either way.
-        """
-        src, dst, weights = self._coerce_edges(src, dst, weights)
-        self._check_records(src, dst, weights)
-        if len(src) == 0:
-            return
-        start = self.num_tail_edges
-        self._extend_tail(src, dst, weights)
-        self._index_tail(start, self.num_tail_edges)
-        self._compact_if_long()
-
-    def append_batch(self, batch: "ChangeBatch") -> None:
-        """Append the insertion records of a
-        :class:`~repro.dynamic.changes.ChangeBatch` (duck-typed to
-        avoid an import cycle).  Deletion and weight-change records are
-        rejected — use :meth:`apply_batch` for mixed batches."""
-        if getattr(batch, "num_deletions", 0) or getattr(
-            batch, "num_weight_changes", 0
-        ):
-            raise GraphError(
-                "append_batch takes insertion batches only; use "
-                "apply_batch() for mixed insert/delete/weight-change "
-                "batches"
-            )
-        src, dst, w = batch.insert_records()
-        self.append_edges(src, dst, w)
 
     def _base_matches(
         self, src: IntArray, dst: IntArray
@@ -442,13 +387,36 @@ class CSRGraph:
         ``snapshot.apply_batch(batch)`` the snapshot's live edge
         multiset equals the digraph's.
         """
+        self._apply(batch)
+
+    def append_batch(self, batch: "ChangeBatch") -> None:
+        """Apply an insertion-only
+        :class:`~repro.dynamic.changes.ChangeBatch` — :meth:`apply_batch`
+        behind a guard that rejects deletion and weight-change
+        records."""
+        if batch.num_deletions or batch.num_weight_changes:
+            raise GraphError(
+                "append_batch takes insertion batches only; use "
+                "apply_batch() for mixed insert/delete/weight-change "
+                "batches"
+            )
+        self._apply(batch)
+
+    def _apply(self, batch: "ChangeBatch") -> None:
+        """The one pass behind :meth:`apply_batch` and
+        :meth:`append_batch`."""
         src, dst, weights, kind = batch.src, batch.dst, batch.weights, batch.kind
         self._check_records(src, dst, weights[kind != KIND_DELETE])
         ins = kind == KIND_INSERT
         pairs = self._pair_rows()  # before the tail grows
         next_row = self.num_tail_edges
         if ins.any():
-            self._extend_tail(src[ins], dst[ins], weights[ins])
+            self.tail_src = np.concatenate((self.tail_src, src[ins]))
+            self.tail_dst = np.concatenate((self.tail_dst, dst[ins]))
+            self.tail_weights = np.concatenate(
+                (self.tail_weights, weights[ins])
+            )
+            self.tail_version += 1
         mut = ~ins
         owner, rows = self._base_matches(src[mut], dst[mut])
         bounds = np.searchsorted(
@@ -484,7 +452,11 @@ class CSRGraph:
             self.base_version += 1
         if tail_touched:
             self.tail_version += 1
-        self._compact_if_long()
+        # the rebuild half of the append-or-rebuild policy
+        limit = max(self.MIN_TAIL_REBUILD,
+                    int(self.TAIL_REBUILD_FRACTION * self.m))
+        if self.num_tail_edges > limit:
+            self.compact()
 
     def min_weight_between(
         self, src: IntArray, dst: IntArray, objective: int = 0

@@ -140,7 +140,7 @@ class WorkerReport:
         t_recv: float,
         t_reply: float,
         spans: List[Dict[str, Any]],
-        metrics: Dict[str, Tuple[str, Any]],
+        metrics: Dict[str, Tuple[str, Any, str]],
         dropped: int = 0,
     ) -> None:
         self.pid = pid

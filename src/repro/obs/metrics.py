@@ -197,31 +197,35 @@ class MetricsRegistry:
         with self._lock:
             self._metrics.clear()
 
-    def deltas(self) -> Dict[str, Tuple[str, Any]]:
-        """Kind-tagged picklable dump: ``name -> (kind, payload)``.
+    def deltas(self) -> Dict[str, Tuple[str, Any, str]]:
+        """Kind-tagged picklable dump: ``name -> (kind, payload, help)``.
 
         The cross-process collector ships a *fresh* worker-side
         registry back to the master this way, so every payload is by
         construction a delta: counters/gauges carry their value,
         histograms their raw samples (capped at
         :data:`_MAX_SHIPPED_SAMPLES` — worker chunks observe a handful
-        of samples, and an unbounded list would grow the reply).
+        of samples, and an unbounded list would grow the reply).  The
+        help text travels along, so a merged family keeps its
+        ``# HELP`` line.
         """
-        out: Dict[str, Tuple[str, Any]] = {}
+        out: Dict[str, Tuple[str, Any, str]] = {}
         with self._lock:
             items: List[Tuple[str, _Metric]] = sorted(self._metrics.items())
         for name, m in items:
             if isinstance(m, Counter):
-                out[name] = ("counter", m.value)
+                out[name] = ("counter", m.value, m.help)
             elif isinstance(m, Gauge):
-                out[name] = ("gauge", m.value)
+                out[name] = ("gauge", m.value, m.help)
             else:
-                out[name] = ("histogram", list(m.values[:_MAX_SHIPPED_SAMPLES]))
+                out[name] = (
+                    "histogram", list(m.values[:_MAX_SHIPPED_SAMPLES]), m.help
+                )
         return out
 
     def merge_deltas(
         self,
-        deltas: Mapping[str, Tuple[str, Any]],
+        deltas: Mapping[str, Tuple[str, Any, str]],
         labels: Optional[Mapping[str, str]] = None,
     ) -> None:
         """Fold a :meth:`deltas` dump into this registry.
@@ -233,14 +237,14 @@ class MetricsRegistry:
         """
         if not self.enabled:
             return
-        for name, (kind, payload) in sorted(deltas.items()):
+        for name, (kind, payload, help_text) in sorted(deltas.items()):
             labeled = labeled_name(name, labels)
             if kind == "counter":
-                self.counter(labeled).inc(float(payload))
+                self.counter(labeled, help_text).inc(float(payload))
             elif kind == "gauge":
-                self.gauge(labeled).set(float(payload))
+                self.gauge(labeled, help_text).set(float(payload))
             elif kind == "histogram":
-                hist = self.histogram(labeled)
+                hist = self.histogram(labeled, help_text)
                 for v in payload:
                     hist.observe(float(v))
             else:

@@ -116,15 +116,15 @@ def run_load(
     """Drive ``edits`` writes and ``>= queries`` verified reads.
 
     The service must already be running.  Edits are generated against a
-    private replica of the service's graph (the service's copy is
-    writer-thread-owned), so generation sees the evolving topology
-    without racing the writer.
+    private :class:`~repro.graph.digraph.DiGraph` replica thawed from
+    the service's CSR (the service's graph is writer-thread-owned), so
+    generation sees the evolving topology without racing the writer.
     """
     if service.state != ServiceState.RUNNING:
         raise ReproError(
             f"run_load needs a running service, got {service.state!r}"
         )
-    replica = service.graph.copy()
+    replica = service.graph.to_digraph()
     steps = max(1, -(-edits // max(1, batch_size)))
     stream = ChangeStream(
         replica, batch_size=max(1, batch_size), steps=steps,

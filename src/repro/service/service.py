@@ -2,11 +2,12 @@
 
 Threading model
 ---------------
-One **writer thread** owns every piece of mutable state — the graph,
-the SOSP tree, the CSR mirror, the engine — and runs the ingest loop:
-take the next group of pending edits, recompose it into a
-:class:`~repro.dynamic.changes.ChangeBatch`, apply it (graph → CSR →
-``sosp_update``/``apply_mixed_batch``), then publish the next
+One **writer thread** owns every piece of mutable state — the one
+graph (a :class:`~repro.graph.csr.CSRGraph`), the SOSP tree, the
+engine — and runs the ingest loop: take the next group of pending
+edits, recompose it into a :class:`~repro.dynamic.changes.ChangeBatch`,
+apply it (``graph.apply_batch`` → ``sosp_update``/``apply_mixed_batch``
+reading that same CSR), then publish the next
 :class:`~repro.service.snapshot.EpochSnapshot`.  Publication is a
 single attribute store of an immutable object, so **readers** call
 :meth:`UpdateService.snapshot` without any lock and can hold the
@@ -70,8 +71,12 @@ class UpdateService:
     Parameters
     ----------
     graph:
-        The served network.  The service takes ownership: after
-        :meth:`start`, only the writer thread may mutate it.
+        The served network: a :class:`~repro.graph.csr.CSRGraph`, which
+        the service takes as its :attr:`graph`, or a
+        :class:`~repro.graph.digraph.DiGraph`, frozen into one.  After
+        :meth:`start`, only the writer thread may touch it; static
+        solvers compact it in place, so run them on :attr:`graph` only
+        after :meth:`stop`.
     source:
         Source vertex of the maintained tree.
     engine:
@@ -89,7 +94,7 @@ class UpdateService:
 
     def __init__(
         self,
-        graph: DiGraph,
+        graph: Union[CSRGraph, DiGraph],
         source: int = 0,
         *,
         engine: Union[str, Any] = "serial",
@@ -98,15 +103,17 @@ class UpdateService:
         flush_latency: float = 0.05,
         max_pending: int = 4096,
     ) -> None:
-        self.graph = graph
+        self.graph = (
+            graph if isinstance(graph, CSRGraph)
+            else CSRGraph.from_digraph(graph)
+        )
         self.source = int(source)
         self._own_engine = isinstance(engine, str)
         self.engine = (
             resolve_engine(engine, threads=threads)
             if isinstance(engine, str) else engine
         )
-        self.tree = SOSPTree.build(graph, self.source)
-        self.csr = CSRGraph.from_digraph(graph)
+        self.tree = SOSPTree.build(self.graph, self.source)
         self.coalescer = Coalescer(
             flush_size=flush_size, max_pending=max_pending
         )
@@ -175,12 +182,12 @@ class UpdateService:
         kind, u, v, weights = edit
         if kind not in (KIND_DELETE, KIND_INSERT, KIND_WEIGHT):
             return "kind", f"unknown kind {kind!r}"
-        n = self.graph.num_vertices
+        n = self.graph.n
         if not (0 <= u < n and 0 <= v < n):
             return "vertex", f"endpoint outside [0, {n})"
         if kind == KIND_DELETE:
             return None
-        k = self.graph.num_objectives
+        k = self.graph.k
         if weights is None or len(weights) != k:
             return "arity", f"expected {k} weights"
         for w in weights:
@@ -330,24 +337,16 @@ class UpdateService:
                 self._idle.notify_all()
 
     def _apply(self, edits: List[EdgeEdit]) -> None:
-        batch = batch_of(edits, k=self.graph.num_objectives)
-        insert_only = bool((batch.kind == KIND_INSERT).all())
-        batch.apply_to(self.graph)
-        if insert_only:
-            self.csr.append_batch(batch)
-            sosp_update(
-                self.graph, self.tree, batch, engine=self.engine,
-                csr=self.csr,
-            )
-        else:
-            self.csr.apply_batch(batch)
-            apply_mixed_batch(
-                self.graph, self.tree, batch, engine=self.engine,
-                csr=self.csr,
-            )
+        batch = batch_of(edits, k=self.graph.k)
+        self.graph.apply_batch(batch)
+        update = (
+            sosp_update if (batch.kind == KIND_INSERT).all()
+            else apply_mixed_batch
+        )
+        update(self.graph, self.tree, batch, engine=self.engine)
 
     def _freeze_epoch(self, epoch: int) -> EpochSnapshot:
-        stamp = self.csr.tail_stamp
+        stamp = self.graph.tail_stamp
         publish = getattr(self.engine, "publish_snapshot", None)
         if callable(publish):
             arrays: Dict[str, Any] = publish(

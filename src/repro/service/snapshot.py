@@ -58,8 +58,7 @@ class EpochSnapshot:
         copy).
     stamp:
         The CSR ``tail_stamp`` (or any state fingerprint) of the graph
-        version this epoch reflects; ``None`` when the service runs
-        without a CSR mirror.
+        version this epoch reflects; ``None`` when there is none.
     """
 
     __slots__ = ("epoch", "source", "dist", "parent", "stamp", "digest")

@@ -13,8 +13,9 @@ compares the one-pass appliers against:
 
 - :func:`apply_to_reference` — the old ``ChangeBatch.apply_to``;
 - :func:`apply_batch_reference` — the old ``CSRGraph.apply_batch``,
-  with :func:`find_live_min_reference`, :func:`delete_edges_reference`
-  and :func:`update_edge_weights_reference`;
+  with :func:`append_edges_reference`, :func:`find_live_min_reference`,
+  :func:`delete_edges_reference` and
+  :func:`update_edge_weights_reference`;
 - :func:`normalize_against_graph_reference` — the old
   ``sosp_update._normalize_against_graph``, which looked live weights
   up on the ``DiGraph`` one record at a time.
@@ -124,6 +125,30 @@ def find_live_min_reference(csr: CSRGraph, u: int, v: int) -> Tuple[int, int]:
     return best_where, best_row
 
 
+def append_edges_reference(
+    csr: CSRGraph, src: IntArray, dst: IntArray, weights: FloatArray
+) -> None:
+    """The old ``CSRGraph.append_edges``: validate, concatenate onto the
+    COO tail, extend the pair index (when built), then re-freeze if the
+    tail outgrew ``max(MIN_TAIL_REBUILD, TAIL_REBUILD_FRACTION * m)``."""
+    src, dst, weights = CSRGraph._coerce_edges(src, dst, weights)
+    csr._check_records(src, dst, weights)
+    if len(src) == 0:
+        return
+    start = csr.num_tail_edges
+    csr.tail_src = np.concatenate((csr.tail_src, src))
+    csr.tail_dst = np.concatenate((csr.tail_dst, dst))
+    csr.tail_weights = np.concatenate((csr.tail_weights, weights))
+    csr.tail_version += 1
+    if csr._pairs is not None:
+        for row, key in enumerate((src * csr.n + dst).tolist(), start):
+            csr._pairs[key] = csr._pairs.get(key, ()) + (row,)
+    limit = max(csr.MIN_TAIL_REBUILD,
+                int(csr.TAIL_REBUILD_FRACTION * csr.m))
+    if csr.num_tail_edges > limit:
+        csr.compact()
+
+
 def delete_edges_reference(csr: CSRGraph, src: IntArray, dst: IntArray) -> int:
     """Tombstone one live edge per ``(u, v)`` record, in order.
 
@@ -189,7 +214,7 @@ def update_edge_weights_reference(
 def apply_batch_reference(csr: CSRGraph, batch: ChangeBatch) -> None:
     """Apply a mixed batch in record order, one run of equal record
     kinds at a time (the old ``CSRGraph.apply_batch``).  Insertion
-    runs go through :meth:`CSRGraph.append_edges`, so the tail may
+    runs go through :func:`append_edges_reference`, so the tail may
     compact between runs."""
     kind = np.asarray(batch.kind)
     b = int(kind.shape[0])
@@ -200,8 +225,8 @@ def apply_batch_reference(csr: CSRGraph, batch: ChangeBatch) -> None:
             j += 1
         code = int(kind[i])
         if code == KIND_INSERT:
-            csr.append_edges(
-                batch.src[i:j], batch.dst[i:j], batch.weights[i:j]
+            append_edges_reference(
+                csr, batch.src[i:j], batch.dst[i:j], batch.weights[i:j]
             )
         elif code == KIND_DELETE:
             delete_edges_reference(csr, batch.src[i:j], batch.dst[i:j])

@@ -22,6 +22,13 @@ def add_one(x: int) -> int:
     return x + 1
 
 
+def boom_at_13(x: int) -> int:
+    """Raise on item 13, naming the pid of the process that ran it."""
+    if x == 13:
+        raise ValueError(f"boom in pid {os.getpid()}")
+    return x
+
+
 def double_slab(
     arrays: Mapping[str, np.ndarray], params: Mapping[str, Any],
     lo: int, hi: int,

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import IncrementalMOSP, SOSPTree, mosp_update
 from repro.dynamic import ChangeBatch, random_mixed_batch
-from repro.graph import erdos_renyi, grid_road
+from repro.graph import CSRGraph, erdos_renyi, grid_road
 from repro.sssp import dijkstra, frontier_bellman_ford
 
 
@@ -107,9 +107,11 @@ class TestInsertThenDeleteSameEdge:
         g.add_edge(0, 1, (1.0, 1.0))
         g.add_edge(1, 2, (1.0, 1.0))
         g.add_edge(0, 2, (9.0, 9.0))
-        inc = IncrementalMOSP(g, 0)
+        csr = CSRGraph.from_digraph(g)
+        inc = IncrementalMOSP(csr, 0)
         batch = self.make_batch(2)
         batch.apply_to(g)
+        csr.apply_batch(batch)
         r = inc.update(batch)
         trees_correct(g, inc.trees)
         assert r.cost_to(2).tolist() == [2.0, 2.0]
@@ -119,11 +121,13 @@ class TestIncrementalMOSPMixed:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mixed_stream_stays_correct(self, seed):
         g = erdos_renyi(30, 150, k=2, seed=seed)
-        inc = IncrementalMOSP(g, 0)
+        csr = CSRGraph.from_digraph(g)
+        inc = IncrementalMOSP(csr, 0)
         for step in range(3):
             batch = random_mixed_batch(g, 20, insert_fraction=0.6,
                                        seed=seed * 11 + step)
             batch.apply_to(g)
+            csr.apply_batch(batch)
             inc.update(batch)
             trees_correct(g, inc.trees)
             inc.ensemble_tree.certify(inc.ensemble_graph)
@@ -137,10 +141,11 @@ class TestIncrementalMOSPMixed:
         g = DiGraph(3, k=2)
         g.add_edge(0, 1, (1.0, 1.0))
         g.add_edge(1, 2, (1.0, 1.0))
-        inc = IncrementalMOSP(g, 0)
+        csr = CSRGraph.from_digraph(g)
+        inc = IncrementalMOSP(csr, 0)
         assert inc.result().path_to(2) == [0, 1, 2]
         batch = ChangeBatch.deletions([(1, 2)], k=2)
-        batch.apply_to(g)
+        csr.apply_batch(batch)
         r = inc.update(batch)
         assert not np.isfinite(r.dist_vectors[2]).all()
         inc.ensemble_tree.certify(inc.ensemble_graph)

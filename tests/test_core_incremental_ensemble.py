@@ -8,21 +8,30 @@ from hypothesis import strategies as st
 from repro.core import IncrementalMOSP, SOSPTree, mosp_update
 from repro.dynamic import ChangeBatch, ChangeStream, random_insert_batch
 from repro.errors import AlgorithmError
-from repro.graph import DiGraph, erdos_renyi, grid_road
+from repro.graph import CSRGraph, DiGraph, erdos_renyi, grid_road
 from repro.parallel import SimulatedEngine
 from repro.sssp import dijkstra, frontier_bellman_ford
 
 
 def build_inc(g, source=0, **kw):
-    return IncrementalMOSP(g, source, **kw)
+    """``IncrementalMOSP`` over a CSR frozen from ``g``; ``g`` stays as
+    the generators' replica and the oracles' graph."""
+    return IncrementalMOSP(CSRGraph.from_digraph(g), source, **kw)
 
 
-def assert_warm_state_correct(inc):
+def advance(inc, g, batch):
+    """Apply ``batch`` to the replica and to the CSR ``inc`` reads."""
+    batch.apply_to(g)
+    inc.graph.apply_batch(batch)
+    return inc.update(batch)
+
+
+def assert_warm_state_correct(inc, g):
     """The warm ensemble tree must be a correct SSSP solution of the
     warm ensemble graph, and the per-objective trees must be exact."""
     inc.ensemble_tree.certify(inc.ensemble_graph)
     for i, t in enumerate(inc.trees):
-        ref, _ = dijkstra(inc.graph, inc.source, i)
+        ref, _ = dijkstra(g, inc.source, i)
         np.testing.assert_allclose(t.dist, ref, rtol=1e-9)
 
 
@@ -30,7 +39,7 @@ class TestBootstrap:
     def test_initial_state_matches_from_scratch(self):
         g = erdos_renyi(30, 120, k=2, seed=0)
         inc = build_inc(g)
-        assert_warm_state_correct(inc)
+        assert_warm_state_correct(inc, g)
         # scalar ensemble distances match a fresh Bellman-Ford
         dist, _ = frontier_bellman_ford(inc.ensemble_graph, 0)
         np.testing.assert_allclose(inc.ensemble_tree.dist, dist)
@@ -58,27 +67,22 @@ class TestSingleUpdate:
         inc = build_inc(g)
         assert inc.result().path_to(2) == [0, 1, 2]
         batch = ChangeBatch.insertions([(0, 2, (1.5, 1.5))])
-        batch.apply_to(g)
-        r = inc.update(batch)
+        r = advance(inc, g, batch)
         assert r.path_to(2) == [0, 2]
-        assert_warm_state_correct(inc)
+        assert_warm_state_correct(inc, g)
 
     def test_ensemble_distances_match_recompute(self):
         g = erdos_renyi(40, 160, k=2, seed=3)
         inc = build_inc(g)
-        batch = random_insert_batch(g, 30, seed=4)
-        batch.apply_to(g)
-        inc.update(batch)
+        advance(inc, g, random_insert_batch(g, 30, seed=4))
         dist, _ = frontier_bellman_ford(inc.ensemble_graph, 0)
         np.testing.assert_allclose(inc.ensemble_tree.dist, dist, rtol=1e-9)
-        assert_warm_state_correct(inc)
+        assert_warm_state_correct(inc, g)
 
     def test_step_timers_present(self):
         g = erdos_renyi(20, 80, k=2, seed=5)
         inc = build_inc(g, engine=SimulatedEngine(threads=4))
-        batch = random_insert_batch(g, 10, seed=6)
-        batch.apply_to(g)
-        r = inc.update(batch)
+        r = advance(inc, g, random_insert_batch(g, 10, seed=6))
         assert set(r.step_seconds) == {
             "sosp_update_0", "sosp_update_1", "ensemble",
             "bellman_ford", "reassign",
@@ -88,9 +92,7 @@ class TestSingleUpdate:
     def test_costs_are_real_path_costs(self):
         g = erdos_renyi(30, 120, k=2, seed=7)
         inc = build_inc(g)
-        batch = random_insert_batch(g, 20, seed=8)
-        batch.apply_to(g)
-        r = inc.update(batch)
+        r = advance(inc, g, random_insert_batch(g, 20, seed=8))
         for v in range(g.num_vertices):
             if not np.isfinite(r.dist_vectors[v]).all() or v == 0:
                 continue
@@ -112,9 +114,8 @@ class TestStream:
         inc = build_inc(g)
         stream = ChangeStream(g, batch_size=8, steps=5, seed=seed + 10)
         for batch in stream.batches():
-            batch.apply_to(g)
-            inc.update(batch)
-            assert_warm_state_correct(inc)
+            advance(inc, g, batch)
+            assert_warm_state_correct(inc, g)
 
     def test_matches_fresh_pipeline_each_step(self):
         g = erdos_renyi(25, 100, k=2, seed=9)
@@ -123,9 +124,8 @@ class TestStream:
         fresh_trees = [SOSPTree.build(g2, 0, objective=i) for i in range(2)]
         rng_batches = [random_insert_batch(g, 12, seed=s) for s in (1, 2, 3)]
         for batch in rng_batches:
-            batch.apply_to(g)
             batch.apply_to(g2)
-            r_inc = inc.update(batch)
+            advance(inc, g, batch)
             r_fresh = mosp_update(g2, fresh_trees, batch)
             # same ensemble (same trees) => same scalar tree distances
             dist_fresh, _ = frontier_bellman_ford(r_fresh.ensemble.csr, 0)
@@ -135,12 +135,28 @@ class TestStream:
 
 
 class TestValidation:
-    def test_vertex_growth_rejected(self):
-        g = erdos_renyi(10, 40, k=2, seed=0)
+    def test_digraph_is_refused(self):
+        # frozen here and then mutated by the caller, a DiGraph would
+        # desynchronise silently
+        with pytest.raises(AlgorithmError, match="CSRGraph"):
+            IncrementalMOSP(erdos_renyi(10, 40, k=2, seed=0), 0)
+
+    def test_update_never_refreezes_the_graph(self, monkeypatch):
+        g = erdos_renyi(20, 80, k=2, seed=2)
         inc = build_inc(g)
-        g.add_vertices(1)
-        with pytest.raises(AlgorithmError):
-            inc.update(ChangeBatch.insertions([]))
+        frozen = []
+        freeze = CSRGraph.from_digraph
+
+        def record(graph):
+            frozen.append(graph)
+            return freeze(graph)
+
+        monkeypatch.setattr(CSRGraph, "from_digraph", record)
+        advance(inc, g, random_insert_batch(g, 10, seed=3))
+        # the warm ensemble DiGraph is still frozen per update; the
+        # input graph never is
+        assert frozen and all(f is inc.ensemble_graph for f in frozen)
+        assert_warm_state_correct(inc, g)
 
 
 class TestPropertyStream:
@@ -152,7 +168,5 @@ class TestPropertyStream:
         inc = build_inc(g)
         rng_seed = seed
         for step in range(3):
-            batch = random_insert_batch(g, 5, seed=rng_seed + step)
-            batch.apply_to(g)
-            inc.update(batch)
-        assert_warm_state_correct(inc)
+            advance(inc, g, random_insert_batch(g, 5, seed=rng_seed + step))
+        assert_warm_state_correct(inc, g)

@@ -179,11 +179,13 @@ class TestStatsEmission:
 
     def test_incremental_driver_exactly_once_per_tree(self):
         from repro.core.incremental_ensemble import IncrementalMOSP
+        from repro.graph.csr import CSRGraph
 
         g = erdos_renyi(40, 160, k=2, seed=25)
-        inc = IncrementalMOSP(g, source=0)
+        csr = CSRGraph.from_digraph(g)
+        inc = IncrementalMOSP(csr, source=0)
         batch = random_insert_batch(g, 25, seed=26)
-        batch.apply_to(g)
+        csr.apply_batch(batch)
         r, count = self._counted(lambda: inc.update(batch))
         assert count == 2.0
         assert len(r.update_stats) == 2
@@ -335,8 +337,8 @@ class TestCSRKernelPath:
         for seed in (11, 12, 13):
             batch = random_insert_batch(g, 25, seed=seed)
             batch.apply_to(g)
-            snapshot.append_batch(batch)
-            r = mosp_update(g, trees, batch, csr=snapshot)
+            snapshot.apply_batch(batch)
+            r = mosp_update(snapshot, trees, batch)
             for i, t in enumerate(trees):
                 ref, _ = dijkstra(g, 0, i)
                 np.testing.assert_allclose(t.dist, ref, rtol=1e-9)

@@ -1,7 +1,8 @@
 """Property tests for the incremental (append-or-rebuild) CSR snapshot.
 
-The contract of :meth:`CSRGraph.append_edges`: a snapshot that has
-absorbed any sequence of appends is *observationally identical* to a
+The contract of insertion batches through :meth:`CSRGraph.append_batch`
+(the insert-only guard over :meth:`CSRGraph.apply_batch`'s pass): a
+snapshot that has absorbed any sequence of appends is *observationally identical* to a
 from-scratch freeze of the same edge list — per-vertex queries agree as
 multisets while the tail exists, and after :meth:`CSRGraph.compact` the
 frozen arrays are **byte-identical** to the from-scratch freeze (stable
@@ -58,7 +59,7 @@ def test_append_matches_fresh_freeze(data):
     snap = _fresh(n, base)
     all_edges = list(base)
     for batch_edges in appends:
-        snap.append_edges(*_coo(batch_edges))
+        snap.append_batch(ChangeBatch.insertions(batch_edges))
         all_edges += batch_edges
         fresh = _fresh(n, all_edges)
         validate_csr(snap)
@@ -94,7 +95,7 @@ def test_edges_iteration_and_multiset(data):
     snap = _fresh(n, base)
     all_edges = list(base)
     for batch_edges in appends:
-        snap.append_edges(*_coo(batch_edges))
+        snap.append_batch(ChangeBatch.insertions(batch_edges))
         all_edges += batch_edges
     got = sorted((u, v, float(w[0])) for u, v, w in snap.edges())
     want = sorted((u, v, float(w)) for u, v, w in all_edges)
@@ -105,7 +106,7 @@ def test_edges_iteration_and_multiset(data):
 def test_small_append_lands_in_tail():
     snap = _fresh(3, [(0, 1, 1.0), (1, 2, 2.0)])
     base_indices = snap.indices.copy()
-    snap.append_edges(*_coo([(2, 0, 5.0)]))
+    snap.append_batch(ChangeBatch.insertions([(2, 0, 5.0)]))
     assert not snap.is_compact
     assert snap.num_tail_edges == 1 and snap.m == 2 and snap.num_edges == 3
     # the frozen base is untouched; the new edge is query-visible
@@ -125,7 +126,7 @@ def test_rebuild_threshold_triggers_compact():
         (int(u), int(v), 1.0)
         for u, v in rng.integers(0, n, size=(limit + 1, 2))
     ]
-    snap.append_edges(*_coo(edges))
+    snap.append_batch(ChangeBatch.insertions(edges))
     assert snap.is_compact, "tail past the limit must trigger a rebuild"
     assert snap.m == 1 + limit + 1
 
@@ -143,22 +144,16 @@ def test_append_batch_rejects_deletions():
 def test_append_validates_endpoints_and_k():
     snap = _fresh(3, [(0, 1, 1.0)])
     with pytest.raises(VertexError):
-        snap.append_edges(
-            np.asarray([5], dtype=np.int64),
-            np.asarray([0], dtype=np.int64),
-            np.asarray([[1.0]]),
-        )
+        snap.append_batch(ChangeBatch.insertions([(5, 0, 1.0)]))
     with pytest.raises(GraphError):
-        snap.append_edges(
-            np.asarray([0], dtype=np.int64),
-            np.asarray([1], dtype=np.int64),
-            np.asarray([[1.0, 2.0]]),  # k=2 into a k=1 snapshot
-        )
+        # k=2 into a k=1 snapshot
+        snap.append_batch(ChangeBatch.insertions([(0, 1, (1.0, 2.0))]))
+    assert snap.num_edges == 1 and snap.is_compact
 
 
 def test_ensure_compacts_in_place():
     snap = _fresh(3, [(0, 1, 1.0)])
-    snap.append_edges(*_coo([(1, 2, 2.0)]))
+    snap.apply_batch(ChangeBatch.insertions([(1, 2, 2.0)]))
     assert not snap.is_compact
     out = CSRGraph.ensure(snap)
     assert out is snap and snap.is_compact and snap.m == 2

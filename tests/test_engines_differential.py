@@ -90,8 +90,8 @@ def _run_sosp(engine, graph, batches):
     snapshot = CSRGraph.from_digraph(g)
     for batch in batches:
         batch.apply_to(g)
-        snapshot.append_batch(batch)
-        sosp_update(g, tree, batch, engine=engine, csr=snapshot)
+        snapshot.apply_batch(batch)
+        sosp_update(snapshot, tree, batch, engine=engine)
     return tree
 
 
@@ -165,8 +165,7 @@ def _run_mixed(engine, graph, batches):
     for batch in batches:
         batch.apply_to(g)
         snapshot.apply_batch(batch)
-        apply_mixed_batch(g, tree, batch, engine=engine,
-                          csr=snapshot)
+        apply_mixed_batch(snapshot, tree, batch, engine=engine)
     return g, tree
 
 
@@ -230,8 +229,7 @@ def test_shm_crash_recovery_matches_oracle(monkeypatch):
         batch.apply_to(g)
         snapshot.apply_batch(batch)
         with pytest.warns(RuntimeWarning, match="died mid-superstep"):
-            apply_mixed_batch(g, tree, batch, engine=engine,
-                              csr=snapshot)
+            apply_mixed_batch(snapshot, tree, batch, engine=engine)
     finally:
         engine.close()
     np.testing.assert_array_equal(tree.dist, tree_ref.dist)

@@ -77,7 +77,7 @@ def csr_snapshots(draw, max_n=40):
 
     csr = CSRGraph(n, *columns(base))
     if tail:
-        csr.append_edges(*columns(tail))
+        csr.append_batch(ChangeBatch.insertions(tail))
     assert csr.num_tail_edges == len(tail)
     live = [(u, v) for u, v, _ in base + tail]
     if live:
@@ -132,11 +132,7 @@ class TestBookkeepingEqualsReference:
             np.array([1, 2], dtype=np.int64),
             np.ones((2, 1)),
         )
-        csr.append_edges(
-            np.array([2], dtype=np.int64),
-            np.array([0], dtype=np.int64),
-            np.ones((1, 1)),
-        )
+        csr.append_batch(ChangeBatch.insertions([(2, 0, 1.0)]))
         empty = np.empty(0, dtype=np.int64)
         _assert_bitwise(
             gather_unique_neighbors_csr(csr, empty),
@@ -184,11 +180,8 @@ def test_insert_stream_matches_dijkstra(engine, n, seed):
             batch = random_insert_batch(g, 150, seed=100 * seed + b)
             old = tree.dist.copy()
             batch.apply_to(g)
-            snapshot.append_batch(batch)
-            stats = sosp_update(
-                g, tree, batch, engine=engine,
-                csr=snapshot,
-            )
+            snapshot.apply_batch(batch)
+            stats = sosp_update(snapshot, tree, batch, engine=engine)
             _assert_matches_dijkstra(g, tree)
             # insert-only: the affected set is exactly the vertices
             # whose distance dropped
@@ -220,10 +213,7 @@ def test_mixed_stream_matches_dijkstra(engine, n, seed):
             )
             batch.apply_to(g)
             snapshot.apply_batch(batch)
-            stats = apply_mixed_batch(
-                g, tree, batch, engine=engine,
-                csr=snapshot,
-            )
+            stats = apply_mixed_batch(snapshot, tree, batch, engine=engine)
             _assert_matches_dijkstra(g, tree)
             wasted += stats.affected_total - len(stats.affected_vertices)
         assert reg.snapshot()["mixed_wasted_improvements_total"] == wasted

@@ -6,8 +6,8 @@ bitwise equal (integer weights make double sums exact) and parents
 tree-certified — for arbitrary interleavings of insertions, deletions,
 and weight raises/drops, including duplicate and self-cancelling edits
 of one edge inside a single batch.  The property is certified both with
-a snapshot frozen on entry (``csr=None``) and with one maintained
-through the incremental ``CSRGraph.apply_batch`` mutation, across
+a DiGraph argument (frozen on entry) and with a ``CSRGraph`` argument
+maintained through its incremental ``apply_batch`` mutation, across
 single batches and multi-batch sequences.
 """
 
@@ -100,7 +100,7 @@ def assert_matches_dijkstra(g, tree, exact=True):
 class TestDifferentialOracle:
     @given(data=graph_and_mixed_batches())
     def test_reference_path_equals_dijkstra(self, data):
-        """``csr=None``: each call freezes its own snapshot."""
+        """A DiGraph argument: each call freezes its own snapshot."""
         g, batches = data
         tree = SOSPTree.build(g, 0)
         for batch in batches:
@@ -120,7 +120,7 @@ class TestDifferentialOracle:
             batch.apply_to(g)
             snapshot.apply_batch(batch)
             assert snapshot.num_edges == g.num_edges
-            apply_mixed_batch(g, tree, batch, csr=snapshot)
+            apply_mixed_batch(snapshot, tree, batch)
         assert_matches_dijkstra(g, tree)
         su, sv, sw = g.edge_arrays()
         expected = sorted(zip(su.tolist(), sv.tolist(), sw.tolist()))
@@ -156,7 +156,7 @@ class TestDifferentialOracle:
         apply_mixed_batch(g, tree, batch)
         batch.apply_to(g2)
         snapshot.apply_batch(batch)
-        apply_mixed_batch(g2, tree2, batch, csr=snapshot)
+        apply_mixed_batch(snapshot, tree2, batch)
         assert_matches_dijkstra(g, tree, exact=False)
         np.testing.assert_array_equal(tree2.dist, tree.dist)
         tree2.certify(g2)
@@ -166,14 +166,14 @@ class TestEdgeCases:
     """Deterministic regressions for the trickiest interleavings."""
 
     def _updated(self, g, batch, maintained=False):
-        """``maintained``: pass a snapshot kept in sync with
-        ``apply_batch``; otherwise ``csr=None`` freezes one on entry."""
+        """``maintained``: pass a ``CSRGraph`` kept current with
+        ``apply_batch``; otherwise the DiGraph, frozen on entry."""
         tree = SOSPTree.build(g, 0)
-        snapshot = CSRGraph.from_digraph(g) if maintained else None
+        graph = CSRGraph.from_digraph(g) if maintained else g
         batch.apply_to(g)
-        if snapshot is not None:
-            snapshot.apply_batch(batch)
-        stats = apply_mixed_batch(g, tree, batch, csr=snapshot)
+        if maintained:
+            graph.apply_batch(batch)
+        stats = apply_mixed_batch(graph, tree, batch)
         assert_matches_dijkstra(g, tree)
         return tree, stats
 
@@ -307,3 +307,77 @@ class TestEdgeCases:
             ref, _ = dijkstra(g, 0, i)
             np.testing.assert_array_equal(t.dist, ref)
         assert r.cost_to(3).tolist() == [2.0, 2.0]
+
+
+class TestLegacyCallShape:
+    """``(DiGraph, ..., use_csr_kernels=True, csr=maintained)``, the call
+    shape the wall-clock benchmark still uses, reads the maintained CSR:
+    bitwise the same as passing that CSR as the graph argument."""
+
+    STEPS = 3
+
+    @staticmethod
+    def _stream(seed, k):
+        g = grid_road(6, 6, k=k, seed=seed)
+        replica = copy.deepcopy(g)
+        batches = []
+        for step in range(TestLegacyCallShape.STEPS):
+            batch = random_mixed_batch(
+                replica, 20, insert_fraction=0.5,
+                weight_change_fraction=0.25, seed=seed * 10 + step,
+            )
+            batch.apply_to(replica)
+            batches.append(batch)
+        return g, batches
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_apply_mixed_batch_legacy_shape_is_bitwise_equal(self, seed):
+        g, batches = self._stream(seed, k=1)
+        legacy_csr, csr = CSRGraph.from_digraph(g), CSRGraph.from_digraph(g)
+        legacy, tree = SOSPTree.build(g, 0), SOSPTree.build(g, 0)
+        for batch in batches:
+            batch.apply_to(g)
+            legacy_csr.apply_batch(batch)
+            csr.apply_batch(batch)
+            a = apply_mixed_batch(g, legacy, batch, use_csr_kernels=True,
+                                  csr=legacy_csr)
+            b = apply_mixed_batch(csr, tree, batch)
+            assert a.touched_vertices == b.touched_vertices
+            assert legacy.dist.tobytes() == tree.dist.tobytes()
+            assert legacy.parent.tobytes() == tree.parent.tobytes()
+        assert_matches_dijkstra(g, tree)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mosp_update_legacy_shape_is_bitwise_equal(self, seed):
+        from repro.core import mosp_update
+
+        g, batches = self._stream(seed, k=2)
+        legacy_csr, csr = CSRGraph.from_digraph(g), CSRGraph.from_digraph(g)
+        legacy = [SOSPTree.build(g, 0, objective=i) for i in range(2)]
+        trees = [SOSPTree.build(g, 0, objective=i) for i in range(2)]
+        for batch in batches:
+            batch.apply_to(g)
+            legacy_csr.apply_batch(batch)
+            csr.apply_batch(batch)
+            a = mosp_update(g, legacy, batch, use_csr_kernels=True,
+                            csr=legacy_csr)
+            b = mosp_update(csr, trees, batch)
+            assert a.parent.tobytes() == b.parent.tobytes()
+            assert a.dist_vectors.tobytes() == b.dist_vectors.tobytes()
+            for t_a, t_b in zip(legacy, trees):
+                assert t_a.dist.tobytes() == t_b.dist.tobytes()
+                assert t_a.parent.tobytes() == t_b.parent.tobytes()
+
+    def test_mosp_update_refuses_a_snapshot_that_missed_a_batch(self):
+        from repro.core import mosp_update
+
+        g = build_graph(3, 2, [(0, 1, (1.0, 1.0)), (1, 2, (1.0, 1.0))])
+        trees = [SOSPTree.build(g, 0, objective=i) for i in range(2)]
+        snapshot = CSRGraph.from_digraph(g)
+        batch = ChangeBatch.insertions([(0, 2, (1.0, 1.0))])
+        batch.apply_to(g)  # snapshot NOT updated
+        before = [t.dist.tobytes() for t in trees]
+        with pytest.raises(AlgorithmError, match="apply_batch"):
+            mosp_update(g, trees, batch, use_csr_kernels=True,
+                        csr=snapshot)
+        assert [t.dist.tobytes() for t in trees] == before

@@ -20,8 +20,7 @@ lists.  The per-record loops they replaced live in
 - **All or nothing** — a record corrupted after construction makes the
   apply raise with graph, snapshot and stamps untouched.
 
-Batches interleave ``append_batch`` with ``apply_batch`` (as the update
-service does), draw equal-weight and k=2 lexicographic ties, delete or
+Batches interleave ``append_batch`` with ``apply_batch``, draw equal-weight and k=2 lexicographic ties, delete or
 re-weight edges inserted earlier in the same batch, hit pairs with no
 live edge, and trip the tail rebuild (a snapshot class with a tiny
 ``MIN_TAIL_REBUILD``).  Some runs swap the snapshot for a pickled or
@@ -49,6 +48,7 @@ from repro.errors import BatchError, GraphError, VertexError, WeightError
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from tests._graph_apply_reference import (
+    append_edges_reference,
     apply_batch_reference,
     apply_to_reference,
 )
@@ -177,7 +177,7 @@ class Pair:
         )
         if append:
             self.csr.append_batch(batch)
-            self.csr_ref.append_batch(batch)
+            append_edges_reference(self.csr_ref, *batch.insert_records())
         else:
             self.csr.apply_batch(batch)
             apply_batch_reference(self.csr_ref, batch)
@@ -345,7 +345,7 @@ def test_stamps_stay_when_nothing_is_written():
     g = DiGraph(3)
     g.add_edge(0, 1, 1.0)
     csr = CSRGraph.from_digraph(g)
-    csr.append_edges(np.array([1]), np.array([2]), np.array([[1.0]]))
+    csr.append_batch(ChangeBatch.insertions([(1, 2, 1.0)]))
     stamps = (csr.base_stamp, csr.tail_stamp)
     csr.apply_batch(ChangeBatch.deletions([(2, 0), (1, 0)]))
     csr.apply_batch(ChangeBatch.weight_changes([(2, 1, 4.0)]))

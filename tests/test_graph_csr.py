@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.dynamic import ChangeBatch
 from repro.errors import GraphError, VertexError
 from repro.graph import CSRGraph, DiGraph
 from repro.graph.generators import erdos_renyi, grid_road
@@ -150,7 +151,6 @@ class TestSnapshotIdentity:
         clone = copy.deepcopy(diamond_csr)
         assert clone.base_stamp != diamond_csr.base_stamp
         # the clones diverge independently afterwards
-        clone.append_edges(np.array([3]), np.array([0]),
-                           np.array([[1.0, 1.0]]))
+        clone.apply_batch(ChangeBatch.insertions([(3, 0, (1.0, 1.0))]))
         assert diamond_csr.num_tail_edges == 0
         assert clone.num_tail_edges == 1

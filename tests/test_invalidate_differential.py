@@ -6,8 +6,9 @@ tree's child CSR.  It must return exactly ``sorted()`` of the set the
 per-vertex walk in :mod:`tests._fully_dynamic_reference` collects, with
 the same ``dirty_roots`` / ``invalidated`` counts, and a whole
 ``apply_mixed_batch`` run with either Step D must leave ``dist`` *and*
-``parent`` bitwise equal — with a snapshot frozen on entry or one
-maintained across batches, and on every engine backend.
+``parent`` bitwise equal — with a DiGraph argument frozen on entry or
+a ``CSRGraph`` argument maintained across batches, and on every engine
+backend.
 """
 
 from __future__ import annotations
@@ -84,23 +85,23 @@ def assert_same_dirty_set(g, tree, batch):
 
 def run_pipeline(graph, batches, maintained, engine=None, reference=False):
     """Play ``batches`` through ``apply_mixed_batch``; returns the tree
-    and the per-batch stats.  ``maintained`` passes a snapshot kept in
-    sync with ``apply_batch``; otherwise each call freezes its own."""
+    and the per-batch stats.  ``maintained`` passes a ``CSRGraph`` kept
+    current with ``apply_batch``; otherwise the DiGraph, which each
+    call freezes."""
     g = copy.deepcopy(graph)
     tree = SOSPTree.build(g, 0)
-    snapshot = CSRGraph.from_digraph(g) if maintained else None
+    update_graph = CSRGraph.from_digraph(g) if maintained else g
     stats = []
     for batch in batches:
         batch.apply_to(g)
-        if snapshot is not None:
-            snapshot.apply_batch(batch)
+        if maintained:
+            update_graph.apply_batch(batch)
         if reference:
             with reference_step_d():
-                s = apply_mixed_batch(g, tree, batch, engine=engine,
-                                      csr=snapshot)
+                s = apply_mixed_batch(update_graph, tree, batch,
+                                      engine=engine)
         else:
-            s = apply_mixed_batch(g, tree, batch, engine=engine,
-                                  csr=snapshot)
+            s = apply_mixed_batch(update_graph, tree, batch, engine=engine)
         stats.append(s)
     return g, tree, stats
 

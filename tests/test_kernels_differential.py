@@ -84,10 +84,7 @@ def test_sosp_kernels_equal_reference_and_dijkstra(data, engine_idx):
     for batch in batches:
         batch.apply_to(g)
         sosp_update_reference(g, t_ref, batch, engine=engine)
-        sosp_update(
-            g, t_csr, batch, engine=engine,
-            csr=CSRGraph.from_digraph(g),
-        )
+        sosp_update(CSRGraph.from_digraph(g), t_csr, batch, engine=engine)
         oracle, _ = dijkstra(g, 0)
         np.testing.assert_array_equal(t_csr.dist, oracle)
         np.testing.assert_array_equal(t_ref.dist, oracle)
@@ -99,7 +96,7 @@ def test_sosp_kernels_equal_reference_and_dijkstra(data, engine_idx):
 def test_sosp_kernels_with_incremental_snapshot(data, engine_idx):
     """The appended-tail snapshot is as good as a fresh freeze.
 
-    One ``CSRGraph`` maintained with ``append_batch`` across the whole
+    One ``CSRGraph`` maintained with ``apply_batch`` across the whole
     batch sequence (never explicitly compacted) must drive the kernels
     to the same fixpoint as a from-scratch recompute after every batch.
     """
@@ -109,8 +106,8 @@ def test_sosp_kernels_with_incremental_snapshot(data, engine_idx):
     snapshot = CSRGraph.from_digraph(g)
     for batch in batches:
         batch.apply_to(g)
-        snapshot.append_batch(batch)
-        sosp_update(g, tree, batch, engine=engine, csr=snapshot)
+        snapshot.apply_batch(batch)
+        sosp_update(snapshot, tree, batch, engine=engine)
         oracle, _ = dijkstra(g, 0)
         np.testing.assert_array_equal(tree.dist, oracle)
         tree.certify(g)

@@ -96,13 +96,15 @@ class TestPipelineMatchesReference:
         maintained = data.draw(st.booleans())
         prio = PRIORITIES[k] if weighting == "priority" else None
         trees = build_trees(g)
+        # maintained: the update reads a CSR kept current batch by
+        # batch; otherwise it freezes the DiGraph on entry
         snapshot = CSRGraph.from_digraph(g) if maintained else None
         for batch in batches:
             batch.apply_to(g)
             if snapshot is not None:
-                snapshot.append_batch(batch)
-            r = mosp_update(g, trees, batch, weighting=weighting,
-                            priorities=prio, csr=snapshot)
+                snapshot.apply_batch(batch)
+            r = mosp_update(g if snapshot is None else snapshot, trees,
+                            batch, weighting=weighting, priorities=prio)
             assert_matches_reference(r, g, trees)
 
     def test_priority_weights_are_not_integers(self):
@@ -125,7 +127,7 @@ class TestPipelineMatchesReference:
         batch.apply_to(g)
         snapshot.apply_batch(batch)
         assert snapshot.num_tail_edges and snapshot.num_dead
-        r = mosp_update(g, trees, batch, csr=snapshot)
+        r = mosp_update(snapshot, trees, batch)
         assert_matches_reference(r, g, trees)
         dist_c, parent_c = frontier_bellman_ford_csr(r.ensemble.csr, 0)
         from_csr = kernel_vectors(live_edge_arrays(snapshot), g, 0,
@@ -146,10 +148,12 @@ class TestPipelineMatchesReference:
 
     def test_incremental_driver(self):
         g = erdos_renyi(60, 240, k=2, seed=25)
-        inc = IncrementalMOSP(g, source=0)
+        csr = CSRGraph.from_digraph(g)
+        inc = IncrementalMOSP(csr, source=0)
         for seed in (26, 27, 28):
             batch = random_insert_batch(g, 20, seed=seed)
             batch.apply_to(g)
+            csr.apply_batch(batch)
             r = inc.update(batch)
             tree = inc.ensemble_tree
             np.testing.assert_array_equal(r.parent, tree.parent)

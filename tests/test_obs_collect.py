@@ -163,7 +163,7 @@ def _skewed_report(skew, *, parent_chain=True, foreign_parent=None):
     return WorkerReport(
         pid=4711, t_recv=5.0 + skew, t_reply=5.4 + skew,
         spans=[inner, outer],  # completion order: child first
-        metrics={"worker_tasks_total": ("counter", 2.0)},
+        metrics={"worker_tasks_total": ("counter", 2.0, "tasks in workers")},
         dropped=1,
     )
 

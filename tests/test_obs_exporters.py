@@ -160,6 +160,20 @@ class TestPrometheus:
         ] == 8.0
         assert samples['worker_slab_items_count{worker="12"}'] == 1.0
 
+    def test_merged_worker_series_keep_their_help(self):
+        worker = MetricsRegistry()
+        worker.counter("worker_tasks_total", "tasks in workers").inc(3)
+        worker.histogram("worker_slab_items", "items per slab").observe(4)
+        reg = MetricsRegistry()
+        for pid in ("11", "12"):
+            reg.merge_deltas(worker.deltas(), labels={"worker": pid})
+        lines = reg.to_prometheus().splitlines()
+        for family, help_text in (("worker_tasks_total", "tasks in workers"),
+                                  ("worker_slab_items", "items per slab")):
+            assert lines.count(f"# HELP {family} {help_text}") == 1
+            assert sum(l.startswith(f"# HELP {family} ")
+                       for l in lines) == 1
+
 
 class TestParentTimeConsistency:
     """Skewed-clock fixtures: a merged worker span whose timestamps were

@@ -1,6 +1,8 @@
 """Unit tests for the parallel engines (all three backends)."""
 
+import os
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from repro.parallel import (
 
 # importable by spawn workers (closures are not; the process backends
 # degrade to their documented serial fallback on the closure tests)
-from tests._shm_support import square
+from tests._shm_support import boom_at_13, square
 
 ALL_ENGINES = [
     SerialEngine(),
@@ -48,6 +50,9 @@ class TestEngineSemantics:
         assert engine.parallel_for([7], square) == [49]
 
     def test_side_effects_applied_exactly_once(self, engine):
+        # a closure over ``hits``: shm cannot pickle it, so on shm this
+        # runs in the caller through the documented serial fallback
+        # (the pool cannot write the caller's list anyway)
         hits = [0] * 50
 
         def bump(i):
@@ -66,13 +71,15 @@ class TestEngineSemantics:
         assert total == sum(i * i for i in range(10))
 
     def test_exception_propagates(self, engine):
-        def boom(i):
-            if i == 13:
-                raise ValueError("boom")
-            return i
-
-        with pytest.raises(ValueError):
-            engine.parallel_for(list(range(30)), boom)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="boom in pid") as info:
+                engine.parallel_for(list(range(30)), boom_at_13)
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        ran_in = int(str(info.value).rsplit(" ", 1)[1])
+        # shm must reach its pool: the worker's ValueError surfaces as is
+        assert (ran_in != os.getpid()) == (engine.name == "shm")
 
 
 class TestResolveEngine:

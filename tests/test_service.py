@@ -19,12 +19,13 @@ from repro.core import SOSPTree
 from repro.dynamic import (
     KIND_DELETE,
     KIND_INSERT,
+    ChangeBatch,
     ChangeStream,
     EdgeEdit,
     stream_edits,
 )
 from repro.errors import BatchError, ReproError
-from repro.graph import erdos_renyi, grid_road
+from repro.graph import CSRGraph, erdos_renyi, grid_road
 from repro.obs.metrics import use_metrics
 from repro.parallel import SharedMemoryEngine
 from repro.service import (
@@ -158,7 +159,7 @@ class TestEpochSnapshot:
 def _drive_edits(service, *, steps=3, batch_size=8, seed=1,
                  insert_fraction=0.7, weight_change_fraction=0.15):
     """Submit ``steps * batch_size`` seeded edits from a replica."""
-    replica = service.graph.copy()
+    replica = service.graph.to_digraph()
     stream = ChangeStream(
         replica, batch_size=batch_size, steps=steps,
         insert_fraction=insert_fraction,
@@ -309,6 +310,43 @@ class TestIngress:
                             flush_latency=0.05)
         assert not hasattr(svc.coalescer, "flush_latency")
         assert svc.stop()
+
+
+class TestOneGraph:
+    def test_the_service_holds_and_mutates_one_csr(self, monkeypatch):
+        """The CSR is the service's only graph: it is ``svc.graph``,
+        there is no CSR mirror beside it, and no epoch applies a batch
+        to a DiGraph."""
+        g = erdos_renyi(60, 240, seed=3)
+        csr = CSRGraph.from_digraph(g)
+        taken = UpdateService(csr, 0)
+        assert taken.graph is csr
+        assert taken.stop()
+
+        svc = UpdateService(g, 0, flush_size=10)
+        assert isinstance(svc.graph, CSRGraph)
+        assert not hasattr(svc, "csr")
+        # the edits come from a DiGraph replica, made before the patch
+        edits = list(stream_edits(ChangeStream(
+            svc.graph.to_digraph(), batch_size=10, steps=4, seed=5,
+            insert_fraction=0.5, weight_change_fraction=0.25,
+        )))
+
+        def refuse(self, graph):
+            raise AssertionError("the service applied a batch to a DiGraph")
+
+        monkeypatch.setattr(ChangeBatch, "apply_to", refuse)
+        svc.start()
+        try:
+            for edit in edits:
+                assert svc.submit(edit, timeout=10.0)
+            assert svc.drain(timeout=60.0)
+            assert svc.error is None
+        finally:
+            assert svc.stop(drain=True, timeout=60.0)
+        assert svc.edits_applied == 40
+        dist, _ = dijkstra(svc.graph, 0)
+        np.testing.assert_array_equal(svc.snapshot().dist, dist)
 
 
 class TestDegradedMode:
