@@ -82,10 +82,11 @@ class TestFullSSSP:
 
     def test_frontier_bellman_ford_csr_kernels(self, benchmark, road):
         # new vs old kernel: the reverse-CSR gather + segmented-argmin
-        # variant of the frontier loop (repro.core.kernels), the same
-        # code mosp_update's Step 3 runs
-        from repro.core.kernels import frontier_bellman_ford_csr
+        # variant of the frontier loop, i.e. the Step-2 kernel
+        # repro.core.kernels.propagate_csr solving from scratch (the
+        # wrapper lives in the tests' reference module)
         from repro.graph.csr import CSRGraph
+        from tests._kernels_reference import frontier_bellman_ford_csr
 
         csr = CSRGraph.ensure(road)
         dist, _ = benchmark.pedantic(

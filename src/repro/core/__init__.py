@@ -12,16 +12,17 @@
   seed / propagate pass over the same slab kernels — the edge
   deletion extension sketched in the paper's conclusion.
 - :func:`~repro.core.ensemble.build_ensemble` — **Algorithm 2 Step 2**:
-  the combined graph with ``k − x + 1`` (or priority) edge weights.
+  the combined graph with ``k − x + 1`` (or priority) edge weights, as
+  ``(k, n)`` slot matrices that Step 3
+  (:func:`~repro.core.ensemble.ensemble_bellman_ford`) reads directly.
 - :func:`~repro.core.mosp_update.mosp_update` — **Algorithm 2**: the
   single-MOSP update heuristic (update trees → ensemble → parallel
   Bellman-Ford → real-weight reassignment).
 - :mod:`repro.core.kernels` — the NumPy-vectorised CSR kernels every
-  update entry point runs: batched Step-1 group relaxation,
-  reverse-CSR Step-2 frontier propagation, and the combined-graph
-  frontier Bellman-Ford, all certified against the pointer-chasing
-  reference kept in the test suite and against Dijkstra by the
-  differential test harness.
+  update entry point runs: batched Step-1 group relaxation and
+  reverse-CSR Step-2 frontier propagation, certified against the
+  pointer-chasing reference kept in the test suite and against
+  Dijkstra by the differential test harness.
 """
 
 from repro.core.ensemble import EnsembleGraph, build_ensemble

@@ -1,4 +1,4 @@
-"""Algorithm 2, Step 2: the combined (ensemble) graph.
+"""Algorithm 2, Steps 2–3 on the combined (ensemble) graph.
 
 "The algorithm first creates an ensemble graph E by considering all the
 edges from the SOSP trees T_i ∀i = 1..k.  If an edge e ∈ E appears in x
@@ -10,10 +10,13 @@ edges." (§3.2)
 Implementation follows §4: "we directly use the parent-child
 relationship in the tree structure to find the edges.  We assign a
 single thread to each vertex to compare its parents among all the SOSP
-trees" — here at array granularity: each engine slab covers a vertex
-range of the stacked ``(k, n)`` parent matrix, counts how many trees
-share each parent edge with one sort + segment count, and the slabs'
-outputs concatenate into the weighted edge list.
+trees".  Every vertex has at most ``k`` combined-graph in-edges — its
+column of the trees' stacked ``(k, n)`` parent matrix — so the combined
+graph stays that matrix: :func:`build_ensemble` (Step 2) turns it into
+slot matrices, one slot per distinct parent, and
+:func:`ensemble_bellman_ford` (Step 3) solves on them directly.  No
+:class:`~repro.graph.csr.CSRGraph` is built on the way; the edge list
+and a CSR are derived on first access, for tests and ablations.
 
 Weighting schemes
 -----------------
@@ -24,16 +27,19 @@ Weighting schemes
                trees takes its smallest weight.
 ``unit``       every ensemble edge weighs 1 (the Theorem 1 setting, and
                the control arm of the weighting ablation).
+
+Every scheme gives positive weights, which is all Step 3 needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.kernels import MIN_SLAB_ITEMS
 from repro.core.tree import SOSPTree
 from repro.errors import AlgorithmError
 from repro.graph.csr import CSRGraph
@@ -45,6 +51,7 @@ from repro.parallel.api import (
 )
 from repro.types import (
     DIST_DTYPE,
+    INF,
     NO_PARENT,
     VERTEX_DTYPE,
     FloatArray,
@@ -52,8 +59,8 @@ from repro.types import (
     WeightVector,
 )
 
-__all__ = ["build_ensemble", "EnsembleGraph", "vertex_ensemble_edges",
-           "resolve_weighting"]
+__all__ = ["build_ensemble", "EnsembleGraph", "ensemble_bellman_ford",
+           "vertex_ensemble_edges", "resolve_weighting"]
 
 
 def resolve_weighting(
@@ -119,119 +126,123 @@ def vertex_ensemble_edges(
 
 @dataclass(eq=False)
 class EnsembleGraph:
-    """The combined graph plus its bookkeeping.
+    """The combined graph as ``(k, n)`` in-edge slot matrices.
+
+    Column ``v`` lists ``v``'s distinct tree parents in ascending order
+    from slot 0; the slots after them are dead.
 
     Attributes
     ----------
-    csr:
-        Single-objective :class:`~repro.graph.csr.CSRGraph` over the
-        original vertex set, containing every SOSP-tree edge once with
-        its scheme weight.
-    num_trees:
-        ``k``, the number of trees merged.
-    edge_src, edge_dst, edge_count:
-        The ensemble edges in emission order (destination-ascending)
-        and how many trees contain each one (the ``x`` of the
-        ``k − x + 1`` formula).
+    parents:
+        ``(k, n)`` int64 slot parent; ``n`` (one past the last vertex)
+        on a dead slot.
+    weights:
+        ``(k, n)`` float64 scheme weight of the slot's edge; ``inf`` on
+        a dead slot.
+    counts:
+        ``(k, n)`` int64 — how many trees contain the slot's edge (the
+        ``x`` of the ``k − x + 1`` formula); 0 on a dead slot.
+
+    ``edge_src``/``edge_dst``/``edge_count``/``edge_weight`` (the live
+    slots as an edge list, ``v``-major and parent-ascending), ``csr``
+    and ``occurrences`` are built on first access: tests and ablations
+    read them, the pipeline does not.
     """
 
-    csr: CSRGraph
-    num_trees: int
-    edge_src: IntArray
-    edge_dst: IntArray
-    edge_count: IntArray
+    parents: IntArray
+    weights: FloatArray
+    counts: IntArray
+
+    @cached_property
+    def _live_slots(self) -> Tuple[IntArray, IntArray]:
+        """``(vertex, slot)`` of every live slot, ``v``-major."""
+        v, j = np.nonzero(np.isfinite(self.weights.T))
+        return v.astype(VERTEX_DTYPE), j
+
+    @cached_property
+    def edge_src(self) -> IntArray:
+        v, j = self._live_slots
+        return self.parents[j, v]
+
+    @cached_property
+    def edge_dst(self) -> IntArray:
+        return self._live_slots[0]
+
+    @cached_property
+    def edge_count(self) -> IntArray:
+        v, j = self._live_slots
+        return self.counts[j, v]
+
+    @cached_property
+    def edge_weight(self) -> FloatArray:
+        v, j = self._live_slots
+        return self.weights[j, v]
+
+    @cached_property
+    def csr(self) -> CSRGraph:
+        """Single-objective :class:`~repro.graph.csr.CSRGraph` over the
+        original vertex set, every live slot once with its weight."""
+        return CSRGraph(self.parents.shape[1], self.edge_src, self.edge_dst,
+                        self.edge_weight.reshape(-1, 1))
 
     @cached_property
     def occurrences(self) -> Dict[Tuple[int, int], int]:
-        """``{(u, v): x}`` — the per-edge counts as a dict, built on
-        first access (tests and ablations read it; the pipeline does
-        not)."""
+        """``{(u, v): x}`` — the per-edge counts as a dict."""
         return dict(zip(
             zip(self.edge_src.tolist(), self.edge_dst.tolist()),
             self.edge_count.tolist(),
         ))
 
 
-def _ensemble_slab(
-    arrays, params, lo: int, hi: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Slab kernel of the vectorised parent comparison (read-only).
+def _sort_columns(a: IntArray) -> None:
+    """Sort every column of the ``(k, m)`` array ascending, in place:
+    odd-even transposition, ``k`` rounds of one vectorised
+    compare-exchange over every disjoint row pair."""
+    k = a.shape[0]
+    for r in range(k):
+        lo, hi = a[r % 2 : k - 1 : 2], a[r % 2 + 1 : k : 2]
+        lo[...], hi[...] = np.minimum(lo, hi), np.maximum(lo, hi)
 
-    Consumes the stacked ``(k, n)`` parent/dist matrices through the
-    slab-kernel signature, so the shm backend can dispatch it by
-    reference over planted copies while every other engine runs the
-    same body as a closure.  Emits the slab's deduplicated
-    ``(dst, src, weight, count)`` quadruple sorted by vertex.
+
+def _ensemble_slab(
+    arrays: Mapping[str, np.ndarray],
+    params: Mapping[str, Any],
+    lo: int,
+    hi: int,
+) -> int:
+    """Slab kernel of Step 2: fill the slot columns ``[lo, hi)``.
+
+    Reads the stacked ``(k, n)`` tree parent/dist matrices and writes
+    ``ens.slot_*`` in place; returns the slab's live slot count.  A
+    sort puts equal parents side by side; every repeat becomes the
+    sentinel ``n`` and a second sort packs the distinct parents to the
+    top of the column.  Each slot's count (and its priority weight)
+    then comes from comparing it with the ``k`` tree parents.
     """
-    parents = arrays["ens.parents"]
-    dists = arrays["ens.dists"]
-    k, n = parents.shape
-    valid = (parents[:, lo:hi] != NO_PARENT) & np.isfinite(dists[:, lo:hi])
-    ti, vo = np.nonzero(valid)
-    if ti.size == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e, np.empty(0, dtype=DIST_DTYPE), e
-    v = vo + lo
-    p = parents[ti, v]
-    key = v * n + p  # v-major, parent-minor pair key
-    order = np.argsort(key, kind="stable")
-    key_s = key[order]
-    cuts = np.flatnonzero(np.diff(key_s)) + 1
-    seg = np.concatenate(([0], cuts, [key_s.size]))
-    uniq = key_s[seg[:-1]]
-    cnt = np.diff(seg)
+    parents = arrays["ens.parents"][:, lo:hi]
+    dists = arrays["ens.dists"][:, lo:hi]
+    k, n = arrays["ens.parents"].shape
+    p = np.where((parents != NO_PARENT) & np.isfinite(dists), parents, n)
+    slot = p.copy()
+    _sort_columns(slot)
+    slot[1:] = np.where(slot[1:] == slot[:-1], n, slot[1:])
+    _sort_columns(slot)
+    live = slot < n
+    # in_tree[j, i, v]: tree i's parent of v is slot j's parent
+    in_tree = p[None, :, :] == slot[:, None, :]
+    cnt = np.where(live, in_tree.sum(axis=1), 0)
     weighting = params["weighting"]
     if weighting == "balanced":
         w = (k - cnt + 1).astype(DIST_DTYPE)
     elif weighting == "unit":
-        w = np.ones(uniq.size, dtype=DIST_DTYPE)
+        w = np.ones(slot.shape, dtype=DIST_DTYPE)
     else:
-        pw = arrays["ens.inv_prio"][ti[order]]
-        w = np.minimum.reduceat(pw, seg[:-1])
-    # key = v*n + p, so parent (edge source) is the remainder
-    return uniq % n, uniq // n, w, cnt
-
-
-def _ensemble_edges(
-    trees: Sequence[SOSPTree],
-    weighting: str,
-    prio,
-    eng: Engine,
-):
-    """The vectorised per-vertex parent comparison.
-
-    Stacks the ``(k, n)`` parent/dist matrices, covers the vertex range
-    with engine slabs (:func:`~repro.parallel.api.parallel_for_slabs`),
-    and inside each slab deduplicates the valid ``(v, parent)`` pairs
-    with one sort + segment count.  Pairs are emitted sorted by ``v``
-    within each slab, and slabs are concatenated in order, so the
-    emission order is ``v``-ascending overall — the order of a
-    per-vertex loop over :func:`vertex_ensemble_edges`.
-    """
-    k = len(trees)
-    n = trees[0].num_vertices
-    parents = np.stack([t.parent for t in trees]).astype(np.int64)
-    dists = np.stack([t.dist for t in trees])
-    inv_prio = (1.0 / prio) if prio is not None else None
-
-    arrays: Dict[str, np.ndarray] = {"ens.parents": parents, "ens.dists": dists}
-    if inv_prio is not None:
-        arrays["ens.inv_prio"] = np.ascontiguousarray(inv_prio, dtype=DIST_DTYPE)
-    task = SlabTask(
-        ref="repro.core.ensemble:_ensemble_slab",
-        arrays=arrays,
-        params={"weighting": weighting},
-        writes=(),  # read-only kernel: nothing to copy back
-    )
-    results = parallel_for_slabs(
-        eng, n, task, work_fn=lambda span, r: k * (span[1] - span[0]),
-    )
-    if not results:
-        e = np.empty(0, dtype=np.int64)
-        return e, e, e.astype(DIST_DTYPE), e
-    return tuple(
-        np.concatenate([r[i] for r in results]) for i in range(4)
-    )
+        inv_prio = arrays["ens.inv_prio"][None, :, None]
+        w = np.where(in_tree, inv_prio, INF).min(axis=1)
+    arrays["ens.slot_parent"][:, lo:hi] = slot
+    arrays["ens.slot_weight"][:, lo:hi] = np.where(live, w, INF)
+    arrays["ens.slot_count"][:, lo:hi] = cnt
+    return int(live.sum())
 
 
 def build_ensemble(
@@ -276,22 +287,134 @@ def build_ensemble(
     prio = resolve_weighting(weighting, priorities, k)
     eng = resolve_engine(engine)
 
-    e_src, e_dst, e_w, e_cnt = _ensemble_edges(trees, weighting, prio, eng)
-    eng.charge(len(e_src))
-    return _make_ensemble(n, k, e_src, e_dst, e_w, e_cnt)
+    ens = EnsembleGraph(
+        parents=np.empty((k, n), dtype=VERTEX_DTYPE),
+        weights=np.empty((k, n), dtype=DIST_DTYPE),
+        counts=np.empty((k, n), dtype=np.int64),
+    )
+    arrays: Dict[str, np.ndarray] = {
+        "ens.parents": np.stack([t.parent for t in trees]).astype(
+            np.int64, copy=False),
+        "ens.dists": np.stack([t.dist for t in trees]),
+        "ens.slot_parent": ens.parents,
+        "ens.slot_weight": ens.weights,
+        "ens.slot_count": ens.counts,
+    }
+    if prio is not None:
+        arrays["ens.inv_prio"] = 1.0 / prio
+    task = SlabTask(
+        ref="repro.core.ensemble:_ensemble_slab",
+        arrays=arrays,
+        params={"weighting": weighting},
+        writes=("ens.slot_parent", "ens.slot_weight", "ens.slot_count"),
+    )
+    live = parallel_for_slabs(
+        eng, n, task, work_fn=lambda span, r: k * (span[1] - span[0]),
+    )
+    eng.charge(sum(live))
+    return ens
 
 
-def _make_ensemble(
-    n: int,
-    k: int,
-    src: IntArray,
-    dst: IntArray,
-    w: FloatArray,
-    cnt: IntArray,
-) -> EnsembleGraph:
-    """Freeze the gathered ensemble edges into an :class:`EnsembleGraph`."""
-    src = src.astype(VERTEX_DTYPE, copy=False)
-    dst = dst.astype(VERTEX_DTYPE, copy=False)
-    csr = CSRGraph(n, src, dst, w.astype(DIST_DTYPE).reshape(-1, 1))
-    return EnsembleGraph(csr=csr, num_trees=k, edge_src=src,
-                         edge_dst=dst, edge_count=cnt)
+# ----------------------------------------------------------------------
+def _relax_slots_slab(
+    arrays: Mapping[str, np.ndarray],
+    params: Mapping[str, Any],
+    lo: int,
+    hi: int,
+) -> int:
+    """Slab kernel of a Step-3 superstep: relax frontier positions
+    ``[lo, hi)`` through all their slots, pull-based; returns how many
+    improved.  Frontier vertices partition across slabs, so the
+    ``dist``/``improved`` writes are single-owner."""
+    f = arrays["step3.frontier"][lo:hi]
+    dist = arrays["step3.dist"]
+    # np.take gathers whole columns ~4x faster than ``a[:, f]``
+    ep = np.take(arrays["ens.slot_parent"], f, axis=1)
+    ew = np.take(arrays["ens.slot_weight"], f, axis=1)
+    best = (dist[ep] + ew).min(axis=0)
+    better = best < dist[f]
+    vv = f[better]
+    dist[vv] = best[better]
+    arrays["step3.improved"][vv] = True
+    return int(vv.size)
+
+
+def _witness_slab(
+    arrays: Mapping[str, np.ndarray],
+    params: Mapping[str, Any],
+    lo: int,
+    hi: int,
+) -> None:
+    """Slab kernel of Step 3's witness pass over vertices ``[lo, hi)``:
+    each vertex's parent is its first (smallest-id) tight slot, one
+    with ``dist[p] + w == dist[v]`` and ``dist[p] < dist[v]``."""
+    ep = arrays["ens.slot_parent"][:, lo:hi]
+    dist = arrays["step3.dist"]
+    d, dp = dist[lo:hi], dist[ep]
+    tight = (dp + arrays["ens.slot_weight"][:, lo:hi] == d) & (dp < d)
+    slot = tight.argmax(axis=0)
+    cols = np.arange(hi - lo)
+    arrays["step3.parent"][lo:hi] = np.where(
+        tight[slot, cols], ep[slot, cols], NO_PARENT
+    )
+
+
+def ensemble_bellman_ford(
+    ensemble: EnsembleGraph,
+    source: int,
+    engine: Optional[Engine] = None,
+) -> Tuple[FloatArray, IntArray]:
+    """Algorithm 2, Step 3: the SOSP tree of the combined graph.
+
+    A pull-based frontier Bellman-Ford on the slot matrices: each
+    superstep's frontier is every vertex with a slot parent that
+    improved in the previous one (``improved[parents].any(0)``), and
+    engine slabs over the frontier take each vertex's best slot.  It
+    runs to its fixpoint, which is exact for any positive weights, so
+    ``dist`` is bitwise what Dijkstra computes on ``ensemble.csr``.
+    Then one witness pass sets ``parent[v]`` to the smallest-id slot
+    parent ``p`` with ``dist[p] + w == dist[v]`` and
+    ``dist[p] < dist[v]`` — a function of ``dist`` alone, so neither
+    the engine's schedule nor its slab sizes change it.  Returns
+    ``(dist, parent)`` in the :func:`~repro.sssp.dijkstra.dijkstra`
+    convention.
+    """
+    eng = resolve_engine(engine)
+    k, n = ensemble.parents.shape
+    # one spare entry for the dead-slot sentinel n: never improved,
+    # always inf, so dead slots drop out of every gather
+    dist = np.full(n + 1, INF, dtype=DIST_DTYPE)
+    improved = np.zeros(n + 1, dtype=bool)
+    dist[source] = 0.0
+    improved[source] = True
+    slots = {
+        "ens.slot_parent": ensemble.parents,
+        "ens.slot_weight": ensemble.weights,
+        "step3.dist": dist,
+    }
+    while True:
+        frontier = np.flatnonzero(improved[ensemble.parents].any(axis=0))
+        if frontier.size == 0:
+            break
+        improved[:] = False
+        task = SlabTask(
+            ref="repro.core.ensemble:_relax_slots_slab",
+            arrays={**slots, "step3.improved": improved,
+                    "step3.frontier": frontier},
+            writes=("step3.dist", "step3.improved"),
+        )
+        parallel_for_slabs(
+            eng, int(frontier.size), task,
+            work_fn=lambda span, r: k * (span[1] - span[0]),
+            min_chunk=MIN_SLAB_ITEMS,
+        )
+    parent = np.empty(n, dtype=VERTEX_DTYPE)
+    task = SlabTask(
+        ref="repro.core.ensemble:_witness_slab",
+        arrays={**slots, "step3.parent": parent},
+        writes=("step3.parent",),
+    )
+    parallel_for_slabs(
+        eng, n, task, work_fn=lambda span, r: k * (span[1] - span[0]),
+    )
+    return dist[:n], parent

@@ -46,7 +46,7 @@ from repro.core.mosp_update import (
 from repro.core.tree import SOSPTree
 from repro.dynamic.changes import ChangeBatch
 from repro.errors import AlgorithmError
-from repro.graph.csr import CSRGraph, live_edge_arrays
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.parallel.api import Engine, resolve_engine
 from repro.sssp.bellman_ford import frontier_bellman_ford
@@ -255,7 +255,7 @@ class IncrementalMOSP:
             ),
         )
         timed("reassign", lambda: _reassign_real_weights(
-            live_edge_arrays(self.graph), self.source, self._ensemble_tree.dist,
+            self.graph, self.source, self._ensemble_tree.dist,
             self._ensemble_tree.parent, result.dist_vectors, self.trees,
         ))
         result.parent = self._ensemble_tree.parent.copy()

@@ -48,7 +48,7 @@ from repro.parallel.api import (
     resolve_engine,
 )
 from repro.parallel.atomics import OwnershipTracker, resolve_tracker
-from repro.types import DIST_DTYPE, INF, NO_PARENT, VERTEX_DTYPE, FloatArray, IntArray
+from repro.types import DIST_DTYPE, INF, NO_PARENT, FloatArray, IntArray
 
 __all__ = [
     "gather_ranges",
@@ -57,7 +57,6 @@ __all__ = [
     "group_tail_by_position",
     "relax_batch_groups",
     "propagate_csr",
-    "frontier_bellman_ford_csr",
 ]
 
 #: Import ref of the Step-2 slab kernel, resolved inside shared-memory
@@ -466,40 +465,3 @@ def propagate_csr(
     finally:
         if stats is not None:
             stats.affected_vertices.update(np.flatnonzero(improved).tolist())
-
-
-def frontier_bellman_ford_csr(
-    graph: CSRGraph,
-    source: int,
-    objective: int = 0,
-    engine: Optional[Engine] = None,
-) -> Tuple[FloatArray, IntArray]:
-    """Frontier Bellman-Ford expressed through the Step-2 kernel.
-
-    Initialising ``dist`` to ``inf`` everywhere but the source and
-    seeding the affected set with the source alone makes
-    :func:`propagate_csr` *be* a from-scratch SSSP solve — this is the
-    vectorised Step-3 kernel :func:`~repro.core.mosp_update.mosp_update`
-    runs on the combined graph.  Returns
-    ``(dist, parent)`` in the :func:`~repro.sssp.dijkstra.dijkstra`
-    convention.
-
-    ``dist`` is exactly the fixpoint every other SSSP kernel computes.
-    ``parent`` is one optimal witness per vertex; when several parents
-    achieve the same distance this pull-based kernel picks the first in
-    reverse-CSR order, whereas the push-based
-    :func:`~repro.sssp.bellman_ford.frontier_bellman_ford` keeps the
-    first arrival — both valid, not always the same vertex.
-    """
-    n = graph.n
-    dist = np.full(n, INF, dtype=DIST_DTYPE)
-    parent = np.full(n, NO_PARENT, dtype=VERTEX_DTYPE)
-    marked = np.zeros(n, dtype=np.int8)
-    dist[source] = 0.0
-    marked[source] = 1
-    propagate_csr(
-        graph, dist, parent, marked,
-        np.asarray([source], dtype=np.int64),
-        objective=objective, engine=engine,
-    )
-    return dist, parent

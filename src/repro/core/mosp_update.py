@@ -6,12 +6,16 @@ Figure 6 reports exactly this breakdown:
 - **Step 1** — update every per-objective SOSP tree ``T_i`` with
   Algorithm 1 (sequentially over trees, as the paper's implementation
   does).
-- **Step 2** — build the combined graph
+- **Step 2** — build the combined graph as the trees' stacked ``(k, n)``
+  parent matrix, one slot per distinct parent
   (:func:`~repro.core.ensemble.build_ensemble`).
 - **Step 3** — run a parallel Bellman-Ford over the combined graph
-  ("we use a parallel Bellman-Ford algorithm implementation", §4) and
-  re-assign the true multi-objective weights from ``G`` along the
-  resulting tree to read off the MOSP distance vectors.
+  ("we use a parallel Bellman-Ford algorithm implementation", §4;
+  :func:`~repro.core.ensemble.ensemble_bellman_ford`, straight on the
+  slot matrices) and re-assign the true multi-objective weights from
+  ``G`` along the resulting tree to read off the MOSP distance vectors
+  (:func:`_reassign_real_weights`, which finds every hop edge in the
+  reverse CSR and COO tail of the graph the update read).
 
 The result is one balanced (or priority-weighted) multi-objective
 shortest path per destination — Pareto optimal whenever the per-
@@ -26,17 +30,20 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-import repro.core.kernels as kernels
-from repro.core.ensemble import EnsembleGraph, build_ensemble
+from repro.core.ensemble import (
+    EnsembleGraph,
+    build_ensemble,
+    ensemble_bellman_ford,
+)
 from repro.core.sosp_update import UpdateStats, resolve_graph, sosp_update
 from repro.core.tree import SOSPTree, child_csr
 from repro.dynamic.changes import ChangeBatch
 from repro.errors import AlgorithmError, NotReachableError
-from repro.graph.csr import CSRGraph, live_edge_arrays
+from repro.graph.csr import CSRGraph, gather_ranges
 from repro.graph.digraph import DiGraph
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
-from repro.parallel.api import Engine, resolve_engine
+from repro.parallel.api import Engine, resolve_engine, serial_spans
 from repro.types import DIST_DTYPE, INF, NO_PARENT, FloatArray, IntArray
 
 __all__ = ["mosp_update", "MOSPResult"]
@@ -203,19 +210,16 @@ def mosp_update(
     result.ensemble = ensemble
 
     # ------------------------------------------------------ step 3
-    # work-efficient frontier Bellman-Ford on the combined graph,
-    # matching the two-queue implementations the paper cites
+    # pull-based frontier Bellman-Ford on the slot matrices, matching
+    # the two-queue implementations the paper cites
     dist_c, parent_c = timed(
         "bellman_ford",
-        lambda: kernels.frontier_bellman_ford_csr(
-            ensemble.csr, source, engine=eng
-        ),
+        lambda: ensemble_bellman_ford(ensemble, source, engine=eng),
     )
     result.parent = parent_c
 
     timed("reassign", lambda: _reassign_real_weights(
-        live_edge_arrays(snapshot), source, dist_c, parent_c,
-        result.dist_vectors, trees,
+        snapshot, source, dist_c, parent_c, result.dist_vectors, trees,
     ))
     eng.charge(int(np.isfinite(dist_c).sum()))
     return result
@@ -328,8 +332,31 @@ def _certified_weight(
     return min(candidates, key=tuple)
 
 
+def _hop_rows(
+    graph: CSRGraph, kids: IntArray, par: IntArray
+) -> Tuple[IntArray, IntArray]:
+    """Every base row ``(par[j], kids[j])`` of ``graph`` as ``(j, row)``
+    pairs (``row`` a forward edge id), tombstones included.
+
+    One compare over each kid's reverse-CSR slice, chunked like a
+    one-thread slab superstep (:func:`~repro.parallel.api.serial_spans`)
+    so no temporary outgrows the slab cap.
+    """
+    rev_indptr = graph.rev_indptr
+    at_parts: List[IntArray] = []
+    row_parts: List[IntArray] = []
+    for lo, hi in serial_spans(kids.size):
+        vs = kids[lo:hi]
+        idx, seg = gather_ranges(rev_indptr[vs], rev_indptr[vs + 1])
+        at = np.repeat(np.arange(lo, hi), np.diff(seg))
+        hit = np.flatnonzero(graph.rev_indices[idx] == par[at])
+        at_parts.append(at[hit])
+        row_parts.append(graph.edge_perm[idx[hit]])
+    return np.concatenate(at_parts), np.concatenate(row_parts)
+
+
 def _reassign_real_weights(
-    edges: Tuple[IntArray, IntArray, FloatArray],
+    graph: CSRGraph,
     source: int,
     dist_c: FloatArray,
     parent_c: IntArray,
@@ -339,39 +366,45 @@ def _reassign_real_weights(
     """Algorithm 2's final move: sum the original multi-weights down
     the combined-graph SOSP tree ``parent_c`` into ``out``.
 
-    ``edges`` are the live ``(src, dst, weights)`` arrays of ``G``
-    (:func:`~repro.graph.csr.live_edge_arrays` of its snapshot).
-    Every reached vertex ``v`` (finite ``dist_c``, a parent, not the
-    source) has a hop edge ``(parent_c[v], v)``: the hops are sorted by
-    that key and every live edge is searched among them in one pass.  A hop with several
-    live parallel edges is priced by :func:`_certified_weight`
-    (``trees`` are the per-objective SOSP trees the ensemble was built
-    from); a hop with none raises :class:`~repro.errors.AlgorithmError`.
-    The vectors then accumulate one tree level at a time from the
-    source, ``out[v] = out[p] + hop``, the same single addition per
-    vertex as a walk in distance order, so the sums are bitwise those
-    of that walk.  Vertices whose parent chain does not reach the
-    source keep their ``inf`` rows.
+    ``graph`` is the :class:`~repro.graph.csr.CSRGraph` of ``G`` the
+    update read.  Every reached vertex ``v`` (finite ``dist_c``, a
+    parent, not the source) has a hop edge ``(parent_c[v], v)``, found
+    by one compare over ``v``'s reverse-CSR slice
+    (``rev_indices == parent_c[v]``, :func:`_hop_rows`) and one over
+    the COO tail (``tail_src == parent_c[tail_dst]``); tombstoned
+    (``inf``) rows are skipped.  A hop with several live parallel edges
+    is priced by :func:`_certified_weight` (``trees`` are the
+    per-objective SOSP trees the ensemble was built from); a hop with
+    none raises :class:`~repro.errors.AlgorithmError`.  The vectors
+    then accumulate one tree level at a time from the source,
+    ``out[v] = out[p] + hop``, the same single addition per vertex as
+    a walk in distance order, so the sums are bitwise those of that
+    walk.  Vertices whose parent chain does not reach the source keep
+    their ``inf`` rows.
     """
-    n = parent_c.shape[0]
     out[source] = 0.0
     reached = np.isfinite(dist_c) & (parent_c != NO_PARENT)
     reached[source] = False
     if not reached.any():
         return
-    # children grouped by parent (ascending within a group): a child CSR
-    # for the level walk whose (parent, child) keys come out sorted
+    # children grouped by parent: a child CSR for the level walk
     cptr, kids = child_csr(parent_c, reached)
     par = parent_c[kids].astype(np.int64)
 
-    # hop lookup: search every live edge among the sorted hop keys
-    src, dst, w = edges
-    hkey = par * n + kids
-    ekey = src * n + dst
-    pos = np.minimum(np.searchsorted(hkey, ekey), hkey.size - 1)
-    hit = np.flatnonzero(hkey[pos] == ekey)  # live edges that are hops
-    pos = pos[hit]
-    count = np.bincount(pos, minlength=hkey.size)
+    # hop lookup: live base rows, then live tail rows, as (kid position,
+    # row) pairs
+    pos, rows = _hop_rows(graph, kids, par)
+    live = np.isfinite(graph.weights[rows, 0])
+    pos, rows = pos[live], rows[live]
+    tdst = graph.tail_dst
+    trows = np.flatnonzero(
+        reached[tdst] & (graph.tail_src == parent_c[tdst])
+        & np.isfinite(graph.tail_weights[:, 0])
+    )
+    position = np.empty(parent_c.shape[0], dtype=np.int64)
+    position[kids] = np.arange(kids.size)
+    tpos = position[tdst[trows]]
+    count = np.bincount(np.concatenate((pos, tpos)), minlength=kids.size)
     missing = np.flatnonzero(count == 0)
     if missing.size:
         j = int(missing[0])
@@ -379,13 +412,22 @@ def _reassign_real_weights(
             f"combined-tree edge ({int(par[j])}, {int(kids[j])}) does not "
             "exist in the graph"
         )
-    hop = np.empty((hkey.size, w.shape[1]), dtype=w.dtype)
-    hop[pos] = w[hit]
+    # one gather of base rows; a hop with no base row gathers row 0,
+    # then takes its tail row
+    hop_row = np.zeros(kids.size, dtype=np.int64)
+    hop_row[pos] = rows
+    hop = (np.take(graph.weights, hop_row, axis=0) if graph.m
+           else np.empty((kids.size, graph.k), dtype=DIST_DTYPE))
+    hop[tpos] = graph.tail_weights[trows]
     multi = np.flatnonzero(count > 1)
     if multi.size:
-        rows = np.flatnonzero(count[pos] > 1)
-        rows = hit[rows[np.argsort(pos[rows], kind="stable")]]
-        groups = np.split(rows, np.cumsum(count[multi])[:-1])
+        b, t = count[pos] > 1, count[tpos] > 1
+        hop_of = np.concatenate((pos[b], tpos[t]))
+        w = np.concatenate(
+            (graph.weights[rows[b]], graph.tail_weights[trows[t]])
+        )
+        order = np.argsort(hop_of, kind="stable")
+        groups = np.split(order, np.cumsum(count[multi])[:-1])
         for j, parallels in zip(multi.tolist(), groups):
             hop[j] = _certified_weight(
                 w[parallels], int(par[j]), int(kids[j]), trees
@@ -394,6 +436,6 @@ def _reassign_real_weights(
     # level by level from the source
     frontier = np.array([source], dtype=np.int64)
     while frontier.size:
-        idx, _ = kernels.gather_ranges(cptr[frontier], cptr[frontier + 1])
+        idx, _ = gather_ranges(cptr[frontier], cptr[frontier + 1])
         frontier = kids[idx]
-        out[frontier] = out[par[idx]] + hop[idx]
+        out[frontier] = np.take(out, par[idx], axis=0) + np.take(hop, idx, axis=0)

@@ -93,7 +93,7 @@ from repro.types import (
 if TYPE_CHECKING:  # circular at runtime: dynamic.changes uses graphs
     from repro.dynamic.changes import ChangeBatch
 
-__all__ = ["CSRGraph", "gather_ranges", "live_edge_arrays"]
+__all__ = ["CSRGraph", "gather_ranges"]
 
 
 class CSRGraph:
@@ -602,29 +602,6 @@ class CSRGraph:
         tail = f", tail={self.num_tail_edges}" if self.num_tail_edges else ""
         dead = f", dead={self.num_dead}" if self.num_dead else ""
         return f"CSRGraph(n={self.n}, m={self.m}, k={self.k}{tail}{dead})"
-
-
-def live_edge_arrays(
-    snapshot: CSRGraph,
-) -> Tuple[IntArray, IntArray, FloatArray]:
-    """Every live edge of ``snapshot`` as ``(src, dst, weights)``.
-
-    Base rows come first, tail rows after, tombstones (``inf`` weight
-    rows) filtered — the same per-destination candidate order a
-    compaction would produce, so kernels see predecessors in the
-    canonical order regardless of when the snapshot compacts.
-    """
-    src = np.concatenate(
-        (np.asarray(snapshot.src), np.asarray(snapshot.tail_src))
-    ).astype(np.int64)
-    dst = np.concatenate(
-        (np.asarray(snapshot.indices), np.asarray(snapshot.tail_dst))
-    ).astype(np.int64)
-    w = np.concatenate((snapshot.weights, snapshot.tail_weights))
-    if snapshot.num_dead:
-        alive = np.isfinite(w[:, 0])
-        src, dst, w = src[alive], dst[alive], w[alive]
-    return src, dst, w
 
 
 def gather_ranges(

@@ -9,16 +9,32 @@ library now uses dense masks for both
 sort-based versions as the oracle the differential suite
 (``tests/test_frontier_differential.py``) compares them against
 bitwise.
+
+It also keeps :func:`frontier_bellman_ford_csr`, the from-scratch
+solve through ``propagate_csr`` that Algorithm 2's Step 3 ran over the
+combined graph's CSR before it ran on the slot matrices
+(``repro.core.ensemble.ensemble_bellman_ford``): tests use it to drive
+``propagate_csr`` over whole graphs, and the SSSP baseline benchmark
+times it.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.kernels import propagate_csr
 from repro.graph.csr import CSRGraph
-from repro.types import DIST_DTYPE, FloatArray, IntArray
+from repro.parallel.api import Engine
+from repro.types import (
+    DIST_DTYPE,
+    INF,
+    NO_PARENT,
+    VERTEX_DTYPE,
+    FloatArray,
+    IntArray,
+)
 
 
 def gather_unique_neighbors_csr_reference(
@@ -68,3 +84,38 @@ def group_tail_by_position_reference(
     t_src = csr.tail_src[sel][t_order]
     t_w = csr.tail_weights[sel, objective][t_order]
     return t_seg, t_src, t_w
+
+
+def frontier_bellman_ford_csr(
+    graph: CSRGraph,
+    source: int,
+    objective: int = 0,
+    engine: Optional[Engine] = None,
+) -> Tuple[FloatArray, IntArray]:
+    """Frontier Bellman-Ford expressed through the Step-2 kernel.
+
+    Initialising ``dist`` to ``inf`` everywhere but the source and
+    seeding the affected set with the source alone makes
+    :func:`propagate_csr` *be* a from-scratch SSSP solve.  Returns
+    ``(dist, parent)`` in the :func:`~repro.sssp.dijkstra.dijkstra`
+    convention.
+
+    ``dist`` is exactly the fixpoint every other SSSP kernel computes.
+    ``parent`` is one optimal witness per vertex; when several parents
+    achieve the same distance this pull-based kernel picks the first in
+    reverse-CSR order, whereas the push-based
+    :func:`~repro.sssp.bellman_ford.frontier_bellman_ford` keeps the
+    first arrival — both valid, not always the same vertex.
+    """
+    n = graph.n
+    dist = np.full(n, INF, dtype=DIST_DTYPE)
+    parent = np.full(n, NO_PARENT, dtype=VERTEX_DTYPE)
+    marked = np.zeros(n, dtype=np.int8)
+    dist[source] = 0.0
+    marked[source] = 1
+    propagate_csr(
+        graph, dist, parent, marked,
+        np.asarray([source], dtype=np.int64),
+        objective=objective, engine=engine,
+    )
+    return dist, parent

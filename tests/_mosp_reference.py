@@ -13,18 +13,21 @@ differential tests compare the library's array kernels against:
   ``repro.core.ensemble.build_ensemble``);
 - :func:`mosp_update_reference` — the whole pipeline on those pieces,
   with Step 1 on ``tests._sosp_reference.sosp_update_reference`` and
-  Step 3 on the push-based ``repro.sssp.bellman_ford`` kernels.
+  Step 3 on the push-based ``repro.sssp.bellman_ford`` kernels over the
+  combined graph's CSR;
+- :func:`live_edge_arrays` — every live edge of a ``CSRGraph`` as
+  arrays, the input the reassignment kernel searched before it read
+  the CSR itself.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.ensemble import (
     EnsembleGraph,
-    _make_ensemble,
     resolve_weighting,
     vertex_ensemble_edges,
 )
@@ -32,6 +35,7 @@ from repro.core.mosp_update import MOSPResult, _make_timed
 from repro.core.tree import SOSPTree
 from repro.dynamic.changes import ChangeBatch
 from repro.errors import AlgorithmError
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.parallel.api import Engine, resolve_engine
 from repro.sssp.bellman_ford import frontier_bellman_ford
@@ -105,7 +109,8 @@ def build_ensemble_reference(
 ) -> EnsembleGraph:
     """Step 2 with one Python task per vertex: compare ``v``'s parents
     across all trees (:func:`~repro.core.ensemble.vertex_ensemble_edges`)
-    and gather the weighted edge list in vertex order."""
+    and write its distinct parents, in ascending order, into the first
+    slots of column ``v``."""
     if not trees:
         raise AlgorithmError("need at least one SOSP tree")
     k = len(trees)
@@ -119,29 +124,41 @@ def build_ensemble_reference(
         work_fn=lambda v, r: k,
     )
 
-    src: List[int] = []
-    dst: List[int] = []
-    w: List[float] = []
-    cnt: List[int] = []
+    parents = np.full((k, n), n, dtype=VERTEX_DTYPE)
+    weights = np.full((k, n), INF, dtype=DIST_DTYPE)
+    counts = np.zeros((k, n), dtype=np.int64)
     for rows in per_vertex:
-        for p, v, weight in rows:
-            # recover the occurrence count from the balanced formula
-            # independently of the active scheme
-            cnt.append(sum(
+        for j, (p, v, weight) in enumerate(sorted(rows)):
+            parents[j, v] = p
+            weights[j, v] = weight
+            # recover the occurrence count independently of the scheme
+            counts[j, v] = sum(
                 1 for t in trees
                 if int(t.parent[v]) == p and np.isfinite(t.dist[v])
-            ))
-            src.append(p)
-            dst.append(v)
-            w.append(weight)
-    eng.charge(len(src))
-    return _make_ensemble(
-        n, k,
-        np.asarray(src, dtype=VERTEX_DTYPE),
-        np.asarray(dst, dtype=VERTEX_DTYPE),
-        np.asarray(w, dtype=DIST_DTYPE),
-        np.asarray(cnt, dtype=np.int64),
-    )
+            )
+    eng.charge(sum(len(rows) for rows in per_vertex))
+    return EnsembleGraph(parents=parents, weights=weights, counts=counts)
+
+
+def live_edge_arrays(
+    snapshot: CSRGraph,
+) -> Tuple[IntArray, IntArray, FloatArray]:
+    """Every live edge of ``snapshot`` as ``(src, dst, weights)``.
+
+    Base rows come first, tail rows after, tombstones (``inf`` weight
+    rows) filtered.
+    """
+    src = np.concatenate(
+        (np.asarray(snapshot.src), np.asarray(snapshot.tail_src))
+    ).astype(np.int64)
+    dst = np.concatenate(
+        (np.asarray(snapshot.indices), np.asarray(snapshot.tail_dst))
+    ).astype(np.int64)
+    w = np.concatenate((snapshot.weights, snapshot.tail_weights))
+    if snapshot.num_dead:
+        alive = np.isfinite(w[:, 0])
+        src, dst, w = src[alive], dst[alive], w[alive]
+    return src, dst, w
 
 
 def mosp_update_reference(

@@ -5,7 +5,6 @@ stand-ins) so the suite stays fast; full-size runs live under
 ``benchmarks/``.
 """
 
-import numpy as np
 import pytest
 
 from repro.bench.datasets import DATASETS, DatasetSpec, load_dataset
@@ -14,7 +13,7 @@ from repro.bench.report import format_ms, render_series_table, render_table
 from repro.bench.runner import record_mosp_trace
 from repro.bench.tables import table2_rows
 from repro.errors import BenchmarkError
-from repro.parallel import CostModel, SimulatedEngine, replay_trace
+from repro.parallel import replay_trace
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,5 @@
 """Tests for the ASCII chart renderer."""
 
-import pytest
-
 from repro.bench.plotting import ascii_line_chart
 
 

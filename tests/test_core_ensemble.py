@@ -1,6 +1,5 @@
 """Tests for the combined/ensemble graph (Algorithm 2, Step 2)."""
 
-import numpy as np
 import pytest
 
 from repro.core import SOSPTree, build_ensemble

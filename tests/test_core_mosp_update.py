@@ -6,7 +6,7 @@ import pytest
 from repro.core import SOSPTree, mosp_update
 from repro.dynamic import ChangeBatch, random_insert_batch
 from repro.errors import AlgorithmError, NotReachableError
-from repro.graph import DiGraph, erdos_renyi, grid_road
+from repro.graph import DiGraph, erdos_renyi
 from repro.mosp import martins, nondominated_against
 from repro.parallel import SerialEngine, SimulatedEngine
 from repro.sssp import dijkstra

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import MOSPResult, SOSPTree
-from repro.core.ensemble import EnsembleGraph
 from repro.errors import (
     NotReachableError,
     OwnershipViolation,

@@ -28,11 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core import SOSPTree, apply_mixed_batch, sosp_update
 from repro.core.affected import gather_unique_neighbors_csr
-from repro.core.kernels import (
-    MIN_SLAB_ITEMS,
-    frontier_bellman_ford_csr,
-    group_tail_by_position,
-)
+from repro.core.kernels import MIN_SLAB_ITEMS, group_tail_by_position
 from repro.dynamic import ChangeBatch, random_insert_batch, random_mixed_batch
 from repro.graph import road_like
 from repro.graph.csr import CSRGraph
@@ -48,6 +44,7 @@ from repro.parallel import (
 from repro.parallel.api import MAX_SERIAL_SLAB_ITEMS, serial_spans
 from repro.sssp import dijkstra
 from tests._kernels_reference import (
+    frontier_bellman_ford_csr,
     gather_unique_neighbors_csr_reference,
     group_tail_by_position_reference,
 )

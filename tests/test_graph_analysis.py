@@ -1,7 +1,6 @@
 """Tests for repro.graph.analysis."""
 
 import networkx as nx
-import numpy as np
 import pytest
 
 from repro.errors import VertexError

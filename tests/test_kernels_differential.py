@@ -121,9 +121,10 @@ def certify_combined_parents(result):
     This is the sound Step-3 invariant: combined-graph *distances* are
     a unique fixpoint, but the witness parent is not — the push-based
     reference kernel keeps the first arrival among equally short
-    parents while the pull-based CSR kernel takes the first in
-    reverse-CSR order.  Certifying optimality (rather than comparing
-    parents entrywise) accepts every valid tie-break and nothing else.
+    parents while the library's slot-matrix kernel takes the
+    smallest-id tight parent.  Certifying optimality (rather than
+    comparing parents entrywise) accepts every valid tie-break and
+    nothing else.
     """
     csr = result.ensemble.csr
     dist_c, _ = dijkstra(csr, result.source)

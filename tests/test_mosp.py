@@ -11,7 +11,6 @@ from repro.graph import DiGraph, erdos_renyi, layered_dag
 from repro.mosp import (
     Label,
     LabelSet,
-    MartinsResult,
     dominates,
     dominates_or_equal,
     front_distance,

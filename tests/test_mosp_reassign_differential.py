@@ -1,12 +1,13 @@
 """Differential oracle for Algorithm 2's real-weight reassignment.
 
-The array kernel (``_reassign_real_weights``: one sort-and-search hop
-lookup, then level-by-level accumulation down the combined tree) must
-reproduce the per-vertex distance-order walk kept in
-``tests/_mosp_reference.py`` *bitwise*: same parents in, identical
-``dist_vectors`` bytes out — over random multigraphs, every weighting
-scheme, k = 1..3, snapshot-sourced edge arrays after mixed batches,
-the incremental driver, and trees as deep as the graph.
+The array kernel (``_reassign_real_weights``: one compare over each
+reached vertex's reverse-CSR slice and one over the COO tail, then
+level-by-level accumulation down the combined tree) must reproduce the
+per-vertex distance-order walk kept in ``tests/_mosp_reference.py``
+*bitwise*: same parents in, identical ``dist_vectors`` bytes out — over
+random multigraphs, every weighting scheme, k = 1..3, maintained CSRs
+with tails and tombstones after mixed batches, the incremental driver,
+and trees as deep as the graph.
 """
 
 import importlib
@@ -17,13 +18,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import IncrementalMOSP, SOSPTree, mosp_update
-from repro.core.kernels import frontier_bellman_ford_csr
+from repro.core.ensemble import ensemble_bellman_ford
 from repro.dynamic import random_insert_batch, random_mixed_batch
 from repro.errors import AlgorithmError
 from repro.graph import DiGraph, erdos_renyi
-from repro.graph.csr import CSRGraph, live_edge_arrays
+from repro.dynamic import ChangeBatch
+from repro.graph.csr import CSRGraph
 from repro.types import DIST_DTYPE, INF, NO_PARENT
-from tests._mosp_reference import build_ensemble_reference, reassign_real_weights
+from tests._mosp_reference import (
+    build_ensemble_reference,
+    live_edge_arrays,
+    reassign_real_weights,
+)
 from tests.test_properties import SETTINGS, graph_and_batches
 
 # ``repro.core.mosp_update`` is re-exported as the function; the module
@@ -44,9 +50,13 @@ def reference_vectors(g, source, dist_c, parent_c, trees):
     return out
 
 
-def kernel_vectors(edges, g, source, dist_c, parent_c, trees):
+def kernel_vectors(graph, g, source, dist_c, parent_c, trees):
+    """The library kernel reading ``graph`` (a ``CSRGraph`` of ``g``;
+    a ``DiGraph`` is frozen first)."""
+    if isinstance(graph, DiGraph):
+        graph = CSRGraph.from_digraph(graph)
     out = np.full((g.num_vertices, g.num_objectives), INF, dtype=DIST_DTYPE)
-    mosp_mod._reassign_real_weights(edges, source, dist_c, parent_c, out,
+    mosp_mod._reassign_real_weights(graph, source, dist_c, parent_c, out,
                                     trees)
     return out
 
@@ -60,7 +70,7 @@ def assert_matches_reference(r, g, trees):
     """Re-run Step 3 on the result's ensemble (deterministic, so the
     parents must come back equal), then price the same combined tree
     with the reference walk: the pipeline's vectors must be its bytes."""
-    dist_c, parent_c = frontier_bellman_ford_csr(r.ensemble.csr, r.source)
+    dist_c, parent_c = ensemble_bellman_ford(r.ensemble, r.source)
     np.testing.assert_array_equal(parent_c, r.parent)
     assert_bitwise(r.dist_vectors,
                    reference_vectors(g, r.source, dist_c, parent_c, trees))
@@ -117,8 +127,8 @@ class TestPipelineMatchesReference:
         assert_matches_reference(r, g, trees)
 
     def test_snapshot_with_tail_and_tombstones(self):
-        """Edges read from a maintained snapshot (base + tail, dead
-        rows dropped) price the tree exactly as the digraph does."""
+        """A maintained snapshot (base + tail, dead rows in both)
+        prices the tree exactly as a fresh freeze of the digraph."""
         g = erdos_renyi(80, 400, k=2, seed=22)
         trees = build_trees(g)
         snapshot = CSRGraph.from_digraph(g)
@@ -129,11 +139,14 @@ class TestPipelineMatchesReference:
         assert snapshot.num_tail_edges and snapshot.num_dead
         r = mosp_update(snapshot, trees, batch)
         assert_matches_reference(r, g, trees)
-        dist_c, parent_c = frontier_bellman_ford_csr(r.ensemble.csr, 0)
-        from_csr = kernel_vectors(live_edge_arrays(snapshot), g, 0,
-                                  dist_c, parent_c, trees)
-        from_graph = kernel_vectors(g.edge_arrays(), g, 0, dist_c,
-                                    parent_c, trees)
+        # the snapshot mirrors g: the same live edge multiset
+        src, dst, w = live_edge_arrays(snapshot)
+        assert sorted(zip(src.tolist(), dst.tolist(), map(tuple, w.tolist()))) \
+            == sorted((u, v, tuple(g.weight(e).tolist()))
+                      for u, v, e in g.edges())
+        dist_c, parent_c = ensemble_bellman_ford(r.ensemble, 0)
+        from_csr = kernel_vectors(snapshot, g, 0, dist_c, parent_c, trees)
+        from_graph = kernel_vectors(g, g, 0, dist_c, parent_c, trees)
         assert_bitwise(from_csr, from_graph)
 
     def test_unreachable_vertices_stay_inf(self):
@@ -178,7 +191,7 @@ class TestKernelCases:
         trees = build_trees(g)
         dist_c = np.array([0.0, 1.0])
         parent_c = np.array([NO_PARENT, 0])
-        out = kernel_vectors(g.edge_arrays(), g, 0, dist_c, parent_c, trees)
+        out = kernel_vectors(g, g, 0, dist_c, parent_c, trees)
         assert out[1].tolist() == [1.0, 9.0]
         assert_bitwise(out, reference_vectors(g, 0, dist_c, parent_c, trees))
 
@@ -195,8 +208,62 @@ class TestKernelCases:
         assert trees[0].parent[2] == 1 and trees[1].parent[2] == 0
         dist_c = np.array([0.0, 1.0, 1.0])
         parent_c = np.array([NO_PARENT, 0, 0])
-        out = kernel_vectors(g.edge_arrays(), g, 0, dist_c, parent_c, trees)
+        out = kernel_vectors(g, g, 0, dist_c, parent_c, trees)
         assert out[2].tolist() == [4.0, 1.0]
+        assert_bitwise(out, reference_vectors(g, 0, dist_c, parent_c, trees))
+
+    @staticmethod
+    def _hop_graph(base, tail):
+        """A 2-vertex multigraph of parallel ``(0, 1)`` edges: ``base``
+        weights frozen into the CSR base, ``tail`` ones appended to its
+        COO tail afterwards.  Returns ``(g, snapshot)``."""
+        g = DiGraph(2, k=2)
+        for w in base:
+            g.add_edge(0, 1, w)
+        snapshot = CSRGraph.from_digraph(g)
+        if tail:
+            batch = ChangeBatch.insertions([(0, 1, w) for w in tail])
+            batch.apply_to(g)
+            snapshot.apply_batch(batch)
+        assert snapshot.m == len(base)
+        assert snapshot.num_tail_edges == len(tail)
+        return g, snapshot
+
+    @pytest.mark.parametrize("dead", ["base", "tail"])
+    @pytest.mark.parametrize("alive", ["base", "tail"])
+    def test_tombstoned_lexmin_row_with_a_live_parallel(self, dead, alive):
+        """The deletion tombstones the lexicographically smallest
+        parallel (an ``inf`` row left in place); the hop must be priced
+        with the live one, wherever each row sits."""
+        rows = {"base": [], "tail": []}
+        rows[dead].append((1.0, 1.0))
+        rows[alive].append((2.0, 3.0))
+        g, snapshot = self._hop_graph(rows["base"], rows["tail"])
+        batch = ChangeBatch.deletions([(0, 1)], k=2)
+        batch.apply_to(g)
+        snapshot.apply_batch(batch)
+        dead_rows = snapshot.weights if dead == "base" else snapshot.tail_weights
+        assert np.isinf(dead_rows).all(axis=1).sum() == 1
+        trees = build_trees(g)
+        dist_c = np.array([0.0, 1.0])
+        parent_c = np.array([NO_PARENT, 0])
+        out = kernel_vectors(snapshot, g, 0, dist_c, parent_c, trees)
+        assert out[1].tolist() == [2.0, 3.0]
+        assert_bitwise(out, reference_vectors(g, 0, dist_c, parent_c, trees))
+
+    @pytest.mark.parametrize("winner", ["base", "tail"])
+    def test_parallels_split_across_base_and_tail(self, winner):
+        """Tree 0 certifies (1, 9), tree 1 certifies (5, 5), one row in
+        the base and one in the tail: the hop takes the lexicographically
+        smaller certified edge, (1, 9), from whichever side holds it."""
+        loser = "tail" if winner == "base" else "base"
+        rows = {winner: [(1.0, 9.0)], loser: [(5.0, 5.0)]}
+        g, snapshot = self._hop_graph(rows["base"], rows["tail"])
+        trees = build_trees(g)
+        dist_c = np.array([0.0, 1.0])
+        parent_c = np.array([NO_PARENT, 0])
+        out = kernel_vectors(snapshot, g, 0, dist_c, parent_c, trees)
+        assert out[1].tolist() == [1.0, 9.0]
         assert_bitwise(out, reference_vectors(g, 0, dist_c, parent_c, trees))
 
     def test_long_path_one_level_per_vertex(self):
@@ -217,8 +284,26 @@ class TestKernelCases:
         dist_c = np.array([0.0, 1.0, 2.0])
         parent_c = np.array([NO_PARENT, 0, 1])  # (1, 2) is not an edge
         with pytest.raises(AlgorithmError, match=r"\(1, 2\)"):
-            kernel_vectors(g.edge_arrays(), g, 0, dist_c, parent_c, None)
+            kernel_vectors(g, g, 0, dist_c, parent_c, None)
         with pytest.raises(AlgorithmError, match=r"\(1, 2\)"):
+            reference_vectors(g, 0, dist_c, parent_c, None)
+
+    @pytest.mark.parametrize("where", ["base", "tail"])
+    def test_tombstoned_hop_edge_is_missing(self, where):
+        """A hop whose only row is a tombstone raises like an absent
+        edge, whether the dead row sits in the base or the tail."""
+        rows = [(1.0, 1.0)]
+        g, snapshot = self._hop_graph(rows if where == "base" else [],
+                                      rows if where == "tail" else [])
+        batch = ChangeBatch.deletions([(0, 1)], k=2)
+        batch.apply_to(g)
+        snapshot.apply_batch(batch)
+        assert snapshot.num_dead == 1
+        dist_c = np.array([0.0, 1.0])
+        parent_c = np.array([NO_PARENT, 0])
+        with pytest.raises(AlgorithmError, match=r"\(0, 1\)"):
+            kernel_vectors(snapshot, g, 0, dist_c, parent_c, None)
+        with pytest.raises(AlgorithmError, match=r"\(0, 1\)"):
             reference_vectors(g, 0, dist_c, parent_c, None)
 
     def test_broken_parent_chain_stays_inf(self):
@@ -229,7 +314,7 @@ class TestKernelCases:
         g.add_edge(2, 3, 1.0)
         dist_c = np.array([0.0, 1.0, INF, 2.0])
         parent_c = np.array([NO_PARENT, 0, NO_PARENT, 2])
-        out = kernel_vectors(g.edge_arrays(), g, 0, dist_c, parent_c, None)
+        out = kernel_vectors(g, g, 0, dist_c, parent_c, None)
         assert np.isinf(out[2:]).all()
         assert_bitwise(out, reference_vectors(g, 0, dist_c, parent_c, None))
 

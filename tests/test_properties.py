@@ -7,7 +7,6 @@ Plus dominance-order laws and Pareto-front closure properties.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.errors import AlgorithmError, TreeInvariantError, VertexError
-from repro.graph import CSRGraph, DiGraph, erdos_renyi, grid_road, random_geometric
+from repro.graph import DiGraph, erdos_renyi, grid_road, random_geometric
 from repro.parallel import SerialEngine, SimulatedEngine, WorkMeter
 from repro.sssp import (
     bellman_ford,

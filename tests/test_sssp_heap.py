@@ -1,7 +1,5 @@
 """Tests for the priority-queue substrates and queue-variant Dijkstra."""
 
-import heapq
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
