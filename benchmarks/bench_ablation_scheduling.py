@@ -63,8 +63,8 @@ def run_ablation(trace_cache):
                 {
                     "topology": name,
                     "threads": t,
-                    "dynamic ms": f"{dyn:.3f}",
-                    "static ms": f"{sta:.3f}",
+                    "dynamic virtual ms": f"{dyn:.3f}",
+                    "static virtual ms": f"{sta:.3f}",
                     "static/dynamic": f"{sta / dyn:.2f}x",
                 }
             )
@@ -77,7 +77,7 @@ def test_scheduling_ablation_report(benchmark, trace_cache, results_dir):
     )
     text = render_table(
         rows,
-        ["topology", "threads", "dynamic ms", "static ms",
+        ["topology", "threads", "dynamic virtual ms", "static virtual ms",
          "static/dynamic"],
     )
     write_result(results_dir, "ablation_scheduling.txt", text)

@@ -46,12 +46,12 @@ def test_figure4_panel(benchmark, dataset, trace_cache, results_dir):
     )
     panel = series[dataset]
     labelled = {
-        f"dE={de // 1000}K (ms)": pts for de, pts in sorted(panel.items())
+        f"dE={de // 1000}K (virtual ms)": pts for de, pts in sorted(panel.items())
     }
     text = render_series_table(labelled)
     chart = ascii_line_chart(
         labelled, title=f"Figure 4: {dataset} — time vs threads",
-        x_label="threads", y_label="ms", log_x=True,
+        x_label="threads", y_label="virtual ms", log_x=True,
     )
     write_result(results_dir, f"fig4_{dataset}.txt", text + "\n\n" + chart)
 

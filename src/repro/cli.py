@@ -221,7 +221,7 @@ def _cmd_info(args, out) -> int:
     print("paper: Khanda, Shovan & Das, SC-W 2023 "
           "(doi:10.1145/3624062.3625134)", file=out)
     print("algorithms: sosp_update (Alg 1), mosp_update (Alg 2), "
-          "apply_mixed_batch (fully dynamic), IncrementalMOSP", file=out)
+          "apply_mixed_batch (fully dynamic)", file=out)
     print("baselines: dijkstra, bellman_ford (3 variants), "
           "delta_stepping, martins, weighted_sum", file=out)
     print(f"engines: {', '.join(_engine_table())}", file=out)

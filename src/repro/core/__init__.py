@@ -27,7 +27,6 @@
 
 from repro.core.ensemble import EnsembleGraph, build_ensemble
 from repro.core.fully_dynamic import MixedUpdateStats, apply_mixed_batch
-from repro.core.incremental_ensemble import IncrementalMOSP
 from repro.core.mosp_update import MOSPResult, mosp_update
 from repro.core.sosp_update import UpdateStats, sosp_update
 from repro.core.tree import SOSPTree
@@ -42,5 +41,4 @@ __all__ = [
     "EnsembleGraph",
     "mosp_update",
     "MOSPResult",
-    "IncrementalMOSP",
 ]

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,7 +60,7 @@ from repro.types import (
 )
 
 __all__ = ["build_ensemble", "EnsembleGraph", "ensemble_bellman_ford",
-           "vertex_ensemble_edges", "resolve_weighting"]
+           "resolve_weighting"]
 
 
 def resolve_weighting(
@@ -84,44 +84,6 @@ def resolve_weighting(
             f"{priorities!r}"
         )
     return prio
-
-
-def vertex_ensemble_edges(
-    trees: Sequence["SOSPTree"],
-    v: int,
-    weighting: str = "balanced",
-    prio: Optional[FloatArray] = None,
-) -> List[Tuple[int, int, float]]:
-    """The combined-graph in-edges of vertex ``v``: compare ``v``'s
-    parents across all trees (the paper's per-vertex task, §4) and
-    weigh each distinct parent edge by the scheme.
-
-    ``prio`` is the pre-validated priorities array from
-    :func:`resolve_weighting` (``None`` for balanced/unit).
-    """
-    k = len(trees)
-    found: Dict[int, Tuple[int, float]] = {}
-    for i in range(k):
-        t = trees[i]
-        p = int(t.parent[v])
-        if p == NO_PARENT or not np.isfinite(t.dist[v]):
-            continue
-        pw = (1.0 / prio[i]) if prio is not None else 0.0
-        if p in found:
-            count, best = found[p]
-            found[p] = (count + 1, min(best, pw))
-        else:
-            found[p] = (1, pw)
-    out: List[Tuple[int, int, float]] = []
-    for p, (cnt, pw) in found.items():
-        if weighting == "balanced":
-            w = float(k - cnt + 1)
-        elif weighting == "unit":
-            w = 1.0
-        else:
-            w = pw
-        out.append((p, v, w))
-    return out
 
 
 @dataclass(eq=False)

@@ -43,8 +43,8 @@ the :class:`~repro.graph.csr.CSRGraph` of the updated graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -80,17 +80,11 @@ class MixedUpdateStats(UpdateStats):
     seed_stimuli:
         Candidate edges fed to the Step-I group relaxation (change
         stimuli plus the dirty connection boundary).
-    touched_vertices:
-        ``affected_vertices ∪ invalidated`` — every vertex whose tree
-        entry may differ from before the call (the set ensemble diffing
-        consumes; an invalidated vertex that stays disconnected changed
-        to ``inf`` without ever being "affected").
     """
 
     dirty_roots: int = 0
     invalidated: int = 0
     seed_stimuli: int = 0
-    touched_vertices: Set[int] = field(default_factory=set)
 
 
 def apply_mixed_batch(
@@ -160,7 +154,6 @@ def apply_mixed_batch(
         sp_inv.set(invalidated=stats.invalidated,
                    dirty_roots=stats.dirty_roots)
     stats.step_seconds["invalidate"] = sp_inv.elapsed
-    stats.touched_vertices.update(dirty.tolist())
 
     # ------------------------------------------------------ Step I
     with tracer.span("sosp_update_mixed.seed") as sp_seed:
@@ -187,7 +180,6 @@ def apply_mixed_batch(
             objective=objective, engine=eng, stats=stats,
         )
     stats.step_seconds["propagate"] = sp_prop.elapsed
-    stats.touched_vertices |= stats.affected_vertices
     _publish_mixed_stats(stats, batch)
     return stats
 

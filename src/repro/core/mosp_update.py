@@ -17,6 +17,13 @@ Figure 6 reports exactly this breakdown:
   (:func:`_reassign_real_weights`, which finds every hop edge in the
   reverse CSR and COO tail of the graph the update read).
 
+Steps 2–3 start from the trees on every call, with no state kept
+between batches.  §3.2's "Probable Optimization" (repair the previous
+combined-graph tree instead) is not implemented: a warm-ensemble
+version was 7.7–35× slower in wall clock on its combined-graph stage
+than these array passes (EXPERIMENTS.md, "§3.2 Probable Optimization:
+measured, then deleted").
+
 The result is one balanced (or priority-weighted) multi-objective
 shortest path per destination — Pareto optimal whenever the per-
 objective SOSP trees are unique (Theorems 1–3), and a certified-valid
@@ -26,7 +33,9 @@ path with per-objective cost ≥ the SOSP bound in general.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union,
+)
 
 import numpy as np
 
@@ -47,6 +56,8 @@ from repro.parallel.api import Engine, resolve_engine, serial_spans
 from repro.types import DIST_DTYPE, INF, NO_PARENT, FloatArray, IntArray
 
 __all__ = ["mosp_update", "MOSPResult"]
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -181,25 +192,27 @@ def mosp_update(
             )
     source = trees[0].source
     eng = resolve_engine(engine)
-    result = MOSPResult(
-        source=source,
-        parent=np.full(snapshot.n, NO_PARENT, dtype=np.int64),
-        dist_vectors=np.full((snapshot.n, k), INF, dtype=DIST_DTYPE),
-        ensemble=None,  # type: ignore[arg-type]
-    )
-
-    timed = _make_timed("mosp_update", result, eng)
+    step_seconds: Dict[str, float] = {}
+    step_virtual_seconds: Dict[str, float] = {}
+    timed = _make_timed(eng, step_seconds, step_virtual_seconds)
 
     # ------------------------------------------------------ step 1
+    update_stats: List[UpdateStats] = []
     if batch is not None and batch.num_changes:
+        m = get_metrics()
         for i in range(k):
-            stats, _touched = timed(
+            stats = timed(
                 f"sosp_update_{i}",
                 lambda i=i: _update_tree_step1(
                     trees[i], batch, eng, snapshot
                 ),
             )
-            _record_tree_stats(result, stats)
+            if m.enabled:
+                m.counter(
+                    "mosp_tree_updates_total",
+                    "per-objective tree updates (Algorithm-2 Step 1)",
+                ).inc()
+            update_stats.append(stats)
 
     # ------------------------------------------------------ step 2
     ensemble = timed(
@@ -207,7 +220,6 @@ def mosp_update(
         lambda: build_ensemble(trees, engine=eng, weighting=weighting,
                                priorities=priorities),
     )
-    result.ensemble = ensemble
 
     # ------------------------------------------------------ step 3
     # pull-based frontier Bellman-Ford on the slot matrices, matching
@@ -216,36 +228,47 @@ def mosp_update(
         "bellman_ford",
         lambda: ensemble_bellman_ford(ensemble, source, engine=eng),
     )
-    result.parent = parent_c
 
+    dist_vectors = np.full((snapshot.n, k), INF, dtype=DIST_DTYPE)
     timed("reassign", lambda: _reassign_real_weights(
-        snapshot, source, dist_c, parent_c, result.dist_vectors, trees,
+        snapshot, source, dist_c, parent_c, dist_vectors, trees,
     ))
     eng.charge(int(np.isfinite(dist_c).sum()))
-    return result
+    return MOSPResult(
+        source=source,
+        parent=parent_c,
+        dist_vectors=dist_vectors,
+        ensemble=ensemble,
+        update_stats=update_stats,
+        step_seconds=step_seconds,
+        step_virtual_seconds=step_virtual_seconds,
+    )
 
 
 # ----------------------------------------------------------------------
-def _make_timed(prefix: str, result: MOSPResult, eng: Engine):
-    """Build the pipeline-step timer shared by :func:`mosp_update` and
-    :class:`~repro.core.incremental_ensemble.IncrementalMOSP`.
+def _make_timed(
+    eng: Engine,
+    seconds: Dict[str, float],
+    virtual_seconds: Dict[str, float],
+) -> Callable[[str, Callable[[], _T]], _T]:
+    """Build the pipeline-step timer of :func:`mosp_update`.
 
     Each call ``timed(key, fn)`` runs ``fn`` inside a tracer span named
-    ``"<prefix>.<key>"`` and records the span's elapsed wall time in
-    ``result.step_seconds[key]``; engines with a virtual clock
-    additionally populate ``result.step_virtual_seconds``.
+    ``"mosp_update.<key>"`` and records the span's elapsed wall time in
+    ``seconds[key]``; engines with a virtual clock additionally
+    populate ``virtual_seconds``.
     """
     tracer = get_tracer()
     vt = getattr(eng, "virtual_time", None)
 
-    def timed(key, fn):
+    def timed(key: str, fn: Callable[[], _T]) -> _T:
         nonlocal vt
-        with tracer.span(f"{prefix}.{key}") as sp:
+        with tracer.span(f"mosp_update.{key}") as sp:
             out = fn()
-        result.step_seconds[key] = sp.elapsed
+        seconds[key] = sp.elapsed
         if vt is not None:
             now = eng.virtual_time  # type: ignore[attr-defined]
-            result.step_virtual_seconds[key] = now - vt
+            virtual_seconds[key] = now - vt
             vt = now
         return out
 
@@ -257,45 +280,20 @@ def _update_tree_step1(
     batch: ChangeBatch,
     eng: Engine,
     csr: CSRGraph,
-) -> Tuple[Optional[UpdateStats], Set[int]]:
+) -> UpdateStats:
     """Algorithm-2 Step 1 for one per-objective tree.
 
     Dispatches to the unified fully dynamic pipeline
     (:func:`~repro.core.fully_dynamic.apply_mixed_batch`) when the
     batch carries deletions or weight changes, otherwise to plain
-    Algorithm 1 — both over the updated graph ``csr``.
-    Returns ``(stats, touched)`` where ``stats`` is the Algorithm-1
-    :class:`UpdateStats` (or its mixed-pipeline subclass) and
-    ``touched`` is the set of vertices whose tree entry may have
-    changed.
+    Algorithm 1 — both over the updated graph ``csr``.  Returns the
+    Algorithm-1 :class:`UpdateStats` (or its mixed-pipeline subclass).
     """
     if batch.num_deletions or batch.num_weight_changes:
         from repro.core.fully_dynamic import apply_mixed_batch
 
-        mx = apply_mixed_batch(csr, tree, batch, engine=eng)
-        return mx, mx.touched_vertices
-    stats = sosp_update(csr, tree, batch, engine=eng)
-    return stats, stats.affected_vertices
-
-
-def _record_tree_stats(
-    result: MOSPResult, stats: Optional[UpdateStats]
-) -> None:
-    """The single place per-tree Step-1 stats enter a result.
-
-    Both Algorithm-2 drivers (batch and incremental) must call this
-    exactly once per tree per update — the ``mosp_tree_updates_total``
-    counter certifies that, and ``update_stats`` gains at most one
-    entry (none when the fully dynamic path produced no insert phase).
-    """
-    m = get_metrics()
-    if m.enabled:
-        m.counter(
-            "mosp_tree_updates_total",
-            "per-objective tree updates (Algorithm-2 Step 1)",
-        ).inc()
-    if stats is not None:
-        result.update_stats.append(stats)
+        return apply_mixed_batch(csr, tree, batch, engine=eng)
+    return sosp_update(csr, tree, batch, engine=eng)
 
 
 # ----------------------------------------------------------------------

@@ -67,9 +67,10 @@ class UpdateStats:
         ``|N|`` per Step 2 iteration.
     affected_vertices:
         The distinct vertices whose distance (and hence possibly
-        parent) changed — consumed by
-        :class:`~repro.core.incremental_ensemble.IncrementalMOSP` to
-        diff only the churned part of the ensemble.
+        parent) changed.  Its size against ``affected_total`` gives
+        the wasted-improvement count
+        (``sosp_/mixed_wasted_improvements_total``), and benchmarks
+        read it as the improved-vertex count.
     step_seconds:
         Wall-clock seconds per step: ``"step1"`` (changed-edge
         application) and ``"step2"`` (frontier propagation).

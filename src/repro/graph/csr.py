@@ -14,8 +14,8 @@ so both "neighbours of u" and "predecessors of v" are O(degree) slices.
 Incremental append (the dynamic-batch story)
 --------------------------------------------
 A :class:`CSRGraph` is the one graph the update pipelines read and
-their long-lived owners (the update service, ``IncrementalMOSP``, the
-``update-demo`` loop) mutate.  Re-freezing it after every change batch
+their long-lived owners (the update service, the ``update-demo`` loop)
+mutate.  Re-freezing it after every change batch
 would cost O(|E|), wiping out the point of an O(affected) update
 algorithm, so its one mutator, :meth:`apply_batch`, follows an
 **append-or-rebuild policy**: inserted edges land in a small COO

@@ -9,8 +9,8 @@ differential tests compare the library's array kernels against:
   library runs ``repro.core.mosp_update._reassign_real_weights``;
   ``tests/test_mosp_reassign_differential.py``);
 - :func:`build_ensemble_reference` — Step 2 as one Python task per
-  vertex (the library runs the slab kernel behind
-  ``repro.core.ensemble.build_ensemble``);
+  vertex, each running :func:`vertex_ensemble_edges` (the library runs
+  the slab kernel behind ``repro.core.ensemble.build_ensemble``);
 - :func:`mosp_update_reference` — the whole pipeline on those pieces,
   with Step 1 on ``tests._sosp_reference.sosp_update_reference`` and
   Step 3 on the push-based ``repro.sssp.bellman_ford`` kernels over the
@@ -22,15 +22,11 @@ differential tests compare the library's array kernels against:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.ensemble import (
-    EnsembleGraph,
-    resolve_weighting,
-    vertex_ensemble_edges,
-)
+from repro.core.ensemble import EnsembleGraph, resolve_weighting
 from repro.core.mosp_update import MOSPResult, _make_timed
 from repro.core.tree import SOSPTree
 from repro.dynamic.changes import ChangeBatch
@@ -101,6 +97,45 @@ def reassign_real_weights(
         out[v] = out[p] + representative_weight(g, p, v, trees)
 
 
+def vertex_ensemble_edges(
+    trees: Sequence[SOSPTree],
+    v: int,
+    weighting: str = "balanced",
+    prio: Optional[FloatArray] = None,
+) -> List[Tuple[int, int, float]]:
+    """The combined-graph in-edges of vertex ``v``: compare ``v``'s
+    parents across all trees (the paper's per-vertex task, §4) and
+    weigh each distinct parent edge by the scheme.
+
+    ``prio`` is the pre-validated priorities array from
+    :func:`~repro.core.ensemble.resolve_weighting` (``None`` for
+    balanced/unit).
+    """
+    k = len(trees)
+    found: Dict[int, Tuple[int, float]] = {}
+    for i in range(k):
+        t = trees[i]
+        p = int(t.parent[v])
+        if p == NO_PARENT or not np.isfinite(t.dist[v]):
+            continue
+        pw = (1.0 / prio[i]) if prio is not None else 0.0
+        if p in found:
+            count, best = found[p]
+            found[p] = (count + 1, min(best, pw))
+        else:
+            found[p] = (1, pw)
+    out: List[Tuple[int, int, float]] = []
+    for p, (cnt, pw) in found.items():
+        if weighting == "balanced":
+            w = float(k - cnt + 1)
+        elif weighting == "unit":
+            w = 1.0
+        else:
+            w = pw
+        out.append((p, v, w))
+    return out
+
+
 def build_ensemble_reference(
     trees: Sequence[SOSPTree],
     engine: Optional[Engine] = None,
@@ -108,7 +143,7 @@ def build_ensemble_reference(
     priorities: Optional[Sequence[float]] = None,
 ) -> EnsembleGraph:
     """Step 2 with one Python task per vertex: compare ``v``'s parents
-    across all trees (:func:`~repro.core.ensemble.vertex_ensemble_edges`)
+    across all trees (:func:`vertex_ensemble_edges`)
     and write its distinct parents, in ascending order, into the first
     slots of column ``v``."""
     if not trees:
@@ -169,37 +204,41 @@ def mosp_update_reference(
     weighting: str = "balanced",
     priorities: Optional[Sequence[float]] = None,
 ) -> MOSPResult:
-    """Algorithm 2 on the reference pieces, with the step timers of
+    """Algorithm 2 on the reference pieces, with the step timers (and
+    the ``mosp_update.<key>`` spans) of
     :func:`repro.core.mosp_update.mosp_update`.  Insertion batches
     only (Step 1 is :func:`sosp_update_reference`)."""
     k = graph.num_objectives
     source = trees[0].source
     eng = resolve_engine(engine)
-    result = MOSPResult(
-        source=source,
-        parent=np.full(graph.num_vertices, NO_PARENT, dtype=np.int64),
-        dist_vectors=np.full((graph.num_vertices, k), INF, dtype=DIST_DTYPE),
-        ensemble=None,  # type: ignore[arg-type]
-    )
-    timed = _make_timed("mosp_update_reference", result, eng)
+    seconds: Dict[str, float] = {}
+    virtual_seconds: Dict[str, float] = {}
+    timed = _make_timed(eng, seconds, virtual_seconds)
+    update_stats = []
     if batch is not None and batch.num_changes:
         for i in range(k):
-            stats = timed(
+            update_stats.append(timed(
                 f"sosp_update_{i}",
                 lambda i=i: sosp_update_reference(graph, trees[i], batch, eng),
-            )
-            result.update_stats.append(stats)
+            ))
     ensemble = timed("ensemble", lambda: build_ensemble_reference(
         trees, engine=eng, weighting=weighting, priorities=priorities,
     ))
-    result.ensemble = ensemble
     dist_c, parent_c = timed(
         "bellman_ford",
         lambda: frontier_bellman_ford(ensemble.csr, source, engine=eng),
     )
-    result.parent = parent_c
+    dist_vectors = np.full((graph.num_vertices, k), INF, dtype=DIST_DTYPE)
     timed("reassign", lambda: reassign_real_weights(
-        graph, source, dist_c, parent_c, result.dist_vectors, trees,
+        graph, source, dist_c, parent_c, dist_vectors, trees,
     ))
     eng.charge(int(np.isfinite(dist_c).sum()))
-    return result
+    return MOSPResult(
+        source=source,
+        parent=parent_c,
+        dist_vectors=dist_vectors,
+        ensemble=ensemble,
+        update_stats=update_stats,
+        step_seconds=seconds,
+        step_virtual_seconds=virtual_seconds,
+    )

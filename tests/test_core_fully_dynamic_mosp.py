@@ -1,12 +1,14 @@
-"""Mixed insert/delete batches through the full MOSP pipelines."""
+"""Mixed insert/delete batches through the full MOSP pipeline."""
 
 import numpy as np
 import pytest
 
-from repro.core import IncrementalMOSP, SOSPTree, mosp_update
+from repro.core import SOSPTree, mosp_update
 from repro.dynamic import ChangeBatch, random_mixed_batch
-from repro.graph import CSRGraph, erdos_renyi, grid_road
-from repro.sssp import dijkstra, frontier_bellman_ford
+from repro.errors import NotReachableError
+from repro.graph import CSRGraph, DiGraph, erdos_renyi, grid_road
+from repro.sssp import dijkstra
+from repro.types import NO_PARENT
 
 
 def trees_correct(g, trees):
@@ -69,7 +71,6 @@ class TestInsertThenDeleteSameEdge:
 
     def test_apply_mixed_batch(self):
         from repro.core import apply_mixed_batch
-        from repro.graph import DiGraph
 
         g = DiGraph(3, k=1)
         g.add_edge(0, 1, (1.0,))
@@ -83,7 +84,6 @@ class TestInsertThenDeleteSameEdge:
         tree.certify(g)
 
     def test_dynamic_pareto_front(self):
-        from repro.graph import DiGraph
         from repro.mosp import DynamicParetoFront, martins
 
         g = DiGraph(3, k=2)
@@ -100,52 +100,71 @@ class TestInsertThenDeleteSameEdge:
         assert got == want
         assert (0.1, 0.1) not in got  # the phantom cost
 
-    def test_incremental_mosp(self):
-        from repro.graph import DiGraph
-
+    def test_mosp_update_over_a_maintained_csr(self):
         g = DiGraph(3, k=2)
         g.add_edge(0, 1, (1.0, 1.0))
         g.add_edge(1, 2, (1.0, 1.0))
         g.add_edge(0, 2, (9.0, 9.0))
         csr = CSRGraph.from_digraph(g)
-        inc = IncrementalMOSP(csr, 0)
+        trees = [SOSPTree.build(g, 0, objective=i) for i in range(2)]
         batch = self.make_batch(2)
         batch.apply_to(g)
         csr.apply_batch(batch)
-        r = inc.update(batch)
-        trees_correct(g, inc.trees)
+        r = mosp_update(csr, trees, batch)
+        trees_correct(g, trees)
         assert r.cost_to(2).tolist() == [2.0, 2.0]
 
 
-class TestIncrementalMOSPMixed:
+class TestMaintainedCSR:
+    """``mosp_update`` over one ``CSRGraph`` kept current with
+    ``apply_batch`` (insertions in the COO tail, deletions as
+    tombstones), batch after batch."""
+
+    @staticmethod
+    def path_graph():
+        g = DiGraph(3, k=2)
+        g.add_edge(0, 1, (1.0, 2.0))
+        g.add_edge(1, 2, (1.0, 2.0))
+        csr = CSRGraph.from_digraph(g)
+        trees = [SOSPTree.build(g, 0, objective=i) for i in range(2)]
+        assert mosp_update(csr, trees).path_to(2) == [0, 1, 2]
+        return csr, trees
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mixed_stream_stays_correct(self, seed):
         g = erdos_renyi(30, 150, k=2, seed=seed)
         csr = CSRGraph.from_digraph(g)
-        inc = IncrementalMOSP(csr, 0)
+        trees = [SOSPTree.build(g, 0, objective=i) for i in range(2)]
         for step in range(3):
             batch = random_mixed_batch(g, 20, insert_fraction=0.6,
                                        seed=seed * 11 + step)
             batch.apply_to(g)
             csr.apply_batch(batch)
-            inc.update(batch)
-            trees_correct(g, inc.trees)
-            inc.ensemble_tree.certify(inc.ensemble_graph)
-            dist, _ = frontier_bellman_ford(inc.ensemble_graph, 0)
-            np.testing.assert_allclose(inc.ensemble_tree.dist, dist,
-                                       rtol=1e-9)
+            r = mosp_update(csr, trees, batch)
+            trees_correct(g, trees)
+            # a MOSP path exactly where the trees reach, ending there
+            reached = np.isfinite(r.dist_vectors).all(axis=1)
+            np.testing.assert_array_equal(reached,
+                                          np.isfinite(trees[0].dist))
+            for v in np.flatnonzero(reached).tolist():
+                path = r.path_to(v)
+                assert path[0] == 0 and path[-1] == v
+        assert csr.num_tail_edges and csr.num_dead
+
+    def test_shortcut_switches_path(self):
+        csr, trees = self.path_graph()
+        batch = ChangeBatch.insertions([(0, 2, (1.5, 1.5))])
+        csr.apply_batch(batch)
+        assert mosp_update(csr, trees, batch).path_to(2) == [0, 2]
 
     def test_disconnecting_deletion(self):
-        from repro.graph import DiGraph
-
-        g = DiGraph(3, k=2)
-        g.add_edge(0, 1, (1.0, 1.0))
-        g.add_edge(1, 2, (1.0, 1.0))
-        csr = CSRGraph.from_digraph(g)
-        inc = IncrementalMOSP(csr, 0)
-        assert inc.result().path_to(2) == [0, 1, 2]
+        csr, trees = self.path_graph()
         batch = ChangeBatch.deletions([(1, 2)], k=2)
         csr.apply_batch(batch)
-        r = inc.update(batch)
-        assert not np.isfinite(r.dist_vectors[2]).all()
-        inc.ensemble_tree.certify(inc.ensemble_graph)
+        r = mosp_update(csr, trees, batch)
+        assert csr.num_dead == 1
+        assert np.isinf(r.dist_vectors[2]).all()
+        assert r.parent[2] == NO_PARENT
+        with pytest.raises(NotReachableError):
+            r.path_to(2)
+        assert r.path_to(1) == [0, 1]

@@ -135,8 +135,9 @@ class TestWithBatch:
 
 
 class TestStatsEmission:
-    """Every Step-1 tree update emits stats exactly once — through
-    ``_record_tree_stats`` — on both Algorithm-2 drivers."""
+    """Every Step-1 tree update emits stats exactly once: one
+    ``mosp_tree_updates_total`` increment and at most one
+    ``update_stats`` entry per tree."""
 
     def _counted(self, fn):
         from repro.obs import use_metrics
@@ -176,19 +177,6 @@ class TestStatsEmission:
         r, count = self._counted(lambda: mosp_update(g, trees))
         assert count == 0.0
         assert r.update_stats == []
-
-    def test_incremental_driver_exactly_once_per_tree(self):
-        from repro.core.incremental_ensemble import IncrementalMOSP
-        from repro.graph.csr import CSRGraph
-
-        g = erdos_renyi(40, 160, k=2, seed=25)
-        csr = CSRGraph.from_digraph(g)
-        inc = IncrementalMOSP(csr, source=0)
-        batch = random_insert_batch(g, 25, seed=26)
-        csr.apply_batch(batch)
-        r, count = self._counted(lambda: inc.update(batch))
-        assert count == 2.0
-        assert len(r.update_stats) == 2
 
 
 class TestTheorems:

@@ -342,7 +342,8 @@ class TestLegacyCallShape:
             a = apply_mixed_batch(g, legacy, batch, use_csr_kernels=True,
                                   csr=legacy_csr)
             b = apply_mixed_batch(csr, tree, batch)
-            assert a.touched_vertices == b.touched_vertices
+            assert a.affected_vertices == b.affected_vertices
+            assert a.invalidated == b.invalidated
             assert legacy.dist.tobytes() == tree.dist.tobytes()
             assert legacy.parent.tobytes() == tree.parent.tobytes()
         assert_matches_dijkstra(g, tree)

@@ -117,7 +117,7 @@ def assert_pipelines_bitwise_equal(graph, batches, maintained, engine=None):
         assert (a.dirty_roots, a.invalidated, a.seed_stimuli) == (
             b.dirty_roots, b.invalidated, b.seed_stimuli,
         )
-        assert a.touched_vertices == b.touched_vertices
+        assert a.affected_vertices == b.affected_vertices
     return g, got, got_stats
 
 

@@ -6,8 +6,8 @@ level-by-level accumulation down the combined tree) must reproduce the
 per-vertex distance-order walk kept in ``tests/_mosp_reference.py``
 *bitwise*: same parents in, identical ``dist_vectors`` bytes out — over
 random multigraphs, every weighting scheme, k = 1..3, maintained CSRs
-with tails and tombstones after mixed batches, the incremental driver,
-and trees as deep as the graph.
+with tails and tombstones after mixed batches (one batch, and a stream
+of them), and trees as deep as the graph.
 """
 
 import importlib
@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import IncrementalMOSP, SOSPTree, mosp_update
+from repro.core import SOSPTree, mosp_update
 from repro.core.ensemble import ensemble_bellman_ford
-from repro.dynamic import random_insert_batch, random_mixed_batch
+from repro.dynamic import random_mixed_batch
 from repro.errors import AlgorithmError
 from repro.graph import DiGraph, erdos_renyi
 from repro.dynamic import ChangeBatch
@@ -159,19 +159,21 @@ class TestPipelineMatchesReference:
         assert np.isinf(r.dist_vectors[unreached]).all()
         assert_matches_reference(r, g, trees)
 
-    def test_incremental_driver(self):
+    def test_maintained_csr_mixed_stream(self):
+        """Mixed batches applied to one CSR kept current with
+        ``apply_batch``: after every batch the pipeline's vectors are
+        the reference walk's bytes."""
         g = erdos_renyi(60, 240, k=2, seed=25)
         csr = CSRGraph.from_digraph(g)
-        inc = IncrementalMOSP(csr, source=0)
+        trees = build_trees(g)
         for seed in (26, 27, 28):
-            batch = random_insert_batch(g, 20, seed=seed)
+            batch = random_mixed_batch(g, 20, insert_fraction=0.5,
+                                       seed=seed, weight_change_fraction=0.25)
             batch.apply_to(g)
             csr.apply_batch(batch)
-            r = inc.update(batch)
-            tree = inc.ensemble_tree
-            np.testing.assert_array_equal(r.parent, tree.parent)
-            assert_bitwise(r.dist_vectors, reference_vectors(
-                g, 0, tree.dist, tree.parent, inc.trees))
+            r = mosp_update(csr, trees, batch)
+            assert_matches_reference(r, g, trees)
+        assert csr.num_tail_edges and csr.num_dead
 
 
 # ----------------------------------------------------------------------
