@@ -2,7 +2,7 @@
 
 DESIGN.md calls out the ``k − x + 1`` weighting as a design choice;
 this ablation compares it against unit weights (the Theorem-1 setting)
-and a scalarisation baseline on graphs whose exact fronts Martins can
+and priority weights on graphs whose exact fronts Martins can
 enumerate.
 
 Metrics per scheme: how many reachable vertices receive a path on the

@@ -8,8 +8,8 @@ goes beyond the paper's single-MOSP heuristic and maintains the
 extensions in this repository:
 
 - ``DynamicParetoFront`` keeps every vertex's front current across
-  insertion batches (incremental label-setting);
-- ``namoa_star`` answers one-off point-to-point front queries exactly;
+  insertion batches (incremental label-setting), so any destination's
+  alternatives are a read, not a new search;
 - the paper's ``mosp_update`` heuristic is shown alongside, landing on
   (or near) that front at a fraction of the cost.
 
@@ -21,7 +21,7 @@ import numpy as np
 from repro.core import SOSPTree, mosp_update
 from repro.dynamic import local_insert_batch
 from repro.graph import attach_random_weights, grid_road
-from repro.mosp import DynamicParetoFront, namoa_star, nondominated_against
+from repro.mosp import DynamicParetoFront, nondominated_against
 
 rng = np.random.default_rng(11)
 g = grid_road(12, 12, k=2, seed=11)
@@ -67,9 +67,8 @@ for step in range(1, 4):
 print()
 show_alternatives("after growth")
 
-# a one-off exact query for a different destination via NAMOA*
+# every other destination reads off the same maintained fronts
 other = g.num_vertices // 2
-r = namoa_star(g, SOURCE, other)
-print(f"one-off NAMOA* query {SOURCE} -> {other}: "
-      f"{len(r.labels)} Pareto alternatives "
-      f"({r.pops} labels settled)")
+alternatives = front_state.front(other)
+print(f"front read for another destination {SOURCE} -> {other}: "
+      f"{len(alternatives)} Pareto alternatives (no new search)")

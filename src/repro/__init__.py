@@ -15,7 +15,7 @@ Public API highlights
   SSSP update with destination grouping.
 - :func:`repro.core.mosp_update` — Algorithm 2: single-MOSP heuristic
   update via per-objective tree updates + ensemble graph.
-- :mod:`repro.parallel` — pluggable execution engines (serial, threads,
+- :mod:`repro.parallel` — pluggable execution engines (serial,
   shared-memory processes, simulated parallel machine).
 - :mod:`repro.sssp` / :mod:`repro.mosp` — from-scratch baselines
   (Dijkstra, Bellman-Ford, Δ-stepping, Martins' Pareto enumeration).

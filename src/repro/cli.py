@@ -222,8 +222,8 @@ def _cmd_info(args, out) -> int:
           "(doi:10.1145/3624062.3625134)", file=out)
     print("algorithms: sosp_update (Alg 1), mosp_update (Alg 2), "
           "apply_mixed_batch (fully dynamic)", file=out)
-    print("baselines: dijkstra, bellman_ford (3 variants), "
-          "delta_stepping, martins, weighted_sum", file=out)
+    print("baselines: dijkstra, bellman_ford, frontier_bellman_ford, "
+          "delta_stepping, martins", file=out)
     print(f"engines: {', '.join(_engine_table())}", file=out)
     print(f"observability: tracer {get_tracer().describe()}, "
           f"clock {CLOCK_SOURCE}, "

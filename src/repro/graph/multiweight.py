@@ -24,7 +24,6 @@ __all__ = [
     "correlated_weights",
     "anticorrelated_weights",
     "attach_random_weights",
-    "random_weight_vector",
 ]
 
 
@@ -92,16 +91,6 @@ _DISTRIBUTIONS = {
     "correlated": correlated_weights,
     "anticorrelated": anticorrelated_weights,
 }
-
-
-def random_weight_vector(
-    k: int,
-    rng: np.random.Generator,
-    low: float = 1.0,
-    high: float = 10.0,
-) -> FloatArray:
-    """A single uniform length-``k`` weight vector (for inserted edges)."""
-    return rng.uniform(low, high, size=k).astype(DIST_DTYPE)
 
 
 def attach_random_weights(

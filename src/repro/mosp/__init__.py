@@ -10,10 +10,9 @@ The full Pareto machinery the paper's heuristic is measured against:
   multi-objective Dijkstra (the paper's reference [21]/[12]): enumerates
   *all* Pareto-optimal path costs from the source.  This is the exact
   baseline used to judge the quality and cost of Algorithm 2.
-- :func:`~repro.mosp.scalarization.weighted_sum_path` — the classic
-  scalarisation baseline (collapse objectives with a weight vector and
-  run Dijkstra once).
-- :mod:`~repro.mosp.pareto_front` — front merging and quality metrics.
+- :class:`~repro.mosp.dynamic_front.DynamicParetoFront` — every
+  vertex's full front kept current under edge insertions and deletions.
+- :mod:`~repro.mosp.pareto_front` — front quality metrics.
 """
 
 from repro.mosp.dynamic_front import DynamicParetoFront, FrontUpdateStats
@@ -25,13 +24,7 @@ from repro.mosp.dominance import (
 )
 from repro.mosp.labels import Label, LabelSet
 from repro.mosp.martins import MartinsResult, martins
-from repro.mosp.namoa import NamoaResult, namoa_star
-from repro.mosp.pareto_front import (
-    front_distance,
-    merge_fronts,
-    nondominated_against,
-)
-from repro.mosp.scalarization import weighted_sum_path
+from repro.mosp.pareto_front import front_distance, nondominated_against
 
 __all__ = [
     "dominates",
@@ -42,12 +35,8 @@ __all__ = [
     "LabelSet",
     "martins",
     "MartinsResult",
-    "namoa_star",
-    "NamoaResult",
-    "merge_fronts",
     "front_distance",
     "nondominated_against",
-    "weighted_sum_path",
     "DynamicParetoFront",
     "FrontUpdateStats",
 ]

@@ -1,4 +1,4 @@
-"""Pareto-front utilities: merging and quality metrics.
+"""Pareto-front utilities: quality metrics.
 
 Used by the benchmarks to judge how close the single path produced by
 Algorithm 2 lands to the exact front enumerated by Martins' algorithm.
@@ -10,18 +10,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.mosp.dominance import is_dominated_by_any, pareto_filter
+from repro.mosp.dominance import is_dominated_by_any
 from repro.types import DIST_DTYPE, FloatArray
 
-__all__ = ["merge_fronts", "nondominated_against", "front_distance"]
-
-
-def merge_fronts(*fronts: FloatArray) -> FloatArray:
-    """Pareto-filter the union of several ``(m_i, k)`` fronts."""
-    stacks = [np.asarray(f, dtype=DIST_DTYPE) for f in fronts if np.size(f)]
-    if not stacks:
-        return np.empty((0, 0), dtype=DIST_DTYPE)
-    return pareto_filter(np.vstack(stacks))
+__all__ = ["nondominated_against", "front_distance"]
 
 
 def nondominated_against(point: Sequence[float], front: FloatArray) -> bool:

@@ -7,11 +7,12 @@ on or cites as components:
   gold-standard oracle used to build initial SOSP trees and to verify
   every incremental update.
 - :func:`~repro.sssp.bellman_ford.bellman_ford` /
-  :func:`~repro.sssp.bellman_ford.parallel_bellman_ford` — edge-centric
-  relaxation rounds; the parallel variant runs over any
-  :class:`~repro.parallel.api.Engine` and is the Step-3 kernel of
-  Algorithm 2 ("we use a parallel Bellman-Ford implementation to
-  compute the SOSP on the combined graph").
+  :func:`~repro.sssp.bellman_ford.frontier_bellman_ford` — edge-centric
+  relaxation rounds and their queue-based variant over any
+  :class:`~repro.parallel.api.Engine`; recompute baselines and test
+  references.  Algorithm 2's Step-3 Bellman-Ford runs on the ensemble's
+  slot matrices instead
+  (:func:`~repro.core.ensemble.ensemble_bellman_ford`).
 - :func:`~repro.sssp.delta_stepping.delta_stepping` — the classic
   Meyer–Sanders bucketed algorithm (cited as [22]), a stronger
   recompute baseline than Bellman-Ford.
@@ -24,27 +25,17 @@ All functions return ``(dist, parent)`` numpy arrays; ``dist`` is
 ``inf`` and ``parent`` is ``-1`` for unreachable vertices.
 """
 
-from repro.sssp.bellman_ford import (
-    bellman_ford,
-    frontier_bellman_ford,
-    parallel_bellman_ford,
-)
+from repro.sssp.bellman_ford import bellman_ford, frontier_bellman_ford
 from repro.sssp.delta_stepping import delta_stepping
 from repro.sssp.dijkstra import dijkstra
-from repro.sssp.point_to_point import ALTIndex, alt_search, bidirectional_dijkstra
 from repro.sssp.recompute import recompute_sssp
-from repro.sssp.verify import certify_sssp, is_valid_sssp
+from repro.sssp.verify import certify_sssp
 
 __all__ = [
     "dijkstra",
     "bellman_ford",
-    "parallel_bellman_ford",
     "frontier_bellman_ford",
     "delta_stepping",
     "recompute_sssp",
-    "bidirectional_dijkstra",
-    "alt_search",
-    "ALTIndex",
     "certify_sssp",
-    "is_valid_sssp",
 ]

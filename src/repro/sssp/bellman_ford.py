@@ -1,28 +1,21 @@
-"""Edge-centric Bellman-Ford: vectorised rounds and an engine-parallel variant.
+"""Bellman-Ford from scratch: the recompute baselines and test references.
 
 Algorithm 2 Step 3 of the paper computes an SOSP on the combined graph
-with "a parallel Bellman-Ford algorithm implementation".  Bellman-Ford
-is the natural choice there because the ensemble graph has at most
-``k·(n−1)`` edges and small unit-ish integer weights, so it converges
-in few rounds.
-
-Two implementations:
+with "a parallel Bellman-Ford algorithm implementation"; in this
+package that kernel is :func:`repro.core.ensemble.ensemble_bellman_ford`
+on the ensemble's slot matrices.  The general-graph versions here are:
 
 - :func:`bellman_ford` — whole-graph numpy rounds; each round relaxes
   all ``m`` edges with ``np.minimum.at`` (edge-centric, exactly one
   pass = one parallel superstep morally).
-- :func:`parallel_bellman_ford` — the same rounds expressed over an
-  :class:`~repro.parallel.api.Engine`: edges are split into chunks, a
-  task scans its chunk and emits improvements against the round-start
-  distances, a sequential merge applies the minimum per destination.
-  This matches an OpenMP edge-parallel relaxation with per-vertex
-  atomic-min, and gives the simulated engine the per-round work
-  profile it needs (``m`` scanned edges per round).
+- :func:`frontier_bellman_ford` — queue-based (SPFA-style) rounds over
+  an :class:`~repro.parallel.api.Engine` that re-expand only the
+  vertices whose distance changed.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -32,7 +25,7 @@ from repro.graph.digraph import DiGraph
 from repro.parallel.api import Engine, resolve_engine
 from repro.types import DIST_DTYPE, INF, NO_PARENT, VERTEX_DTYPE, FloatArray, IntArray
 
-__all__ = ["bellman_ford", "parallel_bellman_ford", "frontier_bellman_ford"]
+__all__ = ["bellman_ford", "frontier_bellman_ford"]
 
 
 def _to_csr(graph: Union[DiGraph, CSRGraph]) -> CSRGraph:
@@ -98,11 +91,6 @@ def frontier_bellman_ford(
     current frontier in parallel (one task per frontier vertex, work =
     its out-degree) and merges proposals sequentially per destination —
     the same vertex-ownership pattern as Algorithm 1 Step 2.
-
-    This is the Step-3 kernel :func:`repro.core.mosp_update.mosp_update`
-    uses by default: on the combined graph its cost is O(|E_ensemble|)
-    up to re-expansion, keeping the merge phase the small slice of the
-    pipeline the paper's Figure 6 reports.
     """
     csr = _to_csr(graph)
     n = csr.n
@@ -144,75 +132,4 @@ def frontier_bellman_ford(
                     improved.add(v)
             eng.charge(len(rows))
         frontier = sorted(improved)
-    return dist, parent
-
-
-def parallel_bellman_ford(
-    graph: Union[DiGraph, CSRGraph],
-    source: int,
-    objective: int = 0,
-    engine: Optional[Engine] = None,
-    chunk_edges: int = 4096,
-) -> Tuple[FloatArray, IntArray]:
-    """Bellman-Ford with edge-parallel rounds over an engine.
-
-    Each round is one superstep: edge chunks are scanned in parallel
-    against the round-start distances; improvements are merged
-    sequentially with a per-destination minimum (the role played by
-    ``omp atomic``-min in the paper's implementation).
-
-    Semantically identical to :func:`bellman_ford`; the engine only
-    changes how each round's scan is executed/accounted.
-    """
-    csr = _to_csr(graph)
-    n = csr.n
-    if not 0 <= source < n:
-        raise VertexError(source, n, "parallel_bellman_ford source")
-    eng = resolve_engine(engine)
-    src, dst = csr.src, csr.indices
-    w = csr.weights[:, objective]
-    m = csr.m
-
-    dist = np.full(n, INF, dtype=DIST_DTYPE)
-    parent = np.full(n, NO_PARENT, dtype=VERTEX_DTYPE)
-    dist[source] = 0.0
-    if m == 0:
-        return dist, parent
-
-    chunks: List[Tuple[int, int]] = [
-        (lo, min(lo + chunk_edges, m)) for lo in range(0, m, chunk_edges)
-    ]
-
-    for _ in range(max(1, n - 1)):
-        def scan(span: Tuple[int, int]):
-            lo, hi = span
-            cand = dist[src[lo:hi]] + w[lo:hi]
-            better = cand < dist[dst[lo:hi]]
-            idx = np.nonzero(better)[0] + lo
-            return idx, cand[better]
-
-        parts = eng.parallel_for(
-            chunks, scan, work_fn=lambda span, _r: span[1] - span[0]
-        )
-        # sequential merge: per-destination minimum over all proposals
-        any_change = False
-        for idx, cand in parts:
-            if len(idx) == 0:
-                continue
-            d = dst[idx]
-            order = np.argsort(cand, kind="stable")
-            # first occurrence per destination after sorting by distance
-            d_sorted = d[order]
-            first = np.unique(d_sorted, return_index=True)[1]
-            for j in first:
-                e = idx[order[j]]
-                nd = cand[order[j]]
-                v = dst[e]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = src[e]
-                    any_change = True
-            eng.charge(len(idx))
-        if not any_change:
-            break
     return dist, parent

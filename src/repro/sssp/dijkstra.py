@@ -13,9 +13,8 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.errors import AlgorithmError, VertexError
+from repro.errors import VertexError
 from repro.graph.csr import CSRGraph
-from repro.sssp.heap import AddressableBinaryHeap
 from repro.graph.digraph import DiGraph
 from repro.types import DIST_DTYPE, INF, NO_PARENT, VERTEX_DTYPE, FloatArray, IntArray
 
@@ -27,7 +26,6 @@ def dijkstra(
     source: int,
     objective: int = 0,
     meter=None,
-    queue: str = "lazy",
 ) -> Tuple[FloatArray, IntArray]:
     """Single-source shortest paths for one objective.
 
@@ -43,12 +41,6 @@ def dijkstra(
     meter:
         Optional :class:`~repro.parallel.cost.WorkMeter`; charged one
         unit per relaxed edge.
-    queue:
-        ``"lazy"`` (default) uses ``heapq`` with lazy deletion — O(m)
-        heap entries, tiny constants; ``"addressable"`` uses
-        :class:`~repro.sssp.heap.AddressableBinaryHeap` with
-        ``decrease_key`` — ≤ n entries, the textbook structure.  Both
-        produce identical results.
 
     Returns
     -------
@@ -72,10 +64,6 @@ def dijkstra(
     n = csr.n
     if not 0 <= source < n:
         raise VertexError(source, n, "dijkstra source")
-    if queue not in ("lazy", "addressable"):
-        raise AlgorithmError(
-            f"unknown queue {queue!r}; expected lazy | addressable"
-        )
 
     dist = np.full(n, INF, dtype=DIST_DTYPE)
     parent = np.full(n, NO_PARENT, dtype=VERTEX_DTYPE)
@@ -85,37 +73,22 @@ def dijkstra(
     indptr, indices = csr.indptr, csr.indices
     weights = csr.weights[:, objective]
 
-    if queue == "lazy":
-        heap = [(0.0, source)]
-        settled = np.zeros(n, dtype=bool)
-        while heap:
-            d, u = heapq.heappop(heap)
-            if settled[u]:
-                continue
-            settled[u] = True
-            lo, hi = indptr[u], indptr[u + 1]
-            for i in range(lo, hi):
-                v = indices[i]
-                nd = d + weights[i]
-                relaxed += 1
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = u
-                    heapq.heappush(heap, (nd, v))
-    else:
-        pq = AddressableBinaryHeap()
-        pq.push(source, 0.0)
-        while len(pq):
-            u, d = pq.pop()
-            lo, hi = indptr[u], indptr[u + 1]
-            for i in range(lo, hi):
-                v = int(indices[i])
-                nd = d + weights[i]
-                relaxed += 1
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = u
-                    pq.decrease_key(v, nd)
+    heap = [(0.0, source)]
+    settled = np.zeros(n, dtype=bool)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if settled[u]:
+            continue
+        settled[u] = True
+        lo, hi = indptr[u], indptr[u + 1]
+        for i in range(lo, hi):
+            v = indices[i]
+            nd = d + weights[i]
+            relaxed += 1
+            if nd < dist[v]:
+                dist[v] = nd
+                parent[v] = u
+                heapq.heappush(heap, (nd, v))
     if meter is not None:
         meter.add(relaxed)
     return dist, parent

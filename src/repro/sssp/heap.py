@@ -1,15 +1,9 @@
-"""Priority-queue substrates for the SSSP solvers.
+"""Priority-queue substrate for the SSSP solvers.
 
-Two classic structures, built from scratch:
-
-- :class:`AddressableBinaryHeap` — a binary min-heap with
-  ``decrease_key`` via a position index, the textbook Dijkstra queue.
-  Compared to the lazy-deletion ``heapq`` pattern it keeps the heap at
-  ≤ n entries instead of O(m) stale ones — the trade both variants of
-  :func:`repro.sssp.dijkstra.dijkstra` expose.
-- :class:`BucketQueue` — the monotone integer-bucket queue underlying
-  Δ-stepping and Dial's algorithm: O(1) insert/decrease, pop scans
-  forward from the current bucket (total O(max_priority) across a run).
+:class:`BucketQueue` is the monotone integer-bucket queue underlying
+Δ-stepping and Dial's algorithm, built from scratch: O(1)
+insert/decrease, pop scans forward from the current bucket (total
+O(max_priority) across a run).
 """
 
 from __future__ import annotations
@@ -18,121 +12,7 @@ from typing import Dict, List, Tuple
 
 from repro.errors import AlgorithmError
 
-__all__ = ["AddressableBinaryHeap", "BucketQueue"]
-
-
-class AddressableBinaryHeap:
-    """Binary min-heap keyed by float priority with ``decrease_key``.
-
-    Items are hashable (vertex ids in this package).  Each item may be
-    present at most once; pushing a present item is an error — use
-    :meth:`decrease_key` (which ignores non-decreasing updates, the
-    convenient semantics for relaxation loops).
-
-    Examples
-    --------
-    >>> h = AddressableBinaryHeap()
-    >>> h.push('a', 5.0); h.push('b', 3.0); h.push('c', 4.0)
-    >>> h.decrease_key('a', 1.0)
-    True
-    >>> [h.pop()[0] for _ in range(len(h))]
-    ['a', 'b', 'c']
-    """
-
-    __slots__ = ("_heap", "_pos")
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, object]] = []
-        self._pos: Dict[object, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __contains__(self, item) -> bool:
-        return item in self._pos
-
-    def key_of(self, item) -> float:
-        """Current priority of ``item`` (KeyError if absent)."""
-        return self._heap[self._pos[item]][0]
-
-    # ------------------------------------------------------------------
-    def _swap(self, i: int, j: int) -> None:
-        h = self._heap
-        h[i], h[j] = h[j], h[i]
-        self._pos[h[i][1]] = i
-        self._pos[h[j][1]] = j
-
-    def _sift_up(self, i: int) -> None:
-        h = self._heap
-        while i > 0:
-            parent = (i - 1) >> 1
-            if h[i][0] < h[parent][0]:
-                self._swap(i, parent)
-                i = parent
-            else:
-                return
-
-    def _sift_down(self, i: int) -> None:
-        h = self._heap
-        n = len(h)
-        while True:
-            left = 2 * i + 1
-            right = left + 1
-            smallest = i
-            if left < n and h[left][0] < h[smallest][0]:
-                smallest = left
-            if right < n and h[right][0] < h[smallest][0]:
-                smallest = right
-            if smallest == i:
-                return
-            self._swap(i, smallest)
-            i = smallest
-
-    # ------------------------------------------------------------------
-    def push(self, item, key: float) -> None:
-        """Insert a new item."""
-        if item in self._pos:
-            raise AlgorithmError(f"item {item!r} already in heap")
-        self._heap.append((key, item))
-        self._pos[item] = len(self._heap) - 1
-        self._sift_up(len(self._heap) - 1)
-
-    def decrease_key(self, item, key: float) -> bool:
-        """Lower ``item``'s priority; returns whether it changed.
-
-        A key that is not lower is ignored (returns ``False``); an
-        absent item is pushed (returns ``True``) — together these give
-        the exact semantics a relaxation loop wants.
-        """
-        i = self._pos.get(item)
-        if i is None:
-            self.push(item, key)
-            return True
-        if key >= self._heap[i][0]:
-            return False
-        self._heap[i] = (key, item)
-        self._sift_up(i)
-        return True
-
-    def pop(self) -> Tuple[object, float]:
-        """Remove and return ``(item, key)`` with the smallest key."""
-        if not self._heap:
-            raise AlgorithmError("pop from empty heap")
-        key, item = self._heap[0]
-        last = self._heap.pop()
-        del self._pos[item]
-        if self._heap:
-            self._heap[0] = last
-            self._pos[last[1]] = 0
-            self._sift_down(0)
-        return item, key
-
-    def peek(self) -> Tuple[object, float]:
-        """``(item, key)`` with the smallest key, without removal."""
-        if not self._heap:
-            raise AlgorithmError("peek at empty heap")
-        key, item = self._heap[0]
-        return item, key
+__all__ = ["BucketQueue"]
 
 
 class BucketQueue:

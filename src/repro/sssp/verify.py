@@ -30,7 +30,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.types import INF, NO_PARENT, BoolArray, FloatArray, IntArray
 
-__all__ = ["certify_sssp", "is_valid_sssp"]
+__all__ = ["certify_sssp"]
 
 _EPS = 1e-9
 
@@ -115,18 +115,3 @@ def _fail_at(bad: BoolArray, parent: IntArray, msg: str) -> None:
     if bad.any():
         v = int(np.flatnonzero(bad)[0])
         raise TreeInvariantError(msg.format(v=v, p=int(parent[v])))
-
-
-def is_valid_sssp(
-    graph: Union[DiGraph, CSRGraph],
-    source: int,
-    dist: FloatArray,
-    parent: IntArray,
-    objective: int = 0,
-) -> bool:
-    """Boolean form of :func:`certify_sssp`."""
-    try:
-        certify_sssp(graph, source, dist, parent, objective)
-        return True
-    except TreeInvariantError:
-        return False

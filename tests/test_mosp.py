@@ -6,7 +6,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.errors import AlgorithmError, NotReachableError
+from repro.errors import AlgorithmError
 from repro.graph import DiGraph, erdos_renyi, layered_dag
 from repro.mosp import (
     Label,
@@ -16,10 +16,7 @@ from repro.mosp import (
     front_distance,
     is_dominated_by_any,
     martins,
-    merge_fronts,
-    nondominated_against,
     pareto_filter,
-    weighted_sum_path,
 )
 from repro.mosp.dominance import pareto_filter as pf
 
@@ -256,59 +253,7 @@ class TestMartins:
         assert r.pops >= 1 and r.inserts >= r.pops
 
 
-class TestWeightedSum:
-    @pytest.fixture
-    def tri(self):
-        g = DiGraph(3, k=2)
-        g.add_edge(0, 1, (1.0, 9.0))
-        g.add_edge(1, 2, (1.0, 9.0))
-        g.add_edge(0, 2, (9.0, 2.0))
-        return g
-
-    def test_uniform_lambda(self, tri):
-        path, cost = weighted_sum_path(tri, 0, 2)
-        # uniform: (2,18) scores 10, (9,2) scores 5.5 -> direct edge
-        assert path == [0, 2]
-        assert cost.tolist() == [9.0, 2.0]
-
-    def test_skewed_lambda(self, tri):
-        path, cost = weighted_sum_path(tri, 0, 2, lambdas=(1.0, 0.0))
-        assert path == [0, 1, 2]
-        assert cost.tolist() == [2.0, 18.0]
-
-    def test_result_on_pareto_front(self, tri):
-        front = martins(tri, 0).front(2)
-        _, cost = weighted_sum_path(tri, 0, 2)
-        assert nondominated_against(cost, front)
-
-    def test_unreachable_raises(self):
-        g = DiGraph(3, k=2)
-        g.add_edge(0, 1, (1.0, 1.0))
-        with pytest.raises(NotReachableError):
-            weighted_sum_path(g, 0, 2)
-
-    def test_bad_lambdas_rejected(self, tri):
-        with pytest.raises(AlgorithmError):
-            weighted_sum_path(tri, 0, 2, lambdas=(1.0,))
-        with pytest.raises(AlgorithmError):
-            weighted_sum_path(tri, 0, 2, lambdas=(-1.0, 2.0))
-        with pytest.raises(AlgorithmError):
-            weighted_sum_path(tri, 0, 2, lambdas=(0.0, 0.0))
-
-
 class TestFrontUtilities:
-    def test_merge_fronts(self):
-        a = np.array([[1.0, 5.0], [4.0, 4.0]])
-        b = np.array([[5.0, 1.0], [2.0, 4.0]])
-        m = merge_fronts(a, b)
-        assert sorted(map(tuple, m.tolist())) == [
-            (1.0, 5.0), (2.0, 4.0), (5.0, 1.0)
-        ]
-
-    def test_merge_empty(self):
-        assert merge_fronts(np.empty((0, 2))).size == 0
-        assert merge_fronts().size == 0
-
     def test_front_distance_on_front(self):
         front = np.array([[1.0, 5.0], [5.0, 1.0]])
         assert front_distance((1.0, 5.0), front) == 0.0

@@ -11,8 +11,10 @@ Covers, per the tentpole and satellites:
   guard pickler hard-fails on smuggled ndarrays),
 - worker crash recovery (pool reset + inline re-run),
 - double-close idempotency, segment unlinking, engine reuse,
-- the worker-side unpickle fallback of the generic ``parallel_for``
-  path,
+- the generic ``parallel_for`` path: inline below its threshold,
+  pickled functions across processes, the serial fallback for
+  closures, the chunk runner's reply tags and its worker-side
+  unpickle fallback,
 - graceful pool close and reuse,
 - cross-backend work-accounting parity, and
 - non-empty traced work distributions on both shm dispatch paths.
@@ -733,3 +735,54 @@ class TestPublishSnapshot:
             assert not snap["d"].flags.writeable
         finally:
             e.close()
+
+
+# ----------------------------------------------------------------------
+# SharedMemoryEngine.parallel_for: needs module-level (picklable) task
+# functions
+# ----------------------------------------------------------------------
+
+class TestSharedMemoryParallelFor:
+    def test_small_input_runs_inline(self):
+        eng = SharedMemoryEngine(threads=2, min_items_per_process=100)
+        assert eng.parallel_for([1, 2, 3], square) == [1, 4, 9]
+        assert eng._pool is None  # below the threshold: no spawn
+        eng.close()
+
+    def test_picklable_function_across_processes(self):
+        with SharedMemoryEngine(threads=2, min_items_per_process=1) as eng:
+            out = eng.parallel_for(list(range(40)), square)
+            assert eng._pool is not None
+        assert out == [i * i for i in range(40)]
+
+    def test_unpicklable_falls_back_with_warning(self):
+        captured = []
+
+        def closure(x):
+            # intentionally unpicklable shared state: proves the shm
+            # engine's serial fallback still runs the closure
+            captured.append(x)  # repro: noqa(R001)
+            return x + 1
+
+        eng = SharedMemoryEngine(threads=2, min_items_per_process=1)
+        with pytest.warns(RuntimeWarning):
+            out = eng.parallel_for(list(range(10)), closure)  # repro: noqa(R007)
+        assert out == list(range(1, 11))
+        eng.close()
+
+    def test_chunk_runner_roundtrip(self):
+        import pickle
+
+        from repro.parallel.backends.shm import _chunk_runner
+        blob = pickle.dumps((square, [2, 3]))
+        reply = _chunk_runner(blob)
+        assert reply[:1] == b"R"  # tagged: results follow
+        assert pickle.loads(reply[1:]) == [4, 9]
+
+    def test_chunk_runner_reports_undecodable_payload(self):
+        import pickle
+
+        from repro.parallel.backends.shm import _chunk_runner
+        reply = _chunk_runner(b"\x80\x05 not a pickle")
+        assert reply[:1] == b"U"  # tagged: unpicklable, master falls back
+        assert isinstance(pickle.loads(reply[1:]), str)

@@ -6,14 +6,12 @@ import pytest
 
 from repro.errors import AlgorithmError, TreeInvariantError, VertexError
 from repro.graph import DiGraph, erdos_renyi, grid_road, random_geometric
-from repro.parallel import SerialEngine, SimulatedEngine, WorkMeter
+from repro.parallel import WorkMeter
 from repro.sssp import (
     bellman_ford,
     certify_sssp,
     delta_stepping,
     dijkstra,
-    is_valid_sssp,
-    parallel_bellman_ford,
     recompute_sssp,
 )
 
@@ -131,34 +129,6 @@ class TestAgainstNetworkx:
         certify_sssp(g, 3, dist, parent)
 
 
-class TestParallelBellmanFord:
-    @pytest.mark.parametrize("engine", [
-        None,
-        SerialEngine(),
-        SimulatedEngine(threads=3),
-        SimulatedEngine(threads=4),
-    ])
-    def test_matches_dijkstra(self, engine):
-        g = erdos_renyi(80, 400, seed=5)
-        dist, parent = parallel_bellman_ford(g, 0, engine=engine,
-                                             chunk_edges=64)
-        ref, _ = dijkstra(g, 0)
-        np.testing.assert_allclose(dist, ref, rtol=1e-9)
-        certify_sssp(g, 0, dist, parent)
-
-    def test_simulated_engine_charges_rounds(self):
-        g = grid_road(10, 10, seed=0)
-        eng = SimulatedEngine(threads=4)
-        parallel_bellman_ford(g, 0, engine=eng, chunk_edges=32)
-        assert eng.supersteps >= 2  # at least a couple of rounds
-        assert eng.virtual_time > 0
-
-    def test_empty_graph(self):
-        g = DiGraph(3)
-        dist, parent = parallel_bellman_ford(g, 1)
-        assert dist.tolist() == [np.inf, 0.0, np.inf]
-
-
 class TestRecomputeDispatch:
     def test_all_algorithms(self):
         g = erdos_renyi(30, 120, seed=0)
@@ -241,10 +211,3 @@ class TestCertifier:
         g = DiGraph(3)
         with pytest.raises(TreeInvariantError):
             certify_sssp(g, 0, np.zeros(2), np.zeros(3, dtype=int))
-
-    def test_is_valid_boolean(self):
-        g = DiGraph.from_edge_list(2, [(0, 1, 5.0)])
-        dist, parent = dijkstra(g, 0)
-        assert is_valid_sssp(g, 0, dist, parent)
-        dist[1] = 0.0
-        assert not is_valid_sssp(g, 0, dist, parent)
