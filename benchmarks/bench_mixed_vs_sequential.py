@@ -11,8 +11,10 @@ Both variants produce the identical final graph, so the distance
 fixpoints must match bitwise (differential gate) before any timing is
 trusted.  Writes ``results/mixed_vs_sequential.txt`` with rows for the
 serial engine and a 4-worker shared-memory engine (the paper's
-Figure-4-class road topology), and enforces the tentpole acceptance
-criterion: the single pass is no slower than the sequential replay.
+Figure-4-class road topology), and enforces the acceptance criterion:
+the single pass is no slower than the sequential replay.  Each variant
+runs ``ROUNDS`` times per engine, the two alternating, and the gate
+reads the medians.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ import time
 
 import numpy as np
 import pytest
-from conftest import write_result
+from conftest import median_iqr, write_result
 
-from repro.bench.ledger import make_ledger, write_ledger
 from repro.core import SOSPTree, apply_mixed_batch, sosp_update
 from repro.dynamic import ChangeBatch
 from repro.graph import road_like
@@ -34,10 +35,10 @@ from repro.bench.report import render_table
 
 pytestmark = pytest.mark.slow
 
-BENCH_N = 22_500  # 150x150 grid_road, the Fig.-4 stand-in family
+GRAPH_N = 22_500  # 150x150 grid_road, the Fig.-4 stand-in family
 BATCH = 300
 FRACTIONS = (0.4, 0.3, 0.3)  # insert / delete / weight-change
-ROUNDS = 3
+ROUNDS = 5
 THREADS = 4
 
 
@@ -101,23 +102,27 @@ def _run_replay(graph, del_batch, ins_batch, engine):
 
 
 def _compare(graph, seed, engine):
-    """Best-of-ROUNDS wall time for each variant + the bitwise gate."""
+    """ROUNDS alternating wall times per variant + the bitwise gate."""
     mixed, replay_del, replay_ins = _make_batches(graph, seed)
-    t_mixed, t_replay = float("inf"), float("inf")
-    for r in range(ROUNDS):
+    t_mixed, t_replay = [], []
+    for _ in range(ROUNDS):
         tm, tree_m = _run_mixed(graph, mixed, engine)
         tr, tree_r = _run_replay(graph, replay_del, replay_ins, engine)
         np.testing.assert_array_equal(tree_m.dist, tree_r.dist)
-        t_mixed, t_replay = min(t_mixed, tm), min(t_replay, tr)
+        t_mixed.append(tm)
+        t_replay.append(tr)
     return t_mixed, t_replay
 
 
+def _cell(xs):
+    med, iqr = median_iqr(xs)
+    return f"{med * 1e3:,.2f} [{iqr * 1e3:,.2f}]"
+
+
 def test_mixed_vs_sequential(results_dir, bench_seed):
-    graph = road_like(BENCH_N, k=1, seed=bench_seed)
+    graph = road_like(GRAPH_N, k=1, seed=bench_seed)
     rows = []
     win_at_4 = None
-    timings = {}
-    ratios = {}
     for label, make in (
         ("serial", SerialEngine),
         (f"shm ({THREADS} workers)",
@@ -125,33 +130,33 @@ def test_mixed_vs_sequential(results_dir, bench_seed):
     ):
         engine = make()
         try:
-            t_mixed, t_replay = _compare(graph, bench_seed, engine)
+            runs_mixed, runs_replay = _compare(graph, bench_seed, engine)
         finally:
             closer = getattr(engine, "close", None)
             if callable(closer):
                 closer()
+        t_mixed = median_iqr(runs_mixed)[0]
+        t_replay = median_iqr(runs_replay)[0]
         speedup = t_replay / t_mixed if t_mixed else float("inf")
-        key = "serial" if label == "serial" else f"shm{THREADS}"
-        timings[f"mixed_{key}"] = t_mixed
-        timings[f"replay_{key}"] = t_replay
-        ratios[f"replay_over_mixed_{key}"] = speedup
         rows.append({
             "engine": label,
-            "mixed single pass (ms)": f"{t_mixed * 1e3:,.2f}",
-            "del+ins replay (ms)": f"{t_replay * 1e3:,.2f}",
+            "mixed single pass (ms)": _cell(runs_mixed),
+            "del+ins replay (ms)": _cell(runs_replay),
             "replay/mixed": f"{speedup:.2f}x",
         })
         if label != "serial":
             win_at_4 = speedup
         assert t_mixed <= t_replay, (
             f"single mixed pass slower than sequential replay on "
-            f"{label}: {t_mixed * 1e3:.2f}ms vs {t_replay * 1e3:.2f}ms"
+            f"{label}: median {t_mixed * 1e3:.2f}ms vs "
+            f"{t_replay * 1e3:.2f}ms"
         )
     header = (
-        f"mixed batch vs sequential replay: road_like n={BENCH_N:,}, "
+        f"mixed batch vs sequential replay: road_like n={GRAPH_N:,}, "
         f"batch={BATCH} ({FRACTIONS[0]:.0%} ins / {FRACTIONS[1]:.0%} del "
-        f"/ {FRACTIONS[2]:.0%} re-weight), best of {ROUNDS}, "
-        f"seed {bench_seed}\n"
+        f"/ {FRACTIONS[2]:.0%} re-weight), seed {bench_seed}\n"
+        f"wall ms, median [IQR] of {ROUNDS} runs per variant, variants "
+        f"alternating; replay/mixed = ratio of medians\n"
         "same final graph, bitwise-identical dist; replay pays a second "
         "invalidate + propagate sweep\n\n"
     )
@@ -166,18 +171,3 @@ def test_mixed_vs_sequential(results_dir, bench_seed):
     )
     write_result(results_dir, "mixed_vs_sequential.txt",
                  header + table + footer)
-    write_ledger(results_dir, make_ledger(
-        "mixed_vs_sequential",
-        graph={"name": f"road_like-{BENCH_N}",
-               "vertices": graph.num_vertices,
-               "edges": graph.num_edges,
-               "objectives": graph.num_objectives},
-        engine="serial+shm",
-        workers=THREADS,
-        wall_seconds=timings,
-        derived=ratios,
-        seed=bench_seed,
-        notes=f"batch={BATCH} ({FRACTIONS[0]:.0%} ins / "
-              f"{FRACTIONS[1]:.0%} del / {FRACTIONS[2]:.0%} re-weight), "
-              f"best of {ROUNDS}; gate: mixed <= replay on every engine",
-    ))

@@ -4,13 +4,13 @@ Starts an :class:`~repro.service.service.UpdateService` on the shm
 engine and drives it with the load generator: a seeded stream of
 insert/delete/re-weight edits through the back-pressured ingest path,
 concurrent reader threads issuing digest-verified path queries against
-the published MVCC epochs.  The run is only trusted — and the ledger
+the published MVCC epochs.  The run is only trusted — and the table
 only written — when it proves the service's guarantees: zero torn
 reads, zero reader errors, a clean drain.
 
-Writes ``results/BENCH_service.json`` (sustained updates/sec and the
-query latency percentiles under concurrent load) plus the rendered
-``results/service_load.txt`` table.
+Writes ``results/service_load.txt``: sustained updates/sec and the
+query latency percentiles under concurrent load, from one smoke run
+(the measured service numbers come from perfbench's ``service-rw``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import pytest
 from conftest import write_result
 
-from repro.bench.ledger import make_ledger, write_ledger
 from repro.bench.report import render_table
 from repro.graph import road_like
 from repro.service import UpdateService, run_load
@@ -54,38 +53,7 @@ def _drive(n, edits, queries, readers, workers, seed):
         f"torn={report.torn_reads}, errors={report.reader_errors}, "
         f"drained={report.drained}"
     )
-    return g, service, report
-
-
-def _ledger(name, g, report, workers, seed):
-    return make_ledger(
-        name,
-        graph={
-            "name": f"road_like-{g.num_vertices}",
-            "vertices": g.num_vertices,
-            "edges": g.num_edges,
-            "objectives": g.num_objectives,
-        },
-        engine="shm",
-        workers=workers,
-        wall_seconds={"mixed_load": float(report.wall_seconds)},
-        derived={
-            "updates_per_sec": float(report.updates_per_sec),
-            "query_p50_s": float(report.query_p50_s),
-            "query_p99_s": float(report.query_p99_s),
-            "epochs": float(report.epochs),
-            "queries": float(report.queries),
-            "torn_reads": float(report.torn_reads),
-        },
-        seed=seed,
-        notes=(
-            "UpdateService mixed read/write load: "
-            f"{report.edits_applied} edits coalesced into "
-            f"{report.epochs} epochs while {report.queries} "
-            "digest-verified path queries ran concurrently; "
-            "torn_reads is asserted zero before the ledger is written."
-        ),
-    )
+    return g, report
 
 
 def _rows(report):
@@ -108,35 +76,26 @@ def _rows(report):
     ]
 
 
-def test_service_smoke_ledger(results_dir, bench_seed):
-    """CI smoke: prove the guarantees, emit the service perf ledger."""
-    g, service, report = _drive(
+def test_service_smoke(results_dir, bench_seed):
+    """CI smoke: prove the guarantees, render the service table."""
+    g, report = _drive(
         SMOKE_N, SMOKE_EDITS, SMOKE_QUERIES, SMOKE_READERS,
         SMOKE_WORKERS, bench_seed,
     )
     assert report.edits_applied == SMOKE_EDITS
     assert report.queries >= SMOKE_QUERIES
     assert report.epochs >= 3
-    path = write_ledger(
-        results_dir,
-        _ledger("service", g, report, SMOKE_WORKERS, bench_seed),
-    )
     title = (f"update service under mixed load "
              f"(road n={g.num_vertices}, shm x{SMOKE_WORKERS})")
     table = render_table(_rows(report), ("metric", "value"))
     write_result(results_dir, "service_load.txt", f"{title}\n{table}")
-    assert path.name == "BENCH_service.json"
 
 
 @pytest.mark.slow
-def test_service_sustained_full(results_dir, bench_seed):
+def test_service_sustained_full(bench_seed):
     """Full run: a larger network, 2k edits, 10k verified queries."""
-    g, service, report = _drive(
+    _g, report = _drive(
         FULL_N, FULL_EDITS, FULL_QUERIES, SMOKE_READERS,
         SMOKE_WORKERS, bench_seed,
     )
     assert report.edits_applied == FULL_EDITS
-    write_ledger(
-        results_dir,
-        _ledger("service_full", g, report, SMOKE_WORKERS, bench_seed),
-    )

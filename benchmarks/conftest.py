@@ -5,6 +5,8 @@
   configuration is executed exactly once per session.
 - ``results_dir``: where each benchmark writes its rendered series
   (``results/*.txt``) for EXPERIMENTS.md.
+- :func:`median_iqr`: the statistics of the scripts that gate on wall
+  clock, taken read-only from perfbench so both read samples alike.
 
 Run with ``pytest benchmarks/ --benchmark-only``.  Heavy pipelines use
 ``benchmark.pedantic(rounds=1)`` — the figures come from the simulated
@@ -18,6 +20,7 @@ import os
 import random
 import sys
 from pathlib import Path
+from typing import Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -30,6 +33,8 @@ RESULTS_DIR = REPO_ROOT / "results"
 # the test suite (``tests._sosp_reference``); make them importable
 if str(REPO_ROOT) not in sys.path:
     sys.path.append(str(REPO_ROOT))
+
+from perfbench.run import median, tail  # noqa: E402
 
 
 def pytest_addoption(parser):
@@ -75,3 +80,8 @@ def write_result(results_dir: Path, name: str, text: str) -> None:
     path = results_dir / name
     path.write_text(text + "\n", encoding="utf-8")
     print(f"\n=== {name} ===\n{text}\n")
+
+
+def median_iqr(xs: Sequence[float]) -> Tuple[float, float]:
+    """Median and interquartile range of repeated wall-clock runs."""
+    return median(xs), tail(xs, 75)[0] - tail(xs, 25)[0]

@@ -13,22 +13,15 @@ Figure 6    per-step % breakdown at 4 threads —
 ==========  ==========================================================
 
 plus the motivating-claim and ablation experiments under
-``benchmarks/``, each of which also emits a machine-readable
-``results/BENCH_<name>.json`` perf ledger (:mod:`repro.bench.ledger`;
-validated in CI by ``python -m repro.bench validate-ledgers``).  All series are produced on the simulated parallel
-machine (see :mod:`repro.parallel.backends.simulated` and DESIGN.md §2
-for why) from *one* recorded execution per configuration, replayed
-across thread counts.
+``benchmarks/``, each of which renders a ``results/*.txt`` table.  All
+series are produced on the simulated parallel machine (see
+:mod:`repro.parallel.backends.simulated` and DESIGN.md §2 for why) from
+*one* recorded execution per configuration, replayed across thread
+counts, so their times are virtual.  Wall-clock claims are measured by
+``perfbench/`` (``BENCHMARK.json``), not here.
 """
 
 from repro.bench.datasets import DATASETS, DatasetSpec, load_dataset
-from repro.bench.ledger import (
-    SCHEMA_VERSION,
-    make_ledger,
-    read_ledger,
-    validate_ledger,
-    write_ledger,
-)
 from repro.bench.figures import (
     figure4_series,
     figure5_series,
@@ -42,11 +35,6 @@ __all__ = [
     "DATASETS",
     "DatasetSpec",
     "load_dataset",
-    "SCHEMA_VERSION",
-    "make_ledger",
-    "read_ledger",
-    "validate_ledger",
-    "write_ledger",
     "record_mosp_trace",
     "MOSPTrace",
     "figure4_series",

@@ -19,11 +19,7 @@ from repro.core.tree import SOSPTree
 from repro.dynamic.batch_gen import random_insert_batch
 from repro.errors import BenchmarkError
 from repro.obs.tracer import Tracer, use_tracer
-from repro.parallel.backends.simulated import (
-    CostModel,
-    SimulatedEngine,
-    replay_trace,
-)
+from repro.parallel.backends.simulated import SimulatedEngine, replay_trace
 
 __all__ = ["MOSPTrace", "record_mosp_trace"]
 
@@ -70,9 +66,9 @@ class MOSPTrace:
     step_wall_seconds: Dict[str, float] = field(default_factory=dict)
     spans: List[Dict[str, Any]] = field(default_factory=list)
 
-    def time_at(self, threads: int, cost_model: Optional[CostModel] = None) -> float:
+    def time_at(self, threads: int) -> float:
         """Virtual seconds for the whole update at ``threads``."""
-        return replay_trace(self.trace, threads, cost_model)
+        return replay_trace(self.trace, threads)
 
     def time_ms(self, threads: int) -> float:
         """Virtual milliseconds at ``threads``."""
@@ -89,18 +85,18 @@ class MOSPTrace:
 #: Session-wide default seed for benchmark batch generation; settable
 #: once from the harness (``pytest benchmarks/ --bench-seed N``) so
 #: every figure and table draws from the same reproducible stream.
-_BENCH_SEED = 0
+_session_seed = 0
 
 
 def set_bench_seed(seed: int) -> None:
     """Set the session default seed used when callers pass ``seed=None``."""
-    global _BENCH_SEED
-    _BENCH_SEED = int(seed)
+    global _session_seed
+    _session_seed = int(seed)
 
 
 def get_bench_seed() -> int:
     """The session default benchmark seed (0 unless overridden)."""
-    return _BENCH_SEED
+    return _session_seed
 
 
 def record_mosp_trace(
@@ -177,23 +173,15 @@ def _segment_trace(
     duration is exhausted recovers the per-step sub-traces exactly —
     the engine's clock advances by the same amounts it did live.
     """
-    cm = CostModel()
     out: Dict[str, List[tuple]] = {}
     idx = 0
-
-    def event_cost(ev, threads=1) -> float:
-        kind, payload = ev
-        if kind == "serial":
-            return payload * cm.seconds_per_unit
-        return replay_trace([ev], 1, cm)
-
     for step, duration in step_virtual_seconds.items():
         seg: List[tuple] = []
         acc = 0.0
         while idx < len(trace) and acc < duration - 1e-15:
             ev = trace[idx]
             seg.append(ev)
-            acc += event_cost(ev)
+            acc += replay_trace([ev], 1)
             idx += 1
         out[step] = seg
     # anything left belongs to the final step (trailing charges)

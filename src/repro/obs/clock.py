@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 
-__all__ = ["perf", "wall", "SOURCE"]
+__all__ = ["perf", "SOURCE"]
 
 #: Human-readable name of the span clock (``repro info`` reports it).
 SOURCE = "time.perf_counter"
@@ -22,8 +22,3 @@ SOURCE = "time.perf_counter"
 def perf() -> float:
     """Monotonic high-resolution seconds; the span clock."""
     return time.perf_counter()
-
-
-def wall() -> float:
-    """Wall-clock epoch seconds; exporter timestamps only."""
-    return time.time()

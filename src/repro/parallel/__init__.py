@@ -45,7 +45,6 @@ from repro.parallel.backends.shm import SharedMemoryEngine
 from repro.parallel.checked import CheckedEngine
 from repro.parallel.backends.serial import SerialEngine
 from repro.parallel.backends.simulated import (
-    CostModel,
     SimulatedEngine,
     dynamic_makespan,
     replay_trace,
@@ -62,7 +61,6 @@ __all__ = [
     "SharedMemoryEngine",
     "SlabTask",
     "SimulatedEngine",
-    "CostModel",
     "dynamic_makespan",
     "replay_trace",
     "WorkMeter",

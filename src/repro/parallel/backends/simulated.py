@@ -12,12 +12,13 @@ virtual threads** and advances a virtual clock:
 1. Tasks of a superstep are split into chunks (OpenMP
    ``schedule(dynamic, chunk)``).
 2. Virtual threads repeatedly grab the next chunk off a shared queue;
-   grabbing costs ``chunk_overhead`` (the shared-counter CAS), each
-   task costs ``task_overhead`` plus its reported work units times
-   ``seconds_per_unit``.
+   grabbing costs ``DEFAULT_CHUNK_OVERHEAD`` (the shared-counter CAS),
+   each task costs ``DEFAULT_TASK_OVERHEAD`` plus its reported work
+   units times ``DEFAULT_SECONDS_PER_UNIT``.
 3. The superstep's virtual elapsed time is the **makespan** — the
    largest per-thread accumulated time — plus a barrier cost that grows
-   with ``log2(T)`` (tree barrier).
+   with ``log2(T)`` (tree barrier,
+   :func:`~repro.parallel.cost.barrier_cost`).
 4. Sequential sections between supersteps are charged via
    :meth:`SimulatedEngine.charge`.
 
@@ -34,30 +35,31 @@ Work measurement
 side effects and results are exactly the serial ones) and asks
 ``work_fn(item, result)`` how many units the task consumed.  When
 ``work_fn`` is missing each task is charged one unit.
+
+The machine has one fixed cost model: the constants of
+:mod:`repro.parallel.cost`.  They set only the scale of the virtual
+milliseconds, not the shape of a speedup curve.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.errors import EngineError
 from repro.parallel.api import BaseEngine
 from repro.parallel.cost import (
-    DEFAULT_BARRIER_BASE,
-    DEFAULT_BARRIER_PER_LOG_THREAD,
     DEFAULT_CHUNK_OVERHEAD,
     DEFAULT_SECONDS_PER_UNIT,
     DEFAULT_TASK_OVERHEAD,
+    barrier_cost,
 )
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 __all__ = [
-    "CostModel",
     "SimulatedEngine",
     "dynamic_makespan",
     "static_makespan",
@@ -65,38 +67,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Virtual-time cost parameters of the simulated machine.
-
-    The defaults are calibrated to the paper's hardware class (Zen-2
-    cores, memory-latency-bound graph kernels); see
-    :mod:`repro.parallel.cost`.  Speedup *shapes* are robust to the
-    absolute scale — only the reported milliseconds move.
-    """
-
-    #: Seconds per work unit (one edge relaxation).
-    seconds_per_unit: float = DEFAULT_SECONDS_PER_UNIT
-    #: Fixed dispatch cost per task.
-    task_overhead: float = DEFAULT_TASK_OVERHEAD
-    #: Cost of one dynamic-scheduling chunk grab.
-    chunk_overhead: float = DEFAULT_CHUNK_OVERHEAD
-    #: Barrier cost: ``base + per_log_thread * log2(T)``.
-    barrier_base: float = DEFAULT_BARRIER_BASE
-    barrier_per_log_thread: float = DEFAULT_BARRIER_PER_LOG_THREAD
-
-    def barrier_cost(self, threads: int) -> float:
-        """Latency of one barrier across ``threads`` threads."""
-        if threads <= 1:
-            return 0.0
-        return self.barrier_base + self.barrier_per_log_thread * math.log2(threads)
-
-
 def dynamic_makespan(
     costs: List[float],
     threads: int,
     chunk: int,
-    cost: CostModel,
 ) -> float:
     """Makespan of dynamically scheduling ``costs`` over ``threads``.
 
@@ -110,9 +84,9 @@ def dynamic_makespan(
     t = min(threads, n)
     if t == 1:
         return (
-            n * cost.task_overhead
-            + sum(costs) * cost.seconds_per_unit
-            + math.ceil(n / chunk) * cost.chunk_overhead
+            n * DEFAULT_TASK_OVERHEAD
+            + sum(costs) * DEFAULT_SECONDS_PER_UNIT
+            + math.ceil(n / chunk) * DEFAULT_CHUNK_OVERHEAD
         )
     heap = [(0.0, i) for i in range(t)]
     next_idx = 0
@@ -120,8 +94,8 @@ def dynamic_makespan(
     while next_idx < n:
         avail, tid = heapq.heappop(heap)
         end = min(next_idx + chunk, n)
-        span = cost.chunk_overhead + sum(
-            cost.task_overhead + w * cost.seconds_per_unit
+        span = DEFAULT_CHUNK_OVERHEAD + sum(
+            DEFAULT_TASK_OVERHEAD + w * DEFAULT_SECONDS_PER_UNIT
             for w in costs[next_idx:end]
         )
         next_idx = end
@@ -135,7 +109,6 @@ def dynamic_makespan(
 def static_makespan(
     costs: List[float],
     threads: int,
-    cost: CostModel,
 ) -> float:
     """Makespan under OpenMP ``schedule(static)``: iterations are
     pre-split into ``threads`` contiguous blocks, no work stealing.
@@ -153,9 +126,9 @@ def static_makespan(
     for i in range(t):
         block = costs[bounds[i] : bounds[i + 1]]
         span = (
-            cost.chunk_overhead
-            + len(block) * cost.task_overhead
-            + sum(block) * cost.seconds_per_unit
+            DEFAULT_CHUNK_OVERHEAD
+            + len(block) * DEFAULT_TASK_OVERHEAD
+            + sum(block) * DEFAULT_SECONDS_PER_UNIT
         )
         if span > makespan:
             makespan = span
@@ -165,8 +138,6 @@ def static_makespan(
 def replay_trace(
     trace: List[tuple],
     threads: int,
-    cost_model: Optional[CostModel] = None,
-    chunk_size: Optional[int] = None,
     schedule: str = "dynamic",
 ) -> float:
     """Virtual seconds to execute a recorded trace on ``threads``.
@@ -177,20 +148,20 @@ def replay_trace(
     algorithm's task structure is independent of the thread count, so
     one recorded execution can be re-scheduled for any ``threads`` —
     this is what makes the 1→64-thread sweeps of the scalability
-    benchmarks cheap.
+    benchmarks cheap.  ``schedule`` is ``"dynamic"`` (the engine's own
+    chunking) or ``"static"`` (the scheduling ablation's other arm).
     """
-    cm = cost_model or CostModel()
     total = 0.0
     for kind, payload in trace:
         if kind == "serial":
-            total += payload * cm.seconds_per_unit
+            total += payload * DEFAULT_SECONDS_PER_UNIT
         elif kind == "superstep":
             if schedule == "static":
-                total += static_makespan(payload, threads, cm)
+                total += static_makespan(payload, threads)
             else:
-                chunk = chunk_size or max(1, len(payload) // (8 * threads))
-                total += dynamic_makespan(payload, threads, chunk, cm)
-            total += cm.barrier_cost(threads)
+                chunk = max(1, len(payload) // (8 * threads))
+                total += dynamic_makespan(payload, threads, chunk)
+            total += barrier_cost(threads)
         else:  # pragma: no cover - defensive
             raise EngineError(f"unknown trace event {kind!r}")
     return total
@@ -203,9 +174,6 @@ class SimulatedEngine(BaseEngine):
     ----------
     threads:
         Number of virtual threads ``T``.
-    cost_model:
-        Machine parameters; defaults are calibrated in
-        :mod:`repro.parallel.cost`.
     chunk_size:
         Dynamic-scheduling chunk; ``None`` = ``max(1, n // (8 T))``
         per superstep (OpenMP's ``schedule(dynamic)`` chunking).
@@ -229,19 +197,11 @@ class SimulatedEngine(BaseEngine):
     def __init__(
         self,
         threads: int = 4,
-        cost_model: Optional[CostModel] = None,
         chunk_size: Optional[int] = None,
         record_trace: bool = False,
-        schedule: str = "dynamic",
     ) -> None:
         super().__init__(threads=threads)
-        if schedule not in ("dynamic", "static"):
-            raise EngineError(
-                f"unknown schedule {schedule!r}; expected dynamic | static"
-            )
-        self.cost = cost_model or CostModel()
         self._chunk_size = chunk_size
-        self.schedule = schedule
         self.virtual_time: float = 0.0
         self.supersteps: int = 0
         self.tasks_executed: int = 0
@@ -271,7 +231,7 @@ class SimulatedEngine(BaseEngine):
         if units < 0:
             raise EngineError("cannot charge negative work")
         self.work_units += units
-        self.virtual_time += units * self.cost.seconds_per_unit
+        self.virtual_time += units * DEFAULT_SECONDS_PER_UNIT
         if self.trace is not None:
             self.trace.append(("serial", float(units)))
 
@@ -292,12 +252,9 @@ class SimulatedEngine(BaseEngine):
             for i in range(n)
         ]
         # 2. schedule the measured costs onto T virtual threads
-        if self.schedule == "static":
-            elapsed = static_makespan(costs, self.threads, self.cost)
-        else:
-            chunk = self._chunk_size or max(1, n // (8 * self.threads))
-            elapsed = dynamic_makespan(costs, self.threads, chunk, self.cost)
-        self.virtual_time += elapsed + self.cost.barrier_cost(self.threads)
+        chunk = self._chunk_size or max(1, n // (8 * self.threads))
+        elapsed = dynamic_makespan(costs, self.threads, chunk)
+        self.virtual_time += elapsed + barrier_cost(self.threads)
         self.supersteps += 1
         self.tasks_executed += n
         self.work_units += sum(costs)

@@ -6,18 +6,21 @@ compare, and possibly three writes).  Algorithms report units through a
 :class:`WorkMeter` or through ``parallel_for``'s ``work_fn`` so the
 simulated engine can charge tasks realistically.
 
-The default calibration (:data:`DEFAULT_SECONDS_PER_UNIT` etc.) is
-anchored to the paper's hardware class: an optimised C++ relaxation on
-a Zen-2 core costs on the order of 10–100 ns once memory latency is
-included (road-network adjacency is cache-hostile); we use 60 ns.  The
-calibration only sets the *scale* of reported milliseconds — speedup
-shapes are invariant to it.
+The constants below (:data:`DEFAULT_SECONDS_PER_UNIT` etc.) are the
+simulated machine's one fixed cost model, anchored to the paper's
+hardware class: an optimised C++ relaxation on a Zen-2 core costs on
+the order of 10–100 ns once memory latency is included (road-network
+adjacency is cache-hostile); we use 60 ns.  They only set the *scale*
+of reported virtual milliseconds — speedup shapes are invariant to it.
 """
 
 from __future__ import annotations
 
+import math
+
 __all__ = [
     "WorkMeter",
+    "barrier_cost",
     "DEFAULT_SECONDS_PER_UNIT",
     "DEFAULT_TASK_OVERHEAD",
     "DEFAULT_CHUNK_OVERHEAD",
@@ -37,6 +40,16 @@ DEFAULT_CHUNK_OVERHEAD: float = 120e-9
 #: Barrier latency: base plus a per-log2(threads) tree term.
 DEFAULT_BARRIER_BASE: float = 1.5e-6
 DEFAULT_BARRIER_PER_LOG_THREAD: float = 0.9e-6
+
+
+def barrier_cost(threads: int) -> float:
+    """Virtual seconds of one barrier across ``threads`` threads."""
+    if threads <= 1:
+        return 0.0
+    return (
+        DEFAULT_BARRIER_BASE
+        + DEFAULT_BARRIER_PER_LOG_THREAD * math.log2(threads)
+    )
 
 
 class WorkMeter:

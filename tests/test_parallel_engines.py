@@ -9,7 +9,6 @@ import pytest
 
 from repro.errors import EngineError, OwnershipViolation, UnknownEngineError
 from repro.parallel import (
-    CostModel,
     OwnershipTracker,
     SerialEngine,
     SharedMemoryEngine,
@@ -17,6 +16,7 @@ from repro.parallel import (
     WorkMeter,
     resolve_engine,
 )
+from repro.parallel.cost import DEFAULT_SECONDS_PER_UNIT, barrier_cost
 
 # importable by spawn workers (closures are not; the process backends
 # degrade to their documented serial fallback on the closure tests)
@@ -185,9 +185,8 @@ class TestSimulatedEngine:
         assert e1.virtual_time / e64.virtual_time < 1.5
 
     def test_barrier_cost_grows_with_threads(self):
-        cm = CostModel()
-        assert cm.barrier_cost(1) == 0.0
-        assert cm.barrier_cost(64) > cm.barrier_cost(2) > 0.0
+        assert barrier_cost(1) == 0.0
+        assert barrier_cost(64) > barrier_cost(2) > 0.0
 
     def test_many_tiny_supersteps_scale_badly(self):
         # barrier-dominated regime: 64 threads barely beat 4
@@ -204,7 +203,7 @@ class TestSimulatedEngine:
         e = SimulatedEngine(threads=4)
         e.charge(1000.0)
         assert e.virtual_time == pytest.approx(
-            1000.0 * e.cost.seconds_per_unit
+            1000.0 * DEFAULT_SECONDS_PER_UNIT
         )
 
     def test_negative_charge_rejected(self):
