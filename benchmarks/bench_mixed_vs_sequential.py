@@ -1,11 +1,11 @@
 """Acceptance bench: one mixed-batch pass vs sequential replay.
 
-The unified fully dynamic pipeline (``apply_mixed_batch``) handles a
-batch of deletions, weight changes, and insertions with ONE
-invalidate/seed/propagate sweep.  The pre-existing alternative replays
-the same edits as two passes — a deletion pass (weight changes lowered
-to delete + re-insert) followed by an insertion-only ``sosp_update`` —
-paying for two frontier propagations over overlapping affected regions.
+``sosp_update`` handles a batch of deletions, weight changes, and
+insertions with ONE invalidate / Step 1 / Step 2 sweep.  The
+alternative replays the same edits as two calls of the same driver — a
+deletion batch (weight changes lowered to delete + re-insert) followed
+by an insertion batch — paying for two frontier propagations over
+overlapping affected regions.
 
 Both variants produce the identical final graph, so the distance
 fixpoints must match bitwise (differential gate) before any timing is
@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from conftest import median_iqr, write_result
 
-from repro.core import SOSPTree, apply_mixed_batch, sosp_update
+from repro.core import SOSPTree, sosp_update
 from repro.dynamic import ChangeBatch
 from repro.graph import road_like
 from repro.graph.csr import CSRGraph
@@ -81,7 +81,7 @@ def _run_mixed(graph, batch, engine):
     batch.apply_to(g)
     snapshot.apply_batch(batch)
     t0 = time.perf_counter()
-    apply_mixed_batch(snapshot, tree, batch, engine=engine)
+    sosp_update(snapshot, tree, batch, engine=engine)
     return time.perf_counter() - t0, tree
 
 
@@ -92,7 +92,7 @@ def _run_replay(graph, del_batch, ins_batch, engine):
     del_batch.apply_to(g)
     snapshot.apply_batch(del_batch)
     t0 = time.perf_counter()
-    apply_mixed_batch(snapshot, tree, del_batch, engine=engine)
+    sosp_update(snapshot, tree, del_batch, engine=engine)
     elapsed = time.perf_counter() - t0
     ins_batch.apply_to(g)
     snapshot.append_batch(ins_batch)

@@ -12,7 +12,7 @@ machine-checks the invariants every PR must preserve:
 =====  ==============================================================
 R000   a ``# repro: noqa`` comment that suppresses nothing is stale
        and must be deleted (``--no-stale-noqa`` opts out)
-R001   task functions passed to ``parallel_for`` / ``map_reduce`` /
+R001   task functions passed to ``parallel_for`` /
        ``parallel_for_slabs`` must not mutate closed-over shared
        mutables unless the writes are registered with an
        :class:`OwnershipTracker` (``record_write``)

@@ -26,7 +26,7 @@ _BUILTIN_NAMES = frozenset(dir(builtins))
 #: SlabTask dataclass field order, for positional construction sites.
 _SLABTASK_FIELDS = ("ref", "arrays", "params", "writes")
 
-#: Engine constructors whose ``parallel_for``/``map_reduce`` cross a
+#: Engine constructors whose ``parallel_for`` closures cross a
 #: process boundary (spawn pickling).  Thread/serial/simulated engines
 #: run closures natively and are exempt.
 _PROCESS_ENGINE_CLASSES = frozenset({"SharedMemoryEngine"})
@@ -302,7 +302,7 @@ class RuleR007(Rule):
             func = node.func
             if not (
                 isinstance(func, ast.Attribute)
-                and func.attr in ("parallel_for", "map_reduce")
+                and func.attr == "parallel_for"
             ):
                 continue
             receiver = func.value

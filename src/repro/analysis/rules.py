@@ -119,7 +119,7 @@ _MUTATING_METHODS = frozenset(
 
 #: ``call.func`` attribute names that take a task function, mapped to
 #: the positional index of that function argument.
-_SUPERSTEP_METHODS = {"parallel_for": 1, "map_reduce": 1}
+_SUPERSTEP_METHODS = {"parallel_for": 1}
 _SUPERSTEP_FUNCTIONS = {"parallel_for_slabs": 2}
 
 

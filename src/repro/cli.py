@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro._version import __version__
-from repro.core import SOSPTree, apply_mixed_batch, mosp_update, sosp_update
+from repro.core import SOSPTree, mosp_update, sosp_update
 from repro.dynamic import random_insert_batch, random_mixed_batch
 from repro.errors import ReproError
 from repro.graph import (
@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--insert-fraction", type=float, default=1.0,
         help="fraction of each batch that inserts edges; the rest "
         "deletes (and re-weights, with --weight-change-fraction) live "
-        "edges through the fully dynamic mixed pipeline",
+        "edges",
     )
     u.add_argument(
         "--weight-change-fraction", type=float, default=0.0,
@@ -220,8 +220,8 @@ def _cmd_info(args, out) -> int:
     print(f"repro {__version__}", file=out)
     print("paper: Khanda, Shovan & Das, SC-W 2023 "
           "(doi:10.1145/3624062.3625134)", file=out)
-    print("algorithms: sosp_update (Alg 1), mosp_update (Alg 2), "
-          "apply_mixed_batch (fully dynamic)", file=out)
+    print("algorithms: sosp_update (Alg 1, fully dynamic), "
+          "mosp_update (Alg 2)", file=out)
     print("baselines: dijkstra, bellman_ford, frontier_bellman_ford, "
           "delta_stepping, martins", file=out)
     print(f"engines: {', '.join(_engine_table())}", file=out)
@@ -334,14 +334,10 @@ def _cmd_update_demo(args, out) -> int:
                                             seed=args.seed + step)
             batch.apply_to(g)
             csr.apply_batch(batch)
-        if mixed:
-            stats = apply_mixed_batch(csr, tree, batch, engine=engine)
-            extra = (f", {stats.invalidated} invalidated"
-                     f" (-{batch.num_deletions}"
-                     f" ~{batch.num_weight_changes} edges)")
-        else:
-            stats = sosp_update(csr, tree, batch, engine=engine)
-            extra = ""
+        stats = sosp_update(csr, tree, batch, engine=engine)
+        extra = (f", {stats.invalidated} invalidated"
+                 f" (-{batch.num_deletions}"
+                 f" ~{batch.num_weight_changes} edges)") if mixed else ""
         print(
             f"step {step}: +{batch.num_insertions} edges{extra}, "
             f"{stats.affected_total} improvements over "

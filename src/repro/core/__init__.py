@@ -3,14 +3,14 @@
 - :class:`~repro.core.tree.SOSPTree` — the single-objective shortest
   path tree (parent + distance arrays), the paper's central data
   structure.
-- :func:`~repro.core.sosp_update.sosp_update` — **Algorithm 1**:
-  parallel incremental SSSP update with destination grouping (Step 0),
-  race-free batch application (Step 1), and iterative affected-frontier
-  propagation (Step 2).
-- :func:`~repro.core.fully_dynamic.apply_mixed_batch` — the unified fully dynamic pipeline for
-  mixed insertion / deletion / weight-change batches: one invalidate /
-  seed / propagate pass over the same slab kernels — the edge
-  deletion extension sketched in the paper's conclusion.
+- :func:`~repro.core.sosp_update.sosp_update` — **Algorithm 1** for
+  any batch of insertions, deletions and weight changes: one
+  invalidation sweep over the subtrees that deleted or raised tree
+  edges cut loose (Step D, the edge deletion extension sketched in the
+  paper's conclusion), destination grouping (Step 0), race-free batch
+  application (Step 1), and iterative affected-frontier propagation
+  (Step 2).  ``apply_mixed_batch`` is its legacy name and call shape,
+  kept only for the benchmark harness.
 - :func:`~repro.core.ensemble.build_ensemble` — **Algorithm 2 Step 2**:
   the combined graph with ``k − x + 1`` (or priority) edge weights, as
   ``(k, n)`` slot matrices that Step 3
@@ -26,16 +26,14 @@
 """
 
 from repro.core.ensemble import EnsembleGraph, build_ensemble
-from repro.core.fully_dynamic import MixedUpdateStats, apply_mixed_batch
 from repro.core.mosp_update import MOSPResult, mosp_update
-from repro.core.sosp_update import UpdateStats, sosp_update
+from repro.core.sosp_update import UpdateStats, apply_mixed_batch, sosp_update
 from repro.core.tree import SOSPTree
 
 __all__ = [
     "SOSPTree",
     "sosp_update",
     "apply_mixed_batch",
-    "MixedUpdateStats",
     "UpdateStats",
     "build_ensemble",
     "EnsembleGraph",

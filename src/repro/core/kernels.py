@@ -238,9 +238,10 @@ def gather_in_edges_csr(
     """All in-edges of ``vertices`` as ``(src, dst, weight)`` arrays.
 
     One concatenated reverse-CSR slice (:func:`gather_ranges`) plus a
-    mask over the incremental COO tail — the vectorised gather the
-    fully dynamic pipeline uses to seed invalidated vertices against
-    their entire connection boundary.  Tombstoned rows come back with
+    mask over the incremental COO tail — the vectorised gather
+    :func:`~repro.core.sosp_update.sosp_update`'s Step 1 uses to seed
+    invalidated vertices against their entire connection boundary.
+    Tombstoned rows come back with
     ``inf`` weights, which every downstream min-relaxation ignores.
     Order is deterministic: reverse-CSR rows per vertex, then tail rows
     in append order.

@@ -141,10 +141,10 @@ def mosp_update(
         with ``trees[i].objective == i``.  Updated in place.
     batch:
         Change batch — any mix of insertions, deletions, and weight
-        changes (mixed batches route Step 1 through
-        :func:`~repro.core.fully_dynamic.apply_mixed_batch`); ``None``
-        skips Step 1 (recombine-only mode, useful after external tree
-        maintenance).
+        changes, which Step 1 hands to
+        :func:`~repro.core.sosp_update.sosp_update` for every tree;
+        ``None`` skips Step 1 (recombine-only mode, useful after
+        external tree maintenance).
     engine:
         Execution engine shared by all steps.
     weighting, priorities:
@@ -203,8 +203,8 @@ def mosp_update(
         for i in range(k):
             stats = timed(
                 f"sosp_update_{i}",
-                lambda i=i: _update_tree_step1(
-                    trees[i], batch, eng, snapshot
+                lambda i=i: sosp_update(
+                    snapshot, trees[i], batch, engine=eng
                 ),
             )
             if m.enabled:
@@ -273,27 +273,6 @@ def _make_timed(
         return out
 
     return timed
-
-
-def _update_tree_step1(
-    tree: SOSPTree,
-    batch: ChangeBatch,
-    eng: Engine,
-    csr: CSRGraph,
-) -> UpdateStats:
-    """Algorithm-2 Step 1 for one per-objective tree.
-
-    Dispatches to the unified fully dynamic pipeline
-    (:func:`~repro.core.fully_dynamic.apply_mixed_batch`) when the
-    batch carries deletions or weight changes, otherwise to plain
-    Algorithm 1 — both over the updated graph ``csr``.  Returns the
-    Algorithm-1 :class:`UpdateStats` (or its mixed-pipeline subclass).
-    """
-    if batch.num_deletions or batch.num_weight_changes:
-        from repro.core.fully_dynamic import apply_mixed_batch
-
-        return apply_mixed_batch(csr, tree, batch, engine=eng)
-    return sosp_update(csr, tree, batch, engine=eng)
 
 
 # ----------------------------------------------------------------------

@@ -1,34 +1,56 @@
-"""Algorithm 1: parallel SOSP update for batches of edge insertions.
+"""Algorithm 1: parallel SOSP update for any batch of edge changes.
 
-The three steps of the paper, §3.1:
+The three steps of the paper, §3.1, preceded by the invalidation sweep
+that extends them to deletions and weight raises (SSSP-Del; the edge
+deletion adaptation sketched in the paper's conclusion):
 
-- **Step 0 — Preprocessing**: inserted edges are grouped by
+- **Step D — invalidate.**  A deletion or weight *raise* on a tree edge
+  ``(u, v)`` strands ``v``'s entire subtree: every member's distance
+  becomes ``inf`` and its parent pointer is cleared.  The dirty-root
+  predicate is one-sided — ``parent[v] == u`` and the new certified
+  bound ``dist[u] + min_w(u, v)`` strictly exceeds ``dist[v]`` — so
+  weight *drops* on tree edges never invalidate (the old distance is
+  still a valid upper bound and Step 1 lowers it instead).  Soundness:
+  when a vertex is *not* invalidated, a live path of length
+  ``≤ dist[v]`` still exists, so every descendant's stored distance
+  remains a valid upper bound.  An insert-only batch has no dirty set.
+- **Step 0 — Preprocessing**: the changed edges are grouped by
   destination, making each destination a unit of parallel work owned
   by exactly one task.  The CSR kernel groups with one stable sort
   inside :func:`~repro.core.kernels.relax_batch_groups`.
-- **Step 1 — Process changed edges**: each group relaxes its inserted
+- **Step 1 — Process changed edges**: each group relaxes its candidate
   edges against the current tree; an improved vertex is *marked*
-  affected.  Grouping means no two tasks write one vertex, so a single
-  pass suffices — this is the paper's improvement over the
-  iterate-until-consistent approach of prior work ([17]).
+  affected.  The candidates are (a) one stimulus per distinct inserted
+  or re-weighted ``(u, v)`` pair, at the minimum *live* weight, so
+  duplicate and self-cancelling edits of one edge collapse to the
+  truth, and (b) the whole connection boundary of the dirty set —
+  every in-edge of every invalidated vertex
+  (:func:`~repro.core.kernels.gather_in_edges_csr`).  Grouping means
+  no two tasks write one vertex, so a single pass suffices — this is
+  the paper's improvement over the iterate-until-consistent approach
+  of prior work ([17]).
 - **Step 2 — Propagate the update**: while the affected set is
   non-empty, gather the unique out-neighbours ``N`` of the affected
   vertices; in parallel each ``v ∈ N`` scans its *marked* predecessors
   and relaxes; improved vertices become the next affected set
-  (:func:`~repro.core.kernels.propagate_csr`).
+  (:func:`~repro.core.kernels.propagate_csr`).  Completeness: every
+  edge violated after the batch either was a Step-1 candidate or flows
+  out of a vertex the update improved, so the fixpoint equals a
+  from-scratch recompute.
 
-Both steps run as vectorised kernels over the
+Every step runs as vectorised kernels over the
 :class:`~repro.graph.csr.CSRGraph` of the updated graph (see
-:func:`resolve_graph`).  The function mutates the tree in place and
-leaves it a correct SSSP solution of the updated graph (certified property-based in the test
-suite).  The update touches only the affected region — its cost is
-O(|ΔE| + affected subgraph), not O(|E|).
+:func:`resolve_graph`), on every engine backend.  The function mutates
+the tree in place and leaves it a correct SSSP solution of the updated
+graph (certified by the differential-oracle suite).  The update
+touches only the affected region — its cost is O(|ΔE| + affected
+subgraph), not O(|E|).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -41,6 +63,7 @@ from repro.graph.digraph import DiGraph
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.parallel.api import Engine, resolve_engine
+from repro.types import INF, NO_PARENT, FloatArray, IntArray
 
 __all__ = ["sosp_update", "UpdateStats"]
 
@@ -51,13 +74,21 @@ class UpdateStats:
 
     Attributes
     ----------
+    dirty_roots:
+        Tree edges whose deletion / weight raise cut a subtree loose
+        (Step D; 0 on an insert-only batch).
+    invalidated:
+        Vertices reset to ``inf`` in Step D (subtree members).
+    seed_stimuli:
+        Candidate edges fed to the Step-1 group relaxation (change
+        stimuli plus the dirty connection boundary).
     affected_initial:
-        Vertices improved directly by inserted edges (Step 1).
+        Vertices improved directly in Step 1.
     affected_total:
         Total improvement events across both steps (a vertex improved
         twice counts twice).
     step1_passes:
-        Passes over the inserted edges (always 1: destination grouping
+        Passes over the candidate edges (always 1: destination grouping
         makes Step 1 a single race-free pass).
     iterations:
         Step 2 frontier iterations.
@@ -69,13 +100,17 @@ class UpdateStats:
         The distinct vertices whose distance (and hence possibly
         parent) changed.  Its size against ``affected_total`` gives
         the wasted-improvement count
-        (``sosp_/mixed_wasted_improvements_total``), and benchmarks
-        read it as the improved-vertex count.
+        (``sosp_wasted_improvements_total``), and benchmarks read it as
+        the improved-vertex count.
     step_seconds:
-        Wall-clock seconds per step: ``"step1"`` (changed-edge
-        application) and ``"step2"`` (frontier propagation).
+        Wall-clock seconds per step: ``"invalidate"`` (Step D),
+        ``"step1"`` (changed-edge relaxation) and ``"step2"``
+        (frontier propagation).
     """
 
+    dirty_roots: int = 0
+    invalidated: int = 0
+    seed_stimuli: int = 0
     affected_initial: int = 0
     affected_total: int = 0
     step1_passes: int = 0
@@ -92,7 +127,7 @@ def sosp_update(
     batch: ChangeBatch,
     engine: Optional[Engine] = None,
 ) -> UpdateStats:
-    """Update ``tree`` in place after the insertions in ``batch``.
+    """Repair ``tree`` in place after ``batch``.
 
     Parameters
     ----------
@@ -107,10 +142,9 @@ def sosp_update(
     tree:
         The SOSP tree of ``G_t``; mutated into the tree of ``G_{t+1}``.
     batch:
-        The change batch.  Only insertion records are processed; a
-        batch containing deletions or weight changes raises
-        :class:`~repro.errors.AlgorithmError` (use
-        :func:`repro.core.fully_dynamic.apply_mixed_batch`).
+        Any interleaving of insertion, deletion, and weight-change
+        records, including duplicate and self-cancelling edits of one
+        edge (stimuli are re-normalised against the live graph).
     engine:
         Execution engine (``None`` = serial).  Each superstep covers the
         Step-1 groups / Step-2 frontier with contiguous slabs, one
@@ -123,11 +157,6 @@ def sosp_update(
     -------
     :class:`UpdateStats`
     """
-    if batch.num_deletions or batch.num_weight_changes:
-        raise AlgorithmError(
-            "sosp_update handles insertions only; use apply_mixed_batch "
-            "for batches with deletions or weight changes"
-        )
     snapshot = resolve_graph(graph, tree)
     eng = resolve_engine(engine)
     stats = UpdateStats()
@@ -135,38 +164,57 @@ def sosp_update(
     parent = tree.parent
     objective = tree.objective
     marked = np.zeros(snapshot.n, dtype=np.int8)
-
-    # normalise the insertion records against the *live* graph: a batch
-    # may insert and delete the same (u, v) edge (mixed batches apply
-    # in record order), so the only trustworthy stimulus per record is
-    # the smallest live (u, v) weight — achievable by construction and
-    # at least as good as whatever the record carried.  Records whose
-    # endpoints have no surviving edge are dropped.
-    batch = _normalize_against_graph(snapshot, batch, objective)
-
     tracer = get_tracer()
-    batch_size = int(batch.num_insertions)
-    src, dst, w_all = batch.insert_records()
+
     with tracer.span(
-        "sosp_update.step1", kernel="csr", batch_size=batch_size
+        "sosp_update.invalidate",
+        deletions=int(batch.num_deletions),
+        weight_changes=int(batch.num_weight_changes),
+    ) as sp_inv:
+        dirty = _invalidate(snapshot, tree, batch, stats)
+        if dirty.size:
+            dist[dirty] = INF
+            parent[dirty] = NO_PARENT
+            eng.charge(int(dirty.size))
+        sp_inv.set(invalidated=stats.invalidated,
+                   dirty_roots=stats.dirty_roots)
+    stats.step_seconds["invalidate"] = sp_inv.elapsed
+
+    with tracer.span(
+        "sosp_update.step1", kernel="csr", batch_size=int(batch.num_changes)
     ) as sp1:
+        s_src, s_dst, s_w = _gather_stimuli(snapshot, batch, dirty, objective)
+        stats.seed_stimuli = int(s_src.size)
         affected_arr, scanned = kernels.relax_batch_groups(
-            src, dst, w_all[:, objective], dist, parent, marked, engine=eng
+            s_src, s_dst, s_w, dist, parent, marked, engine=eng
         )
+        sp1.set(stimuli=stats.seed_stimuli, affected=int(affected_arr.size))
     stats.step_seconds["step1"] = sp1.elapsed
     stats.step1_passes = 1
     stats.relaxations += scanned
     stats.affected_initial = int(affected_arr.size)
     stats.affected_total = int(affected_arr.size)
     stats.affected_vertices.update(affected_arr.tolist())
+
     with tracer.span("sosp_update.step2", kernel="csr") as sp2:
         kernels.propagate_csr(
             snapshot, dist, parent, marked, affected_arr,
             objective=objective, engine=eng, stats=stats,
         )
     stats.step_seconds["step2"] = sp2.elapsed
-    _publish_stats(stats, batch_size)
+    _publish_stats(stats, batch)
     return stats
+
+
+def apply_mixed_batch(
+    graph: Union[CSRGraph, DiGraph], tree: SOSPTree, batch: ChangeBatch,
+    engine: Optional[Engine] = None, use_csr_kernels: bool = True,
+    csr: Optional[CSRGraph] = None,
+) -> UpdateStats:
+    """Legacy name and call shape of :func:`sosp_update`, kept only for
+    ``perfbench/``'s ``(DiGraph, ..., csr=maintained)``; it goes with the
+    next benchmark change.  ``use_csr_kernels`` is ignored."""
+    return sosp_update(resolve_graph(graph, tree, csr), tree, batch, engine)
 
 
 def resolve_graph(
@@ -180,8 +228,7 @@ def resolve_graph(
     stays O(|batch| + affected) on a CSR its owner keeps current with
     :meth:`~repro.graph.csr.CSRGraph.apply_batch`.  A ``DiGraph`` is
     frozen (one O(|E|) pass).  ``csr`` is the legacy call shape
-    ``(DiGraph, ..., csr=maintained)`` of
-    :func:`~repro.core.fully_dynamic.apply_mixed_batch` and
+    ``(DiGraph, ..., csr=maintained)`` of :func:`apply_mixed_batch` and
     :func:`~repro.core.mosp_update.mosp_update`: the maintained CSR is
     the graph read, once :func:`check_snapshot` has compared it with
     the DiGraph.  A ``tree`` that does not span the graph is refused.
@@ -220,7 +267,94 @@ def check_snapshot(snapshot: CSRGraph, graph: DiGraph) -> None:
         )
 
 
-def _publish_stats(stats: UpdateStats, batch_size: int) -> None:
+# ----------------------------------------------------------------------
+def _invalidate(
+    snapshot: CSRGraph,
+    tree: SOSPTree,
+    batch: ChangeBatch,
+    stats: UpdateStats,
+) -> IntArray:
+    """Step D: collect the sorted dirty set without mutating the tree yet.
+
+    A deletion or weight-change record ``(u, v)`` cuts ``v`` loose iff
+    ``v``'s parent pointer crosses that edge and no surviving parallel
+    ``(u, v)`` edge certifies a distance ``≤ dist[v]``.  The test is
+    strictly one-sided (``nd > dist[v]``): a weight drop on the parent
+    edge leaves ``dist[v]`` a valid upper bound, and the matching Step-1
+    stimulus lowers it without the invalidation churn.  The surviving
+    weights come from the updated snapshot in one vectorised lookup
+    (:meth:`~repro.graph.csr.CSRGraph.min_weight_between`).  The roots'
+    subtrees are swept over the tree's child CSR
+    (:meth:`~repro.core.tree.SOSPTree.subtree`), built only when some
+    root exists.
+    """
+    dist = tree.dist
+    parent = tree.parent
+    objective = tree.objective
+
+    del_src, del_dst = batch.delete_records()
+    wc_src, wc_dst, _wc_w = batch.weight_change_records()
+    src = np.concatenate((del_src, wc_src))
+    dst = np.concatenate((del_dst, wc_dst))
+    # every surviving record of one v names the same u = parent[v], so
+    # one test per distinct v decides for all of them
+    cand = (parent[dst] == src) & np.isfinite(dist[dst])
+    v_cand = np.unique(dst[cand])
+    if not v_cand.size:
+        return v_cand
+    u_cand = parent[v_cand]
+    nd = dist[u_cand] + snapshot.min_weight_between(
+        u_cand, v_cand, objective
+    )
+    old = dist[v_cand]
+    roots = v_cand[(nd > old) & ~np.isclose(nd, old)]
+    stats.dirty_roots = int(roots.size)
+    if not roots.size:
+        return roots
+    dirty = tree.subtree(roots)
+    stats.invalidated = int(dirty.size)
+    return dirty
+
+
+def _gather_stimuli(
+    snapshot: CSRGraph,
+    batch: ChangeBatch,
+    dirty: IntArray,
+    objective: int,
+) -> Tuple[IntArray, IntArray, FloatArray]:
+    """Assemble the Step-1 candidate edges ``(src, dst, weight)``.
+
+    Change stimuli come first: one per distinct inserted /
+    weight-changed pair, in first-occurrence order (insertions, then
+    weight changes), normalised to the minimum live weight so the
+    batch's record order and duplicates cannot disagree with the graph;
+    pairs with no live edge left are dropped.  Then the dirty boundary
+    — every in-edge of every invalidated vertex.  Order is
+    deterministic, and duplicates between the two groups are harmless:
+    the group relaxation reduces each destination with one segmented
+    argmin.
+    """
+    ins_src, ins_dst, _ins_w = batch.insert_records()
+    wc_src, wc_dst, _wc_w = batch.weight_change_records()
+    src = np.concatenate((ins_src, wc_src))
+    dst = np.concatenate((ins_dst, wc_dst))
+    _, first = np.unique(src * snapshot.n + dst, return_index=True)
+    first.sort()
+    src, dst = src[first], dst[first]
+    w = snapshot.min_weight_between(src, dst, objective)
+    live = np.isfinite(w)
+    src, dst, w = src[live], dst[live], w[live]
+    if dirty.size:
+        b_src, b_dst, b_w = kernels.gather_in_edges_csr(
+            snapshot, dirty, objective
+        )
+        src = np.concatenate((src, b_src))
+        dst = np.concatenate((dst, b_dst))
+        w = np.concatenate((w, b_w))
+    return src, dst, w
+
+
+def _publish_stats(stats: UpdateStats, batch: ChangeBatch) -> None:
     """Publish one finished Algorithm-1 run to the metrics registry.
 
     Exactly one call per :func:`sosp_update` invocation, fed from the
@@ -236,40 +370,26 @@ def _publish_stats(stats: UpdateStats, batch_size: int) -> None:
         stats.relaxations
     )
     m.counter("sosp_step1_passes_total",
-              "Step-1 passes over inserted edges").inc(stats.step1_passes)
+              "Step-1 passes over candidate edges").inc(stats.step1_passes)
     m.counter("sosp_improvements_total",
               "distance improvements applied").inc(stats.affected_total)
     m.counter("sosp_wasted_improvements_total",
               "improvements overwritten later in the same update").inc(
         stats.affected_total - len(stats.affected_vertices)
     )
-    m.histogram("sosp_batch_size", "insertions per batch").observe(
-        batch_size
+    m.counter(
+        "sosp_invalidated_total",
+        "vertices invalidated by deleted/raised tree edges",
+    ).inc(stats.invalidated)
+    m.histogram("sosp_batch_size", "records per batch").observe(
+        batch.num_changes
+    )
+    m.histogram("sosp_step1_stimuli",
+                "Step-1 candidate edges per update").observe(
+        stats.seed_stimuli
     )
     m.histogram("sosp_step2_iterations",
                 "Step-2 frontier waves per update").observe(stats.iterations)
     h = m.histogram("sosp_frontier_size", "|N| per Step-2 iteration")
     for size in stats.frontier_sizes:
         h.observe(size)
-
-
-# ----------------------------------------------------------------------
-def _normalize_against_graph(
-    snapshot: CSRGraph, batch: ChangeBatch, objective: int
-) -> ChangeBatch:
-    """Rewrite insertion records to the minimum live ``(u, v)`` weight
-    for ``objective``; drop records with no surviving edge.
-
-    One vectorised lookup over the updated snapshot
-    (:meth:`~repro.graph.csr.CSRGraph.min_weight_between`), O(|batch| +
-    degree)."""
-    src, dst, w = batch.insert_records()
-    if len(src) == 0:
-        return batch
-    live = snapshot.min_weight_between(src, dst, objective)
-    keep = np.isfinite(live)  # an edge deleted later in the batch is gone
-    w = w[keep]
-    w[:, objective] = live[keep]
-    return ChangeBatch(
-        src[keep], dst[keep], w, np.ones(int(keep.sum()), dtype=bool)
-    )

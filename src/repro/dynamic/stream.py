@@ -40,8 +40,8 @@ class ChangeStream:
     weight_change_fraction:
         Fraction of each batch that re-weights live edges (0.0 by
         default; requires ``insert_fraction + weight_change_fraction
-        <= 1``).  Together with ``insert_fraction < 1`` this drives
-        the fully dynamic mixed pipeline.
+        <= 1``).  Together with ``insert_fraction < 1`` this makes
+        mixed batches.
     seed:
         RNG seed; the stream is fully deterministic.
 

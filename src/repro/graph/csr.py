@@ -526,13 +526,6 @@ class CSRGraph:
             (base, self.tail_weights[self.tail_src == u, objective])
         )
 
-    def out_weight_vectors(self, u: int) -> FloatArray:
-        """``(deg, k)`` weight vectors of ``u``'s out-edges."""
-        base = self.weights[self.indptr[u] : self.indptr[u + 1]]
-        if self.num_tail_edges == 0:
-            return base
-        return np.concatenate((base, self.tail_weights[self.tail_src == u]))
-
     def in_neighbors(self, v: int) -> IntArray:
         """Array of predecessor ids of ``v``."""
         base = self.rev_indices[self.rev_indptr[v] : self.rev_indptr[v + 1]]

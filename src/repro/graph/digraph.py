@@ -23,15 +23,7 @@ Design notes
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -202,10 +194,6 @@ class DiGraph:
             grown = np.empty((max(2 * cap, slots), self._k), dtype=DIST_DTYPE)
             grown[:cap] = self._weights
             self._weights = grown
-
-    def add_edges(self, edges: Iterable[Tuple[int, int, Sequence[float]]]) -> List[int]:
-        """Insert many edges; return their edge ids."""
-        return [self.add_edge(u, v, w) for (u, v, w) in edges]
 
     def remove_edge_id(self, eid: int) -> None:
         """Tombstone-delete the edge with id ``eid``."""

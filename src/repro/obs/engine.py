@@ -3,7 +3,7 @@
 ``TracedEngine`` wraps an :class:`~repro.parallel.api.Engine`
 (including a :class:`~repro.parallel.checked.CheckedEngine` — the
 sanitizer and the tracer compose) and annotates every
-``parallel_for``/``map_reduce`` call — one superstep — with:
+``parallel_for``/``parallel_for_slabs`` call — one superstep — with:
 
 - ``phase``: the name of the enclosing algorithm span (e.g.
   ``sosp_update.step2``), read from the tracer's context;
@@ -92,35 +92,13 @@ class TracedEngine:
             if m.enabled:
                 m.counter(
                     "engine_supersteps_total",
-                    "parallel_for/map_reduce barriers executed",
+                    "engine supersteps executed",
                 ).inc()
                 m.histogram(
                     "engine_superstep_items",
                     "tasks per superstep",
                 ).observe(len(items))
         return results
-
-    def map_reduce(
-        self,
-        items: Sequence[T],
-        fn: Callable[[T], R],
-        reduce_fn: Callable[[Any, R], Any],
-        init: Any,
-        work_fn: Optional[Callable[[T, R], float]] = None,
-    ) -> Any:
-        tracer = get_tracer()
-        enclosing = current_span()
-        with tracer.span(
-            "superstep",
-            op="map_reduce",
-            phase=enclosing.name if enclosing is not None else "",
-            backend=self.inner.name,
-            threads=self.threads,
-            items=len(items),
-        ):
-            return self.inner.map_reduce(
-                items, fn, reduce_fn, init, work_fn=work_fn
-            )
 
     def parallel_for_slabs(
         self,
@@ -184,7 +162,7 @@ class TracedEngine:
             if m.enabled:
                 m.counter(
                     "engine_supersteps_total",
-                    "parallel_for/map_reduce barriers executed",
+                    "engine supersteps executed",
                 ).inc()
                 m.histogram(
                     "engine_superstep_items",

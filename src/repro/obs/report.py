@@ -12,9 +12,7 @@ driver      ``cli.*`` / ``bench.*`` roots (argument parsing, printing)
 setup       ``setup.*`` (graph/tree construction, batch generation)
 step1       per-tree SOSP updates: ``*.step1``, ``*.invalidate``,
             the per-objective ``*.sosp_update_<i>`` wrappers
-seed        ``*.seed`` (Step I of the mixed pipeline)
-step2       propagation / combine: ``*.step2``, ``*.propagate``,
-            ``*.ensemble``
+step2       propagation / combine: ``*.step2``, ``*.ensemble``
 step3       combined-graph solve: ``*.bellman_ford``, ``*.reassign``
 front       ``dynamic_front.*`` (label-correcting Pareto front)
 dispatch    engine-superstep time not covered by worker execution —
@@ -60,7 +58,7 @@ __all__ = ["PHASES", "load_trace", "attribute_trace", "render_text"]
 
 #: Report buckets, in render order.
 PHASES = (
-    "driver", "setup", "step1", "seed", "step2", "step3",
+    "driver", "setup", "step1", "step2", "step3",
     "front", "dispatch", "teardown", "other",
 )
 
@@ -125,9 +123,7 @@ def _classify(name: str) -> Optional[str]:
     last = name.rsplit(".", 1)[-1]
     if last in ("step1", "invalidate") or last.startswith("sosp_update"):
         return "step1"
-    if last == "seed":
-        return "seed"
-    if last in ("step2", "propagate", "ensemble"):
+    if last in ("step2", "ensemble"):
         return "step2"
     if last in ("bellman_ford", "reassign"):
         return "step3"

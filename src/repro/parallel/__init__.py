@@ -27,9 +27,9 @@ abstraction with three interchangeable backends:
 ========================  =====================================================
 
 All engines implement the :class:`~repro.parallel.api.Engine` protocol:
-``parallel_for`` (one superstep: independent tasks + implicit barrier),
-``map_reduce``, and ``charge`` (account serial work to the virtual
-clock; a no-op outside the simulated engine).
+``parallel_for`` (one superstep: independent tasks + implicit barrier)
+and ``charge`` (account serial work to the virtual clock; a no-op
+outside the simulated engine).
 """
 
 from repro.parallel.api import (

@@ -81,17 +81,6 @@ class Engine(Protocol):
         """
         ...
 
-    def map_reduce(
-        self,
-        items: Sequence[T],
-        fn: Callable[[T], R],
-        reduce_fn: Callable[[Any, R], Any],
-        init: Any,
-        work_fn: Optional[Callable[[T, R], float]] = None,
-    ) -> Any:
-        """``parallel_for`` followed by a sequential fold of results."""
-        ...
-
     def charge(self, units: float) -> None:
         """Account ``units`` of *serial* work (virtual-clock engines only)."""
         ...
@@ -218,19 +207,6 @@ class BaseEngine:
         work_fn: Optional[Callable[[T, R], float]] = None,
     ) -> List[R]:
         raise NotImplementedError  # pragma: no cover - abstract
-
-    def map_reduce(
-        self,
-        items: Sequence[T],
-        fn: Callable[[T], R],
-        reduce_fn: Callable[[Any, R], Any],
-        init: Any,
-        work_fn: Optional[Callable[[T, R], float]] = None,
-    ) -> Any:
-        acc = init
-        for r in self.parallel_for(items, fn, work_fn=work_fn):
-            acc = reduce_fn(acc, r)
-        return acc
 
     def charge(self, units: float) -> None:  # noqa: D401 - trivial
         """No-op for wall-clock engines."""

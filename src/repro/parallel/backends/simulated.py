@@ -221,11 +221,6 @@ class SimulatedEngine(BaseEngine):
         if self.trace is not None:
             self.trace = []
 
-    @property
-    def virtual_time_ms(self) -> float:
-        """Virtual elapsed time in milliseconds."""
-        return self.virtual_time * 1e3
-
     def charge(self, units: float) -> None:
         """Charge ``units`` of sequential work to the virtual clock."""
         if units < 0:

@@ -75,19 +75,6 @@ class CheckedEngine:
         self.tracker.next_superstep()
         return self.inner.parallel_for(items, fn, work_fn=work_fn)
 
-    def map_reduce(
-        self,
-        items: Sequence[T],
-        fn: Callable[[T], R],
-        reduce_fn: Callable[[Any, R], Any],
-        init: Any,
-        work_fn: Optional[Callable[[T, R], float]] = None,
-    ) -> Any:
-        self.tracker.next_superstep()
-        return self.inner.map_reduce(
-            items, fn, reduce_fn, init, work_fn=work_fn
-        )
-
     def parallel_for_slabs(
         self,
         n_items: int,

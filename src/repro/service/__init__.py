@@ -13,8 +13,8 @@ that
    up to ``flush_size``, at once
    (:class:`~repro.service.coalesce.Coalescer` — the BatchHL-style
    batch-dynamic serving shape), and
-3. **applies** each batch through ``sosp_update`` /
-   ``apply_mixed_batch`` on a single writer thread, publishing an
+3. **applies** each batch through ``sosp_update`` on a single writer
+   thread, publishing an
    epoch-stamped immutable :class:`~repro.service.snapshot.EpochSnapshot`
    of dist/parent after every batch,
 

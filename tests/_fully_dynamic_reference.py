@@ -1,6 +1,6 @@
-"""Reference Step D of the fully dynamic pipeline: the per-vertex walk.
+"""Reference Step D of the fully dynamic update: the per-vertex walk.
 
-The invalidation pass of ``repro.core.fully_dynamic.apply_mixed_batch``
+The invalidation pass (Step D) of ``repro.core.sosp_update.sosp_update``
 as it was first written — test each deletion / weight-change record
 one at a time, then breadth-first walk the dirty subtrees over one
 Python list of children per vertex.  The library now runs the root
@@ -17,7 +17,7 @@ from typing import List, Set
 
 import numpy as np
 
-from repro.core.fully_dynamic import MixedUpdateStats
+from repro.core.sosp_update import UpdateStats
 from repro.core.tree import SOSPTree
 from repro.dynamic.changes import ChangeBatch
 from repro.graph.digraph import DiGraph
@@ -39,7 +39,7 @@ def invalidate_reference(
     graph: DiGraph,
     tree: SOSPTree,
     batch: ChangeBatch,
-    stats: MixedUpdateStats,
+    stats: UpdateStats,
 ) -> Set[int]:
     """Step D: collect the dirty set without mutating the tree yet.
 
@@ -47,7 +47,7 @@ def invalidate_reference(
     ``v``'s parent pointer crosses that edge and no surviving parallel
     ``(u, v)`` edge certifies a distance ``≤ dist[v]``.  The test is
     strictly one-sided (``nd > dist[v]``): a weight drop on the parent
-    edge leaves ``dist[v]`` a valid upper bound, and the matching Step-I
+    edge leaves ``dist[v]`` a valid upper bound, and the matching Step-1
     stimulus lowers it without the invalidation churn.
     """
     dist = tree.dist
@@ -90,7 +90,7 @@ def invalidate_reference_sorted(
     graph: DiGraph,
     tree: SOSPTree,
     batch: ChangeBatch,
-    stats: MixedUpdateStats,
+    stats: UpdateStats,
 ) -> IntArray:
     """:func:`invalidate_reference` in the library's return shape (the
     sorted dirty array), for swapping in as the pipeline's Step D."""

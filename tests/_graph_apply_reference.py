@@ -16,9 +16,10 @@ compares the one-pass appliers against:
   with :func:`append_edges_reference`, :func:`find_live_min_reference`,
   :func:`delete_edges_reference` and
   :func:`update_edge_weights_reference`;
-- :func:`normalize_against_graph_reference` — the old
-  ``sosp_update._normalize_against_graph``, which looked live weights
-  up on the ``DiGraph`` one record at a time.
+- :func:`normalize_against_graph_reference` — the per-record
+  insertion normalisation of the old insert-only ``sosp_update``, which
+  looked live weights up on the ``DiGraph`` one record at a time (the
+  library now builds one stimulus per distinct pair in Step 1).
 
 Unlike the library, these loops validate records as they reach them,
 so a bad record in the middle leaves the records before it applied.

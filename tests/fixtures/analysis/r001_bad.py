@@ -24,12 +24,7 @@ def untracked_method_mutation(engine, items):
 
 
 def untracked_inline_lambda(engine, items, hits):
-    return engine.map_reduce(
-        items,
-        lambda i: hits.append(i) or i,
-        lambda acc, r: acc + r,
-        0,
-    )
+    return engine.parallel_for(items, lambda i: hits.append(i) or i)
 
 
 def untracked_assigned_lambda(engine, items, parent):

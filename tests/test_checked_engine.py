@@ -62,10 +62,6 @@ class TestDelegation:
     def test_results_unchanged(self):
         eng = CheckedEngine(SerialEngine())
         assert eng.parallel_for([1, 2, 3], lambda x: x * x) == [1, 4, 9]
-        total = eng.map_reduce(
-            [1, 2, 3], lambda x: x, lambda a, r: a + r, 0
-        )
-        assert total == 6
 
     def test_threads_property(self):
         eng = CheckedEngine(SimulatedEngine(threads=8))

@@ -1,10 +1,10 @@
 """Tests for the fully dynamic extension (deletions + mixed batches),
-run through :func:`~repro.core.fully_dynamic.apply_mixed_batch`."""
+run through :func:`~repro.core.sosp_update.sosp_update`."""
 
 import numpy as np
 import pytest
 
-from repro.core import SOSPTree, UpdateStats, apply_mixed_batch
+from repro.core import SOSPTree, UpdateStats, sosp_update
 from repro.dynamic import (
     ChangeBatch,
     random_delete_batch,
@@ -29,7 +29,7 @@ class TestDeletions:
         before = tree.dist.copy()
         batch = ChangeBatch.deletions([(1, 2)])
         batch.apply_to(g)
-        stats = apply_mixed_batch(g, tree, batch)
+        stats = sosp_update(g, tree, batch)
         np.testing.assert_array_equal(tree.dist, before)
         assert stats.invalidated == 0
         assert_tree_correct(g, tree)
@@ -42,7 +42,7 @@ class TestDeletions:
         assert tree.dist[2] == 2.0
         batch = ChangeBatch.deletions([(1, 2)])
         batch.apply_to(g)
-        stats = apply_mixed_batch(g, tree, batch)
+        stats = sosp_update(g, tree, batch)
         assert tree.dist[2] == 5.0
         assert tree.parent[2] == 0
         assert stats.invalidated == 1
@@ -56,7 +56,7 @@ class TestDeletions:
         tree = SOSPTree.build(g, 0)
         batch = ChangeBatch.deletions([(0, 1)])
         batch.apply_to(g)
-        stats = apply_mixed_batch(g, tree, batch)
+        stats = sosp_update(g, tree, batch)
         assert np.isinf(tree.dist[1:]).all()
         assert (tree.parent[1:] == -1).all()
         assert stats.invalidated == 3
@@ -79,7 +79,7 @@ class TestDeletions:
         assert tree.dist.tolist() == [0.0, 1.0, 2.0, 3.0, 10.0]
         batch = ChangeBatch.deletions([(1, 2)])
         batch.apply_to(g)
-        apply_mixed_batch(g, tree, batch)
+        sosp_update(g, tree, batch)
         assert tree.dist.tolist() == [0.0, 1.0, 20.0, 21.0, 10.0]
         assert_tree_correct(g, tree)
 
@@ -90,7 +90,7 @@ class TestDeletions:
         tree = SOSPTree.build(g, 0)
         batch = ChangeBatch.deletions([(0, 1)])
         batch.apply_to(g)
-        apply_mixed_batch(g, tree, batch)
+        sosp_update(g, tree, batch)
         assert tree.dist[1] == 3.0  # twin edge still certifies
         assert_tree_correct(g, tree)
 
@@ -100,7 +100,7 @@ class TestDeletions:
         tree = SOSPTree.build(g, 0)
         batch = random_delete_batch(g, 40, seed=seed + 1)
         batch.apply_to(g)
-        apply_mixed_batch(g, tree, batch)
+        sosp_update(g, tree, batch)
         assert_tree_correct(g, tree)
 
 
@@ -112,7 +112,7 @@ class TestMixedBatches:
         batch = random_mixed_batch(g, 60, insert_fraction=0.6,
                                    seed=seed + 5)
         batch.apply_to(g)
-        stats = apply_mixed_batch(g, tree, batch)
+        stats = sosp_update(g, tree, batch)
         assert_tree_correct(g, tree)
         if batch.num_insertions:
             # the insertion work is reported Algorithm-1-shaped
@@ -124,7 +124,7 @@ class TestMixedBatches:
         tree = SOSPTree.build(g, 0)
         batch = random_insert_batch(g, 20, seed=1)
         batch.apply_to(g)
-        stats = apply_mixed_batch(g, tree, batch)
+        stats = sosp_update(g, tree, batch)
         assert stats.invalidated == 0
         assert isinstance(stats, UpdateStats)
         assert stats.step1_passes == 1
@@ -138,7 +138,7 @@ class TestMixedBatches:
             ChangeBatch.insertions([(1, 2, 4.0)]),
         )
         batch.apply_to(g)
-        apply_mixed_batch(g, tree, batch)
+        sosp_update(g, tree, batch)
         assert tree.dist[2] == 5.0
         assert_tree_correct(g, tree)
 
@@ -148,7 +148,7 @@ class TestMixedBatches:
         batch = random_mixed_batch(g, 60, insert_fraction=0.5, seed=10)
         batch.apply_to(g)
         eng = SimulatedEngine(threads=4)
-        apply_mixed_batch(g, tree, batch, engine=eng)
+        sosp_update(g, tree, batch, engine=eng)
         assert eng.virtual_time > 0
         assert_tree_correct(g, tree)
 
@@ -159,5 +159,5 @@ class TestMultiObjectiveDeletion:
         tree = SOSPTree.build(g, 0, objective=1)
         batch = random_delete_batch(g, 30, seed=12)
         batch.apply_to(g)
-        apply_mixed_batch(g, tree, batch)
+        sosp_update(g, tree, batch)
         assert_tree_correct(g, tree)

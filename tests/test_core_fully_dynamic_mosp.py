@@ -70,7 +70,7 @@ class TestInsertThenDeleteSameEdge:
         )
 
     def test_apply_mixed_batch(self):
-        from repro.core import apply_mixed_batch
+        from repro.core import sosp_update
 
         g = DiGraph(3, k=1)
         g.add_edge(0, 1, (1.0,))
@@ -79,7 +79,7 @@ class TestInsertThenDeleteSameEdge:
         tree = SOSPTree.build(g, 0)
         batch = self.make_batch(1)
         batch.apply_to(g)
-        apply_mixed_batch(g, tree, batch)
+        sosp_update(g, tree, batch)
         assert tree.dist[2] == 2.0  # not 0.1
         tree.certify(g)
 

@@ -314,7 +314,9 @@ class TestCSRKernelPath:
         assert all(v >= 0 for v in r.step_seconds.values())
         # per-tree Algorithm-1 stats expose the kernel sub-step timers
         for stats in r.update_stats:
-            assert set(stats.step_seconds) == {"step1", "step2"}
+            assert set(stats.step_seconds) == {
+                "invalidate", "step1", "step2",
+            }
 
     def test_kernel_path_with_maintained_snapshot(self):
         from repro.graph.csr import CSRGraph

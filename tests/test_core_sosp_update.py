@@ -214,13 +214,6 @@ class TestUpdateSemantics:
         assert_tree_correct(g, t0)
         assert_tree_correct(g, t1)
 
-    def test_deletion_batch_rejected(self):
-        g = DiGraph(3)
-        g.add_edge(0, 1, 1.0)
-        tree = SOSPTree.build(g, 0)
-        with pytest.raises(AlgorithmError):
-            sosp_update(g, tree, ChangeBatch.deletions([(0, 1)]))
-
     def test_tree_size_mismatch_rejected(self):
         g = DiGraph(3)
         tree = SOSPTree(0, np.zeros(2), np.full(2, -1))

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SOSPTree, apply_mixed_batch, mosp_update, sosp_update
+from repro.core import SOSPTree, mosp_update, sosp_update
 from repro.core import kernels
 from repro.dynamic import (
     KIND_DELETE,
@@ -123,6 +123,64 @@ def test_sosp_update_identical_across_backends(data):
 
 
 @st.composite
+def graph_and_repeated_pair_batches(draw, max_n=10, max_batches=2):
+    """Insertion batches that repeat ``(u, v)`` pairs: some records
+    exactly, some with another weight.
+
+    Every edge record takes its own power of two as weight, so two
+    different paths never sum to the same length (at most 52 records,
+    and every sum is exact in float64).  Shortest paths, and so the
+    parents, are unique, and two update paths can be compared bitwise
+    on ``parent`` as well as ``dist``.
+    """
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    vertex = st.integers(0, n - 1)
+    base = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    n_batches = draw(st.integers(1, max_batches))
+    pair_lists = []
+    for _ in range(n_batches):
+        pairs = draw(st.lists(st.tuples(vertex, vertex),
+                              min_size=1, max_size=6))
+        exact = draw(st.lists(st.sampled_from(pairs), max_size=4))
+        reweighted = draw(st.lists(st.sampled_from(pairs), max_size=4))
+        pair_lists.append((pairs, exact, reweighted))
+    powers = iter(draw(st.permutations(range(52))))
+
+    def weight():
+        return (float(2 ** next(powers)),)
+
+    g = DiGraph(n, k=1)
+    for u, v in base:
+        g.add_edge(u, v, weight())
+    batches = []
+    for pairs, exact, reweighted in pair_lists:
+        records = [(u, v, weight()) for u, v in pairs]
+        first = {(u, v): w for u, v, w in records}
+        records += [(u, v, first[u, v]) for u, v in exact]
+        records += [(u, v, weight()) for u, v in reweighted]
+        batches.append(ChangeBatch.insertions(
+            draw(st.permutations(records))
+        ))
+    return g, batches
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=graph_and_repeated_pair_batches())
+def test_repeated_pairs_bitwise_equal_reference(data):
+    """Repeated ``(u, v)`` records: the reference relaxes each record
+    at the pair's minimum live weight, the library once per distinct
+    pair.  Both must land on the same ``dist`` and ``parent`` bytes."""
+    graph, batches = data
+    reference = _run_sosp_reference(graph, batches)
+    for engine in ENGINES:
+        tree = _run_sosp(engine, graph, batches)
+        assert tree.dist.tobytes() == reference.dist.tobytes(), engine.name
+        assert tree.parent.tobytes() == reference.parent.tobytes(), (
+            engine.name
+        )
+
+
+@st.composite
 def graph_and_mixed_batches(draw, max_n=12, max_batches=2):
     """A random digraph plus mixed insert/delete/re-weight batches,
     biased so some records hit live (often tree) edges."""
@@ -165,7 +223,7 @@ def _run_mixed(engine, graph, batches):
     for batch in batches:
         batch.apply_to(g)
         snapshot.apply_batch(batch)
-        apply_mixed_batch(snapshot, tree, batch, engine=engine)
+        sosp_update(snapshot, tree, batch, engine=engine)
     return g, tree
 
 
@@ -215,7 +273,7 @@ def test_shm_crash_recovery_matches_oracle(monkeypatch):
     g_ref = copy.deepcopy(g)
     tree_ref = SOSPTree.build(g_ref, 0)
     batch.apply_to(g_ref)
-    apply_mixed_batch(g_ref, tree_ref, batch)
+    sosp_update(g_ref, tree_ref, batch)
 
     monkeypatch.setattr(
         kernels, "_PROPAGATE_SLAB_REF",
@@ -229,7 +287,7 @@ def test_shm_crash_recovery_matches_oracle(monkeypatch):
         batch.apply_to(g)
         snapshot.apply_batch(batch)
         with pytest.warns(RuntimeWarning, match="died mid-superstep"):
-            apply_mixed_batch(snapshot, tree, batch, engine=engine)
+            sosp_update(snapshot, tree, batch, engine=engine)
     finally:
         engine.close()
     np.testing.assert_array_equal(tree.dist, tree_ref.dist)

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import SOSPTree, apply_mixed_batch, sosp_update
+from repro.core import SOSPTree, sosp_update
 from repro.core.affected import gather_unique_neighbors_csr
 from repro.core.kernels import MIN_SLAB_ITEMS, group_tail_by_position
 from repro.dynamic import ChangeBatch, random_insert_batch, random_mixed_batch
@@ -210,10 +210,10 @@ def test_mixed_stream_matches_dijkstra(engine, n, seed):
             )
             batch.apply_to(g)
             snapshot.apply_batch(batch)
-            stats = apply_mixed_batch(snapshot, tree, batch, engine=engine)
+            stats = sosp_update(snapshot, tree, batch, engine=engine)
             _assert_matches_dijkstra(g, tree)
             wasted += stats.affected_total - len(stats.affected_vertices)
-        assert reg.snapshot()["mixed_wasted_improvements_total"] == wasted
+        assert reg.snapshot()["sosp_wasted_improvements_total"] == wasted
 
 
 class TestSimulatedSlabsSizedForReplay:

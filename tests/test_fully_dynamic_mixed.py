@@ -1,6 +1,6 @@
-"""Differential-oracle certification of the fully dynamic mixed pipeline.
+"""Differential-oracle certification of ``sosp_update`` on mixed batches.
 
-``apply_mixed_batch`` must leave the SOSP tree *identical* to a
+``sosp_update`` must leave the SOSP tree *identical* to a
 from-scratch Dijkstra recompute of the updated graph — distances
 bitwise equal (integer weights make double sums exact) and parents
 tree-certified — for arbitrary interleavings of insertions, deletions,
@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SOSPTree, apply_mixed_batch, sosp_update
+from repro.core.sosp_update import resolve_graph
 from repro.dynamic import (
     KIND_DELETE,
     KIND_INSERT,
@@ -105,7 +106,7 @@ class TestDifferentialOracle:
         tree = SOSPTree.build(g, 0)
         for batch in batches:
             batch.apply_to(g)
-            apply_mixed_batch(g, tree, batch)
+            sosp_update(g, tree, batch)
         assert_matches_dijkstra(g, tree)
 
     @given(data=graph_and_mixed_batches(max_batches=3))
@@ -120,7 +121,7 @@ class TestDifferentialOracle:
             batch.apply_to(g)
             snapshot.apply_batch(batch)
             assert snapshot.num_edges == g.num_edges
-            apply_mixed_batch(snapshot, tree, batch)
+            sosp_update(snapshot, tree, batch)
         assert_matches_dijkstra(g, tree)
         su, sv, sw = g.edge_arrays()
         expected = sorted(zip(su.tolist(), sv.tolist(), sw.tolist()))
@@ -134,7 +135,7 @@ class TestDifferentialOracle:
         tree = SOSPTree.build(g, 0, objective=1)
         for batch in batches:
             batch.apply_to(g)
-            apply_mixed_batch(g, tree, batch)
+            sosp_update(g, tree, batch)
         assert_matches_dijkstra(g, tree)
 
     @settings(max_examples=50)
@@ -153,10 +154,10 @@ class TestDifferentialOracle:
             weight_change_fraction=0.3,
         )
         batch.apply_to(g)
-        apply_mixed_batch(g, tree, batch)
+        sosp_update(g, tree, batch)
         batch.apply_to(g2)
         snapshot.apply_batch(batch)
-        apply_mixed_batch(snapshot, tree2, batch)
+        sosp_update(snapshot, tree2, batch)
         assert_matches_dijkstra(g, tree, exact=False)
         np.testing.assert_array_equal(tree2.dist, tree.dist)
         tree2.certify(g2)
@@ -173,7 +174,7 @@ class TestEdgeCases:
         batch.apply_to(g)
         if maintained:
             graph.apply_batch(batch)
-        stats = apply_mixed_batch(graph, tree, batch)
+        stats = sosp_update(graph, tree, batch)
         assert_matches_dijkstra(g, tree)
         return tree, stats
 
@@ -253,13 +254,6 @@ class TestEdgeCases:
         assert tree.dist[1] == 3.0  # the twin still certifies
         assert stats.invalidated == 0
 
-    def test_sosp_update_rejects_weight_changes(self):
-        g = build_graph(2, 1, [(0, 1, 1.0)])
-        tree = SOSPTree.build(g, 0)
-        batch = ChangeBatch.weight_changes([(0, 1, 2.0)])
-        with pytest.raises(AlgorithmError, match="weight changes"):
-            sosp_update(g, tree, batch)
-
     def test_csr_out_of_sync_rejected(self):
         g = build_graph(3, 1, [(0, 1, 1.0), (1, 2, 1.0)])
         tree = SOSPTree.build(g, 0)
@@ -267,7 +261,7 @@ class TestEdgeCases:
         batch = ChangeBatch.deletions([(1, 2)])
         batch.apply_to(g)  # snapshot NOT updated
         with pytest.raises(AlgorithmError, match="apply_batch"):
-            apply_mixed_batch(g, tree, batch, csr=snapshot)
+            resolve_graph(g, tree, csr=snapshot)
 
     def test_dynamic_front_rejects_weight_changes(self):
         from repro.mosp.dynamic_front import DynamicParetoFront
@@ -341,7 +335,7 @@ class TestLegacyCallShape:
             csr.apply_batch(batch)
             a = apply_mixed_batch(g, legacy, batch, use_csr_kernels=True,
                                   csr=legacy_csr)
-            b = apply_mixed_batch(csr, tree, batch)
+            b = sosp_update(csr, tree, batch)
             assert a.affected_vertices == b.affected_vertices
             assert a.invalidated == b.invalidated
             assert legacy.dist.tobytes() == tree.dist.tobytes()

@@ -1,11 +1,11 @@
 """Differential certification of the array Step D (invalidate).
 
-``repro.core.fully_dynamic._invalidate`` tests every deletion and
+``repro.core.sosp_update._invalidate`` tests every deletion and
 weight-change record at once and sweeps the dirty subtrees over the
 tree's child CSR.  It must return exactly ``sorted()`` of the set the
 per-vertex walk in :mod:`tests._fully_dynamic_reference` collects, with
 the same ``dirty_roots`` / ``invalidated`` counts, and a whole
-``apply_mixed_batch`` run with either Step D must leave ``dist`` *and*
+``sosp_update`` run with either Step D must leave ``dist`` *and*
 ``parent`` bitwise equal — with a DiGraph argument frozen on entry or
 a ``CSRGraph`` argument maintained across batches, and on every engine
 backend.
@@ -22,8 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SOSPTree, apply_mixed_batch
-from repro.core.fully_dynamic import MixedUpdateStats
+from repro.core import SOSPTree, UpdateStats, sosp_update
 from repro.dynamic import (
     KIND_DELETE,
     KIND_INSERT,
@@ -50,14 +49,15 @@ from tests.test_fully_dynamic_mixed import (
     make_batch,
 )
 
-fully_dynamic = importlib.import_module("repro.core.fully_dynamic")
+# the package re-exports the function over the submodule's name
+sosp_module = importlib.import_module("repro.core.sosp_update")
 
 
 def reference_step_d():
     """Run the pipeline on the old walk (which reads live weights from
     a thawed copy of the pipeline's snapshot)."""
     return mock.patch.object(
-        fully_dynamic, "_invalidate",
+        sosp_module, "_invalidate",
         lambda snapshot, tree, batch, stats: invalidate_reference_sorted(
             snapshot.to_digraph(), tree, batch, stats
         ),
@@ -67,11 +67,11 @@ def reference_step_d():
 def assert_same_dirty_set(g, tree, batch):
     """Both Step Ds on one (updated graph, pre-batch tree) state."""
     before = (tree.dist.copy(), tree.parent.copy())
-    got_stats = MixedUpdateStats()
-    got = fully_dynamic._invalidate(
+    got_stats = UpdateStats()
+    got = sosp_module._invalidate(
         CSRGraph.from_digraph(g), tree, batch, got_stats
     )
-    ref_stats = MixedUpdateStats()
+    ref_stats = UpdateStats()
     ref = invalidate_reference(g, tree, batch, ref_stats)
     assert got.dtype == np.int64
     assert got.tolist() == sorted(ref)
@@ -84,7 +84,7 @@ def assert_same_dirty_set(g, tree, batch):
 
 
 def run_pipeline(graph, batches, maintained, engine=None, reference=False):
-    """Play ``batches`` through ``apply_mixed_batch``; returns the tree
+    """Play ``batches`` through ``sosp_update``; returns the tree
     and the per-batch stats.  ``maintained`` passes a ``CSRGraph`` kept
     current with ``apply_batch``; otherwise the DiGraph, which each
     call freezes."""
@@ -98,10 +98,9 @@ def run_pipeline(graph, batches, maintained, engine=None, reference=False):
             update_graph.apply_batch(batch)
         if reference:
             with reference_step_d():
-                s = apply_mixed_batch(update_graph, tree, batch,
-                                      engine=engine)
+                s = sosp_update(update_graph, tree, batch, engine=engine)
         else:
-            s = apply_mixed_batch(update_graph, tree, batch, engine=engine)
+            s = sosp_update(update_graph, tree, batch, engine=engine)
         stats.append(s)
     return g, tree, stats
 
@@ -130,7 +129,7 @@ class TestDirtySetProperty:
         for batch in batches:
             batch.apply_to(g)
             assert_same_dirty_set(g, tree, batch)
-            apply_mixed_batch(g, tree, batch)
+            sosp_update(g, tree, batch)
 
     @given(data=graph_and_mixed_batches(k=2, max_n=10, max_batches=2))
     def test_second_objective_dirty_set(self, data):
@@ -139,7 +138,7 @@ class TestDirtySetProperty:
         for batch in batches:
             batch.apply_to(g)
             assert_same_dirty_set(g, tree, batch)
-            apply_mixed_batch(g, tree, batch)
+            sosp_update(g, tree, batch)
 
     @settings(max_examples=30)
     @given(seed=st.integers(0, 10**6))
@@ -153,7 +152,7 @@ class TestDirtySetProperty:
             )
             batch.apply_to(g)
             assert_same_dirty_set(g, tree, batch)
-            apply_mixed_batch(g, tree, batch)
+            sosp_update(g, tree, batch)
         assert_matches_dijkstra(g, tree, exact=False)
 
     @pytest.mark.parametrize("maintained", [False, True])
@@ -321,7 +320,7 @@ def test_every_engine_bitwise_equals_reference_step_d(data):
 
 
 @pytest.mark.parametrize("engine_index, span_name", [
-    (0, "sosp_update_mixed.invalidate"),
+    (0, "sosp_update.invalidate"),
 ])
 def test_invalidate_span_reports_roots_and_subtree_size(
     engine_index, span_name

@@ -131,8 +131,6 @@ class TestAlgorithmPublishSites:
         assert len(r.update_stats) == 2
 
     def test_deletion_metrics_published(self):
-        from repro.core import apply_mixed_batch
-
         g = DiGraph(4, k=1)
         g.add_edge(0, 1, 1.0)
         g.add_edge(1, 2, 1.0)
@@ -142,10 +140,10 @@ class TestAlgorithmPublishSites:
         batch = ChangeBatch.deletions([(1, 2)], k=1)
         batch.apply_to(g)
         with use_metrics() as reg:
-            apply_mixed_batch(g, tree, batch)
+            sosp_update(g, tree, batch)
         snap = reg.snapshot()
-        assert snap["mixed_invalidated_total"] >= 1.0
-        assert snap["mixed_propagate_iterations"]["count"] == 1.0
+        assert snap["sosp_invalidated_total"] >= 1.0
+        assert snap["sosp_step2_iterations"]["count"] == 1.0
         assert np.isclose(tree.dist[2], 10.0)
 
     def test_front_update_metrics_published(self):

@@ -48,12 +48,10 @@ class TestClassify:
         ("bench.record_mosp_trace", "driver"),
         ("setup.build_tree", "setup"),
         ("teardown.close", "teardown"),
+        ("sosp_update.invalidate", "step1"),
         ("sosp_update.step1", "step1"),
-        ("sosp_update_mixed.invalidate", "step1"),
         ("mosp_update.sosp_update_0", "step1"),
-        ("sosp_update_mixed.seed", "seed"),
         ("sosp_update.step2", "step2"),
-        ("sosp_update_mixed.propagate", "step2"),
         ("mosp_update.ensemble", "step2"),
         ("mosp_update.bellman_ford", "step3"),
         ("mosp_update.reassign", "step3"),

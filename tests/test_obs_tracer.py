@@ -153,17 +153,6 @@ class TestTracedEngineNesting:
         assert len(ss) == 1 and ss[0].parent_id == phase.span_id
         assert ss[0].attrs["items"] == 8
 
-    def test_map_reduce_emits_superstep_span(self):
-        tracer = Tracer(recording=True)
-        with use_tracer(tracer):
-            eng = resolve_engine("serial")
-            total = eng.map_reduce(
-                [1, 2, 3], lambda x: x, lambda acc, r: acc + r, 0
-            )
-        assert total == 6
-        ss = [s for s in tracer.drain() if s.name == "superstep"]
-        assert len(ss) == 1 and ss[0].attrs["op"] == "map_reduce"
-
     def test_no_wrapping_without_recording_tracer(self):
         with use_tracer(Tracer(recording=False)):
             eng = resolve_engine("serial")

@@ -64,12 +64,6 @@ class TestEngineSemantics:
         engine.parallel_for(list(range(50)), bump)
         assert hits == [1] * 50
 
-    def test_map_reduce(self, engine):
-        total = engine.map_reduce(
-            list(range(10)), square, lambda acc, r: acc + r, 0
-        )
-        assert total == sum(i * i for i in range(10))
-
     def test_exception_propagates(self, engine):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

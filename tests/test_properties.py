@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import SOSPTree, apply_mixed_batch, mosp_update, sosp_update
+from repro.core import SOSPTree, mosp_update, sosp_update
 from repro.dynamic import ChangeBatch
 from repro.graph import DiGraph
 from repro.mosp import dominates, martins, nondominated_against, pareto_filter
@@ -134,7 +134,7 @@ class TestUpdateEqualsRecompute:
                     continue
                 batch = ChangeBatch.deletions([(u, v)])
             batch.apply_to(g)
-            apply_mixed_batch(g, tree, batch)
+            sosp_update(g, tree, batch)
             ref, _ = dijkstra(g, 0)
             np.testing.assert_allclose(tree.dist, ref, rtol=1e-12)
             tree.certify(g)

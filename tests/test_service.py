@@ -229,8 +229,8 @@ class TestServiceLifecycle:
 
 class TestServiceCorrectness:
     @pytest.mark.parametrize("insert_fraction,weight_change_fraction", [
-        (1.0, 0.0),    # incremental-only -> sosp_update path
-        (0.6, 0.2),    # mixed -> apply_mixed_batch path
+        (1.0, 0.0),    # insert-only groups
+        (0.6, 0.2),    # mixed groups: Step D invalidates
     ])
     def test_final_epoch_matches_recompute(self, insert_fraction,
                                            weight_change_fraction):
