@@ -11,7 +11,7 @@ machine-checks the invariants every PR must preserve:
 
 =====  ==============================================================
 R000   a ``# repro: noqa`` comment that suppresses nothing is stale
-       and must be deleted (``--no-stale-noqa`` opts out)
+       and must be deleted
 R001   task functions passed to ``parallel_for`` /
        ``parallel_for_slabs`` must not mutate closed-over shared
        mutables unless the writes are registered with an
@@ -36,12 +36,9 @@ R007   callables handed to process-backed engines must be importable
        ``SlabTask.ref`` strings must resolve
 =====  ==============================================================
 
-Run it as ``python -m repro.analysis src tests benchmarks examples``.
-Machine-readable output: ``--format {text,json,sarif,github}``; CI
-uploads the SARIF artifact.  ``--jobs N`` fans the per-file work over
-a process pool (output is byte-identical to serial).  Findings absent
-from the committed baseline (``analysis-baseline.json``; empty by
-policy) fail the run.  Suppress a finding on one line with
+Run it as ``python -m repro.analysis src tests benchmarks examples``:
+it prints one ``path:line:col: CODE msg  [fix: ...]`` line per finding
+and exits 1 on any finding.  Suppress a finding on one line with
 ``# repro: noqa(R00x)`` (or a blanket ``# repro: noqa``) — reserved
 for documented intentional cases, and R000 reports any suppression
 that no longer fires.
@@ -51,18 +48,6 @@ paper section / design invariant it enforces.
 """
 
 from repro.analysis.dataflow import WriteSet, infer_ref_writes, infer_slab_writes
-from repro.analysis.output import (
-    DEFAULT_BASELINE,
-    load_baseline,
-    render_findings,
-    render_github,
-    render_json,
-    render_sarif,
-    render_text,
-    save_baseline,
-    split_baselined,
-    validate_sarif,
-)
 from repro.analysis.rules import ALL_RULES, Rule
 from repro.analysis.runner import (
     FileContext,
@@ -80,7 +65,6 @@ from repro.analysis.symbols import (
 
 __all__ = [
     "ALL_RULES",
-    "DEFAULT_BASELINE",
     "FileContext",
     "Finding",
     "ModuleInfo",
@@ -93,14 +77,5 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "module_name_for_path",
-    "render_findings",
-    "render_github",
-    "render_json",
-    "render_sarif",
-    "render_text",
-    "save_baseline",
-    "split_baselined",
-    "validate_sarif",
 ]

@@ -57,8 +57,8 @@ class Rule:
     def warning(
         self, ctx: FileContext, node: ast.AST, message: str
     ) -> Finding:
-        """Like :meth:`finding` but advisory (reported, baselined, and
-        counted, yet rendered/uploaded at warning level)."""
+        """Like :meth:`finding` but advisory: reported and counted (it
+        still fails the run), yet printed at warning level."""
         return Finding(
             path=ctx.path,
             line=getattr(node, "lineno", 1),

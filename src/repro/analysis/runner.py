@@ -17,10 +17,9 @@ Two pieces of machinery live here rather than in a rule class:
 - **The project pass.**  :func:`lint_paths` builds one
   :class:`~repro.analysis.symbols.ProjectContext` over every file in
   the run before any rule executes, so the interprocedural rules
-  (R006, R007) can resolve kernel references across files.  With
-  ``jobs > 1`` the per-file work fans out over a process pool; results
-  are merged and sorted by :attr:`Finding.sort_key`, so parallel runs
-  are byte-identical to serial ones.
+  (R006, R007) can resolve kernel references across files.  The
+  per-file pass reuses the tree the project pass parsed, so each file
+  is parsed once.
 """
 
 from __future__ import annotations
@@ -31,17 +30,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.symbols import ProjectContext, build_project
 
@@ -59,21 +48,12 @@ _SKIP_DIR_PARTS = frozenset({"fixtures", "__pycache__", ".git", ".hypothesis"})
 
 _R000_CODE = "R000"
 _R000_SUMMARY = "unused '# repro: noqa' suppression matches no finding"
-_R000_HINT = (
-    "delete the stale suppression comment (or run with --no-stale-noqa "
-    "while migrating)"
-)
+_R000_HINT = "delete the stale suppression comment"
 
 
 @dataclass(frozen=True, order=True)
 class Finding:
-    """One rule violation at a source location.
-
-    Frozen, field-ordered, and built only from primitives, so findings
-    pickle cleanly across the ``--jobs`` worker pool and sort stably
-    for baseline diffs (dataclass ordering follows field order:
-    path, line, col, code, ...).
-    """
+    """One rule violation at a source location."""
 
     path: str
     line: int
@@ -87,12 +67,6 @@ class Finding:
     def sort_key(self) -> Tuple[str, int, int, str, str]:
         """Deterministic report order: (path, line, col, code, message)."""
         return (self.path, self.line, self.col, self.code, self.message)
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-number-independent identity used by the baseline file
-        (surviving unrelated edits above the finding)."""
-        return f"{Path(self.path).as_posix()}::{self.code}::{self.message}"
 
     def format(self) -> str:
         """Render in the conventional ``path:line:col: CODE msg`` shape."""
@@ -124,8 +98,12 @@ class FileContext:
     project: Optional[ProjectContext] = None
 
     @classmethod
-    def parse(cls, path: str, source: str) -> "FileContext":
-        tree = ast.parse(source, filename=path)
+    def parse(
+        cls, path: str, source: str, tree: Optional[ast.AST] = None
+    ) -> "FileContext":
+        """Index ``source``; ``tree`` is its AST when already parsed."""
+        if tree is None:
+            tree = ast.parse(source, filename=path)
         parents: Dict[ast.AST, ast.AST] = {}
         for node in ast.walk(tree):
             for child in ast.iter_child_nodes(node):
@@ -230,7 +208,6 @@ def lint_source(
     select: Optional[Set[str]] = None,
     respect_scope: bool = True,
     project: Optional[ProjectContext] = None,
-    stale_noqa: bool = True,
 ) -> List[Finding]:
     """Lint one source string and return surviving findings.
 
@@ -238,23 +215,23 @@ def lint_source(
     runs every selected rule regardless of the file's location (the
     fixture-corpus tests use this so fixtures can live under
     ``tests/`` while exercising src-only rules).  ``project`` is the
-    run-wide symbol table; a single-file table is built when omitted.
-    ``stale_noqa`` controls R000 — meaningful only when all rules run
-    (a narrowed ``select`` without R000 skips staleness, since unused
-    suppressions cannot be told apart from unselected ones).
+    run-wide symbol table; a single-file table is built when omitted,
+    and a file the table already holds is not parsed again.  R000 runs
+    unless a narrowed ``select`` leaves it out, since unused
+    suppressions cannot be told apart from suppressions of unselected
+    rules.
     """
     from repro.analysis.rules import ALL_RULES
 
-    ctx = FileContext.parse(path, source)
     if project is None:
         project = ProjectContext()
-    if project.module_for_path(path) is None and isinstance(
-        ctx.tree, ast.Module
-    ):
+    mi = project.module_for_path(path)
+    ctx = FileContext.parse(path, source, tree=mi.tree if mi else None)
+    if mi is None and isinstance(ctx.tree, ast.Module):
         project.add_source(path, source, tree=ctx.tree)
     ctx.project = project
 
-    want_stale = stale_noqa and (select is None or _R000_CODE in select)
+    want_stale = select is None or _R000_CODE in select
     raw: List[Finding] = []
     for rule in ALL_RULES:
         # staleness needs the full raw finding set, so a select that
@@ -279,7 +256,6 @@ def lint_file(
     select: Optional[Set[str]] = None,
     respect_scope: bool = True,
     project: Optional[ProjectContext] = None,
-    stale_noqa: bool = True,
 ) -> List[Finding]:
     """Lint one file on disk (see :func:`lint_source`)."""
     source = Path(path).read_text(encoding="utf-8")
@@ -289,7 +265,6 @@ def lint_file(
         select=select,
         respect_scope=respect_scope,
         project=project,
-        stale_noqa=stale_noqa,
     )
 
 
@@ -316,82 +291,25 @@ def _discover(paths: Sequence[str]) -> Tuple[List[Path], List[str]]:
     return files, errors
 
 
-# -- the --jobs worker pool ---------------------------------------------
-# One project table per worker process, keyed by the run's file list;
-# fork-started workers inherit nothing mutable, so each builds its own.
-_WORKER_PROJECTS: Dict[Tuple[str, ...], ProjectContext] = {}
-
-
-def _worker_project(files_key: Tuple[str, ...]) -> ProjectContext:
-    project = _WORKER_PROJECTS.get(files_key)
-    if project is None:
-        project = build_project(files_key)
-        _WORKER_PROJECTS.clear()
-        _WORKER_PROJECTS[files_key] = project
-    return project
-
-
-def _lint_one_in_pool(
-    args: Tuple[Tuple[str, ...], str, Optional[FrozenSet[str]], bool],
-) -> Tuple[List[Finding], Optional[str]]:
-    files_key, path, select, stale_noqa = args
-    project = _worker_project(files_key)
-    try:
-        return (
-            lint_file(
-                path,
-                select=set(select) if select is not None else None,
-                project=project,
-                stale_noqa=stale_noqa,
-            ),
-            None,
-        )
-    except SyntaxError as exc:
-        return [], f"{path}: syntax error: {exc.msg} (line {exc.lineno})"
-
-
 def lint_paths(
     paths: Sequence[str],
     select: Optional[Set[str]] = None,
-    jobs: int = 1,
-    stale_noqa: bool = True,
 ) -> Tuple[List[Finding], List[str]]:
     """Lint every ``.py`` file under ``paths``.
 
-    Returns ``(findings, errors)`` where ``errors`` are files that
-    failed to parse (reported, never silently skipped).  Findings are
-    globally sorted by :attr:`Finding.sort_key`, so the report — and
-    any baseline diff against it — is deterministic regardless of
-    ``jobs``.
+    Returns ``(findings, errors)`` where ``errors`` are missing paths
+    and files that failed to read or parse (reported, never silently
+    skipped).  Findings are globally sorted by :attr:`Finding.sort_key`.
     """
     files, errors = _discover(paths)
+    project = build_project(files)
     findings: List[Finding] = []
-    if jobs > 1 and len(files) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        files_key = tuple(str(p) for p in files)
-        sel = frozenset(select) if select is not None else None
-        work = [(files_key, p, sel, stale_noqa) for p in files_key]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for result, err in pool.map(_lint_one_in_pool, work):
-                findings.extend(result)
-                if err is not None:
-                    errors.append(err)
-    else:
-        project = build_project(files)
-        for p in files:
-            try:
-                findings.extend(
-                    lint_file(
-                        str(p),
-                        select=select,
-                        project=project,
-                        stale_noqa=stale_noqa,
-                    )
-                )
-            except SyntaxError as exc:
-                errors.append(
-                    f"{p}: syntax error: {exc.msg} (line {exc.lineno})"
-                )
+    for p in files:
+        try:
+            findings.extend(lint_file(str(p), select=select, project=project))
+        except SyntaxError as exc:
+            errors.append(f"{p}: syntax error: {exc.msg} (line {exc.lineno})")
+        except (OSError, UnicodeDecodeError) as exc:
+            errors.append(f"{p}: unreadable: {exc}")
     findings.sort(key=lambda f: f.sort_key)
     return findings, sorted(errors)

@@ -25,7 +25,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
     Union,
@@ -198,7 +197,7 @@ class ProjectContext:
     def add_file(self, path: str) -> Optional[ModuleInfo]:
         try:
             source = Path(path).read_text(encoding="utf-8")
-        except OSError:
+        except (OSError, UnicodeDecodeError):
             return None
         return self.add_source(path, source)
 
@@ -389,19 +388,13 @@ class ProjectContext:
         return None
 
 
-def build_project(
-    files: Iterable[Union[str, Path]],
-    sources: Optional[Sequence[Tuple[str, str]]] = None,
-) -> ProjectContext:
-    """Build the symbol table for a lint run.
+def build_project(files: Iterable[Union[str, Path]]) -> ProjectContext:
+    """Build the symbol table for a lint run from files on disk.
 
-    ``files`` are read from disk; ``sources`` are ``(path, text)``
-    pairs registered as-is (in-memory lints).  Unparseable files are
-    skipped here — the per-file lint pass reports them as errors.
+    Unparseable files are skipped here — the per-file lint pass
+    reports them as errors.
     """
     project = ProjectContext()
     for f in files:
         project.add_file(str(f))
-    for path, text in sources or ():
-        project.add_source(path, text)
     return project

@@ -123,17 +123,16 @@ def sosp_update_reference(
     objective = tree.objective
     marked = np.zeros(graph.num_vertices, dtype=np.int8)
     tracker = resolve_tracker(eng)
-    batch = normalize_against_graph_reference(graph, batch, objective)
     tracer = get_tracer()
-    batch_size = int(batch.num_insertions)
 
     # ------------------------------------------------------ step 0 + 1
+    # the live-weight lookup is timed as Step 1, as on the kernel path
     with tracer.span(
-        "sosp_update.step1",
-        kernel="python",
-        grouped=use_grouping,
-        batch_size=batch_size,
+        "sosp_update.step1", kernel="python", grouped=use_grouping
     ) as sp1:
+        batch = normalize_against_graph_reference(graph, batch, objective)
+        batch_size = int(batch.num_insertions)
+        sp1.set(batch_size=batch_size)
         if use_grouping:
             affected = _step1_grouped(
                 batch, objective, dist, parent, marked, eng, stats, tracker
