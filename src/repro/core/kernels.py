@@ -20,9 +20,10 @@ the frontier with contiguous *slabs*
 (:func:`~repro.parallel.api.parallel_for_slabs`), and each destination
 vertex belongs to exactly one slab — the same vertex-ownership
 guarantee the paper's per-vertex tasks give, just at array granularity.
-Incremental :class:`CSRGraph` snapshots (base + COO tail) are consumed
-directly; the tail contribution is merged per slab, so the kernels
-survive dynamic batches without an O(|E|) re-freeze.
+A maintained :class:`CSRGraph` is read in place: every vertex's
+in-edges, appended ones included, are one live range of its reverse
+region, so each slab does one gather and one segmented reduction and
+the kernels survive dynamic batches without an O(|E|) re-freeze.
 
 They are the only update path.  The differential oracle in
 ``tests/test_kernels_differential.py`` certifies them against the
@@ -54,7 +55,6 @@ __all__ = [
     "gather_ranges",
     "segmented_argmin",
     "gather_in_edges_csr",
-    "group_tail_by_position",
     "relax_batch_groups",
     "propagate_csr",
 ]
@@ -139,26 +139,23 @@ def _propagate_relax_slab(
     """Slab kernel for Step 2: relax frontier positions ``[lo, hi)``.
 
     Pull-based: gathers every *marked* predecessor of its frontier
-    vertices through the reverse CSR, reduces with
-    :func:`segmented_argmin`, merges the snapshot's COO-tail candidates
-    (pre-grouped by frontier position in ``step2.t_*``), and applies
-    improved distances in place.  Frontier positions partition across
-    slabs, so writes are single-owner by construction.
+    vertices from their live reverse ranges, reduces with
+    :func:`segmented_argmin`, and applies improved distances in place.
+    Frontier positions partition across slabs, so writes are
+    single-owner by construction.
     """
     frontier = arrays["step2.frontier"]
     rev_indptr = arrays["csr.rev_indptr"]
+    in_end = arrays["csr.in_end"]
     rev_indices = arrays["csr.rev_indices"]
     edge_perm = arrays["csr.edge_perm"]
     w_col = arrays["csr.weights"][:, int(params["objective"])]
     dist = arrays["sosp.dist"]
     parent = arrays["sosp.parent"]
     marked = arrays["sosp.marked"]
-    t_seg = arrays["step2.t_seg"]
-    t_src = arrays["step2.t_src"]
-    t_w = arrays["step2.t_w"]
 
     f = frontier[lo:hi]
-    idx, seg_starts = gather_ranges(rev_indptr[f], rev_indptr[f + 1])
+    idx, seg_starts = gather_ranges(rev_indptr[f], in_end[f])
     scanned = int(idx.size)
     if idx.size:
         preds = rev_indices[idx].astype(np.int64)
@@ -172,17 +169,6 @@ def _propagate_relax_slab(
     else:
         mins = np.full(len(f), INF, dtype=DIST_DTYPE)
         best_u = np.full(len(f), NO_PARENT, dtype=np.int64)
-    # merge tail candidates for frontier positions [lo, hi)
-    a, bnd = np.searchsorted(t_seg, [lo, hi])
-    if bnd > a:
-        ts, tw = t_src[a:bnd], t_w[a:bnd]
-        tcand = np.where(marked[ts] == 1, dist[ts] + tw, INF)
-        tbounds = np.searchsorted(t_seg[a:bnd], np.arange(lo, hi + 1))
-        tmins, targ = segmented_argmin(tcand, tbounds)
-        replace = tmins < mins
-        mins = np.where(replace, tmins, mins)
-        best_u = np.where(replace, ts[np.maximum(targ, 0)], best_u)
-        scanned += int(bnd - a)
     improved = mins < dist[f]
     vv = f[improved]
     if len(vv):
@@ -237,14 +223,13 @@ def gather_in_edges_csr(
 ) -> Tuple[IntArray, IntArray, FloatArray]:
     """All in-edges of ``vertices`` as ``(src, dst, weight)`` arrays.
 
-    One concatenated reverse-CSR slice (:func:`gather_ranges`) plus a
-    mask over the incremental COO tail — the vectorised gather
+    One concatenated gather over the live reverse ranges
+    (:func:`gather_ranges`) — the vectorised gather
     :func:`~repro.core.sosp_update.sosp_update`'s Step 1 uses to seed
     invalidated vertices against their entire connection boundary.
     Tombstoned rows come back with
     ``inf`` weights, which every downstream min-relaxation ignores.
-    Order is deterministic: reverse-CSR rows per vertex, then tail rows
-    in append order.
+    Order is deterministic: per vertex, its live in-edge order.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
     if vertices.size == 0:
@@ -254,51 +239,12 @@ def gather_in_edges_csr(
             np.empty(0, dtype=DIST_DTYPE),
         )
     idx, seg_starts = gather_ranges(
-        csr.rev_indptr[vertices], csr.rev_indptr[vertices + 1]
+        csr.rev_indptr[vertices], csr.in_end[vertices]
     )
     src = csr.rev_indices[idx].astype(np.int64)
     dst = np.repeat(vertices, np.diff(seg_starts))
     w = csr.weights[csr.edge_perm[idx], objective]
-    if csr.num_tail_edges:
-        vmask = np.zeros(csr.n, dtype=bool)
-        vmask[vertices] = True
-        hit = vmask[csr.tail_dst]
-        if hit.any():
-            src = np.concatenate((src, csr.tail_src[hit].astype(np.int64)))
-            dst = np.concatenate((dst, csr.tail_dst[hit].astype(np.int64)))
-            w = np.concatenate((w, csr.tail_weights[hit, objective]))
     return src, dst, w
-
-
-def group_tail_by_position(
-    csr: CSRGraph,
-    frontier: IntArray,
-    posmap: IntArray,
-    objective: int = 0,
-) -> Tuple[IntArray, IntArray, FloatArray]:
-    """The snapshot's COO-tail edges that land on ``frontier``, grouped
-    by frontier position: ``(t_seg, t_src, t_w)`` sorted by ``t_seg``,
-    tail append order within a position.
-
-    ``frontier`` must be sorted and unique.  ``posmap`` is length-``n``
-    int64 scratch holding ``-1`` everywhere; it maps the frontier to
-    its positions for one gather over ``tail_dst`` and is reset to
-    ``-1`` before returning.  The tail is not O(|batch|): it grows up
-    to ``TAIL_REBUILD_FRACTION · m`` rows between re-freezes (about 45k
-    rows on a 182k-edge road graph), so each superstep pays one gather
-    over it rather than a search.
-    """
-    posmap[frontier] = np.arange(frontier.size, dtype=np.int64)
-    pos = posmap[csr.tail_dst]
-    posmap[frontier] = -1
-    sel = pos >= 0
-    t_seg = pos[sel]
-    t_order = np.argsort(t_seg, kind="stable")
-    return (
-        t_seg[t_order],
-        csr.tail_src[sel][t_order],
-        csr.tail_weights[sel, objective][t_order],
-    )
 
 
 def relax_batch_groups(
@@ -379,10 +325,10 @@ def propagate_csr(
     Per iteration: gather the unique out-neighbours ``N`` of the
     affected set (:func:`gather_unique_neighbors_csr`), then cover
     ``N`` with engine slabs; each slab pulls all *marked* predecessors
-    of its frontier vertices through the reverse CSR in one gather,
-    reduces per vertex with :func:`segmented_argmin`, merges candidates
-    from the snapshot's incremental COO tail, and applies the improved
-    distances.  Mutates ``dist``/``parent``/``marked`` in place.
+    of its frontier vertices from their live reverse ranges in one
+    gather, reduces per vertex with :func:`segmented_argmin`, and
+    applies the improved distances.  Mutates
+    ``dist``/``parent``/``marked`` in place.
 
     ``stats`` (duck-typed :class:`~repro.core.sosp_update.UpdateStats`)
     is updated when given; a checked engine's tracker gets one owner
@@ -393,21 +339,21 @@ def propagate_csr(
     affected = np.asarray(affected, dtype=np.int64)
 
     params = {"objective": int(objective)}
-    # the frozen CSR base arrays are fingerprinted with the snapshot's
-    # base_stamp: tail-only appends keep the stamp, so a dispatch after
-    # a dynamic batch re-plants none of them (zero copies)
-    base_fp = csr.base_stamp
+    # the graph arrays are fingerprinted with the snapshot's stamps:
+    # an insertion moves both, a deletion or re-weight only the
+    # weights', so a dispatch re-plants exactly what a batch wrote
+    topo_fp = csr.topology_stamp
     fingerprints = {
-        "csr.rev_indptr": base_fp,
-        "csr.rev_indices": base_fp,
-        "csr.edge_perm": base_fp,
-        "csr.weights": base_fp,
+        "csr.rev_indptr": topo_fp,
+        "csr.in_end": topo_fp,
+        "csr.rev_indices": topo_fp,
+        "csr.edge_perm": topo_fp,
+        "csr.weights": csr.weights_stamp,
     }
 
-    # dense per-call scratch: ``posmap`` for the tail grouping, and
-    # ``improved`` collects the distinct affected vertices, so no
-    # superstep sorts, hashes or feeds a Python set
-    posmap = np.full(csr.n, -1, dtype=np.int64) if csr.num_tail_edges else None
+    # dense per-call scratch: ``improved`` collects the distinct
+    # affected vertices, so no superstep sorts, hashes or feeds a
+    # Python set
     improved = np.zeros(csr.n, dtype=bool)
     try:
         while affected.size:
@@ -420,19 +366,11 @@ def propagate_csr(
             if frontier.size == 0:
                 break
 
-            if posmap is not None:
-                t_seg, t_src, t_w = group_tail_by_position(
-                    csr, frontier, posmap, objective
-                )
-            else:
-                t_seg = np.empty(0, dtype=np.int64)
-                t_src = np.empty(0, dtype=np.int64)
-                t_w = np.empty(0, dtype=DIST_DTYPE)
-
             task = SlabTask(
                 ref=_PROPAGATE_SLAB_REF,
                 arrays={
                     "csr.rev_indptr": csr.rev_indptr,
+                    "csr.in_end": csr.in_end,
                     "csr.rev_indices": csr.rev_indices,
                     "csr.edge_perm": csr.edge_perm,
                     "csr.weights": csr.weights,
@@ -440,9 +378,6 @@ def propagate_csr(
                     "sosp.parent": parent,
                     "sosp.marked": marked,
                     "step2.frontier": frontier,
-                    "step2.t_seg": t_seg,
-                    "step2.t_src": t_src,
-                    "step2.t_w": t_w,
                 },
                 params=params,
                 writes=_SOSP_WRITES,

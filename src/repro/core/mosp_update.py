@@ -15,7 +15,7 @@ Figure 6 reports exactly this breakdown:
   slot matrices) and re-assign the true multi-objective weights from
   ``G`` along the resulting tree to read off the MOSP distance vectors
   (:func:`_reassign_real_weights`, which finds every hop edge in the
-  reverse CSR and COO tail of the graph the update read).
+  live reverse ranges of the graph the update read).
 
 Steps 2–3 start from the trees on every call, with no state kept
 between batches.  §3.2's "Probable Optimization" (repair the previous
@@ -312,10 +312,10 @@ def _certified_weight(
 def _hop_rows(
     graph: CSRGraph, kids: IntArray, par: IntArray
 ) -> Tuple[IntArray, IntArray]:
-    """Every base row ``(par[j], kids[j])`` of ``graph`` as ``(j, row)``
-    pairs (``row`` a forward edge id), tombstones included.
+    """Every edge ``(par[j], kids[j])`` of ``graph`` as ``(j, row)``
+    pairs (``row`` a forward slot), tombstones included.
 
-    One compare over each kid's reverse-CSR slice, chunked like a
+    One compare over each kid's live reverse range, chunked like a
     one-thread slab superstep (:func:`~repro.parallel.api.serial_spans`)
     so no temporary outgrows the slab cap.
     """
@@ -324,7 +324,7 @@ def _hop_rows(
     row_parts: List[IntArray] = []
     for lo, hi in serial_spans(kids.size):
         vs = kids[lo:hi]
-        idx, seg = gather_ranges(rev_indptr[vs], rev_indptr[vs + 1])
+        idx, seg = gather_ranges(rev_indptr[vs], graph.in_end[vs])
         at = np.repeat(np.arange(lo, hi), np.diff(seg))
         hit = np.flatnonzero(graph.rev_indices[idx] == par[at])
         at_parts.append(at[hit])
@@ -346,9 +346,8 @@ def _reassign_real_weights(
     ``graph`` is the :class:`~repro.graph.csr.CSRGraph` of ``G`` the
     update read.  Every reached vertex ``v`` (finite ``dist_c``, a
     parent, not the source) has a hop edge ``(parent_c[v], v)``, found
-    by one compare over ``v``'s reverse-CSR slice
-    (``rev_indices == parent_c[v]``, :func:`_hop_rows`) and one over
-    the COO tail (``tail_src == parent_c[tail_dst]``); tombstoned
+    by one compare over ``v``'s live reverse range
+    (``rev_indices == parent_c[v]``, :func:`_hop_rows`); tombstoned
     (``inf``) rows are skipped.  A hop with several live parallel edges
     is priced by :func:`_certified_weight` (``trees`` are the
     per-objective SOSP trees the ensemble was built from); a hop with
@@ -368,20 +367,11 @@ def _reassign_real_weights(
     cptr, kids = child_csr(parent_c, reached)
     par = parent_c[kids].astype(np.int64)
 
-    # hop lookup: live base rows, then live tail rows, as (kid position,
-    # row) pairs
+    # hop lookup: live rows as (kid position, row) pairs
     pos, rows = _hop_rows(graph, kids, par)
     live = np.isfinite(graph.weights[rows, 0])
     pos, rows = pos[live], rows[live]
-    tdst = graph.tail_dst
-    trows = np.flatnonzero(
-        reached[tdst] & (graph.tail_src == parent_c[tdst])
-        & np.isfinite(graph.tail_weights[:, 0])
-    )
-    position = np.empty(parent_c.shape[0], dtype=np.int64)
-    position[kids] = np.arange(kids.size)
-    tpos = position[tdst[trows]]
-    count = np.bincount(np.concatenate((pos, tpos)), minlength=kids.size)
+    count = np.bincount(pos, minlength=kids.size)
     missing = np.flatnonzero(count == 0)
     if missing.size:
         j = int(missing[0])
@@ -389,20 +379,15 @@ def _reassign_real_weights(
             f"combined-tree edge ({int(par[j])}, {int(kids[j])}) does not "
             "exist in the graph"
         )
-    # one gather of base rows; a hop with no base row gathers row 0,
-    # then takes its tail row
-    hop_row = np.zeros(kids.size, dtype=np.int64)
+    # one gather of rows: every hop has at least one
+    hop_row = np.empty(kids.size, dtype=np.int64)
     hop_row[pos] = rows
-    hop = (np.take(graph.weights, hop_row, axis=0) if graph.m
-           else np.empty((kids.size, graph.k), dtype=DIST_DTYPE))
-    hop[tpos] = graph.tail_weights[trows]
+    hop = np.take(graph.weights, hop_row, axis=0)
     multi = np.flatnonzero(count > 1)
     if multi.size:
-        b, t = count[pos] > 1, count[tpos] > 1
-        hop_of = np.concatenate((pos[b], tpos[t]))
-        w = np.concatenate(
-            (graph.weights[rows[b]], graph.tail_weights[trows[t]])
-        )
+        b = count[pos] > 1
+        hop_of = pos[b]
+        w = graph.weights[rows[b]]
         order = np.argsort(hop_of, kind="stable")
         groups = np.split(order, np.cumsum(count[multi])[:-1])
         for j, parallels in zip(multi.tolist(), groups):

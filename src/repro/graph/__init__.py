@@ -8,8 +8,9 @@ This package provides everything the shortest-path layers sit on:
   "arrays of structures" adjacency the paper describes, adapted to
   numpy storage.
 - :class:`~repro.graph.csr.CSRGraph` — a compressed sparse-row graph
-  (forward and reverse) with an appended COO tail, read by the
-  vectorised kernels and mutated in place by
+  (forward and reverse) whose per-vertex regions keep spare slots for
+  appended edges, read by the vectorised kernels and mutated in place
+  by
   :meth:`~repro.graph.csr.CSRGraph.apply_batch` — the one graph the
   update path reads.
 - :mod:`~repro.graph.generators` — seeded synthetic network

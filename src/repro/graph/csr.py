@@ -3,64 +3,69 @@
 The vectorised kernels (Bellman-Ford rounds, batched relaxation of
 affected frontiers) want cache-friendly contiguous arrays rather than
 the pointer-chasing adjacency of :class:`~repro.graph.digraph.DiGraph`.
-A :class:`CSRGraph` freezes a digraph into
+A :class:`CSRGraph` lays a digraph out as
 
-- forward CSR: ``indptr``/``indices``/``weights`` sorted by source, and
-- reverse CSR: the same edges sorted by destination, with ``edge_perm``
-  mapping reverse positions back to forward edge rows,
+- forward slots: ``indices``/``weights`` grouped by source, and
+- reverse slots: the same edges grouped by destination, with
+  ``edge_perm`` mapping each reverse slot to its forward slot,
 
-so both "neighbours of u" and "predecessors of v" are O(degree) slices.
+so both "neighbours of u" and "predecessors of v" are one contiguous
+O(degree) slice.
 
-Incremental append (the dynamic-batch story)
---------------------------------------------
+Per-vertex regions with slack (the dynamic-batch story)
+-------------------------------------------------------
 A :class:`CSRGraph` is the one graph the update pipelines read and
 their long-lived owners (the update service, the ``update-demo`` loop)
-mutate.  Re-freezing it after every change batch
-would cost O(|E|), wiping out the point of an O(affected) update
-algorithm, so its one mutator, :meth:`apply_batch`, follows an
-**append-or-rebuild policy**: inserted edges land in a small COO
-*tail* (``tail_src`` / ``tail_dst`` / ``tail_weights``) in
-O(|batch|); only when the tail outgrows ``max(MIN_TAIL_REBUILD,
-TAIL_REBUILD_FRACTION * m)`` is the whole structure re-frozen, so the
-amortised per-batch cost stays O(|batch|).  The per-vertex query
-methods merge the tail transparently; whole-array consumers
-(``indptr``/``indices``/``src``/...) see only the frozen base and must
-call :meth:`compact` first — or go through :meth:`ensure`, which
-static solvers use at their entry points (so a static solve compacts
-the graph in place).
+mutate.  Re-freezing it after every change batch would cost O(|E|),
+wiping out the point of an O(affected) update algorithm.  So each
+vertex owns a *region* of forward slots ``[indptr[u], indptr[u+1])``
+and a region of reverse slots ``[rev_indptr[v], rev_indptr[v+1])``,
+of which only a prefix is *live*: ``[indptr[u], out_end[u])`` and
+``[rev_indptr[v], in_end[v])``.  The rest is spare room.
+
+An inserted edge ``(u, v)`` writes one forward slot at ``out_end[u]``
+and one reverse slot at ``in_end[v]`` (holding the forward slot id) in
+O(1); within a vertex, the edges it had when the snapshot was built
+come first and appended edges follow in record order.  When a batch
+needs more slots at some endpoint than its region has spare, the whole
+layout is *relaid* once, before the batch's records apply: every
+vertex keeps its live order, tombstones are dropped, and each region
+gets :attr:`CSRGraph.SLACK` spare slots plus room for the batch.  A
+relayout costs O(n + |E|); a run of random insertions relays only
+when some vertex has drawn more than ``SLACK`` of them.
+
+Every reader — the Step-1/Step-2 kernels, the frontier gather, the
+MOSP reassignment, the per-vertex queries — slices live ranges only.
+The static solvers read ``indptr``/``indices``/``weights``/``src`` as
+dense rows; they go through :meth:`CSRGraph.ensure`, which
+:meth:`compact` s the snapshot in place into a slack-free layout (no
+spare slots, no tombstones) where every region is its live range.
+Outside live ranges, forward slots hold ``inf`` weights and reverse
+slots an ``edge_perm`` of ``-1``; nothing reads them.
 
 Mixed batches in one pass (the fully dynamic story)
 ---------------------------------------------------
-:meth:`apply_batch` applies a mixed batch of insertions, deletions and
-weight changes in record order, in O(|batch| + degree) — never
-O(tail).  A deleted edge is *tombstoned* in place: its weight row
-(base or tail) becomes ``+inf``, which no shortest-path relaxation can
-ever improve through.  A weight change overwrites its target row.
-Both target the live matching edge with the lexicographically smallest
-weight vector, first in row order on ties (base rows, then tail rows),
+:meth:`CSRGraph.apply_batch` applies a mixed batch of insertions,
+deletions and weight changes in record order, in O(|batch| + degree).
+A deleted edge is *tombstoned* in place: its weight row becomes
+``+inf``, which no shortest-path relaxation can ever improve through.
+A weight change overwrites its target row.  Both target the live
+``(u, v)`` slot in ``u``'s live forward range with the
+lexicographically smallest weight vector, first in slot order on ties,
 mirroring :meth:`DiGraph.remove_edge`, so an incrementally maintained
-snapshot stays edge-multiset-equal to its digraph.
+snapshot stays edge-multiset-equal to its digraph.  All of a batch's
+insertions are written first; a deletion or weight change sees only
+the slots of insertions recorded before it.
 
-The target is found through a **pair index**: a dict from the pair
-key ``u * n + v`` to the tuple of that pair's tail rows, in row order.
-A record's candidates are the base slice ``indptr[u]:indptr[u+1]``
-(rows whose head is ``v``) plus the tail rows the index lists.  The
-pass appends all the batch's insertions to the tail in one
-concatenate, but a row joins the index only when the loop reaches its
-record, so a deletion never sees an edge inserted after it.  The pass
-extends the index in place (an epoch of one or two edits costs one or
-two dict entries); :meth:`compact` resets it; a pickled or copied snapshot drops
-it and rebuilds it from its tail on first use.  The same index backs
-:meth:`min_weight_between`, the live-weight lookup of the update
-pipelines.  The pass compacts at most once, after its last record.
-
-Mutating a base row bumps :attr:`base_stamp` (tail rows bump
-:attr:`tail_stamp`), so shared-memory engines re-plant exactly the
-arrays that changed.  Tombstones are physically dropped at the next
-:meth:`compact`; until then ``num_edges`` discounts them, structural
-queries (``out_neighbors``/``in_neighbors``/degrees) may still report
-the dead endpoints, and weight queries return their ``inf`` rows —
-harmless to the relaxation kernels, which only ever take minima.
+Inserting an edge moves :attr:`CSRGraph.topology_stamp` and
+:attr:`CSRGraph.weights_stamp`; a deletion or weight change moves only
+the latter; a relayout or :meth:`compact` moves both.  Shared-memory
+engines key their planted copies on these stamps, so a dispatched
+superstep never reads a stale array.  Until the next relayout,
+``num_edges`` discounts tombstones, structural queries
+(``out_neighbors``/``in_neighbors``/degrees) may still report the dead
+endpoints, and weight queries return their ``inf`` rows — harmless to
+the relaxation kernels, which only ever take minima.
 """
 
 from __future__ import annotations
@@ -68,10 +73,7 @@ from __future__ import annotations
 import itertools
 from typing import (
     TYPE_CHECKING,
-    Dict,
     Iterator,
-    List,
-    Optional,
     Sequence,
     Tuple,
     Union,
@@ -97,39 +99,33 @@ __all__ = ["CSRGraph", "gather_ranges"]
 
 
 class CSRGraph:
-    """CSR snapshot with forward and reverse adjacency plus a COO tail.
+    """CSR snapshot with forward and reverse per-vertex slot regions.
 
     Attributes
     ----------
     n, m, k:
-        Vertex count, **frozen-base** edge count, number of objectives.
-        ``num_edges`` additionally counts the appended tail.
-    indptr, indices:
-        Forward CSR over the frozen base: out-neighbours of ``u`` are
-        ``indices[indptr[u]:indptr[u+1]]``.
-    weights:
-        ``(m, k)`` float64, row ``i`` is the weight vector of forward
-        edge ``i`` (head ``indices[i]``, tail given by the row's CSR
-        bucket).
-    rev_indptr, rev_indices:
-        Reverse CSR: in-neighbours (predecessors) of ``v`` are
-        ``rev_indices[rev_indptr[v]:rev_indptr[v+1]]``.
-    edge_perm:
-        ``rev`` position → forward edge row, i.e. the weight of the
-        ``j``-th reverse edge is ``weights[edge_perm[j]]``.
+        Vertex count, forward slot count (live, tombstoned and spare),
+        number of objectives.  ``num_edges`` counts the live edges.
+    indptr, out_end:
+        Forward regions and live ends: the out-edges of ``u`` sit in
+        slots ``indptr[u]:out_end[u]``, and ``out_end[u]:indptr[u+1]``
+        is spare.
+    indices, weights:
+        Head vertex and ``(m, k)`` float64 weight vector of each
+        forward slot.
     src:
-        ``(m,)`` tail vertex of each forward edge row (the COO twin of
-        the forward CSR, kept because edge-centric kernels want it).
-    tail_src, tail_dst, tail_weights:
-        Edges appended since the last freeze (COO, insertion order);
-        empty on a compact snapshot.
+        ``(m,)`` owner (tail vertex) of each forward slot.
+    rev_indptr, in_end, rev_indices:
+        Reverse regions: the in-neighbours of ``v`` are
+        ``rev_indices[rev_indptr[v]:in_end[v]]``.
+    edge_perm:
+        Reverse slot → forward slot, i.e. the weight of reverse slot
+        ``j`` is ``weights[edge_perm[j]]``.
     """
 
-    #: Rebuild when the tail exceeds this fraction of the frozen base.
-    TAIL_REBUILD_FRACTION = 0.25
-    #: ... but never rebuild for tails smaller than this (absorbs tiny
-    #: batches on tiny graphs without thrashing).
-    MIN_TAIL_REBUILD = 64
+    #: Spare slots every vertex gets per direction when the layout is
+    #: relaid out.
+    SLACK = 4
 
     #: Process-wide snapshot identity source (see :attr:`uid`).
     _UID_SOURCE = itertools.count(1)
@@ -139,20 +135,20 @@ class CSRGraph:
         "m",
         "k",
         "indptr",
+        "out_end",
         "indices",
         "weights",
         "src",
         "rev_indptr",
+        "in_end",
         "rev_indices",
         "edge_perm",
-        "tail_src",
-        "tail_dst",
-        "tail_weights",
         "uid",
-        "base_version",
-        "tail_version",
+        "topology_version",
+        "weights_version",
         "num_dead",
-        "_pairs",
+        "num_tail_edges",
+        "_used",
     )
 
     def __init__(
@@ -171,25 +167,14 @@ class CSRGraph:
         self.k = int(weights.shape[1])
         #: Process-unique snapshot id; together with the version
         #: counters it forms the fingerprints shared-memory engines use
-        #: to skip re-copying unchanged arrays (see :attr:`base_stamp`).
+        #: to skip re-copying unchanged arrays (see :attr:`stamp`).
         self.uid = next(self._UID_SOURCE)
-        self.base_version = 0
-        self.tail_version = 0
-        #: Tombstoned (deleted-in-place) rows across base + tail; see
-        #: :meth:`apply_batch`.  Discounted from :attr:`num_edges` and
-        #: physically dropped by :meth:`compact`.
-        self.num_dead = 0
+        self.topology_version = 0
+        self.weights_version = 0
         self._freeze(src, dst, weights)
-        self.tail_src = np.empty(0, dtype=VERTEX_DTYPE)
-        self.tail_dst = np.empty(0, dtype=VERTEX_DTYPE)
-        self.tail_weights = np.empty((0, self.k), dtype=DIST_DTYPE)
 
     def __getstate__(self) -> dict:
-        # the pair index is derived from the tail: a copy rebuilds it
-        # on first use instead of shipping it
-        state = {slot: getattr(self, slot) for slot in self.__slots__}
-        state["_pairs"] = None
-        return state
+        return {slot: getattr(self, slot) for slot in self.__slots__}
 
     def __setstate__(self, state: dict) -> None:
         """Restore a pickled/copied snapshot under a **fresh** uid.
@@ -199,8 +184,8 @@ class CSRGraph:
         present the same ``(uid, version)`` fingerprints while its
         array contents can diverge independently, so a shared-memory
         engine would skip re-planting and run kernels on stale data.
-        Reassigning here keeps :attr:`base_stamp`/:attr:`tail_stamp`
-        unique per live snapshot object.
+        Reassigning here keeps every stamp unique per live snapshot
+        object.
         """
         for slot, value in state.items():
             setattr(self, slot, value)
@@ -221,31 +206,88 @@ class CSRGraph:
         return src, dst, weights
 
     def _freeze(self, src: IntArray, dst: IntArray, weights: FloatArray) -> None:
-        """(Re)build the sorted base arrays from COO edges."""
+        """Lay COO edges out slack-free: forward slots stable-sorted by
+        source, reverse slots stable-sorted by destination."""
         n = self.n
         self.m = int(src.shape[0])
-        self.base_version += 1
-        #: Pair index over the tail (see the module docstring); ``None``
-        #: until first use on a copy.
-        self._pairs: Optional[Dict[int, Tuple[int, ...]]] = {}
-
-        # forward CSR: stable sort edges by src
         order = np.argsort(src, kind="stable")
         self.src = src[order]
         self.indices = dst[order]
         self.weights = weights[order]
-        self.indptr = np.zeros(n + 1, dtype=VERTEX_DTYPE)
-        np.add.at(self.indptr, self.src + 1, 1)
-        np.cumsum(self.indptr, out=self.indptr)
-
-        # reverse CSR: sort forward rows by dst
+        self.indptr = _region_ptr(np.bincount(self.src, minlength=n))
         rev_order = np.argsort(self.indices, kind="stable")
         self.edge_perm = rev_order.astype(VERTEX_DTYPE)
         self.rev_indices = self.src[rev_order]
-        rev_dst = self.indices[rev_order]
-        self.rev_indptr = np.zeros(n + 1, dtype=VERTEX_DTYPE)
-        np.add.at(self.rev_indptr, rev_dst + 1, 1)
-        np.cumsum(self.rev_indptr, out=self.rev_indptr)
+        self.rev_indptr = _region_ptr(np.bincount(self.indices, minlength=n))
+        self.out_end = self.indptr[1:].copy()
+        self.in_end = self.rev_indptr[1:].copy()
+        self._reset_counts(self.m)
+
+    def _reset_counts(self, used: int) -> None:
+        """Bookkeeping after a fresh layout of ``used`` live slots."""
+        self._used = used
+        #: Tombstoned (deleted-in-place) slots in live ranges; see
+        #: :meth:`apply_batch`.  Discounted from :attr:`num_edges` and
+        #: dropped by the next relayout.
+        self.num_dead = 0
+        #: Edges appended since the last relayout or freeze.
+        self.num_tail_edges = 0
+        self.topology_version += 1
+        self.weights_version += 1
+
+    def _relayout(
+        self,
+        need_out: Union[IntArray, int] = 0,
+        need_in: Union[IntArray, int] = 0,
+    ) -> None:
+        """Relay every region out: live slots keep their order within
+        their vertex, tombstones are dropped, and each region gets
+        :attr:`SLACK` spare slots plus ``need_out``/``need_in`` (per
+        vertex) more."""
+        n, k = self.n, self.k
+        keep = self._live_slots()
+        owner = self.src[keep]
+        cnt = np.bincount(owner, minlength=n)
+        ptr = _region_ptr(cnt + self.SLACK + need_out)
+        slot = _packed(ptr, cnt, owner)
+        moved = np.full(self.m, -1, dtype=VERTEX_DTYPE)
+        moved[keep] = slot
+        rkeep, _ = gather_ranges(self.rev_indptr[:-1], self.in_end)
+        fwd = moved[self.edge_perm[rkeep]]
+        alive = fwd >= 0
+        rkeep, fwd = rkeep[alive], fwd[alive]
+        del owner, moved, alive
+        # the new forward arrays replace the old ones before the reverse
+        # ones are built, which keeps the peak footprint down
+        self.src = np.repeat(np.arange(n, dtype=VERTEX_DTYPE), np.diff(ptr))
+        indices = self.src.copy()
+        indices[slot] = self.indices[keep]
+        self.indices = indices
+        weights = np.full((int(ptr[-1]), k), np.inf, dtype=DIST_DTYPE)
+        weights[slot] = self.weights[keep]
+        self.weights = weights
+        self.m = int(ptr[-1])
+        self.indptr, self.out_end = ptr, ptr[:-1] + cnt
+        del slot
+
+        rowner = indices[fwd]
+        rcnt = np.bincount(rowner, minlength=n)
+        rptr = _region_ptr(rcnt + self.SLACK + need_in)
+        rslot = _packed(rptr, rcnt, rowner)
+        rev_indices = np.repeat(np.arange(n, dtype=VERTEX_DTYPE), np.diff(rptr))
+        rev_indices[rslot] = self.rev_indices[rkeep]
+        self.rev_indices = rev_indices
+        edge_perm = np.full(int(rptr[-1]), -1, dtype=VERTEX_DTYPE)
+        edge_perm[rslot] = fwd
+        self.edge_perm = edge_perm
+        self.rev_indptr, self.in_end = rptr, rptr[:-1] + rcnt
+        self._reset_counts(int(keep.size))
+
+    def _live_slots(self) -> IntArray:
+        """Forward slots of the live edges (tombstones skipped), in
+        slot order: by source, then in each vertex's live order."""
+        idx, _ = gather_ranges(self.indptr[:-1], self.out_end)
+        return idx[np.isfinite(self.weights[idx, 0])]
 
     # ------------------------------------------------------------------
     @classmethod
@@ -258,10 +300,10 @@ class CSRGraph:
     def ensure(cls, graph: Union[DiGraph, "CSRGraph"]) -> "CSRGraph":
         """Coerce to a **compact** snapshot.
 
-        A :class:`DiGraph` is frozen; a :class:`CSRGraph` with a tail
-        is compacted in place (no-op when already compact).  This is
-        the entry point the static SSSP solvers use, so an
-        incrementally appended snapshot is always safe to hand to them.
+        A :class:`DiGraph` is frozen; a :class:`CSRGraph` is compacted
+        in place (no-op when already compact).  This is the entry point
+        the static SSSP solvers use, so a maintained snapshot is always
+        safe to hand to them: they read every slot as an edge.
         """
         if isinstance(graph, cls):
             graph.compact()
@@ -269,45 +311,39 @@ class CSRGraph:
         return cls.from_digraph(graph)
 
     # ------------------------------------------------------------------
-    # incremental append (append-or-rebuild policy)
-    # ------------------------------------------------------------------
-    @property
-    def num_tail_edges(self) -> int:
-        """Edges currently in the appended COO tail."""
-        return int(self.tail_src.shape[0])
-
     @property
     def num_edges(self) -> int:
-        """Live edge count: frozen base plus appended tail, minus
-        tombstoned rows."""
-        return self.m + self.num_tail_edges - self.num_dead
+        """Live edge count: slots in live ranges minus tombstones."""
+        return self._used - self.num_dead
 
     @property
     def is_compact(self) -> bool:
-        """Whether all edges live in the sorted base (empty tail, no
-        tombstones)."""
-        return self.num_tail_edges == 0 and self.num_dead == 0
+        """Whether the layout is what :meth:`compact` leaves: every
+        slot holds a live edge, and nothing was appended since it was
+        laid out."""
+        return (self._used == self.m and self.num_dead == 0
+                and self.num_tail_edges == 0)
 
     @property
-    def base_stamp(self) -> Tuple[int, int]:
-        """Fingerprint of the frozen base arrays.
-
-        Changes when :meth:`_freeze` runs (construction,
-        :meth:`compact`, the rebuild branch of :meth:`apply_batch`) and
-        when a batch overwrites or tombstones a base row, so a
-        shared-memory engine can re-plant
-        ``indptr``/``indices``/``weights``/reverse arrays only when the
-        base actually changed — tail-only appends keep the stamp and
-        cost zero copies.
-        """
-        return (self.uid, self.base_version)
+    def topology_stamp(self) -> Tuple[int, int]:
+        """Fingerprint of ``indptr``/``out_end``/``indices``/``src``
+        and their reverse twins ``rev_indptr``/``in_end``/
+        ``rev_indices``/``edge_perm``: moves on every insertion,
+        relayout and :meth:`compact`."""
+        return (self.uid, self.topology_version)
 
     @property
-    def tail_stamp(self) -> Tuple[int, int, int]:
-        """Fingerprint of the COO tail (changes on every append or
-        rebuild; includes the base version because :meth:`compact`
-        empties the tail)."""
-        return (self.uid, self.base_version, self.tail_version)
+    def weights_stamp(self) -> Tuple[int, int]:
+        """Fingerprint of ``weights``: moves on every insertion,
+        deletion and weight change that wrote a slot, and on every
+        relayout and :meth:`compact`."""
+        return (self.uid, self.weights_version)
+
+    @property
+    def stamp(self) -> Tuple[int, int, int]:
+        """Fingerprint of the whole snapshot: moves whenever any slot
+        is written."""
+        return (self.uid, self.topology_version, self.weights_version)
 
     def _check_records(
         self, src: IntArray, dst: IntArray, weights: FloatArray
@@ -331,45 +367,29 @@ class CSRGraph:
             if not np.isfinite(weights).all() or (weights < 0).any():
                 raise WeightError("edge weights must be finite and >= 0")
 
-    def _pair_rows(self) -> Dict[int, Tuple[int, ...]]:
-        """The tail's pair index, rebuilt from the tail if a copy
-        dropped it."""
-        if self._pairs is None:
-            self._pairs = {}
-            keys = (self.tail_src * self.n + self.tail_dst).tolist()
-            for row, key in enumerate(keys):
-                self._pairs[key] = self._pairs.get(key, ()) + (row,)
-        return self._pairs
-
-    def _base_matches(
-        self, src: IntArray, dst: IntArray
+    def _matches(
+        self, src: IntArray, dst: IntArray, ends: IntArray
     ) -> Tuple[IntArray, IntArray]:
-        """Every base row of every pair ``(src[i], dst[i])``: returns
-        ``(owner, rows)`` with ``owner`` the pair's position ``i``, in
-        ``(i, row)`` order."""
-        lo, hi = self.indptr[src], self.indptr[src + 1]
-        rows, _ = gather_ranges(lo, hi)
-        owner = np.repeat(np.arange(len(src), dtype=np.int64), hi - lo)
-        hit = self.indices[rows] == dst[owner]
-        return owner[hit], rows[hit]
+        """Every forward slot of every pair ``(src[i], dst[i])`` in
+        ``[indptr[src[i]], ends[i])``: returns ``(owner, slots)`` with
+        ``owner`` the pair's position ``i``, in ``(i, slot)`` order."""
+        lo = self.indptr[src]
+        slots, _ = gather_ranges(lo, ends)
+        owner = np.repeat(np.arange(len(src), dtype=np.int64), ends - lo)
+        hit = self.indices[slots] == dst[owner]
+        return owner[hit], slots[hit]
 
-    def _lexmin_live(
-        self, base_rows: Sequence[int], tail_rows: Sequence[int]
-    ) -> Tuple[int, int]:
+    def _lexmin_live(self, slots: Sequence[int]) -> int:
         """The target of a deletion or weight change: among one pair's
-        candidate rows, the live one with the lexicographically
-        smallest weight vector, the first in row order on ties (base
-        rows, then tail rows).  Returns ``(where, row)``, ``where`` 0 =
-        base, 1 = tail, ``(-1, -1)`` when no candidate is live."""
-        best_where, best_row = -1, -1
-        best_w: List[float] = []
-        for where, arr, rows in ((0, self.weights, base_rows),
-                                 (1, self.tail_weights, tail_rows)):
-            for row in rows:
-                w = arr[row].tolist()
-                if w[0] != np.inf and (best_where < 0 or w < best_w):
-                    best_where, best_row, best_w = where, row, w
-        return best_where, best_row
+        candidate slots, the live one with the lexicographically
+        smallest weight vector, the first in slot order on ties; ``-1``
+        when no candidate is live."""
+        best, best_w = -1, []
+        for slot in slots:
+            w = self.weights[slot].tolist()
+            if w[0] != np.inf and (best < 0 or w < best_w):
+                best, best_w = slot, w
+        return best
 
     def apply_batch(self, batch: "ChangeBatch") -> None:
         """Apply a mixed :class:`~repro.dynamic.changes.ChangeBatch` in
@@ -378,14 +398,14 @@ class CSRGraph:
 
         One pass, O(|batch| + degree): every record is checked first
         (:meth:`_check_records`), so a bad record leaves the snapshot
-        untouched; the insertions are appended to the tail in one
-        concatenate and join the pair index as the loop reaches them;
-        deletions tombstone and weight changes overwrite the
-        :meth:`_lexmin_live` row among the base slice and the indexed
-        tail rows of their pair.  Compacts at most once, after the
-        pass.  After ``batch.apply_to(graph)`` +
-        ``snapshot.apply_batch(batch)`` the snapshot's live edge
-        multiset equals the digraph's.
+        untouched; the layout is relaid at most once, before anything
+        is written, when some endpoint lacks the spare slots the
+        batch's insertions need; the insertions then fill spare slots
+        in record order; deletions tombstone and weight changes
+        overwrite the :meth:`_lexmin_live` slot among those of their
+        pair that precede them in record order.  After
+        ``batch.apply_to(graph)`` + ``snapshot.apply_batch(batch)`` the
+        snapshot's live edge multiset equals the digraph's.
         """
         self._apply(batch)
 
@@ -408,55 +428,53 @@ class CSRGraph:
         src, dst, weights, kind = batch.src, batch.dst, batch.weights, batch.kind
         self._check_records(src, dst, weights[kind != KIND_DELETE])
         ins = kind == KIND_INSERT
-        pairs = self._pair_rows()  # before the tail grows
-        next_row = self.num_tail_edges
-        if ins.any():
-            self.tail_src = np.concatenate((self.tail_src, src[ins]))
-            self.tail_dst = np.concatenate((self.tail_dst, dst[ins]))
-            self.tail_weights = np.concatenate(
-                (self.tail_weights, weights[ins])
-            )
-            self.tail_version += 1
-        mut = ~ins
-        owner, rows = self._base_matches(src[mut], dst[mut])
-        bounds = np.searchsorted(
-            owner, np.arange(int(np.count_nonzero(mut)) + 1)
-        ).tolist()
-        base_rows = rows.tolist()
-        j = 0
-        base_touched = tail_touched = False
-        for i, (key, code) in enumerate(
-            zip((src * self.n + dst).tolist(), kind.tolist())
-        ):
-            if code == KIND_INSERT:
-                pairs[key] = pairs.get(key, ()) + (next_row,)
-                next_row += 1
+        mut = np.flatnonzero(~ins)
+        isrc, idst = src[ins], dst[ins]
+        # earlier[i]: insertions before record i out of the same source;
+        # an insertion's slots sit that far past its endpoints' live ends
+        earlier = _earlier_equal(src, ins)
+        rank_out = earlier[ins]
+        rank_in = _earlier_equal(idst, np.ones(idst.size, dtype=bool))
+        if ((self.out_end[isrc] + rank_out >= self.indptr[isrc + 1]).any()
+                or (self.in_end[idst] + rank_in
+                    >= self.rev_indptr[idst + 1]).any()):
+            self._relayout(np.bincount(isrc, minlength=self.n),
+                           np.bincount(idst, minlength=self.n))
+        # a deletion or weight change sees its source's live slots from
+        # before the batch plus the insertions recorded before it
+        msrc = src[mut]
+        ends = self.out_end[msrc] + earlier[mut]
+        if isrc.size:
+            slots = self.out_end[isrc] + rank_out
+            self.indices[slots] = idst
+            self.weights[slots] = weights[ins]
+            rslots = self.in_end[idst] + rank_in
+            self.rev_indices[rslots] = isrc
+            self.edge_perm[rslots] = slots
+            np.add.at(self.out_end, isrc, 1)
+            np.add.at(self.in_end, idst, 1)
+            self._used += int(isrc.size)
+            self.num_tail_edges += int(isrc.size)
+            self.topology_version += 1
+            self.weights_version += 1
+        if not mut.size:
+            return
+        owner, slots = self._matches(msrc, dst[mut], ends)
+        bounds = np.searchsorted(owner, np.arange(mut.size + 1)).tolist()
+        cand = slots.tolist()
+        wrote = False
+        for j, (i, code) in enumerate(zip(mut.tolist(), kind[mut].tolist())):
+            slot = self._lexmin_live(cand[bounds[j]:bounds[j + 1]])
+            if slot < 0:
                 continue
-            where, row = self._lexmin_live(
-                base_rows[bounds[j]:bounds[j + 1]], pairs.get(key, ())
-            )
-            j += 1
-            if where < 0:
-                continue
-            arr = self.weights if where == 0 else self.tail_weights
             if code == KIND_DELETE:
-                arr[row] = np.inf
+                self.weights[slot] = np.inf
                 self.num_dead += 1
             else:
-                arr[row] = weights[i]
-            if where == 0:
-                base_touched = True
-            else:
-                tail_touched = True
-        if base_touched:
-            self.base_version += 1
-        if tail_touched:
-            self.tail_version += 1
-        # the rebuild half of the append-or-rebuild policy
-        limit = max(self.MIN_TAIL_REBUILD,
-                    int(self.TAIL_REBUILD_FRACTION * self.m))
-        if self.num_tail_edges > limit:
-            self.compact()
+                self.weights[slot] = weights[i]
+            wrote = True
+        if wrote:
+            self.weights_version += 1
 
     def min_weight_between(
         self, src: IntArray, dst: IntArray, objective: int = 0
@@ -465,120 +483,63 @@ class CSRGraph:
         pair ``(src[i], dst[i])``; ``inf`` where none is live.
 
         The vectorised twin of :meth:`DiGraph.min_weight_between`
-        (bitwise equal on a synced snapshot): one gather over the base
-        slices plus a pair-index lookup per pair.  Tombstones weigh
-        ``inf`` and never win the minimum.
+        (bitwise equal on a synced snapshot): one gather over the live
+        forward ranges of the sources.  Tombstones weigh ``inf`` and
+        never win the minimum.
         """
         src = np.asarray(src, dtype=VERTEX_DTYPE)
         dst = np.asarray(dst, dtype=VERTEX_DTYPE)
         out = np.full(src.shape[0], np.inf, dtype=DIST_DTYPE)
-        owner, rows = self._base_matches(src, dst)
-        np.minimum.at(out, owner, self.weights[rows, objective])
-        if self.num_tail_edges:
-            pairs = self._pair_rows()
-            keys = (src * self.n + dst).tolist()
-            tails = [pairs.get(key, ()) for key in keys]
-            hit_rows = list(itertools.chain.from_iterable(tails))
-            if hit_rows:
-                owner = np.repeat(
-                    np.arange(len(tails)), [len(t) for t in tails]
-                )
-                np.minimum.at(
-                    out, owner, self.tail_weights[hit_rows, objective]
-                )
+        owner, slots = self._matches(src, dst, self.out_end[src])
+        np.minimum.at(out, owner, self.weights[slots, objective])
         return out
 
     def compact(self) -> None:
-        """Merge the tail into the sorted base, dropping tombstoned
-        rows (no-op when already compact)."""
+        """Lay the live edges out slack-free, dropping tombstones and
+        spare slots (no-op when already compact).  Forward slots keep
+        their order; reverse slots come out sorted by source, as in a
+        fresh freeze of the same edge list."""
         if self.is_compact:
             return
-        src = np.concatenate((self.src, self.tail_src))
-        dst = np.concatenate((self.indices, self.tail_dst))
-        w = np.concatenate((self.weights, self.tail_weights))
-        if self.num_dead:
-            alive = np.isfinite(w).all(axis=1)
-            src, dst, w = src[alive], dst[alive], w[alive]
-        # un-sort is unnecessary: _freeze stable-sorts by src, and the
-        # base is already src-sorted, so base rows keep their relative
-        # order and tail rows land after them within each bucket.
-        self._freeze(src, dst, w)
-        self.num_dead = 0
-        self.tail_src = np.empty(0, dtype=VERTEX_DTYPE)
-        self.tail_dst = np.empty(0, dtype=VERTEX_DTYPE)
-        self.tail_weights = np.empty((0, self.k), dtype=DIST_DTYPE)
+        keep = self._live_slots()
+        self._freeze(self.src[keep], self.indices[keep], self.weights[keep])
 
     # ------------------------------------------------------------------
     def out_neighbors(self, u: int) -> IntArray:
         """Array of out-neighbour ids of ``u`` (may contain repeats)."""
-        base = self.indices[self.indptr[u] : self.indptr[u + 1]]
-        if self.num_tail_edges == 0:
-            return base
-        return np.concatenate((base, self.tail_dst[self.tail_src == u]))
+        return self.indices[self.indptr[u]:self.out_end[u]]
 
     def out_weights(self, u: int, objective: int = 0) -> FloatArray:
         """Weights (one objective) of ``u``'s out-edges, aligned with
         :meth:`out_neighbors`."""
-        base = self.weights[self.indptr[u] : self.indptr[u + 1], objective]
-        if self.num_tail_edges == 0:
-            return base
-        return np.concatenate(
-            (base, self.tail_weights[self.tail_src == u, objective])
-        )
+        return self.weights[self.indptr[u]:self.out_end[u], objective]
 
     def in_neighbors(self, v: int) -> IntArray:
         """Array of predecessor ids of ``v``."""
-        base = self.rev_indices[self.rev_indptr[v] : self.rev_indptr[v + 1]]
-        if self.num_tail_edges == 0:
-            return base
-        return np.concatenate((base, self.tail_src[self.tail_dst == v]))
+        return self.rev_indices[self.rev_indptr[v]:self.in_end[v]]
 
     def in_weights(self, v: int, objective: int = 0) -> FloatArray:
         """Weights (one objective) of ``v``'s in-edges, aligned with
         :meth:`in_neighbors`."""
-        rows = self.edge_perm[self.rev_indptr[v] : self.rev_indptr[v + 1]]
-        base = self.weights[rows, objective]
-        if self.num_tail_edges == 0:
-            return base
-        return np.concatenate(
-            (base, self.tail_weights[self.tail_dst == v, objective])
-        )
+        return self.in_weight_vectors(v)[:, objective]
 
     def in_weight_vectors(self, v: int) -> FloatArray:
         """``(indeg, k)`` weight vectors of ``v``'s in-edges."""
-        rows = self.edge_perm[self.rev_indptr[v] : self.rev_indptr[v + 1]]
-        base = self.weights[rows]
-        if self.num_tail_edges == 0:
-            return base
-        return np.concatenate((base, self.tail_weights[self.tail_dst == v]))
+        return self.weights[self.edge_perm[self.rev_indptr[v]:self.in_end[v]]]
 
     def out_degree(self, u: int) -> int:
         """Out-degree of ``u``."""
-        deg = int(self.indptr[u + 1] - self.indptr[u])
-        if self.num_tail_edges:
-            deg += int((self.tail_src == u).sum())
-        return deg
+        return int(self.out_end[u] - self.indptr[u])
 
     def in_degree(self, v: int) -> int:
         """In-degree of ``v``."""
-        deg = int(self.rev_indptr[v + 1] - self.rev_indptr[v])
-        if self.num_tail_edges:
-            deg += int((self.tail_dst == v).sum())
-        return deg
+        return int(self.in_end[v] - self.rev_indptr[v])
 
     def edges(self) -> Iterator[Tuple[int, int, FloatArray]]:
-        """Yield ``(u, v, weight_vector)`` over all **live** edges
-        (base, then appended tail); tombstoned rows are skipped."""
-        for i in range(self.m):
-            if np.isfinite(self.weights[i, 0]):
-                yield int(self.src[i]), int(self.indices[i]), self.weights[i]
-        for j in range(self.num_tail_edges):
-            if np.isfinite(self.tail_weights[j, 0]):
-                yield (
-                    int(self.tail_src[j]),
-                    int(self.tail_dst[j]),
-                    self.tail_weights[j],
-                )
+        """Yield ``(u, v, weight_vector)`` over all **live** edges, in
+        forward slot order; tombstoned slots are skipped."""
+        for slot in self._live_slots().tolist():
+            yield int(self.src[slot]), int(self.indices[slot]), self.weights[slot]
 
     def average_degree(self) -> float:
         """Mean out-degree ``num_edges / n``."""
@@ -594,7 +555,36 @@ class CSRGraph:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         tail = f", tail={self.num_tail_edges}" if self.num_tail_edges else ""
         dead = f", dead={self.num_dead}" if self.num_dead else ""
-        return f"CSRGraph(n={self.n}, m={self.m}, k={self.k}{tail}{dead})"
+        return (f"CSRGraph(n={self.n}, edges={self.num_edges}, "
+                f"slots={self.m}, k={self.k}{tail}{dead})")
+
+
+def _region_ptr(sizes: IntArray) -> IntArray:
+    """Region bounds ``(n+1,)`` of consecutive regions of ``sizes``."""
+    ptr = np.zeros(len(sizes) + 1, dtype=VERTEX_DTYPE)
+    np.cumsum(sizes, out=ptr[1:])
+    return ptr
+
+
+def _packed(ptr: IntArray, cnt: IntArray, owner: IntArray) -> IntArray:
+    """New slots of rows grouped by ``owner`` (sorted, ``cnt[v]`` rows
+    of ``v``): each group packed, in order, from its region start."""
+    first = np.cumsum(cnt) - cnt
+    return ptr[:-1][owner] + np.arange(owner.size) - first[owner]
+
+
+def _earlier_equal(keys: IntArray, flags: IntArray) -> IntArray:
+    """For each position ``i``: how many earlier positions carry the
+    same key and a set flag."""
+    order = np.argsort(keys, kind="stable")
+    f = flags[order].astype(np.int64)
+    before = np.cumsum(f) - f  # flagged positions before, across groups
+    s = keys[order]
+    start = np.flatnonzero(np.r_[True, s[1:] != s[:-1]]) if s.size else s
+    group = np.repeat(start, np.diff(np.r_[start, s.size]))
+    out = np.empty(keys.shape[0], dtype=np.int64)
+    out[order] = before - before[group]
+    return out
 
 
 def gather_ranges(

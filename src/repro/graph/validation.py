@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphError, WeightError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, gather_ranges
 from repro.graph.digraph import DiGraph
 
 __all__ = ["validate_digraph", "validate_csr", "check_weights"]
@@ -71,43 +71,58 @@ def validate_digraph(g: DiGraph) -> None:
 
 
 def validate_csr(csr: CSRGraph) -> None:
-    """Audit a :class:`CSRGraph`: monotone indptr, consistent reverse
-    adjacency, in-range indices, valid weights."""
-    if csr.indptr[0] != 0 or csr.indptr[-1] != csr.m:
-        raise GraphError("forward indptr endpoints wrong")
-    if np.any(np.diff(csr.indptr) < 0):
-        raise GraphError("forward indptr not monotone")
-    if csr.rev_indptr[0] != 0 or csr.rev_indptr[-1] != csr.m:
-        raise GraphError("reverse indptr endpoints wrong")
-    if np.any(np.diff(csr.rev_indptr) < 0):
-        raise GraphError("reverse indptr not monotone")
-    if csr.m:
-        if csr.indices.min() < 0 or csr.indices.max() >= csr.n:
-            raise GraphError("forward indices out of range")
-        if csr.rev_indices.min() < 0 or csr.rev_indices.max() >= csr.n:
-            raise GraphError("reverse indices out of range")
-    # forward and reverse must contain the same multiset of edges
-    fwd = sorted(zip(csr.src.tolist(), csr.indices.tolist()))
-    rev_dst = np.repeat(
-        np.arange(csr.n), np.diff(csr.rev_indptr).astype(np.int64)
-    )
-    rev = sorted(zip(csr.rev_indices.tolist(), rev_dst.tolist()))
-    if fwd != rev:
-        raise GraphError("forward and reverse CSR disagree on edge multiset")
-    # edge_perm must map reverse rows onto matching forward rows
-    for j in range(csr.m):
-        row = int(csr.edge_perm[j])
-        if csr.src[row] != csr.rev_indices[j]:
-            raise GraphError(f"edge_perm[{j}] maps to a different tail vertex")
-    check_weights(csr.weights, csr.k)
-    # the incremental COO tail, when present
-    if csr.num_tail_edges:
-        if csr.tail_dst.shape[0] != csr.num_tail_edges or (
-            csr.tail_weights.shape != (csr.num_tail_edges, csr.k)
-        ):
-            raise GraphError("tail arrays disagree on edge count")
-        if csr.tail_src.min() < 0 or csr.tail_src.max() >= csr.n or (
-            csr.tail_dst.min() < 0 or csr.tail_dst.max() >= csr.n
-        ):
-            raise GraphError("tail endpoints out of range")
-        check_weights(csr.tail_weights, csr.k)
+    """Audit a :class:`CSRGraph`'s slot layout.
+
+    Regions tile the slot arrays in vertex order and each live range
+    sits inside its region; forward slots are owned by their region's
+    vertex; forward and reverse live ranges hold the same edge
+    multiset; every live reverse slot names, through ``edge_perm``, a
+    distinct live forward slot with the same endpoints; live weights
+    are valid and tombstones all-``inf``; the edge counts agree.
+    """
+    n = csr.n
+    for name, ptr, end, slots in (
+        ("forward", csr.indptr, csr.out_end, csr.indices.shape[0]),
+        ("reverse", csr.rev_indptr, csr.in_end, csr.rev_indices.shape[0]),
+    ):
+        if ptr.shape != (n + 1,) or end.shape != (n,):
+            raise GraphError(f"{name} region arrays have the wrong shape")
+        if ptr[0] != 0 or ptr[-1] != slots:
+            raise GraphError(f"{name} regions do not tile the slots")
+        if np.any(ptr[:-1] > end) or np.any(end > ptr[1:]):
+            raise GraphError(f"{name} live range outside its region")
+    if csr.m != csr.indices.shape[0] or csr.weights.shape != (csr.m, csr.k) \
+            or csr.src.shape != (csr.m,) \
+            or csr.edge_perm.shape != csr.rev_indices.shape:
+        raise GraphError("slot arrays disagree on their lengths")
+    owner = np.repeat(np.arange(n), np.diff(csr.indptr))
+    if not np.array_equal(csr.src, owner):
+        raise GraphError("forward slot owned by another vertex")
+    fwd, _ = gather_ranges(csr.indptr[:-1], csr.out_end)
+    rev, rseg = gather_ranges(csr.rev_indptr[:-1], csr.in_end)
+    heads = csr.indices[fwd]
+    tails = csr.rev_indices[rev]
+    if np.any((heads < 0) | (heads >= n)) or np.any((tails < 0) | (tails >= n)):
+        raise GraphError("live slot names a vertex out of range")
+    # forward and reverse live ranges hold the same edge multiset
+    rev_heads = np.repeat(np.arange(n), np.diff(rseg))
+    if not np.array_equal(np.sort(csr.src[fwd] * n + heads),
+                          np.sort(tails * n + rev_heads)):
+        raise GraphError("forward and reverse ranges disagree on edges")
+    # ... and edge_perm pairs them up one to one
+    perm = csr.edge_perm[rev]
+    live = np.zeros(csr.m, dtype=bool)
+    live[fwd] = True
+    if np.any((perm < 0) | (perm >= csr.m)) or not live[perm].all():
+        raise GraphError("edge_perm names a slot outside the live ranges")
+    if np.unique(perm).size != perm.size:
+        raise GraphError("edge_perm names one forward slot twice")
+    if np.any(csr.src[perm] != tails) or np.any(csr.indices[perm] != rev_heads):
+        raise GraphError("edge_perm maps to an edge with other endpoints")
+    w = csr.weights[fwd]
+    dead = ~np.isfinite(w[:, 0])
+    if not np.isinf(w[dead]).all():
+        raise GraphError("tombstone with a finite weight component")
+    check_weights(w[~dead], csr.k)
+    if int(dead.sum()) != csr.num_dead or fwd.size - csr.num_dead != csr.num_edges:
+        raise GraphError("live and tombstoned slots disagree with the counts")

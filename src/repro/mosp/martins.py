@@ -79,7 +79,9 @@ def martins(
     Parameters
     ----------
     graph:
-        Graph whose edges carry ``k``-objective weight vectors.
+        Graph whose edges carry ``k``-objective weight vectors.  A
+        :class:`CSRGraph` is compacted in place
+        (:meth:`CSRGraph.ensure`), as the other static solvers do.
     source:
         Source vertex.
     max_labels:
@@ -101,7 +103,7 @@ def martins(
     >>> sorted(map(tuple, r.front(1).tolist()))
     [(1.0, 10.0), (10.0, 1.0)]
     """
-    csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_digraph(graph)
+    csr = CSRGraph.ensure(graph)
     n = csr.n
     if not 0 <= source < n:
         raise VertexError(source, n, "martins source")

@@ -115,8 +115,9 @@ class SlabTask:
       every array back; declare ``()`` for a read-only kernel;
     - ``fingerprints``: optional name → fingerprint.  A dispatch
       re-plants a fingerprinted array only when its fingerprint changed
-      since the previous plant (callers key the frozen CSR base arrays
-      by :attr:`~repro.graph.csr.CSRGraph.base_stamp`).
+      since the previous plant (callers key the CSR arrays by
+      :attr:`~repro.graph.csr.CSRGraph.topology_stamp` and
+      :attr:`~repro.graph.csr.CSRGraph.weights_stamp`).
 
     Engines without slab dispatch run the kernel over ``arrays`` in
     :func:`parallel_for_slabs`' closure fallback.

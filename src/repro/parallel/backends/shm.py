@@ -13,10 +13,10 @@ fallback.  The slab path fixes the transport, not the kernels:
     are keyed by logical name (``"csr.rev_indices"``, ``"sosp.dist"``,
     ...) and carry an optional *fingerprint*: re-planting with an
     unchanged fingerprint is a no-op (zero copies), which is how the
-    CSR base arrays survive the append-or-rebuild tail policy — a
-    tail-only append keeps the
-    :attr:`~repro.graph.csr.CSRGraph.base_stamp` and therefore the
-    existing segments.
+    CSR arrays survive the batches that do not write them — a deletion
+    or re-weight moves only
+    :attr:`~repro.graph.csr.CSRGraph.weights_stamp`, so the topology
+    arrays keep their segments.
 2.  A persistent ``spawn``-context pool attaches to segments **once**
     (pool initializer + a per-worker attach cache) and re-uses the
     mapping across supersteps.
@@ -782,7 +782,7 @@ class SharedMemoryEngine(BaseEngine):
 
         ``stamp`` plays the same role fingerprints play for
         :meth:`plant`: it names the graph state the arrays were
-        computed against (callers pass the CSR ``tail_stamp``).  While
+        computed against (callers pass the CSR ``stamp``).  While
         the stamp is unchanged since the previous export, the cached
         read-only arrays are returned without copying — repeated
         snapshot reads between update batches are zero-copy.  A new

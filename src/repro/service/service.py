@@ -326,7 +326,7 @@ class UpdateService:
         sosp_update(self.graph, self.tree, batch, engine=self.engine)
 
     def _freeze_epoch(self, epoch: int) -> EpochSnapshot:
-        stamp = self.graph.tail_stamp
+        stamp = self.graph.stamp
         publish = getattr(self.engine, "publish_snapshot", None)
         if callable(publish):
             arrays: Dict[str, Any] = publish(

@@ -57,7 +57,7 @@ class EpochSnapshot:
         ``publish_snapshot`` hands back pre-frozen arrays — no second
         copy).
     stamp:
-        The CSR ``tail_stamp`` (or any state fingerprint) of the graph
+        The CSR :attr:`~repro.graph.csr.CSRGraph.stamp` (or any state fingerprint) of the graph
         version this epoch reflects; ``None`` when there is none.
     """
 

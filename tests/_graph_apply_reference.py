@@ -1,28 +1,33 @@
 """Reference batch appliers: the per-record loops.
 
 Before both graph representations applied a change batch in one
-pair-indexed pass, ``ChangeBatch.apply_to`` called ``DiGraph.add_edge``
-/ ``remove_edge`` / ``set_weight`` once per record, and
-``CSRGraph.apply_batch`` split the batch into runs of one record kind:
-insertion runs went through ``append_edges``, deletion and
-weight-change runs through ``delete_edges`` / ``update_edge_weights``,
-which located each target with ``_find_live_min`` — a scan of the base
-slice plus the *whole* COO tail.  This module keeps those loops as the
-oracle the differential suite (``tests/test_graph_apply_differential.py``)
-compares the one-pass appliers against:
+pass, ``ChangeBatch.apply_to`` called ``DiGraph.add_edge`` /
+``remove_edge`` / ``set_weight`` once per record, and
+``CSRGraph.apply_batch`` located each deletion or weight-change target
+with a scan of its candidate rows.  This module keeps per-record loops
+as the oracle the differential suite
+(``tests/test_graph_apply_differential.py``) compares the one-pass
+appliers against:
 
 - :func:`apply_to_reference` — the old ``ChangeBatch.apply_to``;
-- :func:`apply_batch_reference` — the old ``CSRGraph.apply_batch``,
-  with :func:`append_edges_reference`, :func:`find_live_min_reference`,
-  :func:`delete_edges_reference` and
-  :func:`update_edge_weights_reference`;
+- :func:`apply_batch_reference` — one record at a time on the
+  snapshot's slot layout: :func:`append_edge_reference` writes an
+  insertion into the spare slots of its endpoints (relaying the layout
+  out first when either region is full), :func:`find_live_min_reference`
+  scans the source's live forward range for a deletion or weight
+  change;
+- :func:`live_ranges`, :class:`CountedCSR` and :func:`relayouts` —
+  the per-vertex view the layout differentials compare, and a
+  snapshot that counts its relayouts;
 - :func:`normalize_against_graph_reference` — the per-record
   insertion normalisation of the old insert-only ``sosp_update``, which
   looked live weights up on the ``DiGraph`` one record at a time (the
   library now builds one stimulus per distinct pair in Step 1).
 
 Unlike the library, these loops validate records as they reach them,
-so a bad record in the middle leaves the records before it applied.
+so a bad record in the middle leaves the records before it applied,
+and they relay the layout out when one record needs room rather than
+once per batch.
 """
 
 from __future__ import annotations
@@ -32,10 +37,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.dynamic.changes import KIND_INSERT, KIND_DELETE, ChangeBatch
-from repro.errors import BatchError, GraphError
+from repro.errors import BatchError
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
-from repro.types import VERTEX_DTYPE, FloatArray, IntArray
+from repro.types import FloatArray, IntArray
 
 
 # ----------------------------------------------------------------------
@@ -95,147 +100,110 @@ def apply_to_reference(batch: ChangeBatch, g: DiGraph) -> List[int]:
 # ----------------------------------------------------------------------
 # CSRGraph
 # ----------------------------------------------------------------------
-def find_live_min_reference(csr: CSRGraph, u: int, v: int) -> Tuple[int, int]:
-    """Locate the live ``(u, v)`` edge with the lexicographically
-    smallest weight vector (the :meth:`DiGraph.remove_edge` target).
-
-    Returns ``(where, row)`` with ``where`` 0 = base / 1 = tail, or
-    ``(-1, -1)`` when no live edge matches.  Base rows precede tail
-    rows in the scan, matching insertion order, so ties resolve to
-    the same multiset outcome as the digraph.
-    """
-    best_where, best_row = -1, -1
+def find_live_min_reference(csr: CSRGraph, u: int, v: int) -> int:
+    """The live ``(u, v)`` slot with the lexicographically smallest
+    weight vector (the :meth:`DiGraph.remove_edge` target), the first
+    in ``u``'s live range on ties; ``-1`` when no live edge matches."""
+    best = -1
     best_w: Tuple[float, ...] = ()
-    for row in range(int(csr.indptr[u]), int(csr.indptr[u + 1])):
-        if int(csr.indices[row]) != v:
+    for slot in range(int(csr.indptr[u]), int(csr.out_end[u])):
+        if int(csr.indices[slot]) != v:
             continue
-        w = tuple(csr.weights[row])
+        w = tuple(csr.weights[slot])
         if not np.isfinite(w[0]):
             continue  # tombstone
-        if best_where < 0 or w < best_w:
-            best_where, best_row, best_w = 0, row, w
-    if csr.num_tail_edges:
-        for row in np.flatnonzero(
-            (csr.tail_src == u) & (csr.tail_dst == v)
-        ):
-            w = tuple(csr.tail_weights[int(row)])
-            if not np.isfinite(w[0]):
-                continue
-            if best_where < 0 or w < best_w:
-                best_where, best_row, best_w = 1, int(row), w
-    return best_where, best_row
+        if best < 0 or w < best_w:
+            best, best_w = slot, w
+    return best
+
+
+def append_edge_reference(
+    csr: CSRGraph, u: int, v: int, weight: FloatArray
+) -> None:
+    """Write the edge ``(u, v)`` at the live ends of ``u``'s forward
+    and ``v``'s reverse region, relaying the layout out first (with
+    room for this edge) when either region is full."""
+    if (csr.out_end[u] == csr.indptr[u + 1]
+            or csr.in_end[v] == csr.rev_indptr[v + 1]):
+        need_out = np.zeros(csr.n, dtype=np.int64)
+        need_in = np.zeros(csr.n, dtype=np.int64)
+        need_out[u] = need_in[v] = 1
+        csr._relayout(need_out, need_in)
+    slot = int(csr.out_end[u])
+    csr.indices[slot] = v
+    csr.weights[slot] = weight
+    csr.out_end[u] += 1
+    rslot = int(csr.in_end[v])
+    csr.rev_indices[rslot] = u
+    csr.edge_perm[rslot] = slot
+    csr.in_end[v] += 1
+    csr._used += 1
+    csr.num_tail_edges += 1
+    csr.topology_version += 1
+    csr.weights_version += 1
 
 
 def append_edges_reference(
     csr: CSRGraph, src: IntArray, dst: IntArray, weights: FloatArray
 ) -> None:
-    """The old ``CSRGraph.append_edges``: validate, concatenate onto the
-    COO tail, extend the pair index (when built), then re-freeze if the
-    tail outgrew ``max(MIN_TAIL_REBUILD, TAIL_REBUILD_FRACTION * m)``."""
+    """Validate and append insertions one edge at a time."""
     src, dst, weights = CSRGraph._coerce_edges(src, dst, weights)
     csr._check_records(src, dst, weights)
-    if len(src) == 0:
-        return
-    start = csr.num_tail_edges
-    csr.tail_src = np.concatenate((csr.tail_src, src))
-    csr.tail_dst = np.concatenate((csr.tail_dst, dst))
-    csr.tail_weights = np.concatenate((csr.tail_weights, weights))
-    csr.tail_version += 1
-    if csr._pairs is not None:
-        for row, key in enumerate((src * csr.n + dst).tolist(), start):
-            csr._pairs[key] = csr._pairs.get(key, ()) + (row,)
-    limit = max(csr.MIN_TAIL_REBUILD,
-                int(csr.TAIL_REBUILD_FRACTION * csr.m))
-    if csr.num_tail_edges > limit:
-        csr.compact()
-
-
-def delete_edges_reference(csr: CSRGraph, src: IntArray, dst: IntArray) -> int:
-    """Tombstone one live edge per ``(u, v)`` record, in order.
-
-    The target row's weight vector becomes ``+inf``.  Records with no
-    live match are skipped.  Returns the number tombstoned.
-    """
-    src = np.ascontiguousarray(src, dtype=VERTEX_DTYPE)
-    dst = np.ascontiguousarray(dst, dtype=VERTEX_DTYPE)
-    removed = 0
-    base_touched = tail_touched = False
-    for u, v in zip(src.tolist(), dst.tolist()):
-        where, row = find_live_min_reference(csr, int(u), int(v))
-        if where < 0:
-            continue
-        if where == 0:
-            csr.weights[row, :] = np.inf
-            base_touched = True
-        else:
-            csr.tail_weights[row, :] = np.inf
-            tail_touched = True
-        csr.num_dead += 1
-        removed += 1
-    if base_touched:
-        csr.base_version += 1
-    if tail_touched:
-        csr.tail_version += 1
-    return removed
-
-
-def update_edge_weights_reference(
-    csr: CSRGraph, src: IntArray, dst: IntArray, weights: FloatArray
-) -> int:
-    """Overwrite the weight vector of one live edge per record, each
-    record re-resolving its target after the previous one applied.
-    Records with no live match are skipped.  Returns the number of
-    rows rewritten."""
-    src, dst, weights = CSRGraph._coerce_edges(src, dst, weights)
-    if weights.shape[1] != csr.k:
-        raise GraphError(
-            f"weight updates have k={weights.shape[1]}, snapshot "
-            f"has k={csr.k}"
-        )
-    changed = 0
-    base_touched = tail_touched = False
     for i in range(len(src)):
-        where, row = find_live_min_reference(csr, int(src[i]), int(dst[i]))
-        if where < 0:
-            continue
-        if where == 0:
-            csr.weights[row] = weights[i]
-            base_touched = True
-        else:
-            csr.tail_weights[row] = weights[i]
-            tail_touched = True
-        changed += 1
-    if base_touched:
-        csr.base_version += 1
-    if tail_touched:
-        csr.tail_version += 1
-    return changed
+        append_edge_reference(csr, int(src[i]), int(dst[i]), weights[i])
 
 
 def apply_batch_reference(csr: CSRGraph, batch: ChangeBatch) -> None:
-    """Apply a mixed batch in record order, one run of equal record
-    kinds at a time (the old ``CSRGraph.apply_batch``).  Insertion
-    runs go through :func:`append_edges_reference`, so the tail may
-    compact between runs."""
-    kind = np.asarray(batch.kind)
-    b = int(kind.shape[0])
-    i = 0
-    while i < b:
-        j = i + 1
-        while j < b and kind[j] == kind[i]:
-            j += 1
-        code = int(kind[i])
+    """Apply a mixed batch one record at a time, in record order."""
+    for i in range(batch.num_changes):
+        u, v = int(batch.src[i]), int(batch.dst[i])
+        code = int(batch.kind[i])
         if code == KIND_INSERT:
             append_edges_reference(
-                csr, batch.src[i:j], batch.dst[i:j], batch.weights[i:j]
+                csr, batch.src[i:i + 1], batch.dst[i:i + 1],
+                batch.weights[i:i + 1],
             )
-        elif code == KIND_DELETE:
-            delete_edges_reference(csr, batch.src[i:j], batch.dst[i:j])
+            continue
+        if code != KIND_DELETE:
+            csr._check_records(batch.src[i:i + 1], batch.dst[i:i + 1],
+                               batch.weights[i:i + 1])
+        slot = find_live_min_reference(csr, u, v)
+        if slot < 0:
+            continue
+        if code == KIND_DELETE:
+            csr.weights[slot, :] = np.inf
+            csr.num_dead += 1
         else:  # KIND_WEIGHT
-            update_edge_weights_reference(
-                csr, batch.src[i:j], batch.dst[i:j], batch.weights[i:j]
-            )
-        i = j
+            csr.weights[slot] = batch.weights[i]
+        csr.weights_version += 1
+
+
+class CountedCSR(CSRGraph):
+    """A snapshot that counts its relayouts."""
+
+    def _relayout(self, need_out=0, need_in=0) -> None:
+        self.relayouts = getattr(self, "relayouts", 0) + 1
+        super()._relayout(need_out, need_in)
+
+
+def relayouts(csr: CSRGraph) -> int:
+    """How often ``csr`` (a :class:`CountedCSR`) relaid its layout."""
+    return getattr(csr, "relayouts", 0)
+
+
+def live_ranges(csr: CSRGraph) -> List[Tuple[list, list]]:
+    """Every vertex's live out-range and in-range, in order, as
+    ``(neighbour, weight tuple)`` lists, tombstones skipped — the
+    per-vertex view the layout differentials compare."""
+    out = []
+    for v in range(csr.n):
+        fwd = zip(csr.out_neighbors(v).tolist(),
+                  csr.weights[csr.indptr[v]:csr.out_end[v]].tolist())
+        rev = zip(csr.in_neighbors(v).tolist(),
+                  csr.in_weight_vectors(v).tolist())
+        out.append(([(u, tuple(w)) for u, w in fwd if w[0] != np.inf],
+                    [(u, tuple(w)) for u, w in rev if w[0] != np.inf]))
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,11 @@
-"""Reference Step-2 frontier bookkeeping: the sort-based versions.
+"""Reference Step-2 frontier bookkeeping: the sort-based gather.
 
 The first vectorised ``propagate_csr`` deduplicated each superstep's
-frontier with ``np.unique`` and grouped the snapshot's COO-tail edges
-by frontier position with a ``searchsorted`` over the whole tail.  The
-library now uses dense masks for both
-(``repro.core.affected.gather_unique_neighbors_csr`` and
-``repro.core.kernels.group_tail_by_position``); this module keeps the
-sort-based versions as the oracle the differential suite
-(``tests/test_frontier_differential.py``) compares them against
+frontier with ``np.unique``.  The library now uses a dense hit mask
+(``repro.core.affected.gather_unique_neighbors_csr``); this module
+keeps a sort-based version, built from the per-vertex
+``CSRGraph.out_neighbors`` queries, as the oracle the differential
+suite (``tests/test_frontier_differential.py``) compares it against
 bitwise.
 
 It also keeps :func:`frontier_bellman_ford_csr`, the from-scratch
@@ -40,50 +38,13 @@ from repro.types import (
 def gather_unique_neighbors_csr_reference(
     csr: CSRGraph, affected: IntArray
 ) -> IntArray:
-    """Unique out-neighbours of ``affected``, deduplicated by
+    """Unique out-neighbours of ``affected``, one
+    :meth:`CSRGraph.out_neighbors` query per id, deduplicated by
     ``np.unique``.  Returns a sorted int64 array."""
-    affected = np.asarray(affected, dtype=np.int64)
-    if affected.size == 0:
+    heads = [csr.out_neighbors(int(u)) for u in np.asarray(affected)]
+    if not heads:
         return np.empty(0, dtype=np.int64)
-    starts = csr.indptr[affected].astype(np.int64)
-    ends = csr.indptr[affected + 1].astype(np.int64)
-    deg = ends - starts
-    total = int(deg.sum())
-    if total:
-        offsets = np.concatenate(([0], np.cumsum(deg)[:-1]))
-        idx = np.arange(total, dtype=np.int64) + np.repeat(
-            starts - offsets, deg
-        )
-        base = csr.indices[idx]
-    else:
-        base = np.empty(0, dtype=np.int64)
-    if csr.num_tail_edges:
-        hit = np.isin(csr.tail_src, affected)
-        base = np.concatenate((base, csr.tail_dst[hit]))
-    return np.unique(base).astype(np.int64)
-
-
-def group_tail_by_position_reference(
-    csr: CSRGraph, frontier: IntArray, objective: int = 0
-) -> Tuple[IntArray, IntArray, FloatArray]:
-    """Tail edges landing on the sorted ``frontier``, grouped by
-    frontier position through a ``searchsorted`` over the whole tail:
-    ``(t_seg, t_src, t_w)``."""
-    if not csr.num_tail_edges or frontier.size == 0:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=DIST_DTYPE),
-        )
-    pos = np.searchsorted(frontier, csr.tail_dst)
-    pos_c = np.minimum(pos, frontier.size - 1)
-    sel = frontier[pos_c] == csr.tail_dst
-    t_seg = pos_c[sel]
-    t_order = np.argsort(t_seg, kind="stable")
-    t_seg = t_seg[t_order]
-    t_src = csr.tail_src[sel][t_order]
-    t_w = csr.tail_weights[sel, objective][t_order]
-    return t_seg, t_src, t_w
+    return np.unique(np.concatenate(heads)).astype(np.int64)
 
 
 def frontier_bellman_ford_csr(

@@ -180,20 +180,21 @@ def live_edge_arrays(
 ) -> Tuple[IntArray, IntArray, FloatArray]:
     """Every live edge of ``snapshot`` as ``(src, dst, weights)``.
 
-    Base rows come first, tail rows after, tombstones (``inf`` weight
-    rows) filtered.
+    One per-vertex walk over each live forward range, in slot order,
+    tombstones (``inf`` weight rows) filtered.
     """
-    src = np.concatenate(
-        (np.asarray(snapshot.src), np.asarray(snapshot.tail_src))
-    ).astype(np.int64)
-    dst = np.concatenate(
-        (np.asarray(snapshot.indices), np.asarray(snapshot.tail_dst))
-    ).astype(np.int64)
-    w = np.concatenate((snapshot.weights, snapshot.tail_weights))
-    if snapshot.num_dead:
-        alive = np.isfinite(w[:, 0])
-        src, dst, w = src[alive], dst[alive], w[alive]
-    return src, dst, w
+    rows = [
+        slot
+        for u in range(snapshot.n)
+        for slot in range(int(snapshot.indptr[u]), int(snapshot.out_end[u]))
+        if np.isfinite(snapshot.weights[slot, 0])
+    ]
+    rows_a = np.asarray(rows, dtype=np.int64)
+    return (
+        snapshot.src[rows_a].astype(np.int64),
+        snapshot.indices[rows_a].astype(np.int64),
+        snapshot.weights[rows_a],
+    )
 
 
 def mosp_update_reference(

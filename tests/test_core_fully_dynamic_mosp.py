@@ -117,7 +117,7 @@ class TestInsertThenDeleteSameEdge:
 
 class TestMaintainedCSR:
     """``mosp_update`` over one ``CSRGraph`` kept current with
-    ``apply_batch`` (insertions in the COO tail, deletions as
+    ``apply_batch`` (insertions in spare slots, deletions as
     tombstones), batch after batch."""
 
     @staticmethod
@@ -149,7 +149,9 @@ class TestMaintainedCSR:
             for v in np.flatnonzero(reached).tolist():
                 path = r.path_to(v)
                 assert path[0] == 0 and path[-1] == v
-        assert csr.num_tail_edges and csr.num_dead
+        # read in place all along: appended edges and tombstones in the
+        # live ranges, never compacted
+        assert csr.num_tail_edges and csr.num_dead and not csr.is_compact
 
     def test_shortcut_switches_path(self):
         csr, trees = self.path_graph()

@@ -1,12 +1,15 @@
-"""Property tests for the incremental (append-or-rebuild) CSR snapshot.
+"""Property tests for the incremental (per-vertex slack) CSR snapshot.
 
 The contract of insertion batches through :meth:`CSRGraph.append_batch`
 (the insert-only guard over :meth:`CSRGraph.apply_batch`'s pass): a
 snapshot that has absorbed any sequence of appends is *observationally identical* to a
 from-scratch freeze of the same edge list — per-vertex queries agree as
-multisets while the tail exists, and after :meth:`CSRGraph.compact` the
-frozen arrays are **byte-identical** to the from-scratch freeze (stable
-sorting makes re-freezing order-insensitive).
+multisets while appended edges sit in spare slots, and after
+:meth:`CSRGraph.compact` the arrays are **byte-identical** to the
+from-scratch freeze (stable sorting makes re-freezing
+order-insensitive).  Appended edges fill spare slots in place until
+some region is full; then the layout is relaid once, with fresh spare
+room for every vertex.
 """
 
 from __future__ import annotations
@@ -75,9 +78,9 @@ def test_append_matches_fresh_freeze(data):
             ) == sorted(zip(fresh.in_neighbors(v), fresh.in_weights(v)))
             assert snap.out_degree(v) == fresh.out_degree(v)
             assert snap.in_degree(v) == fresh.in_degree(v)
-    # compacting is exact, not just equivalent: stable sorts make the
-    # (base, tail) concatenation freeze to the same arrays as the
-    # original insertion order
+    # compacting is exact, not just equivalent: the live slots, base
+    # edges then appended ones per vertex, freeze (stable sorts) to the
+    # same arrays as the original insertion order
     snap.compact()
     fresh = _fresh(n, all_edges)
     for attr in ("indptr", "indices", "src", "rev_indptr",
@@ -104,31 +107,52 @@ def test_edges_iteration_and_multiset(data):
 
 
 def test_small_append_lands_in_tail():
-    snap = _fresh(3, [(0, 1, 1.0), (1, 2, 2.0)])
-    base_indices = snap.indices.copy()
-    snap.append_batch(ChangeBatch.insertions([(2, 0, 5.0)]))
+    snap = _fresh(3, [(0, 1, 1.0), (1, 2, 2.0), (1, 0, 3.0)])
+    # a fresh freeze has no spare slot: the first append relays it out
+    # with SLACK spare slots per vertex, plus room for the append
+    snap.append_batch(ChangeBatch.insertions([(1, 2, 5.0)]))
     assert not snap.is_compact
-    assert snap.num_tail_edges == 1 and snap.m == 2 and snap.num_edges == 3
-    # the frozen base is untouched; the new edge is query-visible
-    np.testing.assert_array_equal(snap.indices, base_indices)
+    assert snap.num_tail_edges == 1 and snap.num_edges == 4
+    assert snap.m == 4 + 3 * CSRGraph.SLACK
+    # the appended edge follows vertex 1's edges, which keep their order
+    assert snap.out_neighbors(1).tolist() == [2, 0, 2]
+    assert snap.out_weights(1).tolist() == [2.0, 3.0, 5.0]
+    assert snap.in_neighbors(2).tolist() == [1, 1]
+    # the next append lands in a spare slot: no array is replaced
+    arrays = (snap.indices, snap.weights, snap.rev_indices, snap.edge_perm)
+    snap.append_batch(ChangeBatch.insertions([(2, 0, 6.0)]))
+    assert all(a is b for a, b in zip(arrays, (
+        snap.indices, snap.weights, snap.rev_indices, snap.edge_perm)))
+    assert snap.num_tail_edges == 2 and snap.m == 4 + 3 * CSRGraph.SLACK
     assert snap.out_neighbors(2).tolist() == [0]
-    assert snap.in_neighbors(0).tolist() == [2]
-    assert snap.out_weights(2).tolist() == [5.0]
+    assert snap.in_neighbors(0).tolist() == [1, 2]
+    validate_csr(snap)
 
 
-def test_rebuild_threshold_triggers_compact():
+def test_full_region_triggers_relayout():
     n = 4
-    snap = _fresh(n, [(0, 1, 1.0)])
-    limit = max(CSRGraph.MIN_TAIL_REBUILD,
-                int(CSRGraph.TAIL_REBUILD_FRACTION * snap.m))
-    rng = np.random.default_rng(0)
-    edges = [
-        (int(u), int(v), 1.0)
-        for u, v in rng.integers(0, n, size=(limit + 1, 2))
-    ]
-    snap.append_batch(ChangeBatch.insertions(edges))
-    assert snap.is_compact, "tail past the limit must trigger a rebuild"
-    assert snap.m == 1 + limit + 1
+    snap = _fresh(n, [(0, 1, 1.0), (0, 2, 2.0), (3, 0, 1.0)])
+    snap.append_batch(ChangeBatch.insertions([(1, 3, 1.0)]))
+    spare = snap.indptr[1:] - snap.out_end
+    assert spare.min() == CSRGraph.SLACK
+    snap.apply_batch(ChangeBatch.deletions([(0, 1)]))
+    # fill vertex 0's spare slots exactly: written in place
+    weights = snap.weights
+    fill = [(0, 3, float(i)) for i in range(int(spare[0]))]
+    snap.append_batch(ChangeBatch.insertions(fill))
+    assert snap.weights is weights and snap.out_end[0] == snap.indptr[1]
+    assert snap.num_dead == 1
+    # one more: the whole layout is relaid, tombstones dropped, every
+    # vertex's order kept, and every region gets its spare room back
+    snap.append_batch(ChangeBatch.insertions([(0, 1, 9.0)]))
+    assert snap.weights is not weights
+    assert snap.num_dead == 0 and snap.num_tail_edges == 1
+    assert (snap.indptr[1:] - snap.out_end).min() == CSRGraph.SLACK
+    assert snap.out_neighbors(0).tolist() == [2] + [3] * len(fill) + [1]
+    assert snap.out_weights(0).tolist() == (
+        [2.0] + [w for _, _, w in fill] + [9.0])
+    assert snap.in_neighbors(3).tolist() == [1] + [0] * len(fill)
+    validate_csr(snap)
 
 
 def test_append_batch_rejects_deletions():

@@ -1,15 +1,17 @@
-"""Differential suite for Step 2's frontier bookkeeping at scale.
+"""Differential suite for Step 2's graph reads at scale.
 
 Two halves:
 
-1. **Bookkeeping ≡ sort-based reference, bitwise.**  The frontier
-   gather (:func:`~repro.core.affected.gather_unique_neighbors_csr`,
-   a dense hit mask) and the COO-tail grouping
-   (:func:`~repro.core.kernels.group_tail_by_position`, a position
-   map) must return exactly what the ``np.unique`` / ``searchsorted``
-   versions in ``tests/_kernels_reference.py`` return — over CSR
-   snapshots with tails, tombstones in base and tail, isolated
-   vertices, duplicate affected ids and empty affected sets.
+1. **Layout ≡ per-record replay.**  Over CSR snapshots that absorb
+   insertions, deletions and weight changes, with relayouts forced or
+   triggered by full regions, every vertex's live out-range and
+   in-range must equal — in order, with weights — a replay of the
+   edits one record at a time on plain per-vertex lists, and the
+   frontier gather
+   (:func:`~repro.core.affected.gather_unique_neighbors_csr`, a dense
+   hit mask) must return exactly what the ``np.unique`` version in
+   ``tests/_kernels_reference.py`` returns, duplicate and empty
+   affected sets included.
 2. **Large frontiers on every backend.**  The other kernel oracles draw
    graphs of at most 14 vertices, so no superstep there outgrows
    ``MIN_SLAB_ITEMS`` and multi-slab supersteps go untested.  Here
@@ -28,10 +30,12 @@ from hypothesis import strategies as st
 
 from repro.core import SOSPTree, sosp_update
 from repro.core.affected import gather_unique_neighbors_csr
-from repro.core.kernels import MIN_SLAB_ITEMS, group_tail_by_position
+from repro.core.kernels import MIN_SLAB_ITEMS
 from repro.dynamic import ChangeBatch, random_insert_batch, random_mixed_batch
+from repro.dynamic.changes import KIND_DELETE, KIND_INSERT, KIND_WEIGHT
 from repro.graph import road_like
 from repro.graph.csr import CSRGraph
+from repro.graph.validation import validate_csr
 from repro.obs.metrics import use_metrics
 from repro.parallel import (
     SerialEngine,
@@ -43,53 +47,86 @@ from repro.parallel import (
 )
 from repro.parallel.api import MAX_SERIAL_SLAB_ITEMS, serial_spans
 from repro.sssp import dijkstra
+from tests._graph_apply_reference import live_ranges
 from tests._kernels_reference import (
     frontier_bellman_ford_csr,
     gather_unique_neighbors_csr_reference,
-    group_tail_by_position_reference,
 )
 
 K = 2
 
 
+class OneSpareCSR(CSRGraph):
+    """One spare slot per vertex: regions fill, and relay, often."""
+
+    SLACK = 1
+
+
+class Replay:
+    """The edits replayed one record at a time on per-vertex lists of
+    shared ``[u, v, weight, alive]`` edges, in the order a freeze lays
+    them out: a vertex's out-edges in edge-list order, its in-edges by
+    source, appended edges after both in record order."""
+
+    def __init__(self, n, base):
+        edges = [[u, v, tuple(w), True] for u, v, w in base]
+        self.out = [[e for e in edges if e[0] == u] for u in range(n)]
+        self.into = [
+            sorted((e for e in edges if e[1] == v), key=lambda e: e[0])
+            for v in range(n)
+        ]
+
+    def apply(self, records):
+        for code, u, v, w in records:
+            if code == KIND_INSERT:
+                e = [u, v, tuple(w), True]
+                self.out[u].append(e)
+                self.into[v].append(e)
+                continue
+            live = [e for e in self.out[u] if e[1] == v and e[3]]
+            if not live:
+                continue
+            target = min(live, key=lambda e: e[2])  # first on ties
+            if code == KIND_DELETE:
+                target[3] = False
+            else:
+                target[2] = tuple(w)
+
+    def ranges(self):
+        return [
+            ([(e[1], e[2]) for e in out if e[3]],
+             [(e[0], e[2]) for e in into if e[3]])
+            for out, into in zip(self.out, self.into)
+        ]
+
+
 @st.composite
-def csr_snapshots(draw, max_n=40):
-    """A CSR snapshot with a live COO tail and tombstoned rows."""
+def edit_streams(draw, max_n=30):
+    """A base edge list and a stream of steps: mixed batches, and
+    forced relayouts."""
     n = draw(st.integers(min_value=1, max_value=max_n))
     vertex = st.integers(0, n - 1)
-    weight = st.integers(min_value=0, max_value=9).map(float)
-    edge = st.tuples(vertex, vertex, st.tuples(*([weight] * K)))
-    base = draw(st.lists(edge, max_size=3 * n))
-    # at most MIN_TAIL_REBUILD rows, so the append never re-freezes
-    tail = draw(st.lists(edge, max_size=CSRGraph.MIN_TAIL_REBUILD))
-
-    def columns(edges):
-        return (
-            np.array([u for u, _, _ in edges], dtype=np.int64),
-            np.array([v for _, v, _ in edges], dtype=np.int64),
-            np.array([w for _, _, w in edges], dtype=np.float64).reshape(
-                len(edges), K
-            ),
-        )
-
-    csr = CSRGraph(n, *columns(base))
-    if tail:
-        csr.append_batch(ChangeBatch.insertions(tail))
-    assert csr.num_tail_edges == len(tail)
-    live = [(u, v) for u, v, _ in base + tail]
-    if live:
-        dead = draw(st.lists(st.sampled_from(live), max_size=len(live)))
-        if dead:
-            csr.apply_batch(ChangeBatch.deletions(dead, k=K))
-    return csr
+    weight = st.tuples(*([st.integers(0, 9).map(float)] * K))
+    base = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=3 * n))
+    record = st.tuples(
+        st.sampled_from([KIND_INSERT, KIND_INSERT, KIND_DELETE, KIND_WEIGHT]),
+        vertex, vertex, weight,
+    )
+    step = st.one_of(st.lists(record, min_size=1, max_size=12),
+                     st.just("relayout"))
+    steps = draw(st.lists(step, min_size=1, max_size=6))
+    cls = draw(st.sampled_from([CSRGraph, OneSpareCSR]))
+    return n, base, steps, cls
 
 
-@st.composite
-def snapshot_and_ids(draw):
-    """A snapshot plus an id list with duplicates (possibly empty)."""
-    csr = draw(csr_snapshots())
-    ids = draw(st.lists(st.integers(0, csr.n - 1), max_size=2 * csr.n))
-    return csr, np.array(ids, dtype=np.int64)
+def _batch(records):
+    b = len(records)
+    return ChangeBatch(
+        np.array([r[1] for r in records], dtype=np.int64),
+        np.array([r[2] for r in records], dtype=np.int64),
+        np.array([r[3] for r in records], dtype=np.float64).reshape(b, K),
+        np.array([r[0] for r in records], dtype=np.int8),
+    )
 
 
 def _assert_bitwise(actual, expected):
@@ -97,30 +134,45 @@ def _assert_bitwise(actual, expected):
     np.testing.assert_array_equal(actual, expected)
 
 
-class TestBookkeepingEqualsReference:
-    @given(data=snapshot_and_ids())
-    def test_gather_equals_unique_gather(self, data):
-        csr, affected = data
-        _assert_bitwise(
-            gather_unique_neighbors_csr(csr, affected),
-            gather_unique_neighbors_csr_reference(csr, affected),
-        )
+def snapshots(stream):
+    """Apply ``stream`` to a fresh snapshot and to a :class:`Replay`;
+    yield both after every step."""
+    n, base, steps, cls = stream
+    csr = cls(
+        n,
+        np.array([u for u, _, _ in base], dtype=np.int64),
+        np.array([v for _, v, _ in base], dtype=np.int64),
+        np.array([w for _, _, w in base], dtype=np.float64).reshape(
+            len(base), K
+        ),
+    )
+    replay = Replay(n, base)
+    for step in steps:
+        if step == "relayout":
+            csr._relayout()
+        else:
+            csr.apply_batch(_batch(step))
+            replay.apply(step)
+        yield csr, replay
 
-    @given(data=snapshot_and_ids(), objective=st.integers(0, K - 1))
-    def test_tail_grouping_equals_searchsorted(self, data, objective):
-        csr, ids = data
-        # the kernel's frontiers are the gather's output; also try an
-        # arbitrary sorted unique id set to reach tail rows the gather
-        # would not hand it
-        for frontier in (gather_unique_neighbors_csr(csr, ids), np.unique(ids)):
-            if frontier.size == 0:
-                continue
-            posmap = np.full(csr.n, -1, dtype=np.int64)
-            got = group_tail_by_position(csr, frontier, posmap, objective)
-            want = group_tail_by_position_reference(csr, frontier, objective)
-            for a, b in zip(got, want):
-                _assert_bitwise(a, b)
-            assert (posmap == -1).all(), "posmap not reset"
+
+class TestBookkeepingEqualsReference:
+    @given(stream=edit_streams())
+    def test_live_ranges_equal_a_per_record_replay(self, stream):
+        for csr, replay in snapshots(stream):
+            validate_csr(csr)
+            assert live_ranges(csr) == replay.ranges()
+
+    @given(stream=edit_streams(),
+           ids=st.lists(st.integers(0, 10**6), max_size=60))
+    def test_gather_equals_unique_gather(self, stream, ids):
+        # duplicate ids, and an empty set when ``ids`` is
+        affected = np.array(ids, dtype=np.int64) % stream[0]
+        for csr, _ in snapshots(stream):
+            _assert_bitwise(
+                gather_unique_neighbors_csr(csr, affected),
+                gather_unique_neighbors_csr_reference(csr, affected),
+            )
 
     def test_empty_affected_set(self):
         csr = CSRGraph(

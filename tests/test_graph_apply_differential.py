@@ -3,18 +3,19 @@
 ``ChangeBatch.apply_to`` (on a :class:`~repro.graph.digraph.DiGraph`)
 and :meth:`~repro.graph.csr.CSRGraph.apply_batch` apply a mixed batch
 in one pass: the DiGraph writes every inserted weight row in one slice
-and loops over plain lists; the CSR snapshot resolves each deletion or
-weight change against its base slice plus the tail rows its pair index
-lists.  The per-record loops they replaced live in
+and loops over plain lists; the CSR snapshot writes every insertion
+into spare slots and resolves each deletion or weight change against
+its source's live forward range.  The per-record loops they replaced live in
 ``tests/_graph_apply_reference.py``; here both must agree with them:
 
 - **DiGraph** — the same edge ids, per-id alive flags and weights, and
   the same adjacency order.
-- **CSR** — the same base and tail layout when no compaction fired,
-  the same layout after compacting both copies when one did (the old
-  loops may compact between runs of one batch); the
-  stamps change when their arrays change and exactly when the old
-  loops changed them; the pair index always mirrors the tail.
+- **CSR** — the same slot layout when no relayout fired, the same
+  live per-vertex ranges (in order, with weights) and the same layout
+  after compacting both copies when one did (the per-record loop
+  relays out when one record needs room, the library once per batch);
+  the stamps change when their arrays change and exactly when the
+  per-record loop changed them; the layout always validates.
 - **Live weights** — :meth:`CSRGraph.min_weight_between` equals
   :meth:`DiGraph.min_weight_between` bitwise for every pair.
 - **All or nothing** — a record corrupted after construction makes the
@@ -22,16 +23,16 @@ lists.  The per-record loops they replaced live in
 
 Batches interleave ``append_batch`` with ``apply_batch``, draw equal-weight and k=2 lexicographic ties, delete or
 re-weight edges inserted earlier in the same batch, hit pairs with no
-live edge, and trip the tail rebuild (a snapshot class with a tiny
-``MIN_TAIL_REBUILD``).  Some runs swap the snapshot for a pickled or
-deep-copied one, which drops its index and must apply identically.
+live edge, and overflow the spare slots (a snapshot class with a
+``SLACK`` of one slot).  Some runs swap the snapshot for a pickled or
+deep-copied one, which must apply identically.
 """
 
 from __future__ import annotations
 
 import copy
 import pickle
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 import pytest
@@ -47,35 +48,30 @@ from repro.dynamic.changes import (
 from repro.errors import BatchError, GraphError, VertexError, WeightError
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
+from repro.graph.validation import validate_csr
 from tests._graph_apply_reference import (
+    CountedCSR,
     append_edges_reference,
     apply_batch_reference,
     apply_to_reference,
+    live_ranges,
+    relayouts,
 )
 
-CSR_ARRAYS = (
-    "indptr", "indices", "weights", "src", "rev_indptr", "rev_indices",
-    "edge_perm", "tail_src", "tail_dst", "tail_weights",
+#: The arrays :attr:`CSRGraph.topology_stamp` fingerprints; ``weights``
+#: has :attr:`CSRGraph.weights_stamp`.
+TOPOLOGY_ARRAYS = (
+    "indptr", "out_end", "indices", "src",
+    "rev_indptr", "in_end", "rev_indices", "edge_perm",
 )
-
-
-class CountedCSR(CSRGraph):
-    """A snapshot that counts the compactions that emptied a tail."""
-
-    def compact(self) -> None:
-        if not self.is_compact:
-            self.compactions = getattr(self, "compactions", 0) + 1
-        super().compact()
+CSR_ARRAYS = TOPOLOGY_ARRAYS + ("weights",)
 
 
 class TinyTailCSR(CountedCSR):
-    """Rebuilds once the tail passes 4 rows, so short streams trip it."""
+    """Keeps one spare slot per vertex, so the edges appended to a
+    vertex (its tail) overflow after one and short streams relay."""
 
-    MIN_TAIL_REBUILD = 4
-
-
-def compactions(csr: CSRGraph) -> int:
-    return getattr(csr, "compactions", 0)
+    SLACK = 1
 
 
 def make_batch(records, k: int) -> ChangeBatch:
@@ -132,18 +128,6 @@ def compacted(csr: CSRGraph) -> CSRGraph:
     return clone
 
 
-def assert_index_mirrors_tail(csr: CSRGraph) -> None:
-    """The pair index (when built) lists exactly the tail's rows."""
-    pairs = csr._pairs
-    if pairs is None:
-        return
-    want: Dict[int, Tuple[int, ...]] = {}
-    keys = (csr.tail_src * csr.n + csr.tail_dst).tolist()
-    for row, key in enumerate(keys):
-        want[key] = want.get(key, ()) + (row,)
-    assert pairs == want
-
-
 def assert_live_weights(csr: CSRGraph, g: DiGraph) -> None:
     n = g.num_vertices
     us, vs = np.divmod(np.arange(n * n, dtype=np.int64), n)
@@ -170,8 +154,8 @@ class Pair:
         self.csr_ref = snapshot_cls.from_digraph(self.g)
 
     def step(self, batch: ChangeBatch, append: bool) -> None:
-        before = [(c.base_stamp, c.tail_stamp, csr_layout(c),
-                   compactions(c)) for c in (self.csr, self.csr_ref)]
+        before = [(c.topology_stamp, c.weights_stamp, csr_layout(c),
+                   relayouts(c)) for c in (self.csr, self.csr_ref)]
         assert batch.apply_to(self.g) == apply_to_reference(
             batch, self.g_ref
         )
@@ -185,52 +169,53 @@ class Pair:
 
     def check(self, before) -> None:
         assert_same_digraph(self.g, self.g_ref)
-        compacting = any(
-            compactions(c) != b[3]
+        relaid = any(
+            relayouts(c) != b[3]
             for c, b in zip((self.csr, self.csr_ref), before)
         )
-        if compacting:
+        assert live_ranges(self.csr) == live_ranges(self.csr_ref)
+        if relaid:
             assert_same_layout(compacted(self.csr), compacted(self.csr_ref))
         else:
             assert_same_layout(self.csr, self.csr_ref)
-        self.check_stamps(before, compacting)
-        if compacting:
-            # the old loops may compact mid-batch, leaving another (equally
-            # valid) layout; carry on from the library's
+            assert self.csr.num_tail_edges == self.csr_ref.num_tail_edges
+        self.check_stamps(before, relaid)
+        if relaid:
+            # the per-record loop may relay mid-batch, leaving another
+            # (equally valid) layout; carry on from the library's
             self.csr_ref = copy.deepcopy(self.csr)
-        assert_index_mirrors_tail(self.csr)
+        validate_csr(self.csr)
         assert self.csr.num_edges == self.g.num_edges
         assert_live_weights(self.csr, self.g)
 
-    def check_stamps(self, before, compacting: bool) -> None:
+    def check_stamps(self, before, relaid: bool) -> None:
         moved = []
-        for c, (base_stamp, tail_stamp, layout, _n) in zip(
+        for c, (topology_stamp, weights_stamp, layout, _n) in zip(
             (self.csr, self.csr_ref), before
         ):
             now = csr_layout(c)
-            base_changed = any(
+            topology_changed = any(
                 not np.array_equal(now[a], layout[a])
-                for a in CSR_ARRAYS[:7]
+                for a in TOPOLOGY_ARRAYS
             )
-            tail_changed = base_changed or any(
-                not np.array_equal(now[a], layout[a])
-                for a in CSR_ARRAYS[7:]
+            weights_changed = not np.array_equal(
+                now["weights"], layout["weights"]
             )
             # shm engines re-plant by stamp: a changed array must move it
-            if base_changed:
-                assert c.base_stamp != base_stamp
-            if tail_changed:
-                assert c.tail_stamp != tail_stamp
-            moved.append((c.base_stamp != base_stamp,
-                          c.tail_stamp != tail_stamp))
-        if not compacting:
-            # ... and it moves exactly when the per-record loops moved it
+            if topology_changed:
+                assert c.topology_stamp != topology_stamp
+            if weights_changed:
+                assert c.weights_stamp != weights_stamp
+            moved.append((c.topology_stamp != topology_stamp,
+                          c.weights_stamp != weights_stamp))
+        if not relaid:
+            # ... and it moves exactly when the per-record loop moved it
             assert moved[0] == moved[1]
 
     def swap_snapshot(self, how: str) -> None:
         clone = (pickle.loads(pickle.dumps(self.csr)) if how == "pickle"
                  else copy.deepcopy(self.csr))
-        assert clone._pairs is None
+        assert clone.stamp != self.csr.stamp
         assert_same_layout(clone, self.csr)
         self.csr = clone
 
@@ -303,10 +288,11 @@ NAMED = {
                     [(I, 0, 1, (1.0, 2.0)), (D, 0, 1, (0.0, 0.0)),
                      (W, 0, 1, (5.0, 5.0)), (D, 0, 1, (0.0, 0.0)),
                      (W, 0, 1, (0.0, 9.0))]),
-    # more than MIN_TAIL_REBUILD insertions, mixed with deletes
+    # more insertions out of each vertex than it has spare slots,
+    # mixed with deletes
     "tail_rebuild": (1, [(0, 1, (1.0,))],
                      [(I, i % 3, (i + 1) % 3, (float(i % 4),))
-                      for i in range(CSRGraph.MIN_TAIL_REBUILD + 5)]
+                      for i in range(3 * CSRGraph.SLACK + 5)]
                      + [(D, 0, 1, (0.0,)), (W, 1, 2, (0.0,))]),
 }
 
@@ -316,17 +302,24 @@ NAMED = {
 def test_named_batches(name, snapshot_cls):
     k, base, records = NAMED[name]
     pair = Pair(3, k, base, snapshot_cls)
-    # twice: once on a compact snapshot, once on one with a tail
+    # twice: once on a compact snapshot, once on one with appended
+    # edges in its regions
     pair.step(make_batch(records, k), append=False)
     pair.step(make_batch(records, k), append=False)
 
 
-def test_tail_rebuild_compacts_once_after_the_pass():
+def test_tail_rebuild_relays_once_before_the_pass():
     k, base, records = NAMED["tail_rebuild"]
     pair = Pair(3, k, base, CountedCSR)
-    pair.step(make_batch(records, k), append=False)
-    assert compactions(pair.csr) == 1
-    assert pair.csr.is_compact
+    for step in range(3):
+        pair.step(make_batch(records, k), append=False)
+        # once per batch, for all of its insertions, before its records
+        # apply: the batch's own tombstone outlives it
+        assert relayouts(pair.csr) == step + 1
+        assert pair.csr.num_tail_edges == 3 * CSRGraph.SLACK + 5
+        assert pair.csr.num_dead == 1
+        spare = pair.csr.indptr[1:] - pair.csr.out_end
+        assert spare.min() == CSRGraph.SLACK
 
 
 def test_tie_targets_the_first_parallel():
@@ -346,28 +339,46 @@ def test_stamps_stay_when_nothing_is_written():
     g.add_edge(0, 1, 1.0)
     csr = CSRGraph.from_digraph(g)
     csr.append_batch(ChangeBatch.insertions([(1, 2, 1.0)]))
-    stamps = (csr.base_stamp, csr.tail_stamp)
+    stamps = (csr.topology_stamp, csr.weights_stamp, csr.stamp)
     csr.apply_batch(ChangeBatch.deletions([(2, 0), (1, 0)]))
     csr.apply_batch(ChangeBatch.weight_changes([(2, 1, 4.0)]))
-    assert (csr.base_stamp, csr.tail_stamp) == stamps
-    # a tail-only write moves the tail stamp, not the base stamp
+    assert (csr.topology_stamp, csr.weights_stamp, csr.stamp) == stamps
+    # a weight-only write moves the weights stamp, not the topology one
     csr.apply_batch(ChangeBatch.weight_changes([(1, 2, 4.0)]))
-    assert csr.base_stamp == stamps[0]
-    assert csr.tail_stamp != stamps[1]
+    assert csr.topology_stamp == stamps[0]
+    assert csr.weights_stamp != stamps[1]
+    assert csr.stamp != stamps[2]
+    # an insertion into spare slots writes both
+    stamps = (csr.topology_stamp, csr.weights_stamp)
+    indices = csr.indices
+    csr.append_batch(ChangeBatch.insertions([(2, 0, 1.0)]))
+    assert csr.indices is indices, "wrote spare slots, no relayout"
+    assert csr.topology_stamp != stamps[0]
+    assert csr.weights_stamp != stamps[1]
 
 
-def test_short_epochs_extend_the_index_in_place():
-    """One- and two-edit epochs (the service's) never rebuild the
-    index: the same dict grows by the appended rows."""
+def test_short_epochs_write_in_place():
+    """One- and two-edit epochs (the service's) write spare slots in
+    place: no relayout while a region has room, and each vertex's live
+    range grows in record order."""
     g = DiGraph(4)
     g.add_edge(0, 1, 1.0)
-    csr = CSRGraph.from_digraph(g)
-    index = csr._pair_rows()
-    for u, v in [(1, 2), (2, 3), (1, 2)]:
-        csr.append_batch(ChangeBatch.insertions([(u, v, 1.0)]))
-        csr.apply_batch(ChangeBatch.deletions([(3, 0)]))
-        assert csr._pairs is index
-    assert index == {1 * 4 + 2: (0, 2), 2 * 4 + 3: (1,)}
+    csr = CountedCSR.from_digraph(g)
+    # the first insertion relays the slack-free snapshot out
+    csr.append_batch(ChangeBatch.insertions([(3, 1, 1.0)]))
+    assert relayouts(csr) == 1
+    arrays = [csr.indices, csr.weights, csr.rev_indices, csr.edge_perm]
+    for w, (u, v) in enumerate([(1, 2), (2, 3), (1, 2)]):
+        csr.append_batch(ChangeBatch.insertions([(u, v, float(w))]))
+        csr.apply_batch(ChangeBatch.deletions([(0, 3)]))
+    assert relayouts(csr) == 1
+    assert all(a is b for a, b in zip(arrays, [
+        csr.indices, csr.weights, csr.rev_indices, csr.edge_perm]))
+    assert csr.out_neighbors(1).tolist() == [2, 2]
+    assert csr.out_weights(1).tolist() == [0.0, 2.0]
+    assert csr.in_neighbors(2).tolist() == [1, 1]
+    assert csr.in_neighbors(1).tolist() == [0, 3]
+    assert csr.num_tail_edges == 4
 
 
 # ----------------------------------------------------------------------
@@ -407,7 +418,7 @@ def test_a_bad_record_leaves_everything_untouched(case):
     g_before = digraph_state(pair.g)
     arrays_before = pair.g.edge_arrays()
     csr_before = csr_layout(pair.csr)
-    stamps = (pair.csr.base_stamp, pair.csr.tail_stamp)
+    stamps = pair.csr.stamp
     with pytest.raises(errors[0]):
         batch.apply_to(pair.g)
     with pytest.raises(errors[1]):
@@ -420,8 +431,8 @@ def test_a_bad_record_leaves_everything_untouched(case):
     after = csr_layout(pair.csr)
     for name in csr_before:
         np.testing.assert_array_equal(after[name], csr_before[name])
-    assert (pair.csr.base_stamp, pair.csr.tail_stamp) == stamps
-    assert_index_mirrors_tail(pair.csr)
+    assert pair.csr.stamp == stamps
+    validate_csr(pair.csr)
 
 
 def test_arity_mismatch_is_refused_before_any_write():

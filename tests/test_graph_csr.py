@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dynamic import ChangeBatch
-from repro.errors import GraphError, VertexError
+from repro.errors import GraphError, VertexError, WeightError
 from repro.graph import CSRGraph, DiGraph
 from repro.graph.generators import erdos_renyi, grid_road
 from repro.graph.validation import validate_csr
@@ -136,8 +136,9 @@ class TestSnapshotIdentity:
 
         clone = pickle.loads(pickle.dumps(diamond_csr))
         assert clone.uid != diamond_csr.uid
-        assert clone.base_stamp != diamond_csr.base_stamp
-        assert clone.tail_stamp != diamond_csr.tail_stamp
+        assert clone.topology_stamp != diamond_csr.topology_stamp
+        assert clone.weights_stamp != diamond_csr.weights_stamp
+        assert clone.stamp != diamond_csr.stamp
         # contents and behaviour survive the round trip
         np.testing.assert_array_equal(clone.indptr, diamond_csr.indptr)
         np.testing.assert_array_equal(clone.indices, diamond_csr.indices)
@@ -149,8 +150,60 @@ class TestSnapshotIdentity:
         import copy
 
         clone = copy.deepcopy(diamond_csr)
-        assert clone.base_stamp != diamond_csr.base_stamp
+        assert clone.stamp != diamond_csr.stamp
         # the clones diverge independently afterwards
         clone.apply_batch(ChangeBatch.insertions([(3, 0, (1.0, 1.0))]))
         assert diamond_csr.num_tail_edges == 0
         assert clone.num_tail_edges == 1
+
+
+def _maintained():
+    """A snapshot with spare slots, appended parallel edges and a
+    tombstone: ``(0, 1)`` twice in the base, ``(1, 2)`` twice
+    appended, ``(2, 0)`` deleted."""
+    c = CSRGraph(3, np.array([0, 0, 2]), np.array([1, 1, 0]),
+                 np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
+    c.apply_batch(ChangeBatch.insertions([(1, 2, (4.0, 4.0)),
+                                          (1, 2, (5.0, 5.0))]))
+    c.apply_batch(ChangeBatch.deletions([(2, 0)], k=2))
+    validate_csr(c)
+    return c
+
+
+def _first_in(c, v):
+    return int(c.rev_indptr[v])
+
+
+CORRUPTIONS = {
+    "live range past its region": (
+        lambda c: c.out_end.__setitem__(0, c.indptr[1] + 1), GraphError),
+    "slot owned by another vertex": (
+        lambda c: c.src.__setitem__(int(c.indptr[1]), 0), GraphError),
+    "reverse tail changed": (
+        lambda c: c.rev_indices.__setitem__(_first_in(c, 1), 2), GraphError),
+    "edge_perm into spare room": (
+        lambda c: c.edge_perm.__setitem__(_first_in(c, 2),
+                                          int(c.out_end[1])), GraphError),
+    "edge_perm twice to one slot": (
+        lambda c: c.edge_perm.__setitem__(_first_in(c, 2) + 1,
+                                          c.edge_perm[_first_in(c, 2)]),
+        GraphError),
+    "negative live weight": (
+        lambda c: c.weights.__setitem__((int(c.indptr[1]), 1), -1.0),
+        WeightError),
+    "half a tombstone": (
+        lambda c: c.weights.__setitem__((int(c.indptr[2]), 1), 3.0),
+        GraphError),
+    "dead count off": (
+        lambda c: setattr(c, "num_dead", 0), GraphError),
+}
+
+
+class TestValidateCSR:
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    def test_a_corrupted_layout_is_refused(self, name):
+        corrupt, error = CORRUPTIONS[name]
+        c = _maintained()
+        corrupt(c)
+        with pytest.raises(error):
+            validate_csr(c)

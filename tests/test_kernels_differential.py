@@ -94,7 +94,7 @@ def test_sosp_kernels_equal_reference_and_dijkstra(data, engine_idx):
 @given(data=graph_and_batches(max_batches=4),
        engine_idx=st.integers(0, len(ENGINES) - 1))
 def test_sosp_kernels_with_incremental_snapshot(data, engine_idx):
-    """The appended-tail snapshot is as good as a fresh freeze.
+    """A snapshot with appended edges is as good as a fresh freeze.
 
     One ``CSRGraph`` maintained with ``apply_batch`` across the whole
     batch sequence (never explicitly compacted) must drive the kernels

@@ -6,8 +6,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.dynamic import ChangeBatch
+from repro.dynamic.changes import KIND_DELETE, KIND_INSERT
 from repro.errors import AlgorithmError
-from repro.graph import DiGraph, erdos_renyi, layered_dag
+from repro.graph import CSRGraph, DiGraph, erdos_renyi, layered_dag
 from repro.mosp import (
     Label,
     LabelSet,
@@ -173,6 +175,26 @@ class TestMartins:
             (1.0, 10.0),
             (10.0, 1.0),
         ]
+
+    def test_maintained_csr_reads_like_its_digraph(self):
+        """A CSR kept current with ``apply_batch`` (appended edges in
+        spare slots, a tombstone) gives the digraph's fronts."""
+        g = erdos_renyi(12, 30, k=2, seed=4)
+        csr = CSRGraph.from_digraph(g)
+        u, v, _ = next(iter(g.edges()))
+        batch = ChangeBatch(
+            np.array([0, 0, 3, u]), np.array([7, 9, 11, v]),
+            np.array([[1.0, 9.0], [9.0, 1.0], [0.5, 0.5], [0.0, 0.0]]),
+            np.array([KIND_INSERT, KIND_INSERT, KIND_INSERT, KIND_DELETE],
+                     dtype=np.int8),
+        )
+        batch.apply_to(g)
+        csr.apply_batch(batch)
+        assert csr.num_dead == 1 and not csr.is_compact
+        got, want = martins(csr, 0), martins(g, 0)
+        for v in range(g.num_vertices):
+            assert sorted(map(tuple, got.front(v).tolist())) == sorted(
+                map(tuple, want.front(v).tolist())), f"vertex {v}"
 
     def test_dominated_path_pruned(self):
         g = DiGraph(3, k=2)

@@ -1,13 +1,13 @@
 """Differential oracle for Algorithm 2's real-weight reassignment.
 
 The array kernel (``_reassign_real_weights``: one compare over each
-reached vertex's reverse-CSR slice and one over the COO tail, then
-level-by-level accumulation down the combined tree) must reproduce the
-per-vertex distance-order walk kept in ``tests/_mosp_reference.py``
-*bitwise*: same parents in, identical ``dist_vectors`` bytes out — over
-random multigraphs, every weighting scheme, k = 1..3, maintained CSRs
-with tails and tombstones after mixed batches (one batch, and a stream
-of them), and trees as deep as the graph.
+reached vertex's live reverse range, then level-by-level accumulation
+down the combined tree) must reproduce the per-vertex distance-order
+walk kept in ``tests/_mosp_reference.py`` *bitwise*: same parents in,
+identical ``dist_vectors`` bytes out — over random multigraphs, every
+weighting scheme, k = 1..3, maintained CSRs with appended edges and
+tombstones after mixed batches (one batch, and a stream of them), and
+trees as deep as the graph.
 """
 
 import importlib
@@ -127,8 +127,9 @@ class TestPipelineMatchesReference:
         assert_matches_reference(r, g, trees)
 
     def test_snapshot_with_tail_and_tombstones(self):
-        """A maintained snapshot (base + tail, dead rows in both)
-        prices the tree exactly as a fresh freeze of the digraph."""
+        """A maintained snapshot (appended edges in spare slots, dead
+        rows among base and appended ones) prices the tree exactly as a
+        fresh freeze of the digraph."""
         g = erdos_renyi(80, 400, k=2, seed=22)
         trees = build_trees(g)
         snapshot = CSRGraph.from_digraph(g)
@@ -136,7 +137,10 @@ class TestPipelineMatchesReference:
                                    weight_change_fraction=0.25)
         batch.apply_to(g)
         snapshot.apply_batch(batch)
+        # appended edges and tombstones share the live ranges; spare
+        # slots remain
         assert snapshot.num_tail_edges and snapshot.num_dead
+        assert snapshot.m > snapshot.num_edges + snapshot.num_dead
         r = mosp_update(snapshot, trees, batch)
         assert_matches_reference(r, g, trees)
         # the snapshot mirrors g: the same live edge multiset
@@ -173,7 +177,9 @@ class TestPipelineMatchesReference:
             csr.apply_batch(batch)
             r = mosp_update(csr, trees, batch)
             assert_matches_reference(r, g, trees)
-        assert csr.num_tail_edges and csr.num_dead
+        # read in place all along: appended edges and tombstones in the
+        # live ranges, never compacted
+        assert csr.num_tail_edges and csr.num_dead and not csr.is_compact
 
 
 # ----------------------------------------------------------------------
@@ -217,8 +223,8 @@ class TestKernelCases:
     @staticmethod
     def _hop_graph(base, tail):
         """A 2-vertex multigraph of parallel ``(0, 1)`` edges: ``base``
-        weights frozen into the CSR base, ``tail`` ones appended to its
-        COO tail afterwards.  Returns ``(g, snapshot)``."""
+        weights frozen into the snapshot, ``tail`` ones appended to
+        vertex 0's live range afterwards.  Returns ``(g, snapshot)``."""
         g = DiGraph(2, k=2)
         for w in base:
             g.add_edge(0, 1, w)
@@ -227,7 +233,12 @@ class TestKernelCases:
             batch = ChangeBatch.insertions([(0, 1, w) for w in tail])
             batch.apply_to(g)
             snapshot.apply_batch(batch)
-        assert snapshot.m == len(base)
+        # vertex 0's live range: the base rows, then the appended ones
+        assert snapshot.out_neighbors(0).tolist() == [1] * (len(base) + len(tail))
+        np.testing.assert_array_equal(
+            snapshot.weights[snapshot.indptr[0]:snapshot.out_end[0]],
+            np.array(base + tail).reshape(-1, 2),
+        )
         assert snapshot.num_tail_edges == len(tail)
         return g, snapshot
 
@@ -237,15 +248,19 @@ class TestKernelCases:
         """The deletion tombstones the lexicographically smallest
         parallel (an ``inf`` row left in place); the hop must be priced
         with the live one, wherever each row sits."""
-        rows = {"base": [], "tail": []}
-        rows[dead].append((1.0, 1.0))
-        rows[alive].append((2.0, 3.0))
-        g, snapshot = self._hop_graph(rows["base"], rows["tail"])
+        rows_by_side = {"base": [], "tail": []}
+        rows_by_side[dead].append((1.0, 1.0))
+        rows_by_side[alive].append((2.0, 3.0))
+        g, snapshot = self._hop_graph(rows_by_side["base"],
+                                      rows_by_side["tail"])
         batch = ChangeBatch.deletions([(0, 1)], k=2)
         batch.apply_to(g)
         snapshot.apply_batch(batch)
-        dead_rows = snapshot.weights if dead == "base" else snapshot.tail_weights
-        assert np.isinf(dead_rows).all(axis=1).sum() == 1
+        rows = snapshot.weights[snapshot.indptr[0]:snapshot.out_end[0]]
+        # the tombstone stays in place, base rows first
+        assert np.isinf(rows).all(axis=1).tolist() == [
+            w == (1.0, 1.0) for w in rows_by_side["base"] + rows_by_side["tail"]
+        ]
         trees = build_trees(g)
         dist_c = np.array([0.0, 1.0])
         parent_c = np.array([NO_PARENT, 0])
