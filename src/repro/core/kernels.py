@@ -1,20 +1,23 @@
-"""NumPy-vectorised CSR kernels for the Algorithm 1/2 hot loops.
+"""NumPy-vectorised CSR kernels for the Algorithm 1 hot loop.
 
 The paper's per-vertex tasks relax edges one at a time — in Python,
 one iterator step per edge of a :class:`~repro.graph.digraph.DiGraph`.
-This module re-expresses Step 1 (batch group relaxation) and Step 2
-(affected-frontier propagation) as *batched array kernels* over a
-:class:`~repro.graph.csr.CSRGraph` snapshot:
+This module re-expresses Algorithm 1's relaxation as one *batched array
+superstep* over a :class:`~repro.graph.csr.CSRGraph` snapshot
+(:func:`relax_superstep`), which Step 1 runs once and Step 2
+(:func:`propagate_csr`) runs until its frontier is empty:
 
 - the in-edges of every frontier vertex are gathered with one
   concatenated reverse-CSR slice (:func:`gather_ranges`),
 - candidate distances are computed for the whole frontier in one
-  ``dist[preds] + w`` expression, masked by the *marked* predecessor
-  flag,
+  ``dist[preds] + w`` expression over every live in-edge,
 - the per-vertex minimum and its witness predecessor come from a
   ``np.minimum.reduceat``-style segmented reduction
   (:func:`segmented_argmin`).
 
+Step 1's frontier is the heads of the batch's inserted and re-weighted
+edges plus Step D's invalidated vertices; each later superstep's is
+the unique out-neighbours of the vertices the previous one improved.
 Parallel structure is preserved exactly: each engine superstep covers
 the frontier with contiguous *slabs*
 (:func:`~repro.parallel.api.parallel_for_slabs`), and each destination
@@ -54,19 +57,19 @@ from repro.types import DIST_DTYPE, INF, NO_PARENT, FloatArray, IntArray
 __all__ = [
     "gather_ranges",
     "segmented_argmin",
-    "gather_in_edges_csr",
-    "relax_batch_groups",
+    "relax_superstep",
     "propagate_csr",
 ]
 
-#: Import ref of the Step-2 slab kernel, resolved inside shared-memory
-#: workers.  A module constant (rather than an inline literal) so the
-#: crash-recovery tests can monkeypatch in a kernel that dies
-#: mid-superstep while delegating to the real one on the master.
+#: Import ref of the relaxation slab kernel, resolved inside
+#: shared-memory workers.  A module constant (rather than an inline
+#: literal) so the crash-recovery tests can monkeypatch in a kernel
+#: that dies mid-superstep while delegating to the real one on the
+#: master.
 _PROPAGATE_SLAB_REF = "repro.core.kernels:_propagate_relax_slab"
 
-#: Minimum frontier vertices (or Step-1 groups) per engine slab — below
-#: this, per-task dispatch overhead dwarfs the vectorised body.
+#: Minimum frontier vertices per engine slab — below this, per-task
+#: dispatch overhead dwarfs the vectorised body.
 MIN_SLAB_ITEMS = 64
 
 
@@ -87,47 +90,9 @@ def _record_slab_writes(
                 tracker.record_write(int(v), slab_idx)
 
 
-def _relax_groups_slab(
-    arrays: Mapping[str, np.ndarray],
-    params: Mapping[str, Any],
-    lo: int,
-    hi: int,
-) -> Tuple[IntArray, int]:
-    """Slab kernel for Step 0/1: relax destination groups ``[lo, hi)``.
-
-    All state arrives through ``arrays`` (the slab-kernel signature),
-    so the same function body runs on the caller's arrays and, in a
-    dispatched shared-memory superstep, on planted copies.  Each
-    destination group lives in exactly one slab, making the in-place
-    ``dist``/``parent``/``marked`` writes race-free.
-    """
-    seg_starts = arrays["step1.seg_starts"]
-    s_src = arrays["step1.s_src"]
-    s_w = arrays["step1.s_w"]
-    groups = arrays["step1.groups"]
-    dist = arrays["sosp.dist"]
-    parent = arrays["sosp.parent"]
-    marked = arrays["sosp.marked"]
-    a, bnd = int(seg_starts[lo]), int(seg_starts[hi])
-    cand = dist[s_src[a:bnd]] + s_w[a:bnd]
-    mins, arg = segmented_argmin(cand, seg_starts[lo : hi + 1] - a)
-    vs = groups[lo:hi]
-    improved = mins < dist[vs]
-    vv = vs[improved]
-    if len(vv):
-        dist[vv] = mins[improved]
-        parent[vv] = s_src[a:bnd][arg[improved]]
-        marked[vv] = 1
-    return np.asarray(vv, dtype=np.int64), bnd - a
-
-
-#: The arrays both slab kernels mutate — the copy-back set of a
-#: dispatched superstep (everything else in their tasks is read-only).
-_SOSP_WRITES: Tuple[str, ...] = (
-    "sosp.dist",
-    "sosp.parent",
-    "sosp.marked",
-)
+#: The arrays the slab kernel mutates — the copy-back set of a
+#: dispatched superstep (everything else in its task is read-only).
+_SOSP_WRITES: Tuple[str, ...] = ("sosp.dist", "sosp.parent")
 
 
 def _propagate_relax_slab(
@@ -136,15 +101,15 @@ def _propagate_relax_slab(
     lo: int,
     hi: int,
 ) -> Tuple[IntArray, int]:
-    """Slab kernel for Step 2: relax frontier positions ``[lo, hi)``.
+    """Slab kernel of one relaxation superstep: relax frontier
+    positions ``[lo, hi)``.
 
-    Pull-based: gathers every *marked* predecessor of its frontier
-    vertices from their live reverse ranges, reduces with
-    :func:`segmented_argmin`, and applies improved distances in place.
-    Frontier positions partition across slabs, so writes are
-    single-owner by construction.
+    Pull-based: gathers every live in-edge of its frontier vertices
+    from their reverse ranges, reduces with :func:`segmented_argmin`,
+    and applies improved distances in place.  Frontier positions
+    partition across slabs, so writes are single-owner by construction.
     """
-    frontier = arrays["step2.frontier"]
+    frontier = arrays["sosp.frontier"]
     rev_indptr = arrays["csr.rev_indptr"]
     in_end = arrays["csr.in_end"]
     rev_indices = arrays["csr.rev_indices"]
@@ -152,18 +117,13 @@ def _propagate_relax_slab(
     w_col = arrays["csr.weights"][:, int(params["objective"])]
     dist = arrays["sosp.dist"]
     parent = arrays["sosp.parent"]
-    marked = arrays["sosp.marked"]
 
     f = frontier[lo:hi]
     idx, seg_starts = gather_ranges(rev_indptr[f], in_end[f])
     scanned = int(idx.size)
     if idx.size:
         preds = rev_indices[idx].astype(np.int64)
-        cand = np.where(
-            marked[preds] == 1,
-            dist[preds] + w_col[edge_perm[idx]],
-            INF,
-        )
+        cand = dist[preds] + w_col[edge_perm[idx]]
         mins, arg = segmented_argmin(cand, seg_starts)
         best_u = np.where(arg >= 0, preds[np.maximum(arg, 0)], NO_PARENT)
     else:
@@ -174,7 +134,6 @@ def _propagate_relax_slab(
     if len(vv):
         dist[vv] = mins[improved]
         parent[vv] = best_u[improved]
-        marked[vv] = 1
     return np.asarray(vv, dtype=np.int64), scanned
 
 
@@ -218,102 +177,72 @@ def segmented_argmin(
     return mins, arg
 
 
-def gather_in_edges_csr(
-    csr: CSRGraph, vertices: IntArray, objective: int = 0
-) -> Tuple[IntArray, IntArray, FloatArray]:
-    """All in-edges of ``vertices`` as ``(src, dst, weight)`` arrays.
-
-    One concatenated gather over the live reverse ranges
-    (:func:`gather_ranges`) — the vectorised gather
-    :func:`~repro.core.sosp_update.sosp_update`'s Step 1 uses to seed
-    invalidated vertices against their entire connection boundary.
-    Tombstoned rows come back with
-    ``inf`` weights, which every downstream min-relaxation ignores.
-    Order is deterministic: per vertex, its live in-edge order.
-    """
-    vertices = np.asarray(vertices, dtype=np.int64)
-    if vertices.size == 0:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=DIST_DTYPE),
-        )
-    idx, seg_starts = gather_ranges(
-        csr.rev_indptr[vertices], csr.in_end[vertices]
-    )
-    src = csr.rev_indices[idx].astype(np.int64)
-    dst = np.repeat(vertices, np.diff(seg_starts))
-    w = csr.weights[csr.edge_perm[idx], objective]
-    return src, dst, w
-
-
-def relax_batch_groups(
-    src: IntArray,
-    dst: IntArray,
-    w: FloatArray,
+def relax_superstep(
+    csr: CSRGraph,
     dist: FloatArray,
     parent: IntArray,
-    marked: IntArray,
-    engine: Optional[Engine] = None,
+    frontier: IntArray,
+    objective: int,
+    engine: Engine,
 ) -> Tuple[IntArray, int]:
-    """Vectorised Step 0 + Step 1: group the inserted edges by
-    destination and relax each group to its minimum in one pass.
+    """One relaxation superstep of Algorithm 1, Step 1 or Step 2.
 
-    The grouping is a stable argsort over ``dst`` (the array twin of
-    the paper's hash grouping); each engine slab then owns a contiguous
-    range of destination groups, computes every group's best candidate
-    with one :func:`segmented_argmin`, and writes improved
-    ``dist``/``parent``/``marked`` entries — race-free because a
-    destination lives in exactly one slab.
+    Covers the sorted, duplicate-free ``frontier`` with engine slabs;
+    each slab pulls every live in-edge of its vertices through the
+    reverse CSR in one gather, reduces per vertex with
+    :func:`segmented_argmin`, and writes the strictly improved
+    ``dist``/``parent`` entries in place.  ``engine`` is already
+    resolved; a checked engine's tracker gets one owner (slab) per
+    improved vertex.
 
-    Returns ``(affected, scanned)``: the sorted array of improved
-    vertices and the number of edge relaxations performed.
+    Returns ``(improved, scanned)``: the improved vertices and the
+    number of in-edges relaxed.
     """
-    eng = resolve_engine(engine)
-    tracker = resolve_tracker(eng)
-    b = len(src)
-    if b == 0:
+    if frontier.size == 0:
         return np.empty(0, dtype=np.int64), 0
-    order = np.argsort(dst, kind="stable")
-    s_src = np.asarray(src, dtype=np.int64)[order]
-    s_dst = np.asarray(dst, dtype=np.int64)[order]
-    s_w = np.asarray(w, dtype=DIST_DTYPE)[order]
-    cuts = np.flatnonzero(np.diff(s_dst)) + 1
-    seg_starts = np.concatenate(([0], cuts, [b]))
-    groups = s_dst[seg_starts[:-1]]
-    nseg = len(groups)
-
+    # the graph arrays are fingerprinted with the snapshot's stamps:
+    # an insertion moves both, a deletion or re-weight only the
+    # weights', so a dispatch re-plants exactly what a batch wrote
+    topo_fp = csr.topology_stamp
     task = SlabTask(
-        ref="repro.core.kernels:_relax_groups_slab",
+        ref=_PROPAGATE_SLAB_REF,
         arrays={
-            "step1.seg_starts": seg_starts,
-            "step1.s_src": s_src,
-            "step1.s_w": s_w,
-            "step1.groups": groups,
+            "csr.rev_indptr": csr.rev_indptr,
+            "csr.in_end": csr.in_end,
+            "csr.rev_indices": csr.rev_indices,
+            "csr.edge_perm": csr.edge_perm,
+            "csr.weights": csr.weights,
             "sosp.dist": dist,
             "sosp.parent": parent,
-            "sosp.marked": marked,
+            "sosp.frontier": frontier,
         },
+        params={"objective": int(objective)},
         writes=_SOSP_WRITES,
+        fingerprints={
+            "csr.rev_indptr": topo_fp,
+            "csr.in_end": topo_fp,
+            "csr.rev_indices": topo_fp,
+            "csr.edge_perm": topo_fp,
+            "csr.weights": csr.weights_stamp,
+        },
     )
     results = parallel_for_slabs(
-        eng, nseg, task,
+        engine, int(frontier.size), task,
         work_fn=lambda span, r: max(1, r[1]),
         min_chunk=MIN_SLAB_ITEMS,
     )
-    _record_slab_writes(tracker, results)
-    affected = (
+    _record_slab_writes(resolve_tracker(engine), results)
+    improved = (
         np.concatenate([r[0] for r in results])
         if results else np.empty(0, dtype=np.int64)
     )
-    return affected, int(sum(r[1] for r in results))
+    return improved, int(sum(r[1] for r in results))
 
 
 def propagate_csr(
     csr: CSRGraph,
     dist: FloatArray,
     parent: IntArray,
-    marked: IntArray,
     affected: IntArray,
     objective: int = 0,
     engine: Optional[Engine] = None,
@@ -323,33 +252,15 @@ def propagate_csr(
     subgraph until the frontier is empty.
 
     Per iteration: gather the unique out-neighbours ``N`` of the
-    affected set (:func:`gather_unique_neighbors_csr`), then cover
-    ``N`` with engine slabs; each slab pulls all *marked* predecessors
-    of its frontier vertices from their live reverse ranges in one
-    gather, reduces per vertex with :func:`segmented_argmin`, and
-    applies the improved distances.  Mutates
-    ``dist``/``parent``/``marked`` in place.
+    affected set (:func:`gather_unique_neighbors_csr`) and run one
+    :func:`relax_superstep` over them; its improved vertices are the
+    next affected set.  Mutates ``dist``/``parent`` in place.
 
     ``stats`` (duck-typed :class:`~repro.core.sosp_update.UpdateStats`)
-    is updated when given; a checked engine's tracker gets one owner
-    (slab) per improved vertex.
+    is updated when given.
     """
     eng = resolve_engine(engine)
-    tracker = resolve_tracker(eng)
     affected = np.asarray(affected, dtype=np.int64)
-
-    params = {"objective": int(objective)}
-    # the graph arrays are fingerprinted with the snapshot's stamps:
-    # an insertion moves both, a deletion or re-weight only the
-    # weights', so a dispatch re-plants exactly what a batch wrote
-    topo_fp = csr.topology_stamp
-    fingerprints = {
-        "csr.rev_indptr": topo_fp,
-        "csr.in_end": topo_fp,
-        "csr.rev_indices": topo_fp,
-        "csr.edge_perm": topo_fp,
-        "csr.weights": csr.weights_stamp,
-    }
 
     # dense per-call scratch: ``improved`` collects the distinct
     # affected vertices, so no superstep sorts, hashes or feeds a
@@ -357,45 +268,15 @@ def propagate_csr(
     improved = np.zeros(csr.n, dtype=bool)
     try:
         while affected.size:
-            if tracker is not None:
-                tracker.next_superstep()
             frontier = gather_unique_neighbors_csr(csr, affected)
             if stats is not None:
                 stats.frontier_sizes.append(int(frontier.size))
                 stats.iterations += 1
-            if frontier.size == 0:
-                break
-
-            task = SlabTask(
-                ref=_PROPAGATE_SLAB_REF,
-                arrays={
-                    "csr.rev_indptr": csr.rev_indptr,
-                    "csr.in_end": csr.in_end,
-                    "csr.rev_indices": csr.rev_indices,
-                    "csr.edge_perm": csr.edge_perm,
-                    "csr.weights": csr.weights,
-                    "sosp.dist": dist,
-                    "sosp.parent": parent,
-                    "sosp.marked": marked,
-                    "step2.frontier": frontier,
-                },
-                params=params,
-                writes=_SOSP_WRITES,
-                fingerprints=fingerprints,
-            )
-            results = parallel_for_slabs(
-                eng, int(frontier.size), task,
-                work_fn=lambda span, r: max(1, r[1]),
-                min_chunk=MIN_SLAB_ITEMS,
-            )
-            _record_slab_writes(tracker, results)
-            if stats is not None:
-                stats.relaxations += sum(r[1] for r in results)
-            affected = (
-                np.concatenate([r[0] for r in results])
-                if results else np.empty(0, dtype=np.int64)
+            affected, scanned = relax_superstep(
+                csr, dist, parent, frontier, objective, eng
             )
             if stats is not None:
+                stats.relaxations += scanned
                 stats.affected_total += int(affected.size)
                 improved[affected] = True
     finally:

@@ -14,29 +14,30 @@ deletion adaptation sketched in the paper's conclusion):
   when a vertex is *not* invalidated, a live path of length
   ``≤ dist[v]`` still exists, so every descendant's stored distance
   remains a valid upper bound.  An insert-only batch has no dirty set.
-- **Step 0 — Preprocessing**: the changed edges are grouped by
-  destination, making each destination a unit of parallel work owned
-  by exactly one task.  The CSR kernel groups with one stable sort
-  inside :func:`~repro.core.kernels.relax_batch_groups`.
-- **Step 1 — Process changed edges**: each group relaxes its candidate
-  edges against the current tree; an improved vertex is *marked*
-  affected.  The candidates are (a) one stimulus per distinct inserted
-  or re-weighted ``(u, v)`` pair, at the minimum *live* weight, so
-  duplicate and self-cancelling edits of one edge collapse to the
-  truth, and (b) the whole connection boundary of the dirty set —
-  every in-edge of every invalidated vertex
-  (:func:`~repro.core.kernels.gather_in_edges_csr`).  Grouping means
-  no two tasks write one vertex, so a single pass suffices — this is
-  the paper's improvement over the iterate-until-consistent approach
-  of prior work ([17]).
+- **Steps 0 and 1 — Process changed edges**: the paper groups the
+  changed edges by destination so that each destination has one owner,
+  which takes the minimum over its candidate in-edges.  Here each
+  destination pulls *all* of its live in-edges: Step 1's frontier is
+  every head of an inserted or re-weighted record plus every vertex
+  Step D invalidated, once each, and one relaxation superstep
+  (:func:`~repro.core.kernels.relax_superstep`, the Step-2 superstep)
+  relaxes it.  Because the pull reads the live graph, duplicate and
+  self-cancelling edits of one edge and parallel edges resolve to the
+  truth, and an invalidated vertex sees its whole connection boundary
+  (SSSP-Del's repair seeding).  One owner per vertex means a single
+  pass suffices — the paper's improvement over the
+  iterate-until-consistent approach of prior work ([17]).
 - **Step 2 — Propagate the update**: while the affected set is
   non-empty, gather the unique out-neighbours ``N`` of the affected
-  vertices; in parallel each ``v ∈ N`` scans its *marked* predecessors
-  and relaxes; improved vertices become the next affected set
-  (:func:`~repro.core.kernels.propagate_csr`).  Completeness: every
-  edge violated after the batch either was a Step-1 candidate or flows
-  out of a vertex the update improved, so the fixpoint equals a
-  from-scratch recompute.
+  vertices; in parallel each ``v ∈ N`` pulls its predecessors and
+  relaxes; improved vertices become the next affected set
+  (:func:`~repro.core.kernels.propagate_csr`).  The paper's filter to
+  *marked* (already affected) predecessors is dropped: after Step 1 an
+  unmarked predecessor can neither improve nor tie a vertex, so the
+  filter changes no distance and no parent (``docs/ALGORITHMS.md``).
+  Completeness: every edge violated after the batch either ends at a
+  Step-1 head or flows out of a vertex the update improved, so the
+  fixpoint equals a from-scratch recompute.
 
 Every step runs as vectorised kernels over the
 :class:`~repro.graph.csr.CSRGraph` of the updated graph (see
@@ -50,20 +51,20 @@ subgraph), not O(|E|).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
 import repro.core.kernels as kernels
 from repro.core.tree import SOSPTree
-from repro.dynamic.changes import ChangeBatch
+from repro.dynamic.changes import KIND_DELETE, ChangeBatch
 from repro.errors import AlgorithmError
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.parallel.api import Engine, resolve_engine
-from repro.types import INF, NO_PARENT, FloatArray, IntArray
+from repro.types import INF, NO_PARENT, IntArray
 
 __all__ = ["sosp_update", "UpdateStats"]
 
@@ -80,16 +81,17 @@ class UpdateStats:
     invalidated:
         Vertices reset to ``inf`` in Step D (subtree members).
     seed_stimuli:
-        Candidate edges fed to the Step-1 group relaxation (change
-        stimuli plus the dirty connection boundary).
+        Step 1's frontier: the distinct heads of inserted and
+        re-weighted records plus the invalidated vertices, each of
+        which pulls all its live in-edges.
     affected_initial:
         Vertices improved directly in Step 1.
     affected_total:
         Total improvement events across both steps (a vertex improved
         twice counts twice).
     step1_passes:
-        Passes over the candidate edges (always 1: destination grouping
-        makes Step 1 a single race-free pass).
+        Step-1 supersteps (always 1: one owner per destination makes
+        Step 1 a single race-free pass).
     iterations:
         Step 2 frontier iterations.
     relaxations:
@@ -144,10 +146,10 @@ def sosp_update(
     batch:
         Any interleaving of insertion, deletion, and weight-change
         records, including duplicate and self-cancelling edits of one
-        edge (stimuli are re-normalised against the live graph).
+        edge (Step 1 reads the live graph, not the records' weights).
     engine:
-        Execution engine (``None`` = serial).  Each superstep covers the
-        Step-1 groups / Step-2 frontier with contiguous slabs, one
+        Execution engine (``None`` = serial).  Each superstep covers its
+        Step-1 or Step-2 frontier with contiguous slabs, one
         owner per vertex, matching the paper's OpenMP scheduling.  A
         :class:`~repro.parallel.checked.CheckedEngine` adds the
         vertex-ownership assertion
@@ -163,7 +165,6 @@ def sosp_update(
     dist = tree.dist
     parent = tree.parent
     objective = tree.objective
-    marked = np.zeros(snapshot.n, dtype=np.int8)
     tracer = get_tracer()
 
     with tracer.span(
@@ -183,10 +184,10 @@ def sosp_update(
     with tracer.span(
         "sosp_update.step1", kernel="csr", batch_size=int(batch.num_changes)
     ) as sp1:
-        s_src, s_dst, s_w = _gather_stimuli(snapshot, batch, dirty, objective)
-        stats.seed_stimuli = int(s_src.size)
-        affected_arr, scanned = kernels.relax_batch_groups(
-            s_src, s_dst, s_w, dist, parent, marked, engine=eng
+        heads = _step1_frontier(snapshot.n, batch, dirty)
+        stats.seed_stimuli = int(heads.size)
+        affected_arr, scanned = kernels.relax_superstep(
+            snapshot, dist, parent, heads, objective, eng
         )
         sp1.set(stimuli=stats.seed_stimuli, affected=int(affected_arr.size))
     stats.step_seconds["step1"] = sp1.elapsed
@@ -198,7 +199,7 @@ def sosp_update(
 
     with tracer.span("sosp_update.step2", kernel="csr") as sp2:
         kernels.propagate_csr(
-            snapshot, dist, parent, marked, affected_arr,
+            snapshot, dist, parent, affected_arr,
             objective=objective, engine=eng, stats=stats,
         )
     stats.step_seconds["step2"] = sp2.elapsed
@@ -280,9 +281,10 @@ def _invalidate(
     ``v``'s parent pointer crosses that edge and no surviving parallel
     ``(u, v)`` edge certifies a distance ``≤ dist[v]``.  The test is
     strictly one-sided (``nd > dist[v]``): a weight drop on the parent
-    edge leaves ``dist[v]`` a valid upper bound, and the matching Step-1
-    stimulus lowers it without the invalidation churn.  The surviving
-    weights come from the updated snapshot in one vectorised lookup
+    edge leaves ``dist[v]`` a valid upper bound, and Step 1, which pulls
+    ``v``'s live in-edges, lowers it without the invalidation churn.
+    The surviving weights come from the updated snapshot in one
+    vectorised lookup
     (:meth:`~repro.graph.csr.CSRGraph.min_weight_between`).  The roots'
     subtrees are swept over the tree's child CSR
     (:meth:`~repro.core.tree.SOSPTree.subtree`), built only when some
@@ -316,42 +318,17 @@ def _invalidate(
     return dirty
 
 
-def _gather_stimuli(
-    snapshot: CSRGraph,
-    batch: ChangeBatch,
-    dirty: IntArray,
-    objective: int,
-) -> Tuple[IntArray, IntArray, FloatArray]:
-    """Assemble the Step-1 candidate edges ``(src, dst, weight)``.
+def _step1_frontier(n: int, batch: ChangeBatch, dirty: IntArray) -> IntArray:
+    """Step 1's frontier: every head of an inserted or re-weighted
+    record and every vertex Step D invalidated, once each, ascending.
 
-    Change stimuli come first: one per distinct inserted /
-    weight-changed pair, in first-occurrence order (insertions, then
-    weight changes), normalised to the minimum live weight so the
-    batch's record order and duplicates cannot disagree with the graph;
-    pairs with no live edge left are dropped.  Then the dirty boundary
-    — every in-edge of every invalidated vertex.  Order is
-    deterministic, and duplicates between the two groups are harmless:
-    the group relaxation reduces each destination with one segmented
-    argmin.
+    A deletion's head needs no pull: unless Step D invalidated it, a
+    live path certifies its distance (and then its parent) as before.
     """
-    ins_src, ins_dst, _ins_w = batch.insert_records()
-    wc_src, wc_dst, _wc_w = batch.weight_change_records()
-    src = np.concatenate((ins_src, wc_src))
-    dst = np.concatenate((ins_dst, wc_dst))
-    _, first = np.unique(src * snapshot.n + dst, return_index=True)
-    first.sort()
-    src, dst = src[first], dst[first]
-    w = snapshot.min_weight_between(src, dst, objective)
-    live = np.isfinite(w)
-    src, dst, w = src[live], dst[live], w[live]
-    if dirty.size:
-        b_src, b_dst, b_w = kernels.gather_in_edges_csr(
-            snapshot, dirty, objective
-        )
-        src = np.concatenate((src, b_src))
-        dst = np.concatenate((dst, b_dst))
-        w = np.concatenate((w, b_w))
-    return src, dst, w
+    hit = np.zeros(n, dtype=bool)
+    hit[batch.dst[batch.kind != KIND_DELETE]] = True
+    hit[dirty] = True
+    return np.flatnonzero(hit)
 
 
 def _publish_stats(stats: UpdateStats, batch: ChangeBatch) -> None:
@@ -370,7 +347,7 @@ def _publish_stats(stats: UpdateStats, batch: ChangeBatch) -> None:
         stats.relaxations
     )
     m.counter("sosp_step1_passes_total",
-              "Step-1 passes over candidate edges").inc(stats.step1_passes)
+              "Step-1 supersteps").inc(stats.step1_passes)
     m.counter("sosp_improvements_total",
               "distance improvements applied").inc(stats.affected_total)
     m.counter("sosp_wasted_improvements_total",
@@ -385,7 +362,7 @@ def _publish_stats(stats: UpdateStats, batch: ChangeBatch) -> None:
         batch.num_changes
     )
     m.histogram("sosp_step1_stimuli",
-                "Step-1 candidate edges per update").observe(
+                "Step-1 frontier vertices per update").observe(
         stats.seed_stimuli
     )
     m.histogram("sosp_step2_iterations",

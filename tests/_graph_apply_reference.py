@@ -22,7 +22,7 @@ appliers against:
 - :func:`normalize_against_graph_reference` — the per-record
   insertion normalisation of the old insert-only ``sosp_update``, which
   looked live weights up on the ``DiGraph`` one record at a time (the
-  library now builds one stimulus per distinct pair in Step 1).
+  library's Step 1 now pulls each changed head's live in-edges).
 
 Unlike the library, these loops validate records as they reach them,
 so a bad record in the middle leaves the records before it applied,

@@ -71,11 +71,9 @@ def frontier_bellman_ford_csr(
     n = graph.n
     dist = np.full(n, INF, dtype=DIST_DTYPE)
     parent = np.full(n, NO_PARENT, dtype=VERTEX_DTYPE)
-    marked = np.zeros(n, dtype=np.int8)
     dist[source] = 0.0
-    marked[source] = 1
     propagate_csr(
-        graph, dist, parent, marked,
+        graph, dist, parent,
         np.asarray([source], dtype=np.int64),
         objective=objective, engine=engine,
     )

@@ -90,7 +90,7 @@ def crash_then_propagate_slab(
     arrays: Mapping[str, np.ndarray], params: Mapping[str, Any],
     lo: int, hi: int,
 ) -> Tuple[np.ndarray, int]:
-    """Step-2 kernel stand-in that dies in pool workers, mid-write.
+    """Relaxation kernel stand-in that dies in pool workers, mid-write.
 
     Poisons the planted ``sosp.dist`` copy and kills the process when
     running inside a spawn worker (``multiprocessing.parent_process()``

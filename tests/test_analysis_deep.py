@@ -85,18 +85,14 @@ class TestR006WriteSets:
             assert findings == [], "\n".join(f.format() for f in findings)
 
     def test_inference_matches_shipped_declaration(self):
-        ws = infer_ref_writes("repro.core.kernels:_relax_groups_slab")
+        ws = infer_ref_writes("repro.core.kernels:_propagate_relax_slab")
         assert ws is not None and ws.complete
-        assert ws.writes == frozenset(
-            {"sosp.dist", "sosp.parent", "sosp.marked"}
-        )
+        assert ws.writes == frozenset({"sosp.dist", "sosp.parent"})
 
     def test_sosp_kernels_infer_full_write_set(self):
         ws = infer_ref_writes("repro.core.kernels:_propagate_relax_slab")
         assert ws is not None
-        assert ws.writes == frozenset(
-            {"sosp.dist", "sosp.parent", "sosp.marked"}
-        )
+        assert ws.writes == frozenset({"sosp.dist", "sosp.parent"})
 
 
 class TestR007Scoping:

@@ -11,7 +11,9 @@ graph where two marked predecessors tie exactly:
 - of two appended in-edges, the earlier record wins;
 
 and both still hold after a batch that overflows a vertex's spare
-slots and so relays the whole layout out.
+slots and so relays the whole layout out.  Step 1 runs the same pull,
+so a tie between two of one batch's changed edges follows the same
+in-edge order, not the batch's record order.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core import SOSPTree, sosp_update
-from repro.dynamic import ChangeBatch
+from repro.dynamic import KIND_INSERT, KIND_WEIGHT, ChangeBatch
 from repro.graph import DiGraph
 from repro.graph.csr import CSRGraph
 from repro.sssp import dijkstra
@@ -93,3 +95,32 @@ def test_earlier_appended_record_wins(relayout):
     if relayout:
         _overflow(g, csr, tree)
     assert _tie(g, csr, tree) == 3
+
+
+@pytest.mark.parametrize("maintained", [False, True])
+@pytest.mark.parametrize("new_w, invalidated", [(7.0, False), (12.0, True)])
+def test_step1_tie_follows_in_edge_order(maintained, new_w, invalidated):
+    """Head 3 gets, in one batch, an inserted edge ``2 -> 3`` and a
+    re-weight of its base edge ``1 -> 3`` to the same weight, recorded
+    in that order.  The two tie exactly, and the base edge's earlier
+    slot wins.  A drop (10 -> 7) leaves 3 valid; a raise (10 -> 12)
+    invalidates 3 first, and the tie is the same."""
+    g = DiGraph(4)
+    for u, v, w in [(0, 1, 5.0), (0, 2, 5.0), (1, 3, 10.0)]:
+        g.add_edge(u, v, w)
+    tree = SOSPTree.build(g, SOURCE)
+    csr = CSRGraph.from_digraph(g)
+    batch = ChangeBatch(
+        np.array([2, 1], dtype=np.int64),
+        np.array([3, 3], dtype=np.int64),
+        np.array([[new_w], [new_w]], dtype=np.float64),
+        np.array([KIND_INSERT, KIND_WEIGHT], dtype=np.int8),
+    )
+    batch.apply_to(g)
+    csr.apply_batch(batch)
+    stats = sosp_update(csr if maintained else g, tree, batch)
+    assert stats.invalidated == int(invalidated)
+    dist, _ = dijkstra(g, SOURCE)
+    np.testing.assert_array_equal(tree.dist, dist)
+    assert tree.dist[3] == 5.0 + new_w
+    assert tree.parent[3] == 1

@@ -17,7 +17,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import SOSPTree, apply_mixed_batch, sosp_update
@@ -88,6 +88,40 @@ def graph_and_mixed_batches(draw, k=1, max_n=14, max_batches=1):
     return build_graph(n, k, base), batches
 
 
+def seed_set_cases():
+    """Explicit inputs for the mixed-batch properties, as
+    ``(graph, [batch])``: the shapes Step 1's frontier (heads of
+    inserted and re-weighted records plus the dirty set) must get
+    right.  Built fresh on each call."""
+    ins, dele, rew = KIND_INSERT, KIND_DELETE, KIND_WEIGHT
+    cases = [
+        # head 3 hit by an insertion and a re-weight that tie exactly
+        ([(0, 1, 5.0), (0, 2, 5.0), (1, 3, 10.0)],
+         [(ins, 2, 3, (7.0,)), (rew, 1, 3, (7.0,))]),
+        # insert then delete of one pair: head 2 pulls no new edge
+        ([(0, 1, 1.0), (1, 2, 4.0)],
+         [(ins, 0, 2, (1.0,)), (dele, 0, 2, (0.0,))]),
+        # raise of the non-tree edge 0 -> 2: head 2 pulls, nothing moves
+        ([(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)],
+         [(rew, 0, 2, (9.0,))]),
+        # head 2 is also in the dirty set its deleted tree edge cuts
+        ([(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0), (2, 3, 1.0)],
+         [(dele, 1, 2, (0.0,)), (ins, 0, 2, (3.0,))]),
+    ]
+    return [
+        (build_graph(4, 1, edges), [make_batch(records, 1)])
+        for edges, records in cases
+    ]
+
+
+def with_seed_set_cases(test):
+    """Feed every :func:`seed_set_cases` input to a ``data`` property
+    as an explicit example."""
+    for case in seed_set_cases():
+        test = example(data=case)(test)
+    return test
+
+
 def assert_matches_dijkstra(g, tree, exact=True):
     ref, _ = dijkstra(g, tree.source, tree.objective)
     if exact:  # integer weights: double sums are exact, demand bitwise
@@ -99,22 +133,24 @@ def assert_matches_dijkstra(g, tree, exact=True):
 
 @pytest.mark.slow
 class TestDifferentialOracle:
+    @with_seed_set_cases
     @given(data=graph_and_mixed_batches())
     def test_reference_path_equals_dijkstra(self, data):
         """A DiGraph argument: each call freezes its own snapshot."""
-        g, batches = data
+        g, batches = copy.deepcopy(data)
         tree = SOSPTree.build(g, 0)
         for batch in batches:
             batch.apply_to(g)
             sosp_update(g, tree, batch)
         assert_matches_dijkstra(g, tree)
 
+    @with_seed_set_cases
     @given(data=graph_and_mixed_batches(max_batches=3))
     def test_csr_path_equals_dijkstra_incrementally(self, data):
         """A maintained snapshot, mutated via ``apply_batch`` instead of
         re-frozen — certifying the CSR tombstone/overwrite
         machinery against the DiGraph as a side effect."""
-        g, batches = data
+        g, batches = copy.deepcopy(data)
         tree = SOSPTree.build(g, 0)
         snapshot = CSRGraph.from_digraph(g)
         for batch in batches:

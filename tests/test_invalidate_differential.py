@@ -47,6 +47,7 @@ from tests.test_fully_dynamic_mixed import (
     build_graph,
     graph_and_mixed_batches,
     make_batch,
+    with_seed_set_cases,
 )
 
 # the package re-exports the function over the submodule's name
@@ -156,6 +157,7 @@ class TestDirtySetProperty:
         assert_matches_dijkstra(g, tree, exact=False)
 
     @pytest.mark.parametrize("maintained", [False, True])
+    @with_seed_set_cases
     @given(data=graph_and_mixed_batches(max_batches=3))
     def test_pipeline_bitwise_equals_reference_step_d(self, maintained, data):
         graph, batches = data
@@ -309,6 +311,7 @@ def teardown_module(module) -> None:
 
 @pytest.mark.slow
 @settings(max_examples=20, deadline=None)
+@with_seed_set_cases
 @given(data=graph_and_mixed_batches(max_batches=2))
 def test_every_engine_bitwise_equals_reference_step_d(data):
     graph, batches = data
@@ -316,7 +319,7 @@ def test_every_engine_bitwise_equals_reference_step_d(data):
         g, tree, _ = assert_pipelines_bitwise_equal(
             graph, batches, maintained=True, engine=engine
         )
-        tree.certify(g)
+        assert_matches_dijkstra(g, tree)
 
 
 @pytest.mark.parametrize("engine_index, span_name", [

@@ -565,39 +565,41 @@ class TestWorkerAttachCache:
 
 
 class TestKernelMirrorBack:
-    """relax_batch_groups must leave the caller's arrays as the engine
-    left them when slab dispatch raises mid-Step-1: the task binds
-    those arrays, so there is nothing to mirror back and nothing to
-    undo."""
+    """A relaxation superstep must leave the caller's arrays as the
+    engine left them when slab dispatch raises mid-Step-1: the task
+    binds those arrays, so there is nothing to mirror back and nothing
+    to undo."""
 
-    def test_relax_batch_groups_mirrors_on_dispatch_error(self):
-        from repro.core.kernels import relax_batch_groups
-        from repro.types import DIST_DTYPE, INF, NO_PARENT, VERTEX_DTYPE
+    def test_step1_superstep_mirrors_on_dispatch_error(self):
+        from repro.core import SOSPTree, sosp_update
+        from repro.dynamic import ChangeBatch
+        from repro.graph import DiGraph
+        from repro.graph.csr import CSRGraph
+
+        seen = []
 
         class ExplodingEngine(SharedMemoryEngine):
             def parallel_for_slabs(self, n_items, task,
                                    work_fn=None, min_chunk=1):
+                seen.append(task.arrays["sosp.frontier"].tolist())
                 # mutate like a half-finished superstep, then die
                 task.arrays["sosp.dist"][1] = 0.5
-                task.arrays["sosp.marked"][1] = 1
+                task.arrays["sosp.parent"][1] = 0
                 raise EngineError("worker army vanished")
 
         e = ExplodingEngine(threads=2, min_dispatch_items=1)
         try:
-            n = 4
-            dist = np.full(n, INF, dtype=DIST_DTYPE)
-            dist[0] = 0.0
-            parent = np.full(n, NO_PARENT, dtype=VERTEX_DTYPE)
-            marked = np.zeros(n, dtype=np.int8)
+            g = DiGraph(4)
+            tree = SOSPTree.build(g, 0)
+            csr = CSRGraph.from_digraph(g)
+            batch = ChangeBatch.insertions([(0, 1, 0.5)])
+            csr.apply_batch(batch)
             with pytest.raises(EngineError, match="vanished"):
-                relax_batch_groups(
-                    np.array([0]), np.array([1]),
-                    np.array([0.5], dtype=DIST_DTYPE),
-                    dist, parent, marked, engine=e,
-                )
+                sosp_update(csr, tree, batch, engine=e)
+            assert seen == [[1]]  # Step 1's frontier: the inserted head
             # the partial (monotone-valid) relaxation survived the error
-            assert dist[1] == 0.5
-            assert marked[1] == 1
+            assert tree.dist[1] == 0.5
+            assert tree.parent[1] == 0
         finally:
             e.close()
 
